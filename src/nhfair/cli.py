@@ -53,6 +53,8 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
             paths.extend(Path(p) for p in matched)
         elif Path(pattern).exists():
             paths.append(Path(pattern))
+        else:
+            raise ParseError(f"no runs matched: no file matches {pattern!r}")
     seen: set[Path] = set()
     unique = []
     for p in paths:
@@ -86,14 +88,10 @@ def _load_runs(paths: list[Path], jobs: int) -> list[EvaluationRun]:
 
 def _candidate_from_run(run: EvaluationRun, eqodd_variant: str) -> CandidatePoint:
     report = metrics.metric_report(run, eqodd_variant=eqodd_variant)
-    if run.manifest.utility_kind == "auc":
-        utilities, _ = metrics.group_auc(run)
-    else:
-        utilities = metrics.group_accuracy(metrics.confusion(run))
     return CandidatePoint(
         run_id=run.manifest.run_id,
         method=run.manifest.method,
-        group_utilities=utilities,
+        group_utilities=report.group_utilities,
         gap=report.gap,
         overall=report.overall,
     )
@@ -273,14 +271,25 @@ def _cells_from_csv(path: Path, metric: str) -> list[stats.AggregateCell]:
             if column not in reader.fieldnames:
                 raise ParseError(f"column {column!r} not found", path=str(path), line=1)
         cells = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            if None in row or None in row.values():
+                raise ParseError(
+                    f"row does not have the header's {len(reader.fieldnames)} fields",
+                    path=str(path),
+                    line=reader.line_num,
+                )
             try:
                 mean, std = parse_mean_std(row[metric])
             except ValueError:
                 raise ParseError(
-                    f"bad {metric} cell {row[metric]!r}", path=str(path), line=line_no
+                    f"bad {metric} cell {row[metric]!r}", path=str(path), line=reader.line_num
                 ) from None
-            n_seeds = int(row.get("n_seeds") or 1)
+            try:
+                n_seeds = int(row.get("n_seeds") or 1)
+            except ValueError:
+                raise ParseError(
+                    f"bad n_seeds cell {row['n_seeds']!r}", path=str(path), line=reader.line_num
+                ) from None
             cells.append(
                 stats.AggregateCell(
                     method=row["method"],

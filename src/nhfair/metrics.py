@@ -14,8 +14,10 @@ for table output. Conventions:
 Degenerate cells are never silently NaN: single-class groups get AUC 0.5
 plus a warning, and classes empty in some group are skipped from eqodd
 with a warning. Every function is pure; runs may be evaluated in
-parallel. Within a run, sums follow the canonical record order, so
-results are identical regardless of thread count.
+parallel. The kernels work on a run's columns: the confusion tensor is
+one ``bincount`` and AUC a mid-rank sum over masked score columns.
+Within a run, sums follow the canonical record order, so results are
+identical regardless of thread count.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ class GroupUtilityVector:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """The five reported columns plus degenerate-cell warnings."""
+    """The five reported columns plus degenerate-cell warnings.
+
+    ``group_utilities`` is the per-group vector that worst and gap come
+    from, so selection need not compute it again.
+    """
 
     overall: float
     worst: float
@@ -75,6 +81,7 @@ class MetricReport:
     dp: float
     eqodd: float
     warnings: tuple[str, ...] = ()
+    group_utilities: GroupUtilityVector | None = None
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -102,12 +109,14 @@ def confusion(run: EvaluationRun) -> ConfusionTensor:
     """Tally records into a (group, true, predicted) count tensor."""
     groups = run.manifest.group_space.groups
     labels = run.manifest.label_space.labels
-    gi = {g: i for i, g in enumerate(groups)}
-    li = {lb: i for i, lb in enumerate(labels)}
-    counts = np.zeros((len(groups), len(labels), len(labels)), dtype=np.int64)
-    for rec in run.records:
-        counts[gi[rec.group], li[rec.true_label], li[rec.predicted_label]] += 1
-    return ConfusionTensor(groups=groups, labels=labels, counts=counts)
+    n_groups, n_labels = len(groups), len(labels)
+    flat = (run.group.astype(np.intp) * n_labels + run.y) * n_labels + run.y_hat
+    counts = np.bincount(flat, minlength=n_groups * n_labels * n_labels)
+    return ConfusionTensor(
+        groups=groups,
+        labels=labels,
+        counts=counts.astype(np.int64, copy=False).reshape(n_groups, n_labels, n_labels),
+    )
 
 
 def group_accuracy(t: ConfusionTensor) -> GroupUtilityVector:
@@ -136,6 +145,13 @@ def _auc_from_scores(pos: np.ndarray, neg: np.ndarray) -> float:
     return u / (n_pos * len(neg))
 
 
+def _positive_scores(run: EvaluationRun) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's positive-label score (present in auc runs), and which are positives."""
+    labels = run.manifest.label_space.labels
+    positive = labels.index(run.manifest.label_space.positive_label)
+    return run.scores[:, positive], run.y == positive
+
+
 def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
     """Per-group AUC from the positive-label score.
 
@@ -144,28 +160,20 @@ def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
     undefined and AllGroupsDegenerate is raised.
     """
     manifest = run.manifest
-    positive = manifest.label_space.positive_label
-    pos_scores: dict[str, list[float]] = {g: [] for g in manifest.group_space.groups}
-    neg_scores: dict[str, list[float]] = {g: [] for g in manifest.group_space.groups}
-    for rec in run.records:
-        score = rec.scores[positive]  # validated present for auc runs
-        if rec.true_label == positive:
-            pos_scores[rec.group].append(score)
-        else:
-            neg_scores[rec.group].append(score)
-
+    score, is_pos = _positive_scores(run)
     utility: dict[str, float] = {}
     warnings: list[str] = []
     degenerate = 0
-    for g in manifest.group_space.groups:
-        pos = pos_scores[g]
-        neg = neg_scores[g]
-        if not pos or not neg:
+    for i, g in enumerate(manifest.group_space.groups):
+        in_group = run.group == i
+        pos = score[in_group & is_pos]
+        neg = score[in_group & ~is_pos]
+        if not pos.size or not neg.size:
             utility[g] = 0.5
             warnings.append(f"group {g}: only one class present, auc set to 0.5")
             degenerate += 1
         else:
-            utility[g] = _auc_from_scores(np.asarray(pos), np.asarray(neg))
+            utility[g] = _auc_from_scores(pos, neg)
     if degenerate == len(manifest.group_space.groups):
         raise AllGroupsDegenerate("no group contains both classes")
     return GroupUtilityVector(utility=utility, utility_kind="auc"), warnings
@@ -173,10 +181,8 @@ def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
 
 def pooled_auc(run: EvaluationRun) -> float:
     """AUC over all records together, same tie handling as group_auc."""
-    positive = run.manifest.label_space.positive_label
-    pos = [rec.scores[positive] for rec in run.records if rec.true_label == positive]
-    neg = [rec.scores[positive] for rec in run.records if rec.true_label != positive]
-    return _auc_from_scores(np.asarray(pos), np.asarray(neg))
+    score, is_pos = _positive_scores(run)
+    return _auc_from_scores(score[is_pos], score[~is_pos])
 
 
 def gap(v: GroupUtilityVector) -> float:
@@ -270,7 +276,7 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> Metric
     else:
         utilities = group_accuracy(t)
         correct = int(np.trace(t.counts.sum(axis=0)))
-        overall = correct / len(run.records)
+        overall = correct / len(run.sample_ids)
 
     g = gap(utilities)
     w = worst(utilities)
@@ -292,7 +298,13 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> Metric
             )
 
     return MetricReport(
-        overall=overall, worst=w, gap=g, dp=dp, eqodd=eqodd, warnings=tuple(warnings)
+        overall=overall,
+        worst=w,
+        gap=g,
+        dp=dp,
+        eqodd=eqodd,
+        warnings=tuple(warnings),
+        group_utilities=utilities,
     )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .records import EvaluationRun, GroupSpace, LabelSpace, PredictionRecord, RunManifest
+from .records import EvaluationRun, GroupSpace, LabelSpace, RunManifest
 
 _PRIOR_TOL = 1e-9
 
@@ -132,9 +132,10 @@ def generate(
 
     rng = np.random.default_rng(spec.seed)
     width = max(6, len(str(max(spec.n_per_group.values()) - 1)))
-    records: list[PredictionRecord] = []
+    sample_ids: list[str] = []
+    group_codes, true_codes, pred_codes, score_blocks = [], [], [], []
     n_labels = len(labels)
-    for g in groups:
+    for gi, g in enumerate(groups):
         n = spec.n_per_group[g]
         prior = np.array([spec.class_prior[g][lb] for lb in labels])
         true_idx = rng.choice(n_labels, size=n, p=prior)
@@ -146,7 +147,6 @@ def generate(
                 continue
             row = np.array([spec.confusion_spec[g][true_label][lb] for lb in labels])
             pred_idx[mask] = rng.choice(n_labels, size=count, p=row)
-        scores: np.ndarray | None = None
         if with_scores:
             onehot = np.zeros((n, n_labels))
             onehot[np.arange(n), pred_idx] = 1.0
@@ -156,19 +156,11 @@ def generate(
                 lam = spec.score_noise / (1.0 + spec.score_noise)
                 noise = rng.dirichlet(np.ones(n_labels), size=n)
                 scores = (1.0 - lam) * onehot + lam * noise
-        for i in range(n):
-            score_map = None
-            if scores is not None:
-                score_map = {lb: float(scores[i, c]) for c, lb in enumerate(labels)}
-            records.append(
-                PredictionRecord(
-                    sample_id=f"{g}-{i:0{width}d}",
-                    true_label=labels[int(true_idx[i])],
-                    predicted_label=labels[int(pred_idx[i])],
-                    group=g,
-                    scores=score_map,
-                )
-            )
+            score_blocks.append(scores)
+        sample_ids.extend(f"{g}-{i:0{width}d}" for i in range(n))
+        group_codes.append(np.full(n, gi))
+        true_codes.append(true_idx)
+        pred_codes.append(pred_idx)
 
     manifest = RunManifest(
         method=method,
@@ -179,5 +171,11 @@ def generate(
         label_space=LabelSpace(labels=labels),
         group_space=GroupSpace(groups=groups),
     )
-    ordered = tuple(sorted(records, key=lambda rec: rec.sample_id))
-    return EvaluationRun(manifest=manifest, records=ordered)
+    return EvaluationRun(
+        manifest=manifest,
+        sample_ids=sample_ids,
+        group=np.concatenate(group_codes),
+        y=np.concatenate(true_codes),
+        y_hat=np.concatenate(pred_codes),
+        scores=np.concatenate(score_blocks) if with_scores else None,
+    )

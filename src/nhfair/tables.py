@@ -8,6 +8,8 @@ precision on both sides and re-parse losslessly at that precision.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -53,18 +55,18 @@ _HEADER = ["method", "dataset", "split", "utility_kind", "n_seeds"]
 
 
 def rows_to_csv(rows: list[ReportRow], units: str) -> str:
-    lines = [",".join(_HEADER + list(METRIC_COLUMNS) + ["warnings"])]
+    """One CSV row per report row; a cell holding a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_HEADER + list(METRIC_COLUMNS) + ["warnings"])
     for row in sorted(rows, key=ReportRow.sort_key):
         cells = [row.method, row.dataset, row.split, row.utility_kind, str(row.n_seeds)]
         for name in METRIC_COLUMNS:
             mean, std = row.metrics[name]
             cells.append(fmt_mean_std(mean, std, units, row.n_seeds))
-        warn = "; ".join(row.warnings)
-        if "," in warn or '"' in warn:
-            warn = '"' + warn.replace('"', '""') + '"'
-        cells.append(warn)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        cells.append("; ".join(row.warnings))
+        writer.writerow(cells)
+    return out.getvalue()
 
 
 def rows_to_markdown(rows: list[ReportRow], units: str) -> str:

@@ -61,7 +61,7 @@ def make_run(
     )
     if sort:
         records = sorted(records, key=lambda rec: rec.sample_id)
-    return EvaluationRun(manifest=manifest, records=tuple(records))
+    return EvaluationRun.from_records(manifest, records)
 
 
 def point(run_id, utilities, method="m", overall=None):

@@ -110,6 +110,26 @@ class TestEvaluate:
         assert main(["evaluate", "--jobs", "4", "--out", str(out4), str(run_dir / "*.jsonl")]) == 0
         assert out1.read_bytes() == out2.read_bytes() == out4.read_bytes()
 
+    def test_unmatched_pattern_exits_2(self, run_dir, capsys):
+        missing = str(run_dir / "missing.jsonl")
+        code = main(["evaluate", str(run_dir / "erm-demo-s1.jsonl"), missing])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no runs matched" in err and missing in err
+
+    def test_comma_and_quote_in_method_round_trip(self, tmp_path, capsys):
+        method = 'erm,"v2"'
+        for name, slug, skew in ((method, "erm_v2", 0.0), ("dro", "dro", 0.05)):
+            for dataset in ("d1", "d2"):
+                run = generate(spec_for(7, skew), method=name, dataset=dataset)
+                write_run(run, tmp_path / f"{slug}-{dataset}.jsonl")
+        table = tmp_path / "table.csv"
+        assert main(["evaluate", "--out", str(table), str(tmp_path / "*.jsonl")]) == 0
+        assert '"erm,""v2"""' in table.read_text(encoding="utf-8")
+        assert main(["compare", "--metric", "utility", str(table)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["mean_ranks"]) == {method, "dro"}
+
 
 class TestSelectErm:
     def test_dto_report(self, summary_csv, capsys):
@@ -254,6 +274,17 @@ class TestCompare:
         )
         assert main(["compare", "--metric", "gap", str(table)]) == 2
         assert "oxonfair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [('erm,"v2",d2,5,2.0\n', "fields"), ("erm,d2,five,2.0\n", "n_seeds")],
+    )
+    def test_malformed_row_exits_2_with_line(self, tmp_path, capsys, row, fault):
+        table = tmp_path / "agg.csv"
+        table.write_text("method,dataset,n_seeds,gap\nerm,d1,5,1.0\n" + row, encoding="utf-8")
+        assert main(["compare", "--metric", "gap", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert f"{table}: line 3: " in err and fault in err
 
     def test_deterministic_outputs(self, tmp_path):
         table = tmp_path / "agg.csv"

@@ -373,7 +373,7 @@ def shuffle_records(run: EvaluationRun, seed: int) -> EvaluationRun:
 
     records = list(run.records)
     random.Random(seed).shuffle(records)
-    return EvaluationRun(manifest=run.manifest, records=tuple(records))
+    return EvaluationRun.from_records(run.manifest, records)
 
 
 @given(small_runs(), st.integers(0, 10))
@@ -392,9 +392,9 @@ def test_permutation_invariance(run, seed):
 def test_group_relabeling_equivariance(run):
     groups = run.manifest.group_space.groups
     mapping = dict(zip(groups, groups[1:] + groups[:1]))  # cyclic relabel
-    renamed = EvaluationRun(
-        manifest=run.manifest,
-        records=tuple(
+    renamed = EvaluationRun.from_records(
+        run.manifest,
+        tuple(
             type(rec)(
                 sample_id=rec.sample_id,
                 true_label=rec.true_label,
@@ -471,9 +471,9 @@ def test_binary_dp_agrees_with_multiclass_restriction(run):
 @given(small_runs(with_scores=True))
 @settings(max_examples=40, deadline=None)
 def test_auc_duplication_invariance(run):
-    doubled = EvaluationRun(
-        manifest=run.manifest,
-        records=tuple(
+    doubled = EvaluationRun.from_records(
+        run.manifest,
+        tuple(
             list(run.records)
             + [
                 type(rec)(
