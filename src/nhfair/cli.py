@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob
+import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import metrics, selection, stats
-from .config import EngineConfig, build_config
+from .config import EngineConfig, add_flags, build_config
 from .errors import (
     EmptyCandidateSet,
     EngineError,
@@ -32,17 +34,11 @@ from .errors import (
     MetricError,
     ParseError,
 )
-from .records import EvaluationRun, RunSummary, parse_run, parse_summaries
+from .metrics import MetricReport
+from .records import RunManifest, RunSummary, parse_run, parse_summaries, read_text
 from .selection import CandidatePoint
 from .svgplot import render_cd_plot
-from .tables import (
-    METRIC_COLUMNS,
-    ReportRow,
-    parse_mean_std,
-    rows_to_csv,
-    rows_to_json,
-    rows_to_markdown,
-)
+from .tables import parse_mean_std, rows_to_csv, rows_to_json, rows_to_markdown
 
 
 def _expand_inputs(patterns: list[str]) -> list[Path]:
@@ -79,18 +75,23 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_runs(paths: list[Path], jobs: int) -> list[EvaluationRun]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(parse_run, paths))
-    return [parse_run(p) for p in paths]
+def _evaluate_file(path: Path, eqodd: str = "diagonal") -> tuple[MetricReport, RunManifest]:
+    """Parse one prediction log and compute its report; the run is dropped after."""
+    run = parse_run(path)
+    try:
+        return metrics.metric_report(run, eqodd_variant=eqodd), run.manifest
+    except MetricError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _candidate_from_run(run: EvaluationRun, eqodd_variant: str) -> CandidatePoint:
-    report = metrics.metric_report(run, eqodd_variant=eqodd_variant)
+def _candidate_from_run(path: Path) -> CandidatePoint:
+    """A log's selection point; its degenerate-cell warnings go to stderr."""
+    report, manifest = _evaluate_file(path)
+    for warning in report.warnings:
+        sys.stderr.write(f"warning: {path}: {warning}\n")
     return CandidatePoint(
-        run_id=run.manifest.run_id,
-        method=run.manifest.method,
+        run_id=manifest.run_id,
+        method=manifest.method,
         group_utilities=report.group_utilities,
         gap=report.gap,
         overall=report.overall,
@@ -106,12 +107,11 @@ def _candidate_from_summary(summary: RunSummary) -> CandidatePoint:
     )
 
 
-def _load_candidates(paths: list[Path], config: EngineConfig) -> list[CandidatePoint]:
+def _load_candidates(paths: list[Path]) -> list[CandidatePoint]:
     candidates: list[CandidatePoint] = []
     for path in paths:
         if _is_run_file(path):
-            run = parse_run(path)
-            candidates.append(_candidate_from_run(run, config.eqodd))
+            candidates.append(_candidate_from_run(path))
         else:
             for summary in parse_summaries(path):
                 candidates.append(_candidate_from_summary(summary))
@@ -130,56 +130,13 @@ def cmd_evaluate(config: EngineConfig) -> int:
             f"{', '.join(str(p) for p in bad)}"
         )
 
-    runs = _load_runs(run_paths, config.jobs)
-
-    def report_for(pair):
-        path, run = pair
-        try:
-            return metrics.metric_report(run, eqodd_variant=config.eqodd)
-        except MetricError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-
+    evaluate = functools.partial(_evaluate_file, eqodd=config.eqodd)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(report_for, zip(run_paths, runs)))
+            pairs = list(pool.map(evaluate, run_paths))
     else:
-        reports = [report_for(pair) for pair in zip(run_paths, runs)]
-
-    pairs = list(zip(reports, [r.manifest for r in runs]))
-    cells = stats.aggregate(pairs)
-
-    kinds: dict[tuple[str, str, str], str] = {}
-    warnings_by_key: dict[tuple[str, str, str], list[str]] = {}
-    for report, manifest in pairs:
-        key = (manifest.method, manifest.dataset, manifest.split)
-        previous = kinds.setdefault(key, manifest.utility_kind)
-        if previous != manifest.utility_kind:
-            raise ParseError(
-                f"mixed utility kinds for method={manifest.method} dataset={manifest.dataset}"
-            )
-        bucket = warnings_by_key.setdefault(key, [])
-        for warning in report.warnings:
-            if warning not in bucket:
-                bucket.append(warning)
-
-    by_key: dict[tuple[str, str, str], dict[str, tuple[float, float]]] = {}
-    n_by_key: dict[tuple[str, str, str], int] = {}
-    for cell in cells:
-        key = (cell.method, cell.dataset, cell.split)
-        by_key.setdefault(key, {})[cell.metric] = (cell.mean, cell.std)
-        n_by_key[key] = cell.n_seeds
-    rows = [
-        ReportRow(
-            method=key[0],
-            dataset=key[1],
-            split=key[2],
-            utility_kind=kinds[key],
-            n_seeds=n_by_key[key],
-            metrics=by_key[key],
-            warnings=tuple(warnings_by_key[key]),
-        )
-        for key in sorted(by_key)
-    ]
+        pairs = list(map(evaluate, run_paths))
+    rows = stats.aggregate(pairs)
 
     if config.format == "csv":
         _emit(rows_to_csv(rows, config.units), config.out)
@@ -192,7 +149,7 @@ def cmd_evaluate(config: EngineConfig) -> int:
 
 def cmd_select_erm(config: EngineConfig) -> int:
     paths = _expand_inputs(config.inputs)
-    candidates = _load_candidates(paths, config)
+    candidates = _load_candidates(paths)
     if not candidates:
         raise EmptyCandidateSet(f"no candidates matched: {' '.join(config.inputs)}")
     target = selection.utopia(candidates)
@@ -223,7 +180,7 @@ def _resolve_baseline(
     path = Path(spec)
     if path.exists():
         if _is_run_file(path):
-            return _candidate_from_run(parse_run(path), config.eqodd), candidates, f"file {path}"
+            return _candidate_from_run(path), candidates, f"file {path}"
         summaries = parse_summaries(path)
         if len(summaries) != 1:
             raise ParseError(
@@ -240,7 +197,7 @@ def _resolve_baseline(
 
 def cmd_select_fwh(config: EngineConfig) -> int:
     paths = _expand_inputs(config.inputs)
-    candidates = _load_candidates(paths, config)
+    candidates = _load_candidates(paths)
     baseline, candidates, origin = _resolve_baseline(config, candidates)
     if not candidates:
         raise EmptyCandidateSet("no candidates left after resolving the baseline")
@@ -262,7 +219,7 @@ def cmd_select_fwh(config: EngineConfig) -> int:
 
 
 def _cells_from_csv(path: Path, metric: str) -> list[stats.AggregateCell]:
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with io.StringIO(read_text(path), newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or metric not in reader.fieldnames:
             raise ParseError(f"column {metric!r} not found", path=str(path), line=1)
@@ -341,45 +298,25 @@ def cmd_compare(config: EngineConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with the flags the option table gives it."""
     parser = argparse.ArgumentParser(
         prog="nhfair",
         description="Group-fairness evaluation, harm-aware selection, and method comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        # one flag set for every command; each command reads what it needs
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key=value config file (or set NHFAIR_CONFIG)")
-        p.add_argument("--tolerance", type=float, help="no-harm/zone tolerance (default 0)")
-        p.add_argument("--alpha", type=float, help="Nemenyi alpha, 0.05 or 0.10")
-        p.add_argument("--metric", choices=METRIC_COLUMNS, help="metric for compare")
-        p.add_argument("--format", choices=("csv", "json", "md"))
-        p.add_argument("--units", choices=("fraction", "percent"))
-        p.add_argument("--eqodd", choices=("diagonal", "full"))
-        p.add_argument("--jobs", type=int, help="parallel run evaluation")
-        p.add_argument("--out", help="output path (default: stdout)")
+        add_flags(p, command)
         p.add_argument("inputs", nargs="*", help="input files or globs")
-
-    common(sub.add_parser("evaluate", help="metric table from prediction logs"))
-    common(sub.add_parser("select-erm", help="distance-to-utopia baseline selection"))
-
-    p_fwh = sub.add_parser("select-fwh", help="four-zone selection against a baseline")
-    p_fwh.add_argument("--baseline", help="baseline file or candidate run_id")
-    common(p_fwh)
-
-    p_cmp = sub.add_parser("compare", help="Friedman + Nemenyi CD over an aggregated table")
-    p_cmp.add_argument("--tie-corrected", dest="tie_corrected", action="store_true", default=None)
-    p_cmp.add_argument("--svg", help="SVG output path (default: --out with .svg suffix)")
-    common(p_cmp)
-
     return parser
 
 
 _COMMANDS = {
-    "evaluate": cmd_evaluate,
-    "select-erm": cmd_select_erm,
-    "select-fwh": cmd_select_fwh,
-    "compare": cmd_compare,
+    "evaluate": (cmd_evaluate, "metric table from prediction logs"),
+    "select-erm": (cmd_select_erm, "distance-to-utopia baseline selection"),
+    "select-fwh": (cmd_select_fwh, "four-zone selection against a baseline"),
+    "compare": (cmd_compare, "Friedman + Nemenyi CD over an aggregated table"),
 }
 
 
@@ -391,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs = values.pop("inputs")
     try:
         config = build_config(values, inputs)
-        return _COMMANDS[command](config)
+        return _COMMANDS[command][0](config)
     except InternalInvariantViolation as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3

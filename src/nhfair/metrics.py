@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     AllGroupsDegenerate,
-    GroupSpaceMismatch,
     InternalInvariantViolation,
     NoEvaluableClass,
 )
@@ -47,9 +46,6 @@ class ConfusionTensor:
 
     def n_group(self, group: str) -> int:
         return int(self.counts[self.groups.index(group)].sum())
-
-    def n_group_label(self, group: str, label: str) -> int:
-        return int(self.counts[self.groups.index(group), self.labels.index(label)].sum())
 
 
 @dataclass(frozen=True)
@@ -92,17 +88,6 @@ class MetricReport:
             "dp": self.dp,
             "warnings": list(self.warnings),
         }
-
-    def to_csv_row(self) -> str:
-        """Percent cells at two decimals, column order Utility,Worst,Gap,EqOdd,DP."""
-        values = (self.overall, self.worst, self.gap, self.eqodd, self.dp)
-        return ",".join(f"{v * 100:.2f}" for v in values)
-
-
-@dataclass(frozen=True)
-class NoHarmResult:
-    per_group: dict[str, bool]
-    verdict: bool
 
 
 def confusion(run: EvaluationRun) -> ConfusionTensor:
@@ -306,24 +291,3 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> Metric
         warnings=tuple(warnings),
         group_utilities=utilities,
     )
-
-
-def no_harm_check(
-    candidate: GroupUtilityVector, baseline: GroupUtilityVector, tolerance: float = 0.0
-) -> NoHarmResult:
-    """Per-group check that the candidate does not fall below the baseline.
-
-    A group passes iff candidate utility >= baseline utility - tolerance;
-    the overall verdict requires every group to pass.
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    if set(candidate.utility) != set(baseline.utility):
-        raise GroupSpaceMismatch(
-            f"candidate groups {sorted(candidate.utility)} != baseline groups "
-            f"{sorted(baseline.utility)}"
-        )
-    per_group = {
-        g: candidate.utility[g] >= baseline.utility[g] - tolerance for g in baseline.utility
-    }
-    return NoHarmResult(per_group=per_group, verdict=all(per_group.values()))

@@ -24,6 +24,7 @@ parsed concurrently and the results shared across threads.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
@@ -315,21 +316,55 @@ def _manifest_path(path: Path) -> Path:
     return path.parent / (path.stem + ".manifest.json")
 
 
+def not_utf8(path: Path) -> ParseError:
+    """The error for a file that a reader failed to decode as UTF-8.
+
+    It names the line of the first bad byte, counting line ends as
+    text-mode reading does (``\n``, ``\r\n`` or a lone ``\r``).
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return MalformedLine(
+            f"not UTF-8 text: {exc.reason} at offset {exc.start}", path=str(path), line=line
+        )
+    return MalformedLine("not UTF-8 text", path=str(path))  # the file changed meanwhile
+
+
+def read_text(path: Path) -> str:
+    """The whole of a small text file, line ends kept as they are.
+
+    A file that is not UTF-8 is a ParseError.
+    """
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
 def _load_manifest(record_path: Path) -> RunManifest:
     mpath = _manifest_path(record_path)
     if not mpath.exists():
         raise ParseError(f"manifest sidecar not found: {mpath}", path=str(record_path))
     try:
-        raw = json.loads(mpath.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(mpath))
     except json.JSONDecodeError as exc:
         raise MalformedLine(f"manifest is not valid JSON: {exc}", path=str(mpath)) from exc
+    except RecursionError:
+        raise MalformedLine(
+            "manifest is not valid JSON: nested too deeply", path=str(mpath)
+        ) from None
     try:
         label_space = LabelSpace(
             labels=tuple(str(x) for x in raw["labels"]),
             positive_label=str(raw.get("positive_label", "")),
         )
         group_space = GroupSpace(groups=tuple(str(x) for x in raw["groups"]))
-        return RunManifest(
+        manifest = RunManifest(
             method=str(raw["method"]),
             dataset=str(raw["dataset"]),
             seed=int(raw["seed"]),
@@ -338,6 +373,10 @@ def _load_manifest(record_path: Path) -> RunManifest:
             label_space=label_space,
             group_space=group_space,
         )
+        # a "\ud800" escape decodes to a lone surrogate, which no output can encode
+        for name in (manifest.method, manifest.dataset, *label_space.labels, *group_space.groups):
+            name.encode("utf-8")
+        return manifest
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedLine(f"bad manifest: {exc}", path=str(mpath)) from exc
 
@@ -517,14 +556,15 @@ def _decode_jsonl(
                 value, end = _scan_json(raw, 0)
                 if raw[end:] not in ("", "\n"):
                     raise ValueError
-            except (StopIteration, ValueError):
-                # whitespace around the value, a blank line or bad JSON
+            except (StopIteration, ValueError, RecursionError):
+                # whitespace around the value, a blank line, bad JSON or deep nesting
                 if not raw.strip():
                     continue
                 try:
                     value = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    error = MalformedLine(f"invalid JSON: {exc}", path=str(path), line=line_no)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+                    error = MalformedLine(f"invalid JSON: {reason}", path=str(path), line=line_no)
                     return lines, columns, maps, error
             try:
                 sample_id, y, y_hat, group = _get_fields(value)
@@ -661,7 +701,8 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
 
     Records come back sorted by ``sample_id`` ascending so every
     downstream aggregation is order-deterministic. Of several faults in
-    a file, the one on the first line is reported.
+    a file, the one on the first line is reported; a file that is not
+    UTF-8 text is reported at the line of its first undecodable byte.
     """
     path = Path(path)
     if not path.exists():
@@ -671,9 +712,12 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
     if format not in ("jsonl", "csv"):
         raise ParseError(f"unsupported record format {format!r}", path=str(path))
     manifest = _load_manifest(path)
-    if format == "jsonl":
-        return _parse_jsonl(path, manifest)
-    return _parse_csv(path, manifest)
+    try:
+        if format == "jsonl":
+            return _parse_jsonl(path, manifest)
+        return _parse_csv(path, manifest)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
 
 
 def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -> None:
@@ -759,7 +803,7 @@ def parse_summaries(path: str | Path) -> list[RunSummary]:
     path = Path(path)
     if not path.exists():
         raise ParseError("file not found", path=str(path))
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with io.StringIO(read_text(path), newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

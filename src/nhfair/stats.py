@@ -23,13 +23,13 @@ from .errors import (
     DegenerateMatrix,
     DuplicateSeed,
     MissingCell,
+    ParseError,
     UnsupportedAlpha,
     UnsupportedK,
 )
 from .metrics import MetricReport
 from .records import RunManifest
-
-METRIC_NAMES = ("utility", "worst", "gap", "eqodd", "dp")
+from .tables import METRIC_NAMES, ReportRow
 
 METRIC_DIRECTIONS = {
     "utility": "higher_better",
@@ -50,7 +50,7 @@ _Q_TABLE = {
         3.543799,
     ),
     0.10: (
-        1.644854, 2.051965, 2.291341, 2.459516, 2.588521, 2.692732,
+        1.644854, 2.052293, 2.291341, 2.459516, 2.588521, 2.692732,
         2.779884, 2.854606, 2.919889, 2.977768, 3.029694, 3.076733,
         3.119693, 3.159199, 3.195743, 3.229723, 3.261461, 3.291224,
         3.319233,
@@ -60,7 +60,7 @@ _Q_TABLE = {
 
 @dataclass(frozen=True)
 class AggregateCell:
-    """Mean and sample std of one metric for one (method, dataset)."""
+    """Mean and sample std of one metric for one (method, dataset), as compare reads it."""
 
     method: str
     dataset: str
@@ -96,43 +96,52 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, var**0.5
 
 
-def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[AggregateCell]:
-    """Collapse per-seed reports into mean/std cells per (method, dataset).
+def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow]:
+    """Collapse per-seed reports into one table row per (method, dataset, split).
 
-    Runs are grouped by (method, dataset, split); seeds must be distinct
-    within a group. Std is the sample standard deviation (n - 1), zero
-    for a single seed.
+    Seeds must be distinct within a row and its runs must share one
+    utility kind. Warnings are merged in input order without repeats;
+    means and sample stds (n - 1, zero for a single seed) are taken in
+    seed order. Rows come back in table order.
     """
-    groups: dict[tuple[str, str, str], list[tuple[int, MetricReport]]] = {}
+    groups: dict[tuple[str, str, str], list[tuple[MetricReport, RunManifest]]] = {}
+    mixed: RunManifest | None = None  # first run, in input order, of a second kind
     for report, manifest in reports:
-        key = (manifest.method, manifest.dataset, manifest.split)
-        groups.setdefault(key, []).append((manifest.seed, report))
+        entries = groups.setdefault((manifest.method, manifest.dataset, manifest.split), [])
+        if mixed is None and entries and entries[0][1].utility_kind != manifest.utility_kind:
+            mixed = manifest
+        entries.append((report, manifest))
 
-    cells: list[AggregateCell] = []
-    for key in sorted(groups):
-        method, dataset, split = key
-        entries = groups[key]
-        seeds = [seed for seed, _ in entries]
+    for (method, dataset, split), entries in sorted(groups.items()):
+        seeds = [manifest.seed for _, manifest in entries]
         if len(set(seeds)) != len(seeds):
             dup = sorted({s for s in seeds if seeds.count(s) > 1})
             raise DuplicateSeed(
                 f"duplicate seed(s) {dup} for method={method} dataset={dataset} split={split}"
             )
-        for metric in METRIC_NAMES:
-            values = [rep.as_dict()[metric] for _, rep in sorted(entries, key=lambda e: e[0])]
-            mean, std = _mean_std(values)  # type: ignore[arg-type]
-            cells.append(
-                AggregateCell(
-                    method=method,
-                    dataset=dataset,
-                    metric=metric,
-                    mean=mean,
-                    std=std,
-                    n_seeds=len(values),
-                    split=split,
-                )
+    if mixed is not None:
+        raise ParseError(f"mixed utility kinds for method={mixed.method} dataset={mixed.dataset}")
+
+    rows: list[ReportRow] = []
+    for (method, dataset, split), entries in groups.items():
+        values = [report.as_dict() for report, _ in sorted(entries, key=lambda e: e[1].seed)]
+        warnings: list[str] = []
+        for report, _ in entries:
+            for warning in report.warnings:
+                if warning not in warnings:
+                    warnings.append(warning)
+        rows.append(
+            ReportRow(
+                method=method,
+                dataset=dataset,
+                split=split,
+                utility_kind=entries[0][1].utility_kind,
+                n_seeds=len(entries),
+                metrics={name: _mean_std([v[name] for v in values]) for name in METRIC_NAMES},
+                warnings=tuple(warnings),
             )
-    return cells
+        )
+    return sorted(rows, key=ReportRow.sort_key)
 
 
 def _average_ranks(values: list[float], higher_better: bool) -> list[float]:

@@ -13,7 +13,8 @@ import io
 import json
 from dataclasses import dataclass
 
-METRIC_COLUMNS = ("utility", "worst", "gap", "eqodd", "dp")
+# The five reported metrics, in column order.
+METRIC_NAMES = ("utility", "worst", "gap", "eqodd", "dp")
 _PM = "±"  # plus-minus sign
 
 
@@ -55,17 +56,22 @@ _HEADER = ["method", "dataset", "split", "utility_kind", "n_seeds"]
 
 
 def rows_to_csv(rows: list[ReportRow], units: str) -> str:
-    """One CSV row per report row; a cell holding a comma, quote or newline is quoted."""
+    """One CSV row per report row; a cell holding a comma, quote or newline is quoted.
+
+    ``csv.writer`` quotes only the characters of its line terminator, so
+    a row with a carriage return in any cell has every cell quoted.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_HEADER + list(METRIC_COLUMNS) + ["warnings"])
+    quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(_HEADER + list(METRIC_NAMES) + ["warnings"])
     for row in sorted(rows, key=ReportRow.sort_key):
         cells = [row.method, row.dataset, row.split, row.utility_kind, str(row.n_seeds)]
-        for name in METRIC_COLUMNS:
+        for name in METRIC_NAMES:
             mean, std = row.metrics[name]
             cells.append(fmt_mean_std(mean, std, units, row.n_seeds))
         cells.append("; ".join(row.warnings))
-        writer.writerow(cells)
+        (quote_all if any("\r" in cell for cell in cells) else writer).writerow(cells)
     return out.getvalue()
 
 
@@ -77,7 +83,7 @@ def rows_to_markdown(rows: list[ReportRow], units: str) -> str:
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for row in sorted(rows, key=ReportRow.sort_key):
         cells = [row.method, row.dataset, row.split, row.utility_kind, str(row.n_seeds)]
-        for name in METRIC_COLUMNS:
+        for name in METRIC_NAMES:
             mean, std = row.metrics[name]
             cells.append(fmt_mean_std(mean, std, units, row.n_seeds))
         lines.append("| " + " | ".join(cells) + " |")
@@ -96,7 +102,7 @@ def rows_to_json(rows: list[ReportRow]) -> str:
                 "n_seeds": row.n_seeds,
                 "metrics": {
                     name: {"mean": row.metrics[name][0], "std": row.metrics[name][1]}
-                    for name in METRIC_COLUMNS
+                    for name in METRIC_NAMES
                 },
                 "warnings": list(row.warnings),
             }

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhfair.cli import main
+from conftest import make_run
+from nhfair.cli import build_parser, main
+from nhfair.config import COMMANDS, OPTIONS
 from nhfair.records import write_run
 from nhfair.synth import CohortSpec, generate
 
@@ -129,6 +135,160 @@ class TestEvaluate:
         assert main(["compare", "--metric", "utility", str(table)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["mean_ranks"]) == {method, "dro"}
+
+
+# any text (a lone surrogate is not text; see test_lone_surrogate_name_exits_2), with the
+# characters CSV and line splitting treat specially drawn often
+_NAMES = st.text(
+    st.characters(exclude_categories=("Cs",))
+    | st.sampled_from(["\r", "\n", ",", '"', "±", "\x00", "\t", "\u2028"]),
+    max_size=6,
+)
+
+
+@given(
+    methods=st.lists(_NAMES, min_size=2, max_size=2, unique=True),
+    datasets=st.lists(_NAMES, min_size=2, max_size=2, unique=True),
+)
+@settings(max_examples=40, deadline=None)
+def test_any_names_round_trip_evaluate_to_compare(methods, datasets):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for i, method in enumerate(methods):
+            for j, dataset in enumerate(datasets):
+                run = generate(spec_for(i + j, 0.05 * i), method=method, dataset=dataset)
+                write_run(run, directory / f"m{i}-d{j}.jsonl")
+        table, cd = directory / "table.csv", directory / "cd.json"
+        assert main(["evaluate", "--out", str(table), str(directory / "*.jsonl")]) == 0
+        assert main(["compare", "--metric", "utility", "--out", str(cd), str(table)]) == 0
+        assert set(json.loads(cd.read_text(encoding="utf-8"))["mean_ranks"]) == set(methods)
+
+
+def test_carriage_return_in_name_round_trips(tmp_path, capsys):
+    for i, method in enumerate(("erm\rv2", "dro")):
+        for dataset in ("d1", "d2"):
+            run = generate(spec_for(3, 0.05 * i), method=method, dataset=dataset)
+            write_run(run, tmp_path / f"m{i}-{dataset}.jsonl")
+    table = tmp_path / "table.csv"
+    assert main(["evaluate", "--out", str(table), str(tmp_path / "*.jsonl")]) == 0
+    text = table.read_bytes().decode("utf-8")
+    assert '"erm\rv2","d1","test","accuracy","1",' in text
+    assert "\ndro,d1,test,accuracy,1," in text  # other rows keep minimal quoting
+    assert main(["compare", "--metric", "utility", str(table)]) == 0
+    assert set(json.loads(capsys.readouterr().out)["mean_ranks"]) == {"erm\rv2", "dro"}
+
+
+def test_lone_surrogate_name_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.jsonl"
+    write_run(generate(spec_for(1), method="m\ud800", dataset="d"), path)
+    assert main(["evaluate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path.with_suffix('.manifest.json')}: bad manifest: " in err
+    assert "surrogates not allowed" in err
+
+
+def _undecodable_cases():
+    """(name, build) pairs; build(dir) writes the inputs and returns argv, path, line."""
+
+    def log(directory, suffix):
+        path = directory / f"run.{suffix}"
+        write_run(generate(spec_for(1), method="m", dataset="d"), path)
+        return path
+
+    def append(path, data):
+        path.write_bytes(path.read_bytes() + data)
+        return len(path.read_bytes().splitlines())
+
+    def jsonl_bytes(d):
+        path = log(d, "jsonl")
+        return ["evaluate", str(path)], path, append(path, b"\xff\xfe\n")
+
+    def csv_bytes(d):
+        path = log(d, "csv")
+        return ["evaluate", str(path)], path, append(path, b"x\xff,neg,neg,A\n")
+
+    def manifest_bytes(d):
+        path = log(d, "jsonl").with_suffix(".manifest.json")
+        path.write_bytes(b'{\n  "method": "m\xe9",\n  "dataset": "d"\n}\n')
+        return ["evaluate", str(d / "run.jsonl")], path, 2
+
+    def summary_bytes(d):
+        path = d / "summ.csv"
+        path.write_bytes(b"run_id,method,a%,b%,overall%\nr1,m,80,90,85\nr2,\xc3,80,90,85\n")
+        return ["select-erm", str(path)], path, 3
+
+    def table_bytes(d):
+        path = d / "agg.csv"
+        path.write_bytes(b"method,dataset,n_seeds,gap\nerm,d1,5,1.0\n\x80rm,d2,5,2.0\n")
+        return ["compare", "--metric", "gap", str(path)], path, 3
+
+    def config_bytes(d):
+        path = d / "engine.cfg"
+        path.write_bytes(b"tolerance = 0.5\n# caf\xe9\n")
+        summaries = d / "summ.csv"
+        summaries.write_text("run_id,method,a%,b%,overall%\nr1,m,80,90,85\n", encoding="utf-8")
+        return ["select-erm", "--config", str(path), str(summaries)], path, 2
+
+    def jsonl_nesting(d):
+        path = log(d, "jsonl")
+        return ["evaluate", str(path)], path, append(path, b"[" * 100_000 + b"\n")
+
+    def manifest_nesting(d):
+        path = log(d, "jsonl").with_suffix(".manifest.json")
+        path.write_bytes(b"[" * 100_000)
+        return ["evaluate", str(d / "run.jsonl")], path, None
+
+    return [(f.__name__, f) for f in (
+        jsonl_bytes, csv_bytes, manifest_bytes, summary_bytes, table_bytes, config_bytes,
+        jsonl_nesting, manifest_nesting,
+    )]
+
+
+@pytest.mark.parametrize("name, build", _undecodable_cases())
+def test_undecodable_input_exits_2_naming_path_and_line(tmp_path, capsys, name, build):
+    argv, path, line = build(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    where = f"{path}: " if line is None else f"{path}: line {line}: "
+    assert where in err
+
+
+class TestSelectFromLogs:
+    @pytest.fixture
+    def logs(self, tmp_path):
+        # group B holds only positives, so its AUC falls back to 0.5 with a warning
+        single = make_run(
+            [("pos", "pos", "A", 0.9), ("neg", "neg", "A", 0.2), ("pos", "pos", "B", 0.7),
+             ("pos", "neg", "B", 0.4)],
+            utility_kind="auc", method="single", seed=1,
+        )
+        other = make_run(
+            [("pos", "pos", "A", 0.8), ("neg", "neg", "A", 0.3), ("pos", "pos", "B", 0.6),
+             ("neg", "pos", "B", 0.7)],
+            utility_kind="auc", method="other", seed=2,
+        )
+        write_run(single, tmp_path / "single.jsonl")
+        write_run(other, tmp_path / "other.jsonl")
+        return tmp_path / "single.jsonl", tmp_path / "other.jsonl"
+
+    def test_select_erm_forwards_warnings(self, logs, capsys):
+        single, other = logs
+        assert main(["select-erm", str(single), str(other)]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["candidates"][0]["group_utilities"]["B"] == 0.5
+        assert captured.err.splitlines() == [
+            f"warning: {single}: group B: only one class present, auc set to 0.5",
+            f"warning: {single}: eqodd: class neg skipped (no samples in group(s) B)",
+        ]
+
+    def test_select_fwh_forwards_baseline_warnings(self, logs, capsys):
+        single, other = logs
+        assert main(["select-fwh", "--baseline", str(single), str(other)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["baseline"]["group_utilities"]["B"] == 0.5
+        assert f"warning: {single}: group B: only one class present" in captured.err
 
 
 class TestSelectErm:
@@ -331,7 +491,51 @@ class TestConfig:
         cfg.write_text("tolerance = -1\n", encoding="utf-8")
         assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 2
 
+    def test_keys_of_other_commands_are_ignored(self, tmp_path, summary_csv, capsys):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("eqodd = full\nmetric = gap\nformat = md\n", encoding="utf-8")
+        assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 0
+        assert json.loads(capsys.readouterr().out)["selected"]["run_id"] == "ra1"
+
     def test_unknown_key_exits_2(self, tmp_path, summary_csv):
         cfg = tmp_path / "engine.cfg"
         cfg.write_text("made_up = 1\n", encoding="utf-8")
         assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 2
+
+
+class TestFlags:
+    def test_each_option_is_a_flag_of_exactly_its_commands(self, capsys):
+        parser = build_parser()
+        for option in OPTIONS:
+            flag = "--" + option.name.replace("_", "-")
+            if isinstance(option.default, bool):
+                args = [flag]
+            else:
+                args = [flag, (option.metadata["choices"] or ("1",))[0]]
+            for command in COMMANDS:
+                if command in option.metadata["commands"]:
+                    namespace = parser.parse_args([command, *args])
+                    assert getattr(namespace, option.name) is not None, (command, flag)
+                else:
+                    with pytest.raises(SystemExit) as caught:
+                        parser.parse_args([command, *args])
+                    assert caught.value.code == 2, (command, flag)
+                    assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flag_count_and_help(self, capsys):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        flags = {
+            command: sorted(
+                s for a in p._actions for s in a.option_strings if s.startswith("--")
+                and s != "--help"
+            )
+            for command, p in sub.choices.items()
+        }
+        assert sum(len(f) for f in flags.values()) == 18
+        assert flags["select-erm"] == ["--config", "--out"]
+        assert flags["select-fwh"] == ["--baseline", "--config", "--out", "--tolerance"]
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--help"])
+        out = capsys.readouterr().out
+        assert "--eqodd" in out and "--jobs" in out and "--tolerance" not in out

@@ -13,6 +13,7 @@ from nhfair.errors import (
     DegenerateMatrix,
     DuplicateSeed,
     MissingCell,
+    ParseError,
     UnsupportedAlpha,
     UnsupportedK,
 )
@@ -20,6 +21,7 @@ from nhfair.metrics import MetricReport
 from nhfair.oracle import oracle_friedman
 from nhfair.records import GroupSpace, LabelSpace, RunManifest
 from nhfair.stats import (
+    _Q_TABLE,
     AggregateCell,
     RankMatrix,
     aggregate,
@@ -31,13 +33,13 @@ from nhfair.stats import (
 )
 
 
-def manifest(method="m", dataset="d", seed=0, split="test"):
+def manifest(method="m", dataset="d", seed=0, split="test", utility_kind="accuracy"):
     return RunManifest(
         method=method,
         dataset=dataset,
         seed=seed,
         split=split,
-        utility_kind="accuracy",
+        utility_kind=utility_kind,
         label_space=LabelSpace(labels=("neg", "pos")),
         group_space=GroupSpace(groups=("A", "B")),
     )
@@ -65,16 +67,17 @@ class TestAggregate:
     def test_five_seed_mean(self):
         values = [0.865, 0.867, 0.866, 0.864, 0.8665]
         pairs = [(report(v), manifest(seed=i)) for i, v in enumerate(values)]
-        cells = aggregate(pairs)
-        cell = next(c for c in cells if c.metric == "utility")
-        assert cell.mean * 100 == pytest.approx(86.57, abs=1e-9)
-        assert cell.n_seeds == 5
+        (row,) = aggregate(pairs)
+        mean, std = row.metrics["utility"]
+        assert mean * 100 == pytest.approx(86.57, abs=1e-9)
+        assert row.n_seeds == 5
         expected_std = np.std(values, ddof=1)
-        assert cell.std == pytest.approx(expected_std, abs=1e-15)
+        assert std == pytest.approx(expected_std, abs=1e-15)
 
     def test_single_seed_std_zero(self):
-        cells = aggregate([(report(0.9), manifest(seed=3))])
-        assert all(c.std == 0.0 and c.n_seeds == 1 for c in cells)
+        (row,) = aggregate([(report(0.9), manifest(seed=3))])
+        assert row.n_seeds == 1
+        assert all(std == 0.0 for _, std in row.metrics.values())
 
     def test_duplicate_seed(self):
         pairs = [(report(0.9), manifest(seed=1)), (report(0.8), manifest(seed=1))]
@@ -86,8 +89,44 @@ class TestAggregate:
             (report(0.9), manifest(seed=1, split="validation")),
             (report(0.8), manifest(seed=1, split="test")),
         ]
-        cells = aggregate(pairs)
-        assert {c.split for c in cells} == {"validation", "test"}
+        rows = aggregate(pairs)
+        assert {r.split for r in rows} == {"validation", "test"}
+
+    def test_mixed_utility_kinds(self):
+        pairs = [
+            (report(0.9), manifest(seed=1)),
+            (report(0.8), manifest(seed=2, utility_kind="auc")),
+        ]
+        with pytest.raises(ParseError) as caught:
+            aggregate(pairs)
+        assert str(caught.value) == "mixed utility kinds for method=m dataset=d"
+
+    def test_duplicate_seed_reported_before_mixed_kinds(self):
+        pairs = [
+            (report(0.9), manifest(method="a", seed=1)),
+            (report(0.8), manifest(method="a", seed=2, utility_kind="auc")),
+            (report(0.8), manifest(method="b", seed=1)),
+            (report(0.8), manifest(method="b", seed=1)),
+        ]
+        with pytest.raises(DuplicateSeed, match=r"duplicate seed\(s\) \[1\] for method=b"):
+            aggregate(pairs)
+
+    def test_rows_in_table_order_with_warnings_merged_in_input_order(self):
+        def warned(*warnings):
+            return MetricReport(
+                overall=0.5, worst=0.5, gap=0.0, dp=1.0, eqodd=1.0, warnings=warnings
+            )
+
+        pairs = [
+            (warned("w2", "w1"), manifest(method="b", dataset="d1", seed=2)),
+            (report(0.7), manifest(method="z", dataset="d0", seed=1)),
+            (warned("w1", "w3"), manifest(method="b", dataset="d1", seed=1)),
+        ]
+        rows = aggregate(pairs)
+        assert [(r.dataset, r.method) for r in rows] == [("d0", "z"), ("d1", "b")]
+        assert rows[1].warnings == ("w2", "w1", "w3")
+        assert rows[1].utility_kind == "accuracy"
+        assert list(rows[1].metrics) == ["utility", "worst", "gap", "eqodd", "dp"]
 
 
 class TestRankMatrix:
@@ -229,6 +268,42 @@ class TestNemenyi:
                 assert nemenyi_cd(k, 8, alpha) < nemenyi_cd(k, 7, alpha)
             for k in range(2, 20):
                 assert nemenyi_cd(k + 1, 7, alpha) > nemenyi_cd(k, 7, alpha)
+
+    def test_q_table_matches_integrated_studentized_range(self):
+        # q_alpha(k) * sqrt(2) is the (1 - alpha) quantile of the studentized
+        # range of k standard normals (infinite df), whose distribution is
+        # P(R <= q) = k * integral phi(z) [Phi(z + q) - Phi(z)]^(k-1) dz.
+        # Trapezoid rule on a 200,001-point grid over [-10, 10]; Newton on q.
+        z = np.linspace(-10.0, 10.0, 200_001)
+        h = z[1] - z[0]
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(float))
+
+        def integral(f):
+            return h * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+        def quantile(k, p):
+            q = 3.0
+            for _ in range(50):
+                inner = np.interp(z + q, z, cdf, right=1.0) - cdf
+                power = inner ** (k - 2)
+                phi_shifted = np.exp(-0.5 * (z + q) ** 2) / math.sqrt(2.0 * math.pi)
+                step = (k * integral(phi * power * inner) - p) / (
+                    k * (k - 1) * integral(phi * phi_shifted * power)
+                )
+                q -= step
+                if abs(step) < 1e-10:
+                    return q
+            raise AssertionError(f"no convergence for k={k}, p={p}")
+
+        wrong = {}
+        for alpha, row in _Q_TABLE.items():
+            assert len(row) == 19
+            for k, tabled in enumerate(row, start=2):
+                computed = quantile(k, 1.0 - alpha) / math.sqrt(2.0)
+                if abs(computed - tabled) > 1e-6:
+                    wrong[(alpha, k)] = (tabled, round(computed, 6))
+        assert wrong == {}
 
 
 class TestCliques:
