@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import glob
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import metrics, selection, stats
@@ -130,13 +128,7 @@ def cmd_evaluate(config: EngineConfig) -> int:
             f"{', '.join(str(p) for p in bad)}"
         )
 
-    evaluate = functools.partial(_evaluate_file, eqodd=config.eqodd)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            pairs = list(pool.map(evaluate, run_paths))
-    else:
-        pairs = list(map(evaluate, run_paths))
-    rows = stats.aggregate(pairs)
+    rows = stats.aggregate([_evaluate_file(p, config.eqodd) for p in run_paths])
 
     if config.format == "csv":
         _emit(rows_to_csv(rows, config.units), config.out)

@@ -28,7 +28,6 @@ from .records import read_text
 from .tables import METRIC_NAMES
 
 ENV_CONFIG = "NHFAIR_CONFIG"
-COMMANDS = ("evaluate", "select-erm", "select-fwh", "compare")
 
 
 def _at_least(low: float) -> Callable[[float], str | None]:
@@ -37,13 +36,14 @@ def _at_least(low: float) -> Callable[[float], str | None]:
 
 def _option(
     default: object,
-    commands: tuple[str, ...],
+    commands: tuple[str, ...] | None,
     help: str,
     type: Callable[[str], object] = str,
     choices: tuple[str, ...] | None = None,
     check: Callable[[object], str | None] | None = None,
 ) -> object:
-    """A config key that is also a ``--flag`` of each command in ``commands``.
+    """A config key that is also a ``--flag`` of each command in ``commands``
+    (of every command if ``commands`` is None).
 
     ``check`` returns what is wrong with a value, or None; a value of None
     (not given) is never checked.
@@ -84,13 +84,13 @@ class EngineConfig:
         "csv", ("evaluate",), "table format (default csv)", choices=("csv", "json", "md"),
     )
     metric: str | None = _option(None, ("compare",), "metric to rank", choices=METRIC_NAMES)
-    out: str | None = _option(None, COMMANDS, "output path (default: stdout)")
+    out: str | None = _option(None, None, "output path (default: stdout)")
     svg: str | None = _option(
         None, ("compare",), "SVG output path (default: --out with .svg suffix)",
     )
     baseline: str | None = _option(None, ("select-fwh",), "baseline file or candidate run_id")
     jobs: int = _option(
-        1, ("evaluate",), "runs evaluated at once (default 1)", type=int, check=_at_least(1),
+        1, ("evaluate",), "accepted for scripts; has no effect", type=int, check=_at_least(1),
     )
     tie_corrected: bool = _option(
         False, ("compare",), "divide the Friedman statistic by the tie correction",
@@ -120,7 +120,7 @@ def add_flags(parser: argparse.ArgumentParser, command: str) -> None:
     """Register the flags of ``command``; a flag not given parses to None."""
     for option in OPTIONS:
         meta = option.metadata
-        if command not in meta["commands"]:
+        if meta["commands"] is not None and command not in meta["commands"]:
             continue
         flag = "--" + option.name.replace("_", "-")
         if meta["type"] is _bool:

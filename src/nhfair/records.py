@@ -316,11 +316,11 @@ def _manifest_path(path: Path) -> Path:
     return path.parent / (path.stem + ".manifest.json")
 
 
-def not_utf8(path: Path) -> ParseError:
-    """The error for a file that a reader failed to decode as UTF-8.
+def utf8_fault(path: Path) -> ParseError | None:
+    """The error for a file's first byte that is not UTF-8, or None if it has none.
 
-    It names the line of the first bad byte, counting line ends as
-    text-mode reading does (``\n``, ``\r\n`` or a lone ``\r``).
+    It names the line of that byte, counting line ends as text-mode
+    reading does (``\n``, ``\r\n`` or a lone ``\r``).
     """
     data = path.read_bytes()
     try:
@@ -331,7 +331,7 @@ def not_utf8(path: Path) -> ParseError:
         return MalformedLine(
             f"not UTF-8 text: {exc.reason} at offset {exc.start}", path=str(path), line=line
         )
-    return MalformedLine("not UTF-8 text", path=str(path))  # the file changed meanwhile
+    return None
 
 
 def read_text(path: Path) -> str:
@@ -342,8 +342,8 @@ def read_text(path: Path) -> str:
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
             return handle.read()
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    except UnicodeDecodeError as exc:
+        raise (utf8_fault(path) or exc) from None  # exc only if the file changed meanwhile
 
 
 def _load_manifest(record_path: Path) -> RunManifest:
@@ -700,9 +700,11 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
     ``format`` defaults to the file extension.
 
     Records come back sorted by ``sample_id`` ascending so every
-    downstream aggregation is order-deterministic. Of several faults in
-    a file, the one on the first line is reported; a file that is not
-    UTF-8 text is reported at the line of its first undecodable byte.
+    downstream aggregation is order-deterministic. A file that is not
+    UTF-8 text is reported at the line of its first undecodable byte,
+    ahead of any other fault, also one that stopped reading short of
+    that byte; of several other faults in a file, the one on the first
+    line is reported.
     """
     path = Path(path)
     if not path.exists():
@@ -716,8 +718,8 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
         if format == "jsonl":
             return _parse_jsonl(path, manifest)
         return _parse_csv(path, manifest)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise (utf8_fault(path) or exc) from None
 
 
 def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -> None:

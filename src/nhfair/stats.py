@@ -102,7 +102,8 @@ def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow
     Seeds must be distinct within a row and its runs must share one
     utility kind. Warnings are merged in input order without repeats;
     means and sample stds (n - 1, zero for a single seed) are taken in
-    seed order. Rows come back in table order.
+    seed order. Rows come back in table order: by dataset, then method,
+    then split.
     """
     groups: dict[tuple[str, str, str], list[tuple[MetricReport, RunManifest]]] = {}
     mixed: RunManifest | None = None  # first run, in input order, of a second kind
@@ -141,7 +142,7 @@ def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow
                 warnings=tuple(warnings),
             )
         )
-    return sorted(rows, key=ReportRow.sort_key)
+    return sorted(rows, key=lambda row: (row.dataset, row.method, row.split))
 
 
 def _average_ranks(values: list[float], higher_better: bool) -> list[float]:

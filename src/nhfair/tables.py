@@ -4,6 +4,8 @@ Columns follow the reporting convention Utility, Worst, Gap, EqOdd, DP.
 Percent cells are formatted at two decimals with the interpreter's
 round-half-to-even float formatting; "mean +/- std" cells use the same
 precision on both sides and re-parse losslessly at that precision.
+Rows are written in the order given; ``stats.aggregate`` returns them in
+table order.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class ReportRow:
     metrics: dict[str, tuple[float, float]]  # name -> (mean, std), fractions
     warnings: tuple[str, ...] = ()
 
-    def sort_key(self) -> tuple:
-        return (self.dataset, self.method, self.split)
-
 
 _HEADER = ["method", "dataset", "split", "utility_kind", "n_seeds"]
 
@@ -65,7 +64,7 @@ def rows_to_csv(rows: list[ReportRow], units: str) -> str:
     writer = csv.writer(out, lineterminator="\n")
     quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(_HEADER + list(METRIC_NAMES) + ["warnings"])
-    for row in sorted(rows, key=ReportRow.sort_key):
+    for row in rows:
         cells = [row.method, row.dataset, row.split, row.utility_kind, str(row.n_seeds)]
         for name in METRIC_NAMES:
             mean, std = row.metrics[name]
@@ -81,7 +80,7 @@ def rows_to_markdown(rows: list[ReportRow], units: str) -> str:
         "Utility", "Worst", "Gap", "EqOdd", "DP",
     ]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for row in sorted(rows, key=ReportRow.sort_key):
+    for row in rows:
         cells = [row.method, row.dataset, row.split, row.utility_kind, str(row.n_seeds)]
         for name in METRIC_NAMES:
             mean, std = row.metrics[name]
@@ -92,7 +91,7 @@ def rows_to_markdown(rows: list[ReportRow], units: str) -> str:
 
 def rows_to_json(rows: list[ReportRow]) -> str:
     payload = []
-    for row in sorted(rows, key=ReportRow.sort_key):
+    for row in rows:
         payload.append(
             {
                 "method": row.method,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_run
 from nhfair.cli import build_parser, main
-from nhfair.config import COMMANDS, OPTIONS
+from nhfair.config import OPTIONS
 from nhfair.records import write_run
 from nhfair.synth import CohortSpec, generate
 
@@ -203,6 +203,11 @@ def _undecodable_cases():
         path = log(d, "jsonl")
         return ["evaluate", str(path)], path, append(path, b"\xff\xfe\n")
 
+    def jsonl_bytes_after_bad_json(d):
+        # the bad byte wins over the earlier line, even a read-buffer away
+        path = log(d, "jsonl")
+        return ["evaluate", str(path)], path, append(path, b"{\n" + b"\n" * 20_000 + b"\xff\n")
+
     def csv_bytes(d):
         path = log(d, "csv")
         return ["evaluate", str(path)], path, append(path, b"x\xff,neg,neg,A\n")
@@ -239,7 +244,7 @@ def _undecodable_cases():
         return ["evaluate", str(d / "run.jsonl")], path, None
 
     return [(f.__name__, f) for f in (
-        jsonl_bytes, csv_bytes, manifest_bytes, summary_bytes, table_bytes, config_bytes,
+        jsonl_bytes, jsonl_bytes_after_bad_json, csv_bytes, manifest_bytes, summary_bytes, table_bytes, config_bytes,
         jsonl_nesting, manifest_nesting,
     )]
 
@@ -506,14 +511,16 @@ class TestConfig:
 class TestFlags:
     def test_each_option_is_a_flag_of_exactly_its_commands(self, capsys):
         parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
         for option in OPTIONS:
             flag = "--" + option.name.replace("_", "-")
             if isinstance(option.default, bool):
                 args = [flag]
             else:
                 args = [flag, (option.metadata["choices"] or ("1",))[0]]
-            for command in COMMANDS:
-                if command in option.metadata["commands"]:
+            commands = option.metadata["commands"] or tuple(sub.choices)
+            for command in sub.choices:
+                if command in commands:
                     namespace = parser.parse_args([command, *args])
                     assert getattr(namespace, option.name) is not None, (command, flag)
                 else:
