@@ -8,17 +8,15 @@ Four subcommands cover the evaluation workflow:
 * ``compare``    - Friedman test, Nemenyi CD, cliques, and an SVG plot
 
 Inputs are file paths or globs. A ``.jsonl`` file (or a ``.csv`` with a
-manifest sidecar) is a prediction log; any other ``.csv`` is a summary
-table. Exit codes: 0 success (possibly with warnings on stderr), 2 bad
-input or configuration, 3 internal invariant violation.
+manifest sidecar), the suffix in any case, is a prediction log; any other
+``.csv`` is a summary table. Exit codes: 0 success (possibly with warnings
+on stderr), 2 bad input or configuration, 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
-import io
 import json
 import sys
 from pathlib import Path
@@ -31,9 +29,17 @@ from .errors import (
     InternalInvariantViolation,
     MetricError,
     ParseError,
+    StatsError,
 )
 from .metrics import MetricReport
-from .records import RunManifest, RunSummary, parse_run, parse_summaries, read_text
+from .records import (
+    RunManifest,
+    is_manifest,
+    is_prediction_log,
+    parse_run,
+    parse_summaries,
+    read_csv_table,
+)
 from .selection import CandidatePoint
 from .svgplot import render_cd_plot
 from .tables import parse_mean_std, rows_to_csv, rows_to_json, rows_to_markdown
@@ -49,21 +55,7 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
             paths.append(Path(pattern))
         else:
             raise ParseError(f"no runs matched: no file matches {pattern!r}")
-    seen: set[Path] = set()
-    unique = []
-    for p in paths:
-        if p not in seen and not str(p).endswith(".manifest.json"):
-            seen.add(p)
-            unique.append(p)
-    return unique
-
-
-def _is_run_file(path: Path) -> bool:
-    if path.suffix == ".jsonl":
-        return True
-    if path.suffix == ".csv":
-        return (path.parent / (path.stem + ".manifest.json")).exists()
-    return False
+    return [p for p in dict.fromkeys(paths) if not is_manifest(p)]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -96,32 +88,27 @@ def _candidate_from_run(path: Path) -> CandidatePoint:
     )
 
 
-def _candidate_from_summary(summary: RunSummary) -> CandidatePoint:
-    return CandidatePoint.from_utilities(
-        run_id=summary.run_id,
-        method=summary.method,
-        utilities=summary.group_utilities,
-        overall=summary.overall_utility,
-    )
-
-
 def _load_candidates(paths: list[Path]) -> list[CandidatePoint]:
     candidates: list[CandidatePoint] = []
     for path in paths:
-        if _is_run_file(path):
+        if is_prediction_log(path):
             candidates.append(_candidate_from_run(path))
         else:
-            for summary in parse_summaries(path):
-                candidates.append(_candidate_from_summary(summary))
+            candidates += (
+                CandidatePoint.from_utilities(
+                    s.run_id, s.method, s.group_utilities, s.overall_utility
+                )
+                for s in parse_summaries(path)
+            )
     return candidates
 
 
 def cmd_evaluate(config: EngineConfig) -> int:
     paths = _expand_inputs(config.inputs)
-    run_paths = [p for p in paths if _is_run_file(p)]
+    run_paths = [p for p in paths if is_prediction_log(p)]
     if not run_paths:
         raise ParseError(f"no runs matched: {' '.join(config.inputs) or '(no inputs)'}")
-    bad = [p for p in paths if not _is_run_file(p)]
+    bad = [p for p in paths if not is_prediction_log(p)]
     if bad:
         raise ParseError(
             f"evaluate expects prediction logs, got summary file(s): "
@@ -171,15 +158,13 @@ def _resolve_baseline(
         raise ParseError("select-fwh requires --baseline (a file or a candidate run_id)")
     path = Path(spec)
     if path.exists():
-        if _is_run_file(path):
-            return _candidate_from_run(path), candidates, f"file {path}"
-        summaries = parse_summaries(path)
-        if len(summaries) != 1:
+        found = _load_candidates([path])
+        if len(found) != 1:
             raise ParseError(
-                f"baseline summary file must contain exactly one row, got {len(summaries)}",
+                f"baseline summary file must contain exactly one row, got {len(found)}",
                 path=str(path),
             )
-        return _candidate_from_summary(summaries[0]), candidates, f"file {path}"
+        return found[0], candidates, f"file {path}"
     matches = [c for c in candidates if c.run_id == spec]
     if not matches:
         raise ParseError(f"baseline {spec!r} is neither a file nor a candidate run_id")
@@ -211,45 +196,38 @@ def cmd_select_fwh(config: EngineConfig) -> int:
 
 
 def _cells_from_csv(path: Path, metric: str) -> list[stats.AggregateCell]:
-    with io.StringIO(read_text(path), newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or metric not in reader.fieldnames:
-            raise ParseError(f"column {metric!r} not found", path=str(path), line=1)
-        required = ("method", "dataset")
-        for column in required:
-            if column not in reader.fieldnames:
-                raise ParseError(f"column {column!r} not found", path=str(path), line=1)
-        cells = []
-        for row in reader:
-            if None in row or None in row.values():
-                raise ParseError(
-                    f"row does not have the header's {len(reader.fieldnames)} fields",
-                    path=str(path),
-                    line=reader.line_num,
-                )
-            try:
-                mean, std = parse_mean_std(row[metric])
-            except ValueError:
-                raise ParseError(
-                    f"bad {metric} cell {row[metric]!r}", path=str(path), line=reader.line_num
-                ) from None
-            try:
-                n_seeds = int(row.get("n_seeds") or 1)
-            except ValueError:
-                raise ParseError(
-                    f"bad n_seeds cell {row['n_seeds']!r}", path=str(path), line=reader.line_num
-                ) from None
-            cells.append(
-                stats.AggregateCell(
-                    method=row["method"],
-                    dataset=row["dataset"],
-                    metric=metric,
-                    mean=mean,
-                    std=std,
-                    n_seeds=n_seeds,
-                    split=row.get("split", "") or "",
-                )
+    header, rows, lines, fault = read_csv_table(path, ParseError)
+    for column in (metric, "method", "dataset"):
+        if column not in (header or []):
+            raise ParseError(f"column {column!r} not found", path=str(path), line=1)
+    cells = []
+    for line, fields in zip(lines, rows):
+        row = dict(zip(header, fields))
+        try:
+            mean, std = parse_mean_std(row[metric])
+        except ValueError:
+            raise ParseError(
+                f"bad {metric} cell {row[metric]!r}", path=str(path), line=line
+            ) from None
+        try:
+            n_seeds = int(row.get("n_seeds") or 1)
+        except ValueError:
+            raise ParseError(
+                f"bad n_seeds cell {row['n_seeds']!r}", path=str(path), line=line
+            ) from None
+        cells.append(
+            stats.AggregateCell(
+                method=row["method"],
+                dataset=row["dataset"],
+                metric=metric,
+                mean=mean,
+                std=std,
+                n_seeds=n_seeds,
+                split=row.get("split", "") or "",
             )
+        )
+    if fault is not None:
+        raise fault
     return cells
 
 
@@ -262,9 +240,12 @@ def cmd_compare(config: EngineConfig) -> int:
             f"compare expects exactly one aggregated table, got {len(paths)} input(s)"
         )
     cells = _cells_from_csv(paths[0], config.metric)
-    matrix = stats.rank_matrix(cells, config.metric)
-    statistic, df = stats.friedman(matrix, tie_corrected=config.tie_corrected)
-    cd = stats.nemenyi_cd(matrix.k, matrix.n_blocks, alpha=config.alpha)
+    try:
+        matrix = stats.rank_matrix(cells, config.metric)
+        statistic, df = stats.friedman(matrix, tie_corrected=config.tie_corrected)
+        cd = stats.nemenyi_cd(matrix.k, matrix.n_blocks, alpha=config.alpha)
+    except StatsError as exc:
+        raise type(exc)(f"{paths[0]}: {exc}") from exc
     ranks = stats.mean_ranks(matrix)
     groups = stats.cliques(ranks, cd)
     payload = {

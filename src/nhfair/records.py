@@ -23,6 +23,7 @@ parsed concurrently and the results shared across threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -312,8 +313,34 @@ class RunSummary:
     eqodd: float | None = None
 
 
+_MANIFEST_SUFFIX = ".manifest.json"
+
+
 def _manifest_path(path: Path) -> Path:
-    return path.parent / (path.stem + ".manifest.json")
+    return path.parent / (path.stem + _MANIFEST_SUFFIX)
+
+
+def _suffix_format(path: Path) -> str:
+    """The record format a file's suffix names, in any case: ``jsonl`` for ``run.JSONL``."""
+    return path.suffix.lstrip(".").lower()
+
+
+def _record_format(path: Path, format: str | None) -> str:
+    format = _suffix_format(path) if format is None else format
+    if format not in ("jsonl", "csv"):
+        raise ParseError(f"unsupported record format {format!r}", path=str(path))
+    return format
+
+
+def is_prediction_log(path: Path) -> bool:
+    """A ``.jsonl`` file, or a ``.csv`` with its sidecar, is a log; any other file a table."""
+    format = _suffix_format(path)
+    return format == "jsonl" or (format == "csv" and _manifest_path(path).exists())
+
+
+def is_manifest(path: Path) -> bool:
+    """Whether a file is a manifest sidecar, which is read along with its log."""
+    return path.name.endswith(_MANIFEST_SUFFIX)
 
 
 def utf8_fault(path: Path) -> ParseError | None:
@@ -335,7 +362,7 @@ def utf8_fault(path: Path) -> ParseError | None:
 
 
 def read_text(path: Path) -> str:
-    """The whole of a small text file, line ends kept as they are.
+    """The whole of a text file, line ends kept as they are.
 
     A file that is not UTF-8 is a ParseError.
     """
@@ -344,6 +371,46 @@ def read_text(path: Path) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise (utf8_fault(path) or exc) from None  # exc only if the file changed meanwhile
+
+
+def read_csv_table(
+    path: Path, error: type[ParseError]
+) -> tuple[list[str] | None, list[list[str]], Sequence[int], ParseError | None]:
+    """The header (None for an empty file), records, record lines and fault of a CSV file.
+
+    The records are those before the first faulty one, blank rows left out;
+    each is numbered by the physical line it starts on, lines ending at
+    ``\n``, ``\r\n`` or a lone ``\r`` as in :func:`utf8_fault`. The fault is
+    an ``error`` for that record's field count or csv syntax, or None.
+    """
+    text = read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows: list[list[str]] = []
+    with contextlib.suppress(csv.Error):
+        rows = list(reader)
+    widths = set(map(len, rows))
+    if rows and reader.line_num == len(rows) and widths == {len(rows[0])} and 0 not in widths:
+        return rows[0], rows[1:], range(2, len(rows) + 1), None
+    # some record is blank, spans lines, has the wrong field count or cannot be read
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, rows, lines, end = None, [], [], 0
+    try:
+        for row in reader:
+            if header is None:
+                header = row
+            elif row and len(row) != len(header):
+                message = f"expected {len(header)} fields, got {len(row)}"
+                return header, rows, lines, error(message, path=str(path), line=end + 1)
+            elif row:
+                rows.append(row)
+                lines.append(end + 1)
+            end = reader.line_num
+    except csv.Error as exc:
+        fault = error(f"unreadable CSV record: {exc}", path=str(path), line=end + 1)
+        if header is None:
+            raise fault from None
+        return header, rows, lines, fault
+    return header, rows, lines, None
 
 
 def _load_manifest(record_path: Path) -> RunManifest:
@@ -651,42 +718,22 @@ def _cell_scores(
 
 
 def _parse_csv(path: Path, manifest: RunManifest) -> EvaluationRun:
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("run contains no records", path=str(path)) from None
-        if header[: len(_FIELDS)] != list(_FIELDS):
-            raise MalformedLine(
-                f"header must start with {','.join(_FIELDS)}", path=str(path), line=1
-            )
-        column_labels: list[str] = []
-        for col in header[len(_FIELDS) :]:
-            if not col.startswith("score:"):
-                raise MalformedLine(f"unexpected column {col!r}", path=str(path), line=1)
-            column_labels.append(col[len("score:") :])
-        rows = list(reader)
-
-    lines: list[int] = list(range(2, len(rows) + 2))
-    pending = None
-    if any(len(row) != len(header) for row in rows):
-        # drop blank rows; stop at the first with a wrong field count
-        kept = [(line, row) for line, row in zip(lines, rows) if row]
-        bad = next((i for i, (_, row) in enumerate(kept) if len(row) != len(header)), None)
-        if bad is not None:
-            line, row = kept[bad]
-            pending = MalformedLine(
-                f"expected {len(header)} fields, got {len(row)}", path=str(path), line=line
-            )
-            kept = kept[:bad]
-        lines, rows = [line for line, _ in kept], [row for _, row in kept]
+    header, rows, lines, fault = read_csv_table(path, MalformedLine)
+    if header is None:
+        raise ParseError("run contains no records", path=str(path))
+    if header[: len(_FIELDS)] != list(_FIELDS):
+        raise MalformedLine(f"header must start with {','.join(_FIELDS)}", path=str(path), line=1)
+    column_labels: list[str] = []
+    for col in header[len(_FIELDS) :]:
+        if not col.startswith("score:"):
+            raise MalformedLine(f"unexpected column {col!r}", path=str(path), line=1)
+        column_labels.append(col[len("score:") :])
     columns = list(zip(*rows))
     scores, present, checks = _cell_scores(
         columns[len(_FIELDS) :], column_labels, manifest.label_space.labels
     )
     return _finish_run(
-        manifest, str(path), lines, columns[: len(_FIELDS)], scores, present, checks, pending
+        manifest, str(path), lines, columns[: len(_FIELDS)], scores, present, checks, fault
     )
 
 
@@ -697,7 +744,7 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
     ``y_hat``, ``group`` and an optional ``scores`` map (label -> [0, 1]).
     CSV layout: header ``sample_id,y,y_hat,group[,score:<label>...]``;
     a blank score cell means that label is absent from the record's map.
-    ``format`` defaults to the file extension.
+    ``format`` defaults to the file's suffix, in any case.
 
     Records come back sorted by ``sample_id`` ascending so every
     downstream aggregation is order-deterministic. A file that is not
@@ -709,10 +756,7 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
     path = Path(path)
     if not path.exists():
         raise ParseError("file not found", path=str(path))
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
-    if format not in ("jsonl", "csv"):
-        raise ParseError(f"unsupported record format {format!r}", path=str(path))
+    format = _record_format(path, format)
     manifest = _load_manifest(path)
     try:
         if format == "jsonl":
@@ -729,10 +773,7 @@ def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -
     run (records are written in canonical sample_id order).
     """
     path = Path(path)
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
-    if format not in ("jsonl", "csv"):
-        raise ParseError(f"unsupported record format {format!r}", path=str(path))
+    format = _record_format(path, format)
     manifest = run.manifest
     labels = manifest.label_space.labels
     mdoc = {
@@ -775,13 +816,16 @@ def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -
             writer.writerows(rows)
 
 
+def _percent_marked(text: str) -> tuple[str, bool]:
+    """Stripped text without a trailing ``%``, and whether it had one."""
+    text = text.strip()
+    return (text[:-1].strip(), True) if text.endswith("%") else (text, False)
+
+
 def _parse_utility_cell(cell: str, percent_column: bool, path: str, line: int) -> float:
     """Parse one utility value; '%' on the header or the value means 0-100 units."""
-    text = cell.strip()
-    percent = percent_column
-    if text.endswith("%"):
-        percent = True
-        text = text[:-1].strip()
+    text, percent = _percent_marked(cell)
+    percent = percent or percent_column
     try:
         value = float(text)
     except ValueError:
@@ -805,61 +849,45 @@ def parse_summaries(path: str | Path) -> list[RunSummary]:
     path = Path(path)
     if not path.exists():
         raise ParseError("file not found", path=str(path))
-    with io.StringIO(read_text(path), newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow("empty file, expected a header", path=str(path), line=1) from None
+    header, rows, lines, fault = read_csv_table(path, MalformedRow)
+    if header is None:
+        raise MalformedRow("empty file, expected a header", path=str(path), line=1)
 
-        columns: list[tuple[str, bool]] = []  # (name, percent marker)
-        for col in header:
-            name = col.strip()
-            percent = name.endswith("%")
-            if percent:
-                name = name[:-1].strip()
-            columns.append((name, percent))
-        names = [name for name, _ in columns]
-        if "run_id" not in names or "method" not in names or "overall" not in names:
-            raise MalformedRow(
-                "header must contain run_id, method and overall columns",
-                path=str(path),
-                line=1,
-            )
-        group_cols = [name for name in names if name not in _SUMMARY_RESERVED]
-        if len(group_cols) < 2:
-            raise MalformedRow("header must name at least 2 group columns", path=str(path), line=1)
-        markers = dict(columns)
+    columns = [_percent_marked(col) for col in header]  # (name, percent marker)
+    names = [name for name, _ in columns]
+    if "run_id" not in names or "method" not in names or "overall" not in names:
+        raise MalformedRow(
+            "header must contain run_id, method and overall columns",
+            path=str(path),
+            line=1,
+        )
+    group_cols = [name for name in names if name not in _SUMMARY_RESERVED]
+    if len(group_cols) < 2:
+        raise MalformedRow("header must name at least 2 group columns", path=str(path), line=1)
+    markers = dict(columns)
 
-        summaries: list[RunSummary] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise MalformedRow(
-                    f"expected {len(columns)} fields, got {len(row)}",
-                    path=str(path),
-                    line=line_no,
-                )
-            cells = dict(zip(names, row))
-            utilities = {
-                g: _parse_utility_cell(cells[g], markers[g], str(path), line_no)
-                for g in group_cols
-            }
-            overall = _parse_utility_cell(cells["overall"], markers["overall"], str(path), line_no)
-            dp = eqodd = None
-            if "dp" in cells and cells["dp"].strip():
-                dp = _parse_utility_cell(cells["dp"], markers["dp"], str(path), line_no)
-            if "eqodd" in cells and cells["eqodd"].strip():
-                eqodd = _parse_utility_cell(cells["eqodd"], markers["eqodd"], str(path), line_no)
-            summaries.append(
-                RunSummary(
-                    method=cells["method"].strip(),
-                    run_id=cells["run_id"].strip(),
-                    group_utilities=utilities,
-                    overall_utility=overall,
-                    dp=dp,
-                    eqodd=eqodd,
-                )
+    summaries: list[RunSummary] = []
+    for line_no, row in zip(lines, rows):
+        cells = dict(zip(names, row))
+        utilities = {
+            g: _parse_utility_cell(cells[g], markers[g], str(path), line_no) for g in group_cols
+        }
+        overall = _parse_utility_cell(cells["overall"], markers["overall"], str(path), line_no)
+        dp = eqodd = None
+        if "dp" in cells and cells["dp"].strip():
+            dp = _parse_utility_cell(cells["dp"], markers["dp"], str(path), line_no)
+        if "eqodd" in cells and cells["eqodd"].strip():
+            eqodd = _parse_utility_cell(cells["eqodd"], markers["eqodd"], str(path), line_no)
+        summaries.append(
+            RunSummary(
+                method=cells["method"].strip(),
+                run_id=cells["run_id"].strip(),
+                group_utilities=utilities,
+                overall_utility=overall,
+                dp=dp,
+                eqodd=eqodd,
             )
+        )
+    if fault is not None:
+        raise fault
     return summaries

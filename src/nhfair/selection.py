@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -180,20 +181,33 @@ def dto_select(candidates: list[CandidatePoint]) -> tuple[CandidatePoint, float]
     return best, distance_to(best, target)
 
 
-def _baseline_worst_group(baseline: CandidatePoint) -> str:
-    """Group with the lowest baseline utility; first in order on ties."""
-    util = baseline.group_utilities.utility
-    low = min(util.values())
-    for g in baseline.group_utilities.groups:
-        if util[g] == low:
-            return g
-    raise AssertionError("unreachable")
+def _tie_fallback(baseline: CandidatePoint, zones: Iterable[Zone]) -> bool:
+    """Whether the worst-group rule decided a mixed zone because two baseline groups tie."""
+    values = list(baseline.group_utilities.utility.values())
+    mixed = any(z in (Zone.SUB_OPTIMAL, Zone.UNWANTED) for z in zones)
+    return mixed and len(values) == 2 and values[0] == values[1]
 
 
 def classify_zone(
     candidate: CandidatePoint, baseline: CandidatePoint, tolerance: float = 0.0
 ) -> Zone:
-    """Assign exactly one zone to a candidate relative to the baseline."""
+    """Assign exactly one zone to a candidate relative to the baseline.
+
+    A zone decided by the tie fallback also raises an AdvantageTieWarning.
+    """
+    zone = _zone(candidate, baseline, tolerance)
+    if _tie_fallback(baseline, [zone]):
+        _warnings.warn(
+            f"baseline {baseline.run_id!r} has tied group utilities; "
+            "no group is advantaged, classifying mixed candidates by the "
+            "worst-group rule",
+            AdvantageTieWarning,
+            stacklevel=2,
+        )
+    return zone
+
+
+def _zone(candidate: CandidatePoint, baseline: CandidatePoint, tolerance: float) -> Zone:
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     if set(candidate.group_utilities.groups) != set(baseline.group_utilities.groups):
@@ -208,16 +222,8 @@ def classify_zone(
         return Zone.OPTIMAL
     if not any(passes.values()):
         return Zone.DEGRADATION
-    base_values = list(base.values())
-    if len(base_values) == 2 and base_values[0] == base_values[1]:
-        _warnings.warn(
-            f"baseline {baseline.run_id!r} has tied group utilities; "
-            "no group is advantaged, classifying mixed candidates by the "
-            "worst-group rule",
-            AdvantageTieWarning,
-            stacklevel=2,
-        )
-    if passes[_baseline_worst_group(baseline)]:
+    worst = min(baseline.group_utilities.groups, key=base.__getitem__)  # first of a tie
+    if passes[worst]:
         return Zone.SUB_OPTIMAL
     return Zone.UNWANTED
 
@@ -240,12 +246,8 @@ def fwh_select(
         raise SelectionError(f"duplicate candidate run_id(s): {', '.join(duplicates)}")
 
     notes: list[str] = []
-    zones: dict[str, Zone] = {}
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always", AdvantageTieWarning)
-        for c in candidates:
-            zones[c.run_id] = classify_zone(c, baseline, tolerance)
-    if any(issubclass(w.category, AdvantageTieWarning) for w in caught):
+    zones = {c.run_id: _zone(c, baseline, tolerance) for c in candidates}
+    if _tie_fallback(baseline, zones.values()):
         notes.append(
             "baseline group utilities are tied; mixed candidates classified by the worst-group rule"
         )

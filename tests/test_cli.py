@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -259,6 +261,128 @@ def test_undecodable_input_exits_2_naming_path_and_line(tmp_path, capsys, name, 
     assert where in err
 
 
+_LOG_MANIFEST = json.dumps({
+    "method": "m", "dataset": "d", "seed": 1, "split": "test", "utility_kind": "accuracy",
+    "labels": ["neg", "pos"], "groups": ["A", "B"],
+})
+_CSV_INPUTS = {  # kind: argv, header
+    "log": (["evaluate"], "sample_id,y,y_hat,group\n"),
+    "summary": (["select-erm"], "run_id,method,a,b,overall\n"),
+    "table": (["compare", "--metric", "utility"], "method,dataset,n_seeds,utility\n"),
+}
+_LONG_FIELD = '"' + "x" * 140_000  # an unclosed quote: one field past the csv module's limit
+
+
+@pytest.mark.parametrize(
+    "kind, records, line, message",
+    [
+        # a record with a quoted line break, then a faulty record
+        ("log", '"s\n1",pos,pos,A\ns2,neg,neg,Z\n', 4, "group 'Z' not in manifest"),
+        ("summary", '"r\n1",m,0.8,0.9,0.85\nr2,m,0.8,1.5,0.85\n', 4,
+         "utility '1.5' outside [0, 1]"),
+        ("table", '"m\n1",d1,1,0.8\nm2,d1,one,0.9\n', 4, "bad n_seeds cell 'one'"),
+        ("log", '"s\r\n1",pos,pos,A\r\ns2,neg,neg\r\n', 4, "expected 4 fields, got 3"),
+        ("summary", '"r\r1",m,0.8,0.9,0.85\rr2,m,0.8\r', 4, "expected 5 fields, got 3"),
+        ("table", '"m\r1",d1,1,0.8\r\nm2,d1,1\n', 4, "expected 4 fields, got 3"),
+        ("log", "s1,pos,pos,A\n" + _LONG_FIELD, 3, "unreadable CSV record: field larger"),
+        ("summary", "r1,m,0.8,0.9,0.85\n" + _LONG_FIELD, 3, "unreadable CSV record: field larger"),
+        ("table", "m1,d1,1,0.8\n" + _LONG_FIELD, 3, "unreadable CSV record: field larger"),
+    ],
+    ids=[f"{kind}-{case}" for case in ("after-break", "width-after-break", "long-field")
+         for kind in ("log", "summary", "table")],
+)
+def test_csv_fault_names_the_line_its_record_starts_on(tmp_path, capsys, kind, records, line,
+                                                       message):
+    argv, header = _CSV_INPUTS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes((header + records).encode("utf-8"))
+    (tmp_path / "log.manifest.json").write_text(_LOG_MANIFEST, encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: line {line}: {message}")
+
+
+def test_upper_case_suffix_log_reads_as_its_lower_case_copy(tmp_path, capsys):
+    run = generate(spec_for(1), method="m", dataset="d")
+    outputs = []
+    for name in ("upper/run.JSONL", "lower/run.jsonl"):
+        path = tmp_path / name
+        path.parent.mkdir()
+        write_run(run, path)
+        for argv in (["evaluate"], ["select-erm"]):
+            assert main([*argv, str(path.parent / "*")]) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
+
+
+def _fuzz_seed_files() -> dict[str, bytes]:
+    """Valid inputs of every kind, by file name, as bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        run = make_run(
+            [("pos", "pos", "A", 0.9), ("neg", "pos", "A", 0.6), ("neg", "neg", "B", 0.2),
+             ("pos", "neg", "B", 0.4), ("pos", "pos", "B", 0.7)],
+            utility_kind="auc",
+        )
+        write_run(run, directory / "run.jsonl")
+        write_run(run, directory / "log.csv")
+        files = {p.name: p.read_bytes() for p in directory.iterdir()}
+    files["summ.csv"] = b"run_id,method,a%,b,overall,dp\nr1,m,80,0.9,0.85,0.5\nr2,n,85%,0.88,86%,\n"
+    files["agg.csv"] = (
+        "method,dataset,n_seeds,split,utility\nerm,d1,2,test,0.86 \u00b1 0.01\n"
+        "erm,d2,2,test,0.91\ndro,d1,2,test,0.84\ndro,d2,2,test,0.93 \u00b1 0.02\n"
+        "mix,d1,1,,0.8\nmix,d2,1,,0.9\n"
+    ).encode("utf-8")
+    return files
+
+
+_FUZZ_FILES = _fuzz_seed_files()
+_FUZZ_TARGETS = {  # mutated file: the command that reads it, and the files its errors may name
+    "run.jsonl": (["evaluate", "run.jsonl"], ("run.jsonl",)),
+    "run.manifest.json": (["evaluate", "run.jsonl"], ("run.manifest.json", "run.jsonl")),
+    "log.csv": (["evaluate", "--eqodd", "full", "log.csv"], ("log.csv",)),
+    "summ.csv": (["select-erm", "summ.csv"], ("summ.csv",)),
+    "agg.csv": (["compare", "--metric", "utility", "agg.csv"], ("agg.csv",)),
+}
+_TOKENS = [b"\n", b"\r", b'"', b",", b"\xff", b"\x00", b"NaN", b"1e999", b"%"]
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to three deletions, copied slices, random bytes or token inserts."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["delete", "copy", "random", "token"]))
+        if kind == "delete":
+            data = data[:at] + data[at + draw(st.integers(1, 8)):]
+        elif kind == "copy":
+            start = draw(st.integers(0, len(data)))
+            data = data[:at] + data[start:start + draw(st.integers(1, 16))] + data[at:]
+        elif kind == "random":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+        else:
+            data = data[:at] + draw(st.sampled_from(_TOKENS)) + data[at:]
+    return data
+
+
+@given(target=st.sampled_from(sorted(_FUZZ_TARGETS)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_corrupt_input_exits_0_or_2_naming_the_file(target, data):
+    argv, named = _FUZZ_TARGETS[target]
+    mutated = data.draw(_mutated(_FUZZ_FILES[target]))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, content in _FUZZ_FILES.items():
+            (directory / name).write_bytes(mutated if name == target else content)
+        out, err = io.StringIO(), io.StringIO()
+        args = [str(directory / a) if a in _FUZZ_FILES else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    message = err.getvalue()
+    assert code in (0, 2), message
+    if code == 2:
+        assert any(f"error: {directory / name}: " in message for name in named), message
+
+
 class TestSelectFromLogs:
     @pytest.fixture
     def logs(self, tmp_path):
@@ -439,6 +563,24 @@ class TestCompare:
         )
         assert main(["compare", "--metric", "gap", str(table)]) == 2
         assert "oxonfair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ("erm,d1,1.0\nerm,d1,2.0\ndro,d1,1.5\n", "duplicate cell for method=erm dataset=d1"),
+            ("erm,d1,1.0\nerm,d2,2.0\ndro,d1,1.5\n", "method 'dro' has no cell for dataset 'd2'"),
+            ("erm,d1,1.0\nerm,d2,2.0\n", "need at least 2 methods and 1 dataset"),
+            ("erm,d1,1.0\ndro,d1,2.0\n", "need k >= 2 and N >= 2, got k=2, N=1"),
+            ("".join(f"m{i},d{j},{i}\n" for i in range(21) for j in (1, 2)),
+             "k must be in [2, 20], got 21"),
+        ],
+        ids=["duplicate cell", "missing cell", "one method", "one dataset", "21 methods"],
+    )
+    def test_table_errors_name_the_table(self, tmp_path, capsys, rows, fault):
+        table = tmp_path / "agg.csv"
+        table.write_text("method,dataset,gap\n" + rows, encoding="utf-8")
+        assert main(["compare", "--metric", "gap", str(table)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {table}: {fault}")
 
     @pytest.mark.parametrize(
         "row, fault",

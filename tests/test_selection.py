@@ -157,6 +157,22 @@ class TestFwhSelect:
         assert result.selected.run_id == "near"
         assert result.tally[Zone.DEGRADATION] == 2
 
+    def test_tie_note_comes_from_the_zones_not_from_warnings(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fwh_select must leave the process-wide warning state alone")
+
+        monkeypatch.setattr(warnings, "warn", forbidden)
+        monkeypatch.setattr(warnings, "catch_warnings", forbidden)
+        base = point("erm", {"g1": 0.8, "g2": 0.8})
+        result = fwh_select([point("mixed", {"g1": 0.85, "g2": 0.75})], base)
+        assert result.rationale == (
+            "Optimal empty; selected smallest-gap candidate in the SubOptimal zone; "
+            "baseline group utilities are tied; mixed candidates classified by the "
+            "worst-group rule"
+        )
+        result = fwh_select([point("up", {"g1": 0.85, "g2": 0.85})], base)
+        assert result.rationale == "selected smallest-gap candidate in the Optimal zone"
+
     def test_all_unwanted_selects_nothing(self):
         base = point("erm", {"adv": 0.9, "dis": 0.7})
         bad = point("bad", {"adv": 0.95, "dis": 0.65})
