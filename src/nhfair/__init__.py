@@ -1,96 +1,68 @@
-"""Fairness evaluation engine: metrics, harm-aware selection, rank statistics."""
+"""Fairness evaluation engine: metrics, harm-aware selection, rank statistics.
 
-from .metrics import (
-    ConfusionTensor,
-    GroupUtilityVector,
-    MetricReport,
-    confusion,
-    demographic_parity,
-    equalized_odds,
-    gap,
-    group_accuracy,
-    group_auc,
-    metric_report,
-    pooled_auc,
-    worst,
-)
-from .records import (
-    EvaluationRun,
-    GroupSpace,
-    LabelSpace,
-    PredictionRecord,
-    RunManifest,
-    RunSummary,
-    parse_run,
-    parse_summaries,
-    write_run,
-)
-from .selection import (
-    CandidatePoint,
-    SelectionResult,
-    UtopiaPoint,
-    Zone,
-    ZoneTally,
-    classify_zone,
-    dto_select,
-    fwh_select,
-    utopia,
-    zone_tally_table,
-)
-from .stats import (
-    AggregateCell,
-    RankMatrix,
-    aggregate,
-    cliques,
-    friedman,
-    mean_ranks,
-    nemenyi_cd,
-    rank_matrix,
-)
-from .synth import CohortSpec, generate
+Every export is resolved on first access (PEP 562), so importing the
+package, or a command that reads only summary tables, loads neither
+numpy nor the log and metric code.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateCell",
-    "CandidatePoint",
-    "CohortSpec",
-    "ConfusionTensor",
-    "EvaluationRun",
-    "GroupSpace",
-    "GroupUtilityVector",
-    "LabelSpace",
-    "MetricReport",
-    "PredictionRecord",
-    "RankMatrix",
-    "RunManifest",
-    "RunSummary",
-    "SelectionResult",
-    "UtopiaPoint",
-    "Zone",
-    "ZoneTally",
-    "aggregate",
-    "classify_zone",
-    "cliques",
-    "confusion",
-    "demographic_parity",
-    "dto_select",
-    "equalized_odds",
-    "friedman",
-    "fwh_select",
-    "gap",
-    "generate",
-    "group_accuracy",
-    "group_auc",
-    "mean_ranks",
-    "metric_report",
-    "nemenyi_cd",
-    "parse_run",
-    "parse_summaries",
-    "pooled_auc",
-    "rank_matrix",
-    "utopia",
-    "worst",
-    "write_run",
-    "zone_tally_table",
-]
+# export name -> the module that defines it
+_EXPORTS = {
+    "AggregateCell": "stats",
+    "CandidatePoint": "selection",
+    "CohortSpec": "synth",
+    "ConfusionTensor": "metrics",
+    "EvaluationRun": "columns",
+    "GroupSpace": "records",
+    "GroupUtilityVector": "selection",
+    "LabelSpace": "records",
+    "MetricReport": "metrics",
+    "PredictionRecord": "records",
+    "RankMatrix": "stats",
+    "RunManifest": "records",
+    "RunSummary": "records",
+    "SelectionResult": "selection",
+    "UtopiaPoint": "selection",
+    "Zone": "selection",
+    "ZoneTally": "selection",
+    "aggregate": "stats",
+    "classify_zone": "selection",
+    "cliques": "stats",
+    "confusion": "metrics",
+    "demographic_parity": "metrics",
+    "dto_select": "selection",
+    "equalized_odds": "metrics",
+    "friedman": "stats",
+    "fwh_select": "selection",
+    "gap": "metrics",
+    "generate": "synth",
+    "group_accuracy": "metrics",
+    "group_auc": "metrics",
+    "mean_ranks": "stats",
+    "metric_report": "metrics",
+    "nemenyi_cd": "stats",
+    "parse_run": "records",
+    "parse_summaries": "records",
+    "pooled_auc": "metrics",
+    "rank_matrix": "stats",
+    "utopia": "selection",
+    "worst": "metrics",
+    "write_run": "records",
+    "zone_tally_table": "selection",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *__all__])

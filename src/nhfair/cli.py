@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import metrics, selection, stats
+from . import selection, stats
 from .config import EngineConfig, add_flags, build_config
 from .errors import (
     EmptyCandidateSet,
@@ -31,7 +33,6 @@ from .errors import (
     ParseError,
     StatsError,
 )
-from .metrics import MetricReport
 from .records import (
     RunManifest,
     is_manifest,
@@ -44,6 +45,16 @@ from .selection import CandidatePoint
 from .svgplot import render_cd_plot
 from .tables import parse_mean_std, rows_to_csv, rows_to_json, rows_to_markdown
 
+if TYPE_CHECKING:
+    from .metrics import MetricReport
+
+
+def _input_file(path: Path) -> Path:
+    """``path``, unless it names a directory."""
+    if path.is_dir():
+        raise ParseError("is a directory, expected a file", path=str(path))
+    return path
+
 
 def _expand_inputs(patterns: list[str]) -> list[Path]:
     paths: list[Path] = []
@@ -55,18 +66,50 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
             paths.append(Path(pattern))
         else:
             raise ParseError(f"no runs matched: no file matches {pattern!r}")
-    return [p for p in dict.fromkeys(paths) if not is_manifest(p)]
+    return [_input_file(p) for p in dict.fromkeys(paths) if not is_manifest(p)]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _output(path: str | None) -> Path | None:
+    """The file an output goes to (None: stdout), checked before any input is read."""
+    if not path:
+        return None
+    target = Path(path)
+    if target.is_dir():
+        raise ParseError("output path is a directory", path=path)
+    if not target.parent.is_dir():
+        raise ParseError("output directory does not exist", path=path)
+    return target
+
+
+def _emit(*outputs: tuple[Path | None, str]) -> None:
+    """Write each text to its file, or to stdout where the file is None.
+
+    Each file is written beside its target under a temporary name and
+    moved into place only once every file is written, so a failed command
+    leaves no partial output. A target that is a symbolic link is written
+    through, as a plain write would.
+    """
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for i, (target, text) in enumerate(outputs):
+            if target is None:
+                sys.stdout.write(text)
+                continue
+            target = Path(os.path.realpath(target))
+            temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+            staged.append((temporary, target))
+            temporary.write_text(text, encoding="utf-8")
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
 
 
 def _evaluate_file(path: Path, eqodd: str = "diagonal") -> tuple[MetricReport, RunManifest]:
     """Parse one prediction log and compute its report; the run is dropped after."""
+    from . import metrics  # numpy: loaded only by commands that read a log
+
     run = parse_run(path)
     try:
         return metrics.metric_report(run, eqodd_variant=eqodd), run.manifest
@@ -104,6 +147,7 @@ def _load_candidates(paths: list[Path]) -> list[CandidatePoint]:
 
 
 def cmd_evaluate(config: EngineConfig) -> int:
+    out = _output(config.out)
     paths = _expand_inputs(config.inputs)
     run_paths = [p for p in paths if is_prediction_log(p)]
     if not run_paths:
@@ -118,15 +162,17 @@ def cmd_evaluate(config: EngineConfig) -> int:
     rows = stats.aggregate([_evaluate_file(p, config.eqodd) for p in run_paths])
 
     if config.format == "csv":
-        _emit(rows_to_csv(rows, config.units), config.out)
+        text = rows_to_csv(rows, config.units)
     elif config.format == "md":
-        _emit(rows_to_markdown(rows, config.units), config.out)
+        text = rows_to_markdown(rows, config.units)
     else:
-        _emit(rows_to_json(rows), config.out)
+        text = rows_to_json(rows)
+    _emit((out, text))
     return 0
 
 
 def cmd_select_erm(config: EngineConfig) -> int:
+    out = _output(config.out)
     paths = _expand_inputs(config.inputs)
     candidates = _load_candidates(paths)
     if not candidates:
@@ -146,7 +192,7 @@ def cmd_select_erm(config: EngineConfig) -> int:
         ],
         "selected": {"run_id": best.run_id, "method": best.method, "distance": best_distance},
     }
-    _emit(json.dumps(payload, indent=2) + "\n", config.out)
+    _emit((out, json.dumps(payload, indent=2) + "\n"))
     return 0
 
 
@@ -158,7 +204,7 @@ def _resolve_baseline(
         raise ParseError("select-fwh requires --baseline (a file or a candidate run_id)")
     path = Path(spec)
     if path.exists():
-        found = _load_candidates([path])
+        found = _load_candidates([_input_file(path)])
         if len(found) != 1:
             raise ParseError(
                 f"baseline summary file must contain exactly one row, got {len(found)}",
@@ -173,6 +219,7 @@ def _resolve_baseline(
 
 
 def cmd_select_fwh(config: EngineConfig) -> int:
+    out = _output(config.out)
     paths = _expand_inputs(config.inputs)
     candidates = _load_candidates(paths)
     baseline, candidates, origin = _resolve_baseline(config, candidates)
@@ -189,7 +236,7 @@ def cmd_select_fwh(config: EngineConfig) -> int:
         "tolerance": config.tolerance,
     }
     payload.update(result.as_dict())
-    _emit(json.dumps(payload, indent=2) + "\n", config.out)
+    _emit((out, json.dumps(payload, indent=2) + "\n"))
     if result.selected is None:
         sys.stderr.write("warning: every candidate is Unwanted; nothing selected\n")
     return 0
@@ -234,6 +281,11 @@ def _cells_from_csv(path: Path, metric: str) -> list[stats.AggregateCell]:
 def cmd_compare(config: EngineConfig) -> int:
     if not config.metric:
         raise ParseError("compare requires --metric")
+    out = _output(config.out)
+    svg_path = config.svg
+    if svg_path is None and out is not None:
+        svg_path = str(out.with_suffix(".svg"))
+    svg = _output(svg_path)
     paths = _expand_inputs(config.inputs)
     if len(paths) != 1:
         raise ParseError(
@@ -260,13 +312,10 @@ def cmd_compare(config: EngineConfig) -> int:
         "mean_ranks": {m: ranks[m] for m in sorted(ranks, key=lambda n: (ranks[n], n))},
         "cliques": [list(c) for c in groups],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", config.out)
-
-    svg_path = config.svg
-    if svg_path is None and config.out:
-        svg_path = str(Path(config.out).with_suffix(".svg"))
-    if svg_path:
-        Path(svg_path).write_text(render_cd_plot(config.metric, ranks, cd), encoding="utf-8")
+    outputs = [(out, json.dumps(payload, indent=2) + "\n")]
+    if svg is not None:
+        outputs.append((svg, render_cd_plot(config.metric, ranks, cd)))
+    _emit(*outputs)
     return 0
 
 

@@ -17,15 +17,15 @@ bad configuration aborts before any computation.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 from collections.abc import Callable
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .metrics import EQODD_VARIANTS
 from .records import read_text
-from .tables import METRIC_NAMES
+from .tables import EQODD_VARIANTS, METRIC_NAMES
 
 ENV_CONFIG = "NHFAIR_CONFIG"
 
@@ -133,7 +133,8 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+    # lines end at \n, \r\n or a lone \r, as for every input file
+    for line_no, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

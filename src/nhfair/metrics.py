@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import EvaluationRun
 from .errors import (
     AllGroupsDegenerate,
     InternalInvariantViolation,
     NoEvaluableClass,
 )
-from .records import EvaluationRun
-
-EQODD_VARIANTS = ("diagonal", "full")
+from .selection import GroupUtilityVector
+from .tables import EQODD_VARIANTS
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,6 @@ class ConfusionTensor:
 
     def n_group(self, group: str) -> int:
         return int(self.counts[self.groups.index(group)].sum())
-
-
-@dataclass(frozen=True)
-class GroupUtilityVector:
-    """Per-group utility (accuracy or AUC), each value in [0, 1]."""
-
-    utility: dict[str, float]
-    utility_kind: str
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(self.utility)
-
-    def values_in_order(self) -> list[float]:
-        return [self.utility[g] for g in self.utility]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math as _math
 import warnings as _warnings
 
+from .columns import EvaluationRun
 from .errors import (
     AllGroupsDegenerate,
     AdvantageTieWarning,
@@ -23,7 +24,6 @@ from .errors import (
     SelectionError,
 )
 from .metrics import MetricReport
-from .records import EvaluationRun
 from .selection import ZONE_ORDER, CandidatePoint, SelectionResult, Zone
 
 

@@ -38,7 +38,21 @@ from .errors import (
     GroupSpaceMismatch,
     SelectionError,
 )
-from .metrics import GroupUtilityVector
+
+
+@dataclass(frozen=True)
+class GroupUtilityVector:
+    """Per-group utility (accuracy or AUC), each value in [0, 1]."""
+
+    utility: dict[str, float]
+    utility_kind: str
+
+    @property
+    def groups(self) -> tuple[str, ...]:
+        return tuple(self.utility)
+
+    def values_in_order(self) -> list[float]:
+        return [self.utility[g] for g in self.utility]
 
 
 class Zone(str, Enum):

@@ -16,8 +16,7 @@ conclusions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateMatrix,
@@ -27,9 +26,11 @@ from .errors import (
     UnsupportedAlpha,
     UnsupportedK,
 )
-from .metrics import MetricReport
-from .records import RunManifest
 from .tables import METRIC_NAMES, ReportRow
+
+if TYPE_CHECKING:
+    from .metrics import MetricReport
+    from .records import RunManifest
 
 METRIC_DIRECTIONS = {
     "utility": "higher_better",
@@ -75,7 +76,7 @@ class AggregateCell:
 class RankMatrix:
     methods: tuple[str, ...]
     blocks: tuple[str, ...]
-    ranks: np.ndarray  # (N, k), average ranks for ties
+    ranks: tuple[tuple[float, ...], ...]  # per block, each method's rank; ties averaged
     direction: str
 
     @property
@@ -206,9 +207,8 @@ def rank_matrix(
                 raise MissingCell(f"method {m!r} has no cell for dataset {b!r}")
 
     higher = direction == "higher_better"
-    ranks = np.array(
-        [_average_ranks([table[(m, b)] for m in methods], higher) for b in blocks],
-        dtype=float,
+    ranks = tuple(
+        tuple(_average_ranks([table[(m, b)] for m in methods], higher)) for b in blocks
     )
     return RankMatrix(
         methods=tuple(methods), blocks=tuple(blocks), ranks=ranks, direction=direction
@@ -218,15 +218,14 @@ def rank_matrix(
 def mean_ranks(m: RankMatrix) -> dict[str, float]:
     means: dict[str, float] = {}
     for j, method in enumerate(m.methods):
-        means[method] = sum(float(m.ranks[i, j]) for i in range(m.n_blocks)) / m.n_blocks
+        means[method] = sum(row[j] for row in m.ranks) / m.n_blocks
     return means
 
 
 def _tie_correction(m: RankMatrix) -> float:
     """1 - sum(t^3 - t) / (N k (k^2 - 1)); 1.0 when no ties."""
     total = 0
-    for i in range(m.n_blocks):
-        row = [float(v) for v in m.ranks[i]]
+    for row in m.ranks:
         for value in set(row):
             t = row.count(value)
             total += t**3 - t

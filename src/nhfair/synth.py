@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .records import EvaluationRun, GroupSpace, LabelSpace, RunManifest
+from .columns import EvaluationRun
+from .records import GroupSpace, LabelSpace, RunManifest
 
 _PRIOR_TOL = 1e-9
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 # The five reported metrics, in column order.
 METRIC_NAMES = ("utility", "worst", "gap", "eqodd", "dp")
+# What the eqodd column compares: the correct-classification rates or every rate.
+EQODD_VARIANTS = ("diagonal", "full")
 _PM = "±"  # plus-minus sign
 
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nhfair
 from conftest import make_run
 from nhfair.cli import build_parser, main
 from nhfair.config import OPTIONS
@@ -287,8 +291,13 @@ _LONG_FIELD = '"' + "x" * 140_000  # an unclosed quote: one field past the csv m
         ("log", "s1,pos,pos,A\n" + _LONG_FIELD, 3, "unreadable CSV record: field larger"),
         ("summary", "r1,m,0.8,0.9,0.85\n" + _LONG_FIELD, 3, "unreadable CSV record: field larger"),
         ("table", "m1,d1,1,0.8\n" + _LONG_FIELD, 3, "unreadable CSV record: field larger"),
+        # a record holding NUL, which the csv module of Python 3.10 rejects, then a fault
+        ("log", "s\x001,pos,pos,A\ns2,neg,neg,Z\n", 3, "group 'Z' not in manifest"),
+        ("summary", "r\x001,m,0.8,0.9,0.85\nr2,m,0.8,1.5,0.85\n", 3,
+         "utility '1.5' outside [0, 1]"),
+        ("table", "m\x001,d1,1,0.8\nm2,d1,one,0.9\n", 3, "bad n_seeds cell 'one'"),
     ],
-    ids=[f"{kind}-{case}" for case in ("after-break", "width-after-break", "long-field")
+    ids=[f"{kind}-{case}" for case in ("after-break", "width-after-break", "long-field", "after-nul")
          for kind in ("log", "summary", "table")],
 )
 def test_csv_fault_names_the_line_its_record_starts_on(tmp_path, capsys, kind, records, line,
@@ -312,6 +321,131 @@ def test_upper_case_suffix_log_reads_as_its_lower_case_copy(tmp_path, capsys):
             assert main([*argv, str(path.parent / "*")]) == 0
             outputs.append(capsys.readouterr())
     assert outputs[:2] == outputs[2:]
+
+
+_PATH_INPUTS = {  # file name: content
+    "run.jsonl": None,  # written from a generated run, with its manifest
+    "summ.csv": "run_id,method,a,b,overall\nr1,m,0.8,0.7,0.75\nr2,n,0.7,0.8,0.76\n",
+    "agg.csv": "method,dataset,gap\nm1,d1,0.1\nm2,d1,0.2\nm1,d2,0.15\nm2,d2,0.25\n",
+}
+
+
+def _path_inputs(directory: Path) -> None:
+    for name, text in _PATH_INPUTS.items():
+        if text is None:
+            write_run(generate(spec_for(1), method="m", dataset="d"), directory / name)
+        else:
+            (directory / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["evaluate", "sub"], "sub"),
+        (["select-erm", "sub"], "sub"),
+        (["select-erm", "s*"], "sub"),  # a pattern that matches the directory and summ.csv
+        (["select-fwh", "--baseline", "r1", "sub"], "sub"),
+        (["select-fwh", "--baseline", "sub", "summ.csv"], "sub"),
+        (["compare", "--metric", "gap", "sub"], "sub"),
+        (["compare", "--metric", "gap", "dangling.csv"], "dangling.csv"),
+    ],
+    ids=["evaluate", "select-erm", "select-erm-pattern", "select-fwh", "select-fwh-baseline",
+         "compare", "compare-dangling-link"],
+)
+def test_input_that_is_not_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, named):
+    _path_inputs(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "dangling.csv").symlink_to(tmp_path / "gone.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["evaluate", "--out", "sub", "run.jsonl"], "sub"),
+        (["select-erm", "--out", "sub", "summ.csv"], "sub"),
+        (["select-erm", "--out", "missing/t.json", "summ.csv"], "missing/t.json"),
+        (["select-fwh", "--baseline", "r1", "--out", "missing/t.json", "summ.csv"],
+         "missing/t.json"),
+        (["compare", "--metric", "gap", "--out", "sub", "agg.csv"], "sub"),
+        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "missing/cd.svg",
+          "agg.csv"], "missing/cd.svg"),
+        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "sub", "agg.csv"], "sub"),
+        (["compare", "--metric", "gap", "--out", "sub.json", "agg.csv"], "sub.svg"),
+        (["compare", "--metric", "gap", "--svg", "missing/cd.svg", "agg.csv"], "missing/cd.svg"),
+    ],
+    ids=["evaluate-out-dir", "select-erm-out-dir", "select-erm-out-missing-parent",
+         "select-fwh-out-missing-parent", "compare-out-dir", "compare-svg-missing-parent",
+         "compare-svg-dir", "compare-derived-svg-dir", "compare-stdout-svg-missing-parent"],
+)
+def test_unwritable_output_exits_2_before_anything_is_written(tmp_path, capsys, monkeypatch,
+                                                               argv, named):
+    _path_inputs(tmp_path)
+    for directory in ("sub", "sub.svg"):
+        (tmp_path / directory).mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {named}: ") and captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+def test_outputs_are_moved_into_place_leaving_no_temporary_file(tmp_path, monkeypatch):
+    _path_inputs(tmp_path)
+    (tmp_path / "cd.json").write_text("old", encoding="utf-8")
+    (tmp_path / "erm.json").write_text("old", encoding="utf-8")
+    (tmp_path / "link.json").symlink_to("erm.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--metric", "gap", "--out", "cd.json", "agg.csv"]) == 0
+    assert main(["select-erm", "--out", "link.json", "summ.csv"]) == 0  # written through
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*_PATH_INPUTS, "run.manifest.json", "cd.json", "cd.svg", "erm.json", "link.json"]
+    )
+    assert json.loads((tmp_path / "cd.json").read_text(encoding="utf-8"))["metric"] == "gap"
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads((tmp_path / "erm.json").read_text(encoding="utf-8"))["selected"]
+
+
+# Runs ``cli.main`` on the argv given as JSON (none: only imports the CLI) in
+# a fresh interpreter, then prints the exit code and which heavy modules it loaded.
+_CHILD = """
+import json, sys
+from nhfair import cli
+argv = json.loads(sys.argv[1])
+code = None if argv is None else cli.main(argv)
+heavy = ("numpy", "nhfair.columns", "nhfair.metrics", "nhfair.synth")
+print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, []),
+        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.csv"], []),
+        (["select-erm", "--out", "erm.json", "summ.csv"], []),
+        (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"], []),
+        (["evaluate", "--out", "table.csv", "run.jsonl"],
+         ["numpy", "nhfair.columns", "nhfair.metrics"]),
+    ],
+    ids=["import", "compare", "select-erm", "select-fwh", "evaluate"],
+)
+def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
+    _path_inputs(tmp_path)
+    src = str(Path(nhfair.__file__).parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(argv)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [None if argv is None else 0, loaded], child.stderr
+    if argv is not None:
+        assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
 
 
 def _fuzz_seed_files() -> dict[str, bytes]:
@@ -643,6 +777,32 @@ class TestConfig:
         cfg.write_text("eqodd = full\nmetric = gap\nformat = md\n", encoding="utf-8")
         assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 0
         assert json.loads(capsys.readouterr().out)["selected"]["run_id"] == "ra1"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            *((f"# a{c}b\nmade_up = 1\n", 2)
+              for c in ("\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")),
+            ("# a\r\nmade_up = 1\r\n", 2),
+            ("# a\r\rmade_up = 1", 3),
+        ],
+        ids=["form-feed", "vertical-tab", "x1c", "x1d", "x1e", "x85", "u2028", "u2029", "crlf",
+             "lone-cr"],
+    )
+    def test_lines_end_only_at_newline_and_carriage_return(self, tmp_path, summary_csv, capsys,
+                                                            text, line):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_bytes(text.encode("utf-8"))
+        assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line {line}: unknown key 'made_up'\n"
+
+    def test_form_feed_in_a_comment_leaves_the_next_line_a_key(self, tmp_path, summary_csv,
+                                                              capsys):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("# a\fb\ntolerance = -1\n", encoding="utf-8")
+        assert main(["select-fwh", "--config", str(cfg), "--baseline", "erm1",
+                     str(summary_csv)]) == 2
+        assert capsys.readouterr().err == "error: tolerance must be >= 0, got -1.0\n"
 
     def test_unknown_key_exits_2(self, tmp_path, summary_csv):
         cfg = tmp_path / "engine.cfg"
