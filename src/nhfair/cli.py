@@ -19,6 +19,7 @@ import argparse
 import glob
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -70,35 +71,60 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
 
 
 def _output(path: str | None) -> Path | None:
-    """The file an output goes to (None: stdout), checked before any input is read."""
+    """The file an output goes to (None: stdout), checked before any input is read.
+
+    The directory checked is the one the write reaches, through any
+    symbolic links in ``path``.
+    """
     if not path:
         return None
     target = Path(path)
     if target.is_dir():
         raise ParseError("output path is a directory", path=path)
-    if not target.parent.is_dir():
+    if not Path(os.path.realpath(target)).parent.is_dir():
         raise ParseError("output directory does not exist", path=path)
     return target
+
+
+def _replaceable(target: Path) -> bool:
+    """Whether ``target`` is a plain file path that a renamed temporary may replace.
+
+    That is a missing path, or a writable regular file that is not a
+    symbolic link, in a directory that can be written. Anything else
+    (``/dev/null``, ``/dev/stdout`` and other links, a FIFO, a file in a
+    read-only directory) is opened and written in place.
+    """
+    try:
+        mode = os.lstat(target).st_mode
+    except FileNotFoundError:
+        return True
+    return (
+        stat.S_ISREG(mode)
+        and os.access(target, os.W_OK)
+        and os.access(target.parent, os.W_OK)
+    )
 
 
 def _emit(*outputs: tuple[Path | None, str]) -> None:
     """Write each text to its file, or to stdout where the file is None.
 
-    Each file is written beside its target under a temporary name and
-    moved into place only once every file is written, so a failed command
-    leaves no partial output. A target that is a symbolic link is written
-    through, as a plain write would.
+    A plain file (see :func:`_replaceable`) is written beside its target
+    under a temporary name and moved into place only once every output is
+    written, so a failed command leaves no partial file there.
     """
     staged: list[tuple[Path, Path]] = []
     try:
         for i, (target, text) in enumerate(outputs):
             if target is None:
                 sys.stdout.write(text)
-                continue
-            target = Path(os.path.realpath(target))
-            temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
-            staged.append((temporary, target))
-            temporary.write_text(text, encoding="utf-8")
+            elif _replaceable(target):
+                temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+                staged.append((temporary, target))
+                temporary.write_text(text, encoding="utf-8")
+                if target.exists():  # the replaced file keeps its permission bits
+                    temporary.chmod(stat.S_IMODE(target.stat().st_mode))
+            else:
+                target.write_text(text, encoding="utf-8")
         for temporary, target in staged:
             os.replace(temporary, target)
     finally:

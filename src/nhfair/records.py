@@ -8,10 +8,9 @@ documented on :func:`parse_run` and :func:`write_run`. This module also
 reads summary tables (:func:`parse_summaries`) and holds the text and
 CSV rules every reader shares (:func:`read_text`, :func:`read_csv_table`).
 
-A run's records are held as numpy columns by ``columns.EvaluationRun``,
-also reachable here as ``records.EvaluationRun``. That module, and numpy
-with it, is imported only when a log is read or written, so reading
-summary tables needs neither.
+A run's records are held as numpy columns by ``columns.EvaluationRun``.
+That module, and numpy with it, is imported only when a log is read or
+written, so reading summary tables needs neither.
 
 Everything here is an immutable value object. Parsing is a pure function
 of the file bytes, so files may be parsed concurrently and the results
@@ -45,14 +44,6 @@ UTILITY_KINDS = ("accuracy", "auc")
 
 # Reserved summary-CSV column names; every other column is a group.
 _SUMMARY_RESERVED = ("run_id", "method", "overall", "dp", "eqodd")
-
-
-def __getattr__(name: str) -> object:
-    if name == "EvaluationRun":  # the columnar run needs numpy: load it on first use
-        from .columns import EvaluationRun
-
-        return EvaluationRun
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -375,16 +376,19 @@ def test_input_that_is_not_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatc
         (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "sub", "agg.csv"], "sub"),
         (["compare", "--metric", "gap", "--out", "sub.json", "agg.csv"], "sub.svg"),
         (["compare", "--metric", "gap", "--svg", "missing/cd.svg", "agg.csv"], "missing/cd.svg"),
+        (["select-erm", "--out", "astray.json", "summ.csv"], "astray.json"),
     ],
     ids=["evaluate-out-dir", "select-erm-out-dir", "select-erm-out-missing-parent",
          "select-fwh-out-missing-parent", "compare-out-dir", "compare-svg-missing-parent",
-         "compare-svg-dir", "compare-derived-svg-dir", "compare-stdout-svg-missing-parent"],
+         "compare-svg-dir", "compare-derived-svg-dir", "compare-stdout-svg-missing-parent",
+         "select-erm-out-link-to-missing-parent"],
 )
 def test_unwritable_output_exits_2_before_anything_is_written(tmp_path, capsys, monkeypatch,
                                                                argv, named):
     _path_inputs(tmp_path)
     for directory in ("sub", "sub.svg"):
         (tmp_path / directory).mkdir()
+    (tmp_path / "astray.json").symlink_to(tmp_path / "missing" / "t.json")
     before = sorted(p.name for p in tmp_path.rglob("*"))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -396,6 +400,7 @@ def test_unwritable_output_exits_2_before_anything_is_written(tmp_path, capsys, 
 def test_outputs_are_moved_into_place_leaving_no_temporary_file(tmp_path, monkeypatch):
     _path_inputs(tmp_path)
     (tmp_path / "cd.json").write_text("old", encoding="utf-8")
+    (tmp_path / "cd.json").chmod(0o600)
     (tmp_path / "erm.json").write_text("old", encoding="utf-8")
     (tmp_path / "link.json").symlink_to("erm.json")
     monkeypatch.chdir(tmp_path)
@@ -405,8 +410,74 @@ def test_outputs_are_moved_into_place_leaving_no_temporary_file(tmp_path, monkey
         [*_PATH_INPUTS, "run.manifest.json", "cd.json", "cd.svg", "erm.json", "link.json"]
     )
     assert json.loads((tmp_path / "cd.json").read_text(encoding="utf-8"))["metric"] == "gap"
+    assert stat.S_IMODE((tmp_path / "cd.json").stat().st_mode) == 0o600
     assert (tmp_path / "link.json").is_symlink()
     assert json.loads((tmp_path / "erm.json").read_text(encoding="utf-8"))["selected"]
+
+
+def test_file_in_read_only_directory_is_written_in_place(tmp_path, monkeypatch):
+    _path_inputs(tmp_path)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "erm.json").write_text("old", encoding="utf-8")
+    locked.chmod(0o555)  # no temporary file can be made here (unless run as root)
+    monkeypatch.chdir(tmp_path)
+    try:
+        assert main(["select-erm", "--out", "locked/erm.json", "summ.csv"]) == 0
+    finally:
+        locked.chmod(0o755)
+    assert [p.name for p in locked.iterdir()] == ["erm.json"]
+    assert json.loads((locked / "erm.json").read_text(encoding="utf-8"))["selected"]
+
+
+@pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "link-to-fifo"])
+def test_output_to_a_fifo_is_written_in_place(tmp_path, monkeypatch, through_link):
+    _path_inputs(tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    out = fifo
+    if through_link:
+        out = tmp_path / "out.json"
+        out.symlink_to(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the write open the FIFO
+    monkeypatch.chdir(tmp_path)
+    try:
+        assert main(["select-erm", "--out", str(out), "summ.csv"]) == 0
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert json.loads(received)["selected"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert out.is_symlink() == through_link
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def _child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this nhfair."""
+    src = str(Path(nhfair.__file__).parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_out_dev_stdout_writes_to_the_stdout_given(tmp_path):
+    _path_inputs(tmp_path)
+    argv = [sys.executable, "-m", "nhfair.cli", "select-erm", "--out", "/dev/stdout", "summ.csv"]
+    piped = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True, text=True,
+                           check=False)
+    assert piped.returncode == 0, piped.stderr
+    assert json.loads(piped.stdout)["selected"]
+    log = tmp_path / "log.txt"
+    log.write_text("", encoding="utf-8")
+    inode = log.stat().st_ino
+    with open(log, "a", encoding="utf-8") as stdout:
+        child = subprocess.run(argv, cwd=tmp_path, env=_child_env(), stdout=stdout,
+                               stderr=subprocess.PIPE, text=True, check=False)
+    assert child.returncode == 0, child.stderr
+    assert log.stat().st_ino == inode  # written through, not replaced
+    assert log.read_text(encoding="utf-8") == piped.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*_PATH_INPUTS, "run.manifest.json", "log.txt"]
+    )
 
 
 # Runs ``cli.main`` on the argv given as JSON (none: only imports the CLI) in
@@ -435,12 +506,9 @@ print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
 )
 def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
     _path_inputs(tmp_path)
-    src = str(Path(nhfair.__file__).parents[1])
-    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argv)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, check=False,
     )
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == [None if argv is None else 0, loaded], child.stderr

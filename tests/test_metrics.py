@@ -20,7 +20,7 @@ from nhfair.metrics import (
     pooled_auc,
     worst,
 )
-from nhfair.records import EvaluationRun
+from nhfair.columns import EvaluationRun
 
 
 class TestConfusion:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhfair.columns import EvaluationRun
 from nhfair.errors import (
     DuplicateSampleId,
     EmptyGroup,
@@ -26,7 +27,6 @@ from nhfair.errors import AllGroupsDegenerate, NoEvaluableClass
 from nhfair.metrics import metric_report
 from nhfair.oracle import oracle_metrics
 from nhfair.records import (
-    EvaluationRun,
     GroupSpace,
     LabelSpace,
     PredictionRecord,
