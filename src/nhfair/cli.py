@@ -41,6 +41,7 @@ from .records import (
     parse_run,
     parse_summaries,
     read_csv_table,
+    require_distinct_columns,
 )
 from .selection import CandidatePoint
 from .svgplot import render_cd_plot
@@ -270,6 +271,7 @@ def cmd_select_fwh(config: EngineConfig) -> int:
 
 def _cells_from_csv(path: Path, metric: str) -> list[stats.AggregateCell]:
     header, rows, lines, fault = read_csv_table(path, ParseError)
+    require_distinct_columns(header or [], path)
     for column in (metric, "method", "dataset"):
         if column not in (header or []):
             raise ParseError(f"column {column!r} not found", path=str(path), line=1)
@@ -285,9 +287,9 @@ def _cells_from_csv(path: Path, metric: str) -> list[stats.AggregateCell]:
         try:
             n_seeds = int(row.get("n_seeds") or 1)
         except ValueError:
-            raise ParseError(
-                f"bad n_seeds cell {row['n_seeds']!r}", path=str(path), line=line
-            ) from None
+            n_seeds = 0
+        if n_seeds < 1:
+            raise ParseError(f"bad n_seeds cell {row['n_seeds']!r}", path=str(path), line=line)
         cells.append(
             stats.AggregateCell(
                 method=row["method"],

@@ -5,19 +5,20 @@ for table output. Conventions:
 
 * ``gap``   = max group utility - min group utility (lower is fairer)
 * ``worst`` = min group utility (higher is fairer)
-* ``dp``    = 1 - worst pairwise difference in predicted-class rates,
-  restricted to the positive class for binary tasks and taken over all
-  classes for multi-class tasks
-* ``eqodd`` = per-class parity of correct-classification rates,
-  averaged over classes whose (group, class) cells are all populated
+* ``dp``    = 1 - the worst difference between groups (max - min) in
+  predicted-class rates, restricted to the positive class for binary
+  tasks and taken over all classes for multi-class tasks
+* ``eqodd`` = per-class parity (1 - (max - min) over groups) of
+  correct-classification rates, averaged over classes whose (group,
+  class) cells are all populated
 
 Degenerate cells are never silently NaN: single-class groups get AUC 0.5
 plus a warning, and classes empty in some group are skipped from eqodd
-with a warning. Every function is pure; runs may be evaluated in
-parallel. The kernels work on a run's columns: the confusion tensor is
-one ``bincount`` and AUC a mid-rank sum over masked score columns.
-Within a run, sums follow the canonical record order, so results are
-identical regardless of thread count.
+with a warning. Every function is pure. The kernels work on a run's
+columns: the confusion tensor is one ``bincount``, AUC a mid-rank sum
+over masked score columns, and the other metrics are reductions of the
+confusion tensor. Within a run, sums follow the canonical record order,
+so results do not depend on the order of the input records.
 """
 
 from __future__ import annotations
@@ -91,12 +92,8 @@ def confusion(run: EvaluationRun) -> ConfusionTensor:
 
 def group_accuracy(t: ConfusionTensor) -> GroupUtilityVector:
     """Per-group accuracy: correct count over group size."""
-    utility: dict[str, float] = {}
-    for i, g in enumerate(t.groups):
-        correct = int(np.trace(t.counts[i]))
-        n = int(t.counts[i].sum())
-        utility[g] = correct / n
-    return GroupUtilityVector(utility=utility, utility_kind="accuracy")
+    rates = t.counts.trace(axis1=1, axis2=2) / t.counts.sum(axis=(1, 2))
+    return GroupUtilityVector(utility=dict(zip(t.groups, rates.tolist())), utility_kind="accuracy")
 
 
 def _mid_ranks(values: np.ndarray) -> np.ndarray:
@@ -164,35 +161,23 @@ def worst(v: GroupUtilityVector) -> float:
     return min(v.values_in_order())
 
 
-def _prediction_rates(t: ConfusionTensor) -> list[list[float]]:
-    """rates[g][c] = fraction of group g predicted as class c."""
-    rates: list[list[float]] = []
-    for i in range(len(t.groups)):
-        n = int(t.counts[i].sum())
-        rates.append([int(t.counts[i, :, c].sum()) / n for c in range(len(t.labels))])
-    return rates
+def _spread(rates: np.ndarray) -> np.ndarray:
+    # The worst |rate_a - rate_b| over the groups (axis 0) is max - min: a rounded
+    # difference is monotone in each operand, so no pair rounds above (max, min).
+    return rates.max(axis=0) - rates.min(axis=0)
 
 
 def demographic_parity(t: ConfusionTensor, positive_label: str) -> float:
-    """1 minus the worst pairwise predicted-rate difference.
+    """1 minus the worst difference between groups in predicted-class rates.
 
     Binary tasks compare only the positive class; multi-class tasks take
-    the maximum over classes as well as group pairs.
+    the maximum over classes as well.
     """
-    rates = _prediction_rates(t)
-    n_groups = len(t.groups)
+    predicted = t.counts.sum(axis=1)  # (G, C) records predicted as each class
+    rates = predicted / predicted.sum(axis=1, keepdims=True)
     if len(t.labels) == 2:
-        classes = [t.labels.index(positive_label)]
-    else:
-        classes = list(range(len(t.labels)))
-    worst_diff = 0.0
-    for c in classes:
-        for a in range(n_groups):
-            for b in range(a + 1, n_groups):
-                diff = abs(rates[a][c] - rates[b][c])
-                if diff > worst_diff:
-                    worst_diff = diff
-    return 1.0 - worst_diff
+        rates = rates[:, t.labels.index(positive_label)]
+    return 1.0 - float(_spread(rates).max())
 
 
 def equalized_odds(t: ConfusionTensor, variant: str = "diagonal") -> tuple[float, list[str]]:
@@ -205,30 +190,20 @@ def equalized_odds(t: ConfusionTensor, variant: str = "diagonal") -> tuple[float
     """
     if variant not in EQODD_VARIANTS:
         raise ValueError(f"unknown eqodd variant {variant!r}")
-    n_groups = len(t.groups)
-    n_classes = len(t.labels)
-    class_totals = [[int(t.counts[g, y].sum()) for y in range(n_classes)] for g in range(n_groups)]
-
-    warnings: list[str] = []
-    scores: list[float] = []
-    for y in range(n_classes):
-        empty = [t.groups[g] for g in range(n_groups) if class_totals[g][y] == 0]
-        if empty:
-            warnings.append(
-                f"eqodd: class {t.labels[y]} skipped (no samples in group(s) {', '.join(empty)})"
-            )
-            continue
-        predicted = [y] if variant == "diagonal" else list(range(n_classes))
-        for c in predicted:
-            worst_diff = 0.0
-            for a in range(n_groups):
-                for b in range(a + 1, n_groups):
-                    rate_a = int(t.counts[a, y, c]) / class_totals[a][y]
-                    rate_b = int(t.counts[b, y, c]) / class_totals[b][y]
-                    diff = abs(rate_a - rate_b)
-                    if diff > worst_diff:
-                        worst_diff = diff
-            scores.append(1.0 - worst_diff)
+    totals = t.counts.sum(axis=2)  # (G, C) records of each true class
+    evaluable = totals.all(axis=0)
+    warnings = [
+        f"eqodd: class {t.labels[y]} skipped (no samples in group(s) "
+        f"{', '.join(g for g, n in zip(t.groups, totals[:, y]) if not n)})"
+        for y in np.flatnonzero(~evaluable)
+    ]
+    ys = np.flatnonzero(evaluable)
+    if variant == "diagonal":
+        rates = t.counts[:, ys, ys] / totals[:, ys]
+    else:
+        rates = t.counts[:, ys] / totals[:, ys, None]
+    # class order, then predicted-class order; Python's sum keeps the last bit
+    scores = (1.0 - _spread(rates)).ravel().tolist()
     if not scores:
         raise NoEvaluableClass("every class has an empty (group, class) cell")
     return sum(scores) / len(scores), warnings
@@ -237,42 +212,31 @@ def equalized_odds(t: ConfusionTensor, variant: str = "diagonal") -> tuple[float
 def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> MetricReport:
     """Compute the full five-metric bundle for one run."""
     t = confusion(run)
-    warnings: list[str] = []
-
     if run.manifest.utility_kind == "auc":
-        utilities, auc_warnings = group_auc(run)
-        warnings.extend(auc_warnings)
+        utilities, warnings = group_auc(run)
         overall = pooled_auc(run)
     else:
-        utilities = group_accuracy(t)
-        correct = int(np.trace(t.counts.sum(axis=0)))
-        overall = correct / len(run.sample_ids)
-
-    g = gap(utilities)
-    w = worst(utilities)
-    dp = demographic_parity(t, run.manifest.label_space.positive_label)
-    eqodd, eq_warnings = equalized_odds(t, variant=eqodd_variant)
-    warnings.extend(eq_warnings)
-
-    for grp in t.groups:
-        n = t.n_group(grp)
-        if n < 2:
-            warnings.append(f"thin support: group {grp} has only {n} record(s)")
-
-    if run.manifest.utility_kind == "accuracy":
+        utilities, warnings = group_accuracy(t), []
+        overall = int(np.trace(t.counts.sum(axis=0))) / len(run.sample_ids)
         values = utilities.values_in_order()
         if not (min(values) - 1e-12 <= overall <= max(values) + 1e-12):
             raise InternalInvariantViolation(
                 f"pooled accuracy {overall} outside group accuracy range "
                 f"[{min(values)}, {max(values)}]"
             )
-
+    dp = demographic_parity(t, run.manifest.label_space.positive_label)
+    eqodd, eq_warnings = equalized_odds(t, variant=eqodd_variant)
+    thin = [
+        f"thin support: group {g} has only {n} record(s)"
+        for g, n in zip(t.groups, t.counts.sum(axis=(1, 2)).tolist())
+        if n < 2
+    ]
     return MetricReport(
         overall=overall,
-        worst=w,
-        gap=g,
+        worst=worst(utilities),
+        gap=gap(utilities),
         dp=dp,
         eqodd=eqodd,
-        warnings=tuple(warnings),
+        warnings=(*warnings, *eq_warnings, *thin),
         group_utilities=utilities,
     )

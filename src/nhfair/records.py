@@ -260,6 +260,15 @@ def _csv_records(
     return header, rows, lines, None
 
 
+def require_distinct_columns(names: Sequence[str], path: Path) -> None:
+    """Reject a table header that names a column twice, naming the first repeat."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise MalformedRow(f"column {name!r} is repeated", path=str(path), line=1)
+        seen.add(name)
+
+
 def _load_manifest(record_path: Path) -> RunManifest:
     mpath = _manifest_path(record_path)
     if not mpath.exists():
@@ -378,9 +387,9 @@ def parse_summaries(path: str | Path) -> list[RunSummary]:
 
     Columns named ``dp``/``eqodd`` (optionally %-marked) populate the
     corresponding optional fields; every other non-reserved column is a
-    group utility. Values in percent units must be marked with ``%`` on
-    the header or on the value itself; unmarked values must already lie
-    in [0, 1].
+    group utility. Column names, ``%`` marker aside, must be distinct.
+    Values in percent units must be marked with ``%`` on the header or on
+    the value itself; unmarked values must already lie in [0, 1].
     """
     path = Path(path)
     if not path.exists():
@@ -391,6 +400,7 @@ def parse_summaries(path: str | Path) -> list[RunSummary]:
 
     columns = [_percent_marked(col) for col in header]  # (name, percent marker)
     names = [name for name, _ in columns]
+    require_distinct_columns(names, path)
     if "run_id" not in names or "method" not in names or "overall" not in names:
         raise MalformedRow(
             "header must contain run_id, method and overall columns",

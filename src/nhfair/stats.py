@@ -101,10 +101,10 @@ def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow
     """Collapse per-seed reports into one table row per (method, dataset, split).
 
     Seeds must be distinct within a row and its runs must share one
-    utility kind. Warnings are merged in input order without repeats;
-    means and sample stds (n - 1, zero for a single seed) are taken in
-    seed order. Rows come back in table order: by dataset, then method,
-    then split.
+    utility kind. Warnings are merged without repeats, and means and
+    sample stds (n - 1, zero for a single seed) taken, in seed order, so
+    a row does not depend on the order of its inputs. Rows come back in
+    table order: by dataset, then method, then split.
     """
     groups: dict[tuple[str, str, str], list[tuple[MetricReport, RunManifest]]] = {}
     mixed: RunManifest | None = None  # first run, in input order, of a second kind
@@ -126,12 +126,9 @@ def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow
 
     rows: list[ReportRow] = []
     for (method, dataset, split), entries in groups.items():
-        values = [report.as_dict() for report, _ in sorted(entries, key=lambda e: e[1].seed)]
-        warnings: list[str] = []
-        for report, _ in entries:
-            for warning in report.warnings:
-                if warning not in warnings:
-                    warnings.append(warning)
+        in_seed_order = [report for report, _ in sorted(entries, key=lambda e: e[1].seed)]
+        values = [report.as_dict() for report in in_seed_order]
+        warnings = dict.fromkeys(w for report in in_seed_order for w in report.warnings)
         rows.append(
             ReportRow(
                 method=method,

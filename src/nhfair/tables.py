@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 # The five reported metrics, in column order.
@@ -35,11 +36,15 @@ def fmt_mean_std(mean: float, std: float, units: str, n: int) -> str:
 
 
 def parse_mean_std(cell: str) -> tuple[float, float]:
-    """Invert fmt_mean_std; a plain number means std 0."""
+    """Invert fmt_mean_std; a plain number means std 0. ValueError unless both are finite."""
     if _PM in cell:
         left, right = cell.split(_PM, 1)
-        return float(left.strip()), float(right.strip())
-    return float(cell.strip()), 0.0
+        mean, std = float(left.strip()), float(right.strip())
+    else:
+        mean, std = float(cell.strip()), 0.0
+    if not math.isfinite(mean) or not math.isfinite(std):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return mean, std
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,22 @@ class TestEvaluate:
         assert main(["evaluate", "--jobs", "4", "--out", str(out4), str(run_dir / "*.jsonl")]) == 0
         assert out1.read_bytes() == out2.read_bytes() == out4.read_bytes()
 
+    def test_warnings_do_not_depend_on_log_order(self, tmp_path, capsys):
+        # seed 1: group A has one record and no neg; seed 0: group B has no neg
+        for name, seed, triples in (
+            ("a-s1.jsonl", 1, [("pos", "pos", "A"), ("neg", "neg", "B"),
+                               ("pos", "neg", "B"), ("neg", "pos", "B")]),
+            ("b-s0.jsonl", 0, [("pos", "pos", "A"), ("neg", "neg", "A"),
+                               ("pos", "pos", "B"), ("pos", "neg", "B")]),
+        ):
+            write_run(make_run(triples, seed=seed), tmp_path / name)
+        outputs = []
+        for order in (("a-s1", "b-s0"), ("b-s0", "a-s1")):
+            assert main(["evaluate", *(str(tmp_path / f"{n}.jsonl") for n in order)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "class neg skipped (no samples in group(s) B); eqodd: class neg" in outputs[0]
+
     def test_unmatched_pattern_exits_2(self, run_dir, capsys):
         missing = str(run_dir / "missing.jsonl")
         code = main(["evaluate", str(run_dir / "erm-demo-s1.jsonl"), missing])
@@ -309,6 +325,42 @@ def test_csv_fault_names_the_line_its_record_starts_on(tmp_path, capsys, kind, r
     (tmp_path / "log.manifest.json").write_text(_LOG_MANIFEST, encoding="utf-8")
     assert main([*argv, str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "kind, header, column",
+    [
+        ("summary", "run_id,method,a,a,overall", "a"),
+        ("summary", "run_id,method,a,a%,overall", "a"),
+        ("summary", "run_id,method,a,b,overall,overall%", "overall"),
+        ("table", "method,dataset,n_seeds,utility,utility", "utility"),
+        ("table", "method,dataset,method,utility", "method"),
+    ],
+)
+def test_repeated_column_name_exits_2_at_line_1(tmp_path, capsys, kind, header, column):
+    argv, _ = _CSV_INPUTS[kind]
+    path = tmp_path / f"{kind}.csv"
+    width = header.count(",") + 1
+    path.write_text(f"{header}\n" + ",".join(["m", "d"] + ["0.5"] * (width - 2)) + "\n",
+                    encoding="utf-8")
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 1: column {column!r} is repeated\n"
+
+
+def test_repeated_score_column_of_a_log_keeps_the_last_non_blank_cell(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    (tmp_path / "log.manifest.json").write_text(
+        _LOG_MANIFEST.replace('"accuracy"', '"auc"'), encoding="utf-8"
+    )
+    outputs = []
+    for scores in (("0.3,0.9", "0.1,", ",0.8", "0.7,0.2"), ("0.9", "0.1", "0.8", "0.2")):
+        header = "sample_id,y,y_hat,group,score:pos" + (",score:pos" if "," in scores[0] else "")
+        rows = [f"s{i},{y},{y},{g},{s}" for i, (y, g, s) in enumerate(
+            zip(("pos", "neg", "pos", "neg"), "AABB", scores))]
+        log.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert main(["evaluate", str(log)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_upper_case_suffix_log_reads_as_its_lower_case_copy(tmp_path, capsys):
@@ -786,7 +838,16 @@ class TestCompare:
 
     @pytest.mark.parametrize(
         "row, fault",
-        [('erm,"v2",d2,5,2.0\n', "fields"), ("erm,d2,five,2.0\n", "n_seeds")],
+        [
+            ('erm,"v2",d2,5,2.0\n', "fields"),
+            ("erm,d2,five,2.0\n", "n_seeds"),
+            ("erm,d2,0,2.0\n", "bad n_seeds cell '0'"),
+            ("erm,d2,-3,2.0\n", "bad n_seeds cell '-3'"),
+            ("erm,d2,5,nan\n", "bad gap cell 'nan'"),
+            ("erm,d2,5,inf\n", "bad gap cell 'inf'"),
+            ("erm,d2,5,1e999\n", "bad gap cell '1e999'"),
+            ("erm,d2,5,2.0 ± nan\n", "bad gap cell '2.0 ± nan'"),
+        ],
     )
     def test_malformed_row_exits_2_with_line(self, tmp_path, capsys, row, fault):
         table = tmp_path / "agg.csv"

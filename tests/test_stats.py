@@ -111,7 +111,7 @@ class TestAggregate:
         with pytest.raises(DuplicateSeed, match=r"duplicate seed\(s\) \[1\] for method=b"):
             aggregate(pairs)
 
-    def test_rows_in_table_order_with_warnings_merged_in_input_order(self):
+    def test_rows_in_table_order_with_warnings_merged_in_seed_order(self):
         def warned(*warnings):
             return MetricReport(
                 overall=0.5, worst=0.5, gap=0.0, dp=1.0, eqodd=1.0, warnings=warnings
@@ -124,7 +124,8 @@ class TestAggregate:
         ]
         rows = aggregate(pairs)
         assert [(r.dataset, r.method) for r in rows] == [("d0", "z"), ("d1", "b")]
-        assert rows[1].warnings == ("w2", "w1", "w3")
+        assert rows[1].warnings == ("w1", "w3", "w2")  # seed 1, then seed 2
+        assert aggregate(pairs[::-1]) == rows
         assert rows[1].utility_kind == "accuracy"
         assert list(rows[1].metrics) == ["utility", "worst", "gap", "eqodd", "dp"]
 
