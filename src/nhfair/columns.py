@@ -13,6 +13,11 @@ decodes each file once into these columns and validates them with array
 operations. For callers that want rows, ``EvaluationRun.records`` is a
 read-only view of the same records as ``PredictionRecord`` values, and
 ``EvaluationRun.from_records`` builds a run from rows.
+:func:`write_records` writes the records column by column, streamed to
+the file: each column is formatted once (strings quoted by json's own
+encoder, each label and group name once per run; scores by
+``float.__repr__``), and the bytes are those of one ``json.dumps`` per
+record.
 
 Column arrays are read-only. Parsing is a pure function of the file
 bytes, so files may be parsed concurrently and the results shared across
@@ -24,10 +29,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -49,6 +54,8 @@ from .records import PredictionRecord, RunManifest, read_csv_table
 _FIELDS = ("sample_id", "y", "y_hat", "group")
 _get_fields = itemgetter(*_FIELDS)
 _scan_json = json.JSONDecoder().scan_once
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' own string encoder
+_SCORES_KEY = ', "scores": {'
 _NO_SCORES: dict[str, object] = {}
 
 
@@ -506,33 +513,73 @@ def parse_records(path: Path, format: str, manifest: RunManifest) -> EvaluationR
     return _parse_csv(path, manifest)
 
 
+def _score_cells(
+    column: np.ndarray, prefix: str, non_finite: Callable[[float], str]
+) -> Iterator[str]:
+    """Lazily, ``prefix + repr(score)`` per record; NaN (absent) gives ``""``.
+
+    A present score that is not finite is written ``prefix + non_finite(score)``.
+    """
+    values = column.tolist()
+    special = {
+        row: prefix + non_finite(values[row]) if values[row] == values[row] else ""
+        for row in np.flatnonzero(~np.isfinite(column)).tolist()
+    }
+    return map(special.get, count(), map(prefix.__add__, map(float.__repr__, values)))
+
+
+def _jsonl_lines(run: EvaluationRun) -> Iterator[str]:
+    """Each record as the line ``json.dumps`` writes for it, built column by column.
+
+    Strings are quoted by json's own encoder, each label and group name
+    once; present scores follow in label order, and a record without one
+    gets no ``"scores"`` key.
+    """
+    manifest = run.manifest
+    labels = [*map(_quote, manifest.label_space.labels)]
+    groups = [*map(_quote, manifest.group_space.groups)]
+    cells = [
+        _score_cells(run.scores[:, c], f", {label}: ", json.dumps)
+        for c, label in enumerate(labels)
+        if not np.isnan(run.scores[:, c]).all()
+    ]
+    scores = map("".join, zip(*cells)) if cells else repeat("")
+    return (
+        f'{{"sample_id": {sample_id}, "y": {y}, "y_hat": {y_hat}, "group": {group}'
+        f'{_SCORES_KEY + pairs[2:] + "}" if pairs else ""}}}\n'
+        for sample_id, y, y_hat, group, pairs in zip(
+            map(_quote, run.sample_ids.tolist()),
+            map(labels.__getitem__, run.y.tolist()),
+            map(labels.__getitem__, run.y_hat.tolist()),
+            map(groups.__getitem__, run.group.tolist()),
+            scores,
+        )
+    )
+
+
 def write_records(run: EvaluationRun, path: Path, format: str) -> None:
-    """Write a run's records as ``jsonl`` or ``csv``, in sample_id order."""
+    """Write a run's records as ``jsonl`` or ``csv``, in sample_id order.
+
+    Records are formatted column by column and streamed to the file; the
+    bytes are those of one ``json.dumps`` per JSONL record, or of a CSV row
+    with ``repr`` of each score and a blank cell for an absent one.
+    """
+    if format == "jsonl":
+        with path.open("w", encoding="utf-8") as handle:
+            handle.writelines(_jsonl_lines(run))
+        return
     manifest = run.manifest
     labels = manifest.label_space.labels
-    rows = zip(
+    columns = [
         run.sample_ids.tolist(),
         map(labels.__getitem__, run.y.tolist()),
         map(labels.__getitem__, run.y_hat.tolist()),
         map(manifest.group_space.groups.__getitem__, run.group.tolist()),
-    )
-    if format == "jsonl":
-        with path.open("w", encoding="utf-8") as handle:
-            for (sample_id, y, y_hat, group), scores in zip(rows, _score_maps(run)):
-                obj: dict[str, object] = {
-                    "sample_id": sample_id, "y": y, "y_hat": y_hat, "group": group,
-                }
-                if scores:
-                    obj["scores"] = scores
-                handle.write(json.dumps(obj) + "\n")
-    else:
-        scored = not np.isnan(run.scores).all()
-        if scored:
-            rows = (
-                [*fields, *(repr(v) if v == v else "" for v in scores)]  # NaN: blank cell
-                for fields, scores in zip(rows, run.scores.tolist())
-            )
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([*_FIELDS, *(f"score:{lb}" for lb in labels if scored)])
-            writer.writerows(rows)
+    ]
+    scored = not np.isnan(run.scores).all()
+    if scored:
+        columns += [_score_cells(run.scores[:, c], "", repr) for c in range(len(labels))]
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*_FIELDS, *(f"score:{lb}" for lb in labels if scored)])
+        writer.writerows(zip(*columns))

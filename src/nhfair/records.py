@@ -189,14 +189,16 @@ def utf8_fault(path: Path) -> ParseError | None:
 def read_text(path: Path) -> str:
     """The whole of a text file, line ends kept as they are.
 
-    A file that is not UTF-8, or that is missing (say, a dangling link that
-    a pattern matched), is a ParseError.
+    A file that is not UTF-8, that is missing (say, a dangling link that
+    a pattern matched) or that is a directory is a ParseError.
     """
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
             return handle.read()
     except FileNotFoundError:
         raise ParseError("file not found", path=str(path)) from None
+    except IsADirectoryError:
+        raise ParseError("is a directory, expected a file", path=str(path)) from None
     except UnicodeDecodeError as exc:
         raise (utf8_fault(path) or exc) from None  # exc only if the file changed meanwhile
 
@@ -339,7 +341,10 @@ def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -
     """Serialize a run to JSONL or CSV plus the manifest sidecar.
 
     Round-trip stable: ``parse_run(write_run(run)) == run`` for any valid
-    run (records are written in canonical sample_id order).
+    run (records are written in canonical sample_id order). Records are
+    formatted column by column and streamed to the file, never held whole
+    in memory; the bytes are those of one ``json.dumps`` per JSONL record,
+    or of a CSV row with ``repr`` of each score.
     """
     path = Path(path)
     format = _record_format(path, format)

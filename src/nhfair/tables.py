@@ -36,7 +36,10 @@ def fmt_mean_std(mean: float, std: float, units: str, n: int) -> str:
 
 
 def parse_mean_std(cell: str) -> tuple[float, float]:
-    """Invert fmt_mean_std; a plain number means std 0. ValueError unless both are finite."""
+    """Invert fmt_mean_std; a plain number means std 0.
+
+    ValueError unless both are finite and the std is not negative.
+    """
     if _PM in cell:
         left, right = cell.split(_PM, 1)
         mean, std = float(left.strip()), float(right.strip())
@@ -44,6 +47,8 @@ def parse_mean_std(cell: str) -> tuple[float, float]:
         mean, std = float(cell.strip()), 0.0
     if not math.isfinite(mean) or not math.isfinite(std):
         raise ValueError(f"not a finite number: {cell!r}")
+    if std < 0.0:
+        raise ValueError(f"negative std: {cell!r}")
     return mean, std
 
 

@@ -401,13 +401,16 @@ def _path_inputs(directory: Path) -> None:
         (["select-fwh", "--baseline", "sub", "summ.csv"], "sub"),
         (["compare", "--metric", "gap", "sub"], "sub"),
         (["compare", "--metric", "gap", "dangling.csv"], "dangling.csv"),
+        (["evaluate", "lone.jsonl"], "lone.manifest.json"),
     ],
     ids=["evaluate", "select-erm", "select-erm-pattern", "select-fwh", "select-fwh-baseline",
-         "compare", "compare-dangling-link"],
+         "compare", "compare-dangling-link", "evaluate-manifest-dir"],
 )
 def test_input_that_is_not_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, named):
     _path_inputs(tmp_path)
     (tmp_path / "sub").mkdir()
+    (tmp_path / "lone.jsonl").write_bytes((tmp_path / "run.jsonl").read_bytes())
+    (tmp_path / "lone.manifest.json").mkdir()
     (tmp_path / "dangling.csv").symlink_to(tmp_path / "gone.csv")
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -637,6 +640,51 @@ def test_corrupt_input_exits_0_or_2_naming_the_file(target, data):
         assert any(f"error: {directory / name}: " in message for name in named), message
 
 
+def _break_path(directory: Path, name: str, kind: str) -> Path:
+    """The path, standing for ``directory / name``, of ``kind``.
+
+    A directory in place of the file, a file under a missing directory,
+    or a link in place of the file to a missing file beside it.
+    """
+    path = directory / name
+    path.unlink(missing_ok=True)
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "missing parent":
+        return directory / "missing" / name
+    else:
+        path.symlink_to(directory / f"gone-{name}")
+    return path
+
+
+@given(target=st.sampled_from(sorted(_FUZZ_TARGETS)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_path_kind_of_input_or_out_exits_0_or_2_naming_it(target, data):
+    argv, named = _FUZZ_TARGETS[target]
+    broken = data.draw(st.sampled_from([target, "out.json"]), label="broken")
+    kinds = ["directory", "dangling link"]
+    if broken != "run.manifest.json":  # found beside its log, so never under another directory
+        kinds.append("missing parent")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, content in _FUZZ_FILES.items():
+            (directory / name).write_bytes(content)
+        paths = {name: directory / name for name in _FUZZ_FILES}
+        paths[broken] = _break_path(directory, broken, kind)
+        args = [str(paths[a]) if a in paths else a for a in argv]
+        if broken == "out.json":
+            args[1:1] = ["--out", str(paths[broken])]
+            named = ("out.json",)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    message = err.getvalue()
+    assert code in (0, 2), message
+    if code == 2:
+        assert any(str(paths[name]) in message for name in named), message
+
+
 class TestSelectFromLogs:
     @pytest.fixture
     def logs(self, tmp_path):
@@ -847,6 +895,7 @@ class TestCompare:
             ("erm,d2,5,inf\n", "bad gap cell 'inf'"),
             ("erm,d2,5,1e999\n", "bad gap cell '1e999'"),
             ("erm,d2,5,2.0 ± nan\n", "bad gap cell '2.0 ± nan'"),
+            ("erm,d2,5,0.9 ± -0.5\n", "bad gap cell '0.9 ± -0.5'"),
         ],
     )
     def test_malformed_row_exits_2_with_line(self, tmp_path, capsys, row, fault):

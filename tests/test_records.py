@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -481,6 +484,87 @@ def test_write_parse_reproduces_columns_rows_and_oracle(built):
             for field in ("overall", "worst", "gap", "dp", "eqodd"):
                 assert getattr(engine, field) == pytest.approx(getattr(oracle, field), abs=1e-12)
             assert sorted(engine.warnings) == sorted(oracle.warnings)
+
+
+def reference_records(run: EvaluationRun, fmt: str) -> bytes:
+    """A run's record file as written one record at a time.
+
+    One ``json.dumps`` per JSONL record, with a ``scores`` object of the
+    present scores in label order and none without one; a CSV row per
+    record with ``repr`` of each score and a blank cell for an absent one.
+    """
+    labels = run.manifest.label_space.labels
+    if fmt == "jsonl":
+        lines = []
+        for rec in run.records:
+            obj = {"sample_id": rec.sample_id, "y": rec.true_label,
+                   "y_hat": rec.predicted_label, "group": rec.group}
+            if rec.scores:
+                obj["scores"] = rec.scores
+            lines.append(json.dumps(obj) + "\n")
+        return "".join(lines).encode("utf-8")
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    scored = any(rec.scores for rec in run.records)
+    writer.writerow(["sample_id", "y", "y_hat", "group",
+                     *(f"score:{lb}" for lb in labels if scored)])
+    for rec in run.records:
+        cells = [rec.sample_id, rec.true_label, rec.predicted_label, rec.group]
+        if scored:
+            scores = rec.scores or {}
+            cells += [repr(scores[lb]) if lb in scores else "" for lb in labels]
+        writer.writerow(cells)
+    return out.getvalue().encode("utf-8")
+
+
+def assert_written_as_reference(run: EvaluationRun) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("jsonl", "csv"):
+            path = Path(tmp) / f"run.{fmt}"
+            write_run(run, path)
+            assert path.read_bytes() == reference_records(run, fmt), fmt
+
+
+@given(record_runs())
+@settings(max_examples=60, deadline=None)
+def test_written_bytes_equal_one_record_at_a_time(built):
+    assert_written_as_reference(built[0])
+
+
+ODD_LABELS = ("n eg", 'p"o\x00s', "\xe9")
+ODD_GROUPS = ("A \x00", 'b,"q"', "c\xe9 d")
+
+
+def _odd_run(scores=True) -> EvaluationRun:
+    """Three records under names with spaces, NUL, quotes and a non-ASCII letter."""
+    labels = ODD_LABELS
+    manifest = RunManifest(
+        method="m", dataset="d", seed=0, split="test", utility_kind="accuracy",
+        label_space=LabelSpace(labels=labels), group_space=GroupSpace(groups=ODD_GROUPS),
+    )
+    maps = [{labels[0]: 0.25, labels[-1]: 0.75}, {labels[-1]: 1.0}, None] if scores else [None] * 3
+    return EvaluationRun.from_records(manifest, [
+        PredictionRecord(sample_id=f'{i}"\\\xe9', true_label=labels[i % len(labels)],
+                         predicted_label=labels[-1], group=group, scores=scores_map)
+        for i, (group, scores_map) in enumerate(zip(ODD_GROUPS, maps))
+    ])
+
+
+def _with_infinite_score() -> EvaluationRun:
+    """A run built from columns, bypassing validation: one score is inf, one -inf."""
+    run = _odd_run()
+    scores = np.array(run.scores)
+    scores[0, 1], scores[1, 0] = math.inf, -math.inf
+    return EvaluationRun(run.manifest, run.sample_ids, run.group, run.y, run.y_hat, scores)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_odd_run, lambda: _odd_run(scores=False), _with_infinite_score],
+    ids=["odd names, partial scores", "no scores", "infinite score"],
+)
+def test_written_bytes_of_runs_record_runs_does_not_draw(make):
+    assert_written_as_reference(make())
 
 
 class TestParseSummaries:
