@@ -16,6 +16,7 @@ on stderr), 2 bad input or configuration, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import json
 import os
@@ -376,6 +377,11 @@ def main(argv: list[str] | None = None) -> int:
     values = vars(namespace)
     command = values.pop("command")
     inputs = values.pop("inputs")
+    # Cyclic GC is paused for the command: reference counting frees what it
+    # drops, and it leaves the same few reference cycles whatever its input
+    # (README), so the collector's passes would only cost time.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         config = build_config(values, inputs)
         return _COMMANDS[command][0](config)
@@ -388,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # unexpected: report as an internal failure
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,9 +10,13 @@ true label and predicted label of each record as small-int codes into the
 manifest's group and label tuples, and an (n, C) float64 score matrix
 over the labels in which NaN marks an absent score. :func:`parse_records`
 decodes each file once into these columns and validates them with array
-operations. For callers that want rows, ``EvaluationRun.records`` is a
-read-only view of the same records as ``PredictionRecord`` values, and
-``EvaluationRun.from_records`` builds a run from rows.
+operations, in input order: label and group cells are looked up as
+decoded, repeated ids are found with a set, and the per-fault masks are
+built only for a run that has a fault. A run is sorted once, when
+``EvaluationRun`` is built. For callers that want rows,
+``EvaluationRun.records`` is a read-only view of the same records as
+``PredictionRecord`` values, and ``EvaluationRun.from_records`` builds a
+run from rows.
 :func:`write_records` writes the records column by column, streamed to
 the file: each column is formatted once (strings quoted by json's own
 encoder, each label and group name once per run; scores by
@@ -29,10 +33,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -93,15 +98,16 @@ class EvaluationRun:
         keys = ids.tolist()
         n = len(keys)
         n_labels = self.manifest.label_space.size
-        order = sorted(range(n), key=keys.__getitem__)
-        if order == list(range(n)):
-            order = slice(None)
+        order: np.ndarray | None = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
+        if (order[1:] > order[:-1]).all():  # in order already, as nhfair writes logs
+            order = None
 
         def column(name: str, values, dtype, shape: tuple[int, ...]) -> None:
-            array = np.asarray(values)[order].astype(dtype)
+            array = np.asarray(values)
             if array.shape != shape:
                 raise ValueError(f"column {name} has shape {array.shape}, expected {shape}")
-            object.__setattr__(self, name, _read_only(array))
+            copy = array.astype(dtype)  # never the caller's array
+            object.__setattr__(self, name, _read_only(copy if order is None else copy[order]))
 
         column("sample_ids", ids, object, (n,))
         column("group", self.group, _code_dtype(self.manifest.group_space.size), (n,))
@@ -152,12 +158,11 @@ class EvaluationRun:
         return _finish_run(manifest, None, range(1, len(rows) + 1), columns, *score_maps)
 
 
-def _score_maps(run: EvaluationRun) -> list[dict[str, float]]:
+def _score_maps(labels: tuple[str, ...], scores: np.ndarray) -> list[dict[str, float]]:
     """Each record's label -> score map over its present scores, label order."""
-    labels = run.manifest.label_space.labels
     return [
         {label: value for label, value in zip(labels, row) if value == value}  # NaN: absent
-        for row in run.scores.tolist()
+        for row in scores.tolist()
     ]
 
 
@@ -167,17 +172,20 @@ class RecordView(Sequence):
     Equal to the tuple of the same rows. ``len`` builds nothing.
     """
 
-    __slots__ = ("_run", "_rows")
+    __slots__ = ("_manifest", "_columns", "_rows")
 
     def __init__(self, run: EvaluationRun):
-        self._run = run
+        # the run's values, not the run: the run caches this view, and a
+        # reference back would make a cycle that only the cyclic GC frees
+        self._manifest = run.manifest
+        self._columns = (run.sample_ids, run.group, run.y, run.y_hat, run.scores)
         self._rows: tuple[PredictionRecord, ...] | None = None
 
     def _all(self) -> tuple[PredictionRecord, ...]:
         if self._rows is None:
-            run = self._run
-            labels = run.manifest.label_space.labels
-            groups = run.manifest.group_space.groups
+            labels = self._manifest.label_space.labels
+            groups = self._manifest.group_space.groups
+            sample_ids, group, y, y_hat, scores = self._columns
             self._rows = tuple(
                 PredictionRecord(
                     sample_id=sample_id,
@@ -187,17 +195,17 @@ class RecordView(Sequence):
                     scores=scores or None,
                 )
                 for sample_id, group, y, y_hat, scores in zip(
-                    run.sample_ids.tolist(),
-                    run.group.tolist(),
-                    run.y.tolist(),
-                    run.y_hat.tolist(),
-                    _score_maps(run),
+                    sample_ids.tolist(),
+                    group.tolist(),
+                    y.tolist(),
+                    y_hat.tolist(),
+                    _score_maps(labels, scores),
                 )
             )
         return self._rows
 
     def __len__(self) -> int:
-        return len(self._run.sample_ids)
+        return len(self._columns[0])
 
     def __getitem__(self, index):
         return self._all()[index]
@@ -293,10 +301,19 @@ def _mapped_scores(
     return scores, present, [(rejected.any(axis=1) | out_of_range.any(axis=1) | unknown, fault)]
 
 
-def _codes(names: list[str], space: tuple[str, ...]) -> np.ndarray:
-    """Index of each name in ``space``, or -1 where it is not a member."""
+def _codes(cells: Sequence, space: tuple[str, ...]) -> np.ndarray:
+    """Index of each cell in ``space``, or -1 where it is not a member.
+
+    A cell names the member equal to its ``str()``, so a JSON number or
+    bool names a label or group by its text. Cells are looked up as they
+    are first; only a column in which one misses is mapped through ``str``.
+    """
     index = {name: i for i, name in enumerate(space)}
-    return np.fromiter(map(index.get, names, repeat(-1)), _code_dtype(len(space)), len(names))
+    dtype = _code_dtype(len(space))
+    try:
+        return np.fromiter(map(index.__getitem__, cells), dtype, len(cells))
+    except (KeyError, TypeError):  # not a member as it is, or unhashable (a JSON array)
+        return np.fromiter(map(index.get, map(str, cells), repeat(-1)), dtype, len(cells))
 
 
 def _finish_run(
@@ -317,34 +334,59 @@ def _finish_run(
     stopped there. As when records are checked one at a time, in input
     order, the first decode fault wins, then the pending one; then, again
     in input order, duplicate ids, unknown labels and groups and missing
-    auc scores; then groups without records.
+    auc scores (see :func:`_raise_record_fault`); then groups without
+    records. A sample id is compared by its ``str()``.
     """
     _raise_first(checks, path, lines)
     if pending is not None:
         raise pending
     if not lines:
         raise ParseError("run contains no records", path=path)
-    ids, ys, y_hats, groups = ([*map(str, column)] for column in columns)
+    ids = [*map(str, columns[0])]
     labels = manifest.label_space.labels
     group_names = manifest.group_space.groups
-    y = _codes(ys, labels)
-    y_hat = _codes(y_hats, labels)
-    group = _codes(groups, group_names)
+    y = _codes(columns[1], labels)
+    y_hat = _codes(columns[2], labels)
+    group = _codes(columns[3], group_names)
+    bad = (y < 0) | (y_hat < 0) | (group < 0)
+    if manifest.utility_kind == "auc":
+        bad |= ~present[:, labels.index(manifest.label_space.positive_label)]
+    if bad.any() or len(set(ids)) < len(ids):
+        _raise_record_fault(manifest, path, lines, ids, columns, (y, y_hat, group), present)
 
-    order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: repeats keep input order
-    sorted_ids = np.array(ids, dtype=object)[order]
-    repeated = np.zeros(len(ids), dtype=bool)
-    repeated[np.asarray(order[1:], dtype=np.intp)[sorted_ids[1:] == sorted_ids[:-1]]] = True
+    sizes = np.bincount(group, minlength=len(group_names))
+    missing = [g for g, size in zip(group_names, sizes) if size == 0]
+    if missing:
+        raise EmptyGroup(f"no records for group(s): {', '.join(missing)}", path=path)
+    return EvaluationRun(manifest, ids, group, y, y_hat, scores)
+
+
+def _raise_record_fault(
+    manifest: RunManifest,
+    path: str | None,
+    lines: Sequence[int],
+    ids: list[str],
+    columns: Sequence[Sequence],
+    codes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    present: np.ndarray,
+) -> None:
+    """Raise the first record fault: on one record, a repeated id, then an
+    unknown label, prediction or group, then a missing auc score."""
+    first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    firsts = np.fromiter(map(first_row.__getitem__, ids), np.intp, len(ids))
+    ys, y_hats, groups = columns[1:]
+    y, y_hat, group = codes
     record_checks: list[Check] = [
-        (repeated, lambda row: (
+        (firsts != np.arange(len(ids)), lambda row: (
             DuplicateSampleId,
-            f"sample_id {ids[row]!r} already seen on line {lines[ids.index(ids[row])]}",
+            f"sample_id {ids[row]!r} already seen on line {lines[first_row[ids[row]]]}",
         )),
-        (y < 0, lambda row: (UnknownLabel, f"label {ys[row]!r} not in manifest")),
-        (y_hat < 0, lambda row: (UnknownLabel, f"label {y_hats[row]!r} not in manifest")),
-        (group < 0, lambda row: (UnknownGroup, f"group {groups[row]!r} not in manifest")),
+        (y < 0, lambda row: (UnknownLabel, f"label {str(ys[row])!r} not in manifest")),
+        (y_hat < 0, lambda row: (UnknownLabel, f"label {str(y_hats[row])!r} not in manifest")),
+        (group < 0, lambda row: (UnknownGroup, f"group {str(groups[row])!r} not in manifest")),
     ]
     if manifest.utility_kind == "auc":
+        labels = manifest.label_space.labels
         positive = manifest.label_space.positive_label
         record_checks += [
             (~present.any(axis=1), lambda row: (
@@ -357,19 +399,6 @@ def _finish_run(
             )),
         ]
     _raise_first(record_checks, path, lines)
-
-    sizes = np.bincount(group, minlength=len(group_names))
-    missing = [g for g, size in zip(group_names, sizes) if size == 0]
-    if missing:
-        raise EmptyGroup(f"no records for group(s): {', '.join(missing)}", path=path)
-    return EvaluationRun(
-        manifest=manifest,
-        sample_ids=sorted_ids,
-        group=group[order],
-        y=y[order],
-        y_hat=y_hat[order],
-        scores=None if scores is None else scores[order],
-    )
 
 
 def _decode_jsonl(
@@ -555,6 +584,29 @@ def _jsonl_lines(run: EvaluationRun) -> Iterator[str]:
             scores,
         )
     )
+
+
+def require_csv_text(run: EvaluationRun, path: Path) -> None:
+    """Raise ValueError naming the first sample id, label or group UTF-8 cannot encode.
+
+    Such a string holds a lone surrogate: JSONL escapes it, but a CSV cell
+    cannot hold it, so the CSV writer would stop part-way through the file.
+    """
+    manifest = run.manifest
+    fields = {
+        "sample_id": run.sample_ids.tolist(),
+        "label": manifest.label_space.labels,
+        "group": manifest.group_space.groups,
+    }
+    for kind, texts in fields.items():
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            text = texts[bisect_right([*accumulate(map(len, texts))], exc.start)]
+            raise ValueError(
+                f"{path}: {kind} {text!r} holds a lone surrogate, which a CSV log "
+                f"cannot hold (JSONL escapes it)"
+            ) from None
 
 
 def write_records(run: EvaluationRun, path: Path, format: str) -> None:

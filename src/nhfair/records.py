@@ -344,10 +344,16 @@ def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -
     run (records are written in canonical sample_id order). Records are
     formatted column by column and streamed to the file, never held whole
     in memory; the bytes are those of one ``json.dumps`` per JSONL record,
-    or of a CSV row with ``repr`` of each score.
+    or of a CSV row with ``repr`` of each score. A JSONL log escapes a lone
+    surrogate in a sample id; a CSV log cannot hold one, and a run with
+    such an id raises ValueError naming it before any file is written.
     """
     path = Path(path)
     format = _record_format(path, format)
+    from . import columns  # numpy: loaded only where a log is written
+
+    if format == "csv":
+        columns.require_csv_text(run, path)  # before any file is written
     manifest = run.manifest
     mdoc = {
         "method": manifest.method,
@@ -360,9 +366,6 @@ def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -
         "positive_label": manifest.label_space.positive_label,
     }
     _manifest_path(path).write_text(json.dumps(mdoc, indent=2) + "\n", encoding="utf-8")
-
-    from . import columns  # numpy: loaded only where a log is written
-
     columns.write_records(run, path, format)
 
 

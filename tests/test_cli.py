@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import nhfair
 from conftest import make_run
+from nhfair import cli
 from nhfair.cli import build_parser, main
 from nhfair.config import OPTIONS
 from nhfair.records import write_run
@@ -683,6 +685,78 @@ def test_path_kind_of_input_or_out_exits_0_or_2_naming_it(target, data):
     assert code in (0, 2), message
     if code == 2:
         assert any(str(paths[name]) in message for name in named), message
+
+
+@pytest.fixture
+def gc_restored():
+    """Puts back the interpreter's cyclic GC setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", [0, 2, 3, "usage"])
+def test_main_pauses_gc_and_leaves_it_as_the_caller_had_it(
+    tmp_path, summary_csv, monkeypatch, gc_restored, enabled, outcome
+):
+    seen = []
+
+    def command(config):
+        seen.append(gc.isenabled())
+        if outcome == 3:
+            raise RuntimeError("boom")
+        return cli.cmd_select_erm(config)
+
+    monkeypatch.setitem(cli._COMMANDS, "select-erm", (command, ""))
+    argv = {
+        0: ["select-erm", str(summary_csv)],
+        2: ["select-erm", str(tmp_path / "missing.csv")],
+        3: ["select-erm", str(summary_csv)],
+        "usage": ["select-erm", "--no-such-flag"],
+    }[outcome]
+    (gc.enable if enabled else gc.disable)()
+    if outcome == "usage":
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert seen == []
+    else:
+        assert main(argv) == outcome
+        assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def _logs_taking_every_decode_path(directory: Path, n: int) -> list[str]:
+    """``n`` logs: JSONL with blank and whitespace-padded lines, and CSV whose
+    first record holds a quoted line break."""
+    paths = []
+    for i in range(n):
+        path = directory / f"m{i % 3}-demo-s{i}.{('jsonl', 'csv')[i % 2]}"
+        write_run(generate(spec_for(i), method=f"m{i % 3}", dataset="demo"), path)
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".jsonl":
+            lines = text.splitlines()
+            text = "\n".join(f"  {line} " if k % 7 == 0 else line for k, line in enumerate(lines))
+            text = text.replace("\n", "\n\n \t\n", 3) + "\n"
+        else:
+            text = text.replace("\nA-000000,", '\n"A-000\n000",', 1)
+        path.write_text(text, encoding="utf-8", newline="" if path.suffix == ".csv" else None)
+        paths.append(str(path))
+    return paths
+
+
+def test_evaluate_leaves_as_many_reference_cycles_for_20_logs_as_for_2(tmp_path, gc_restored):
+    paths = _logs_taking_every_decode_path(tmp_path, 20)
+    out = str(tmp_path / "table.csv")
+
+    def cycles_left(logs: list[str]) -> int:
+        gc.collect()
+        gc.disable()  # main keeps it off; the collection below finds what the command left
+        assert main(["evaluate", "--out", out, *logs]) == 0
+        return gc.collect()
+
+    cycles_left(paths[:2])  # first use: imports and caches
+    assert cycles_left(paths[:2]) == cycles_left(paths)
 
 
 class TestSelectFromLogs:

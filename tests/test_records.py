@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
 import tempfile
+import weakref
+from collections.abc import Sequence
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhfair.columns import EvaluationRun
+from conftest import make_run
+from nhfair.columns import Check, EvaluationRun, _finish_run, _raise_first
 from nhfair.errors import (
     DuplicateSampleId,
     EmptyGroup,
@@ -128,6 +133,34 @@ class TestParseRun:
         with pytest.raises(DuplicateSampleId) as err:
             parse_run(path)
         assert err.value.line == 2
+
+    def test_json_number_and_bool_cells_name_labels_and_groups_by_their_str(self, tmp_path):
+        manifest = dict(MANIFEST, labels=["0", "1"], groups=["True", "B"])
+        path = write_fixture(
+            tmp_path,
+            [
+                '{"sample_id": 5, "y": 1, "y_hat": 0, "group": true}',
+                record_line("s2", "0", "1", "B"),
+            ],
+            manifest,
+        )
+        assert parse_run(path).records == (
+            PredictionRecord(sample_id="5", true_label="1", predicted_label="0", group="True"),
+            PredictionRecord(sample_id="s2", true_label="0", predicted_label="1", group="B"),
+        )
+
+    def test_number_id_and_its_str_are_one_id(self, tmp_path):
+        path = write_fixture(
+            tmp_path,
+            [
+                '{"sample_id": 5, "y": "pos", "y_hat": "pos", "group": "A"}',
+                record_line("5", "neg", "neg", "B"),
+            ],
+        )
+        with pytest.raises(DuplicateSampleId) as err:
+            parse_run(path)
+        assert err.value.line == 2
+        assert str(err.value) == f"{path}: line 2: sample_id '5' already seen on line 1"
 
     def test_missing_scores_on_auc_run(self, tmp_path):
         manifest = dict(MANIFEST, utility_kind="auc")
@@ -419,6 +452,198 @@ def test_bad_input_names_class_path_and_line(tmp_path, fmt, manifest, text, erro
     assert (err.value.path, err.value.line) == (str(path), line)
     if error is DuplicateSampleId:
         assert "already seen on line" in str(err.value)
+
+
+def reference_finish_run(
+    manifest: RunManifest,
+    path: str | None,
+    lines: Sequence[int],
+    columns: Sequence[Sequence],
+    scores: np.ndarray | None,
+    present: np.ndarray,
+    checks: list[Check],
+    pending: ParseError | None = None,
+) -> EvaluationRun:
+    """``columns._finish_run`` written with a ``str`` copy of every cell and an argsort.
+
+    Every cell is mapped through ``str`` before its lookup, and repeated ids
+    are found by comparing neighbours after a stable sort, whose order also
+    sorts the columns before the run is built.
+    """
+    _raise_first(checks, path, lines)
+    if pending is not None:
+        raise pending
+    if not lines:
+        raise ParseError("run contains no records", path=path)
+    ids, ys, y_hats, groups = ([*map(str, column)] for column in columns)
+    labels = manifest.label_space.labels
+    group_names = manifest.group_space.groups
+
+    def codes(names: list[str], space: tuple[str, ...]) -> np.ndarray:
+        index = {name: i for i, name in enumerate(space)}
+        return np.array([index.get(name, -1) for name in names], dtype=np.intp)
+
+    y = codes(ys, labels)
+    y_hat = codes(y_hats, labels)
+    group = codes(groups, group_names)
+
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: repeats keep input order
+    sorted_ids = np.array(ids, dtype=object)[order]
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[np.asarray(order[1:], dtype=np.intp)[sorted_ids[1:] == sorted_ids[:-1]]] = True
+    record_checks: list[Check] = [
+        (repeated, lambda row: (
+            DuplicateSampleId,
+            f"sample_id {ids[row]!r} already seen on line {lines[ids.index(ids[row])]}",
+        )),
+        (y < 0, lambda row: (UnknownLabel, f"label {ys[row]!r} not in manifest")),
+        (y_hat < 0, lambda row: (UnknownLabel, f"label {y_hats[row]!r} not in manifest")),
+        (group < 0, lambda row: (UnknownGroup, f"group {groups[row]!r} not in manifest")),
+    ]
+    if manifest.utility_kind == "auc":
+        positive = manifest.label_space.positive_label
+        record_checks += [
+            (~present.any(axis=1), lambda row: (
+                MissingScores, f"auc run but record {ids[row]!r} has no scores",
+            )),
+            (~present[:, labels.index(positive)], lambda row: (
+                MissingScores,
+                f"auc run but record {ids[row]!r} lacks a score for the "
+                f"positive label {positive!r}",
+            )),
+        ]
+    _raise_first(record_checks, path, lines)
+
+    sizes = np.bincount(group, minlength=len(group_names))
+    missing = [g for g, size in zip(group_names, sizes) if size == 0]
+    if missing:
+        raise EmptyGroup(f"no records for group(s): {', '.join(missing)}", path=path)
+    return EvaluationRun(
+        manifest=manifest,
+        sample_ids=sorted_ids,
+        group=group[order],
+        y=y[order],
+        y_hat=y_hat[order],
+        scores=None if scores is None else scores[order],
+    )
+
+
+# a cell as a JSON decoder may give it: the text of a label, group or id,
+# or a number, bool or null whose str() is that text
+AS_JSON = {"0": 0, "1": 1, "None": None, "True": True, "False": False, "2.5": 2.5}
+# cells that name no label or group, some of them unhashable
+UNKNOWN_CELLS = ("maybe", 1.0, math.nan, [1], {"k": 1}, "", "1 ")
+
+
+@st.composite
+def decoded_records(draw):
+    """Arguments of ``_finish_run``: decoded columns with record faults at random rows.
+
+    Faults: a repeated id (a number against its text among them), an unknown
+    label, prediction or group, a missing auc score and a group without
+    records; valid cells are sometimes numbers, bools or null.
+    """
+    labels = ("0", "1", "None")[: draw(st.integers(2, 3))]
+    groups = ("True", "False", "2.5")[: draw(st.integers(2, 3))]
+    kind = "auc" if len(labels) == 2 and draw(st.booleans()) else "accuracy"
+    n = draw(st.integers(1, 12))
+    ids: list = [str(k) for k in draw(st.lists(st.integers(0, 30), min_size=n, max_size=n,
+                                              unique=True))]
+    cells = [
+        ids,
+        draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(groups), min_size=n, max_size=n)),
+    ]
+    if draw(st.integers(0, 3)):  # mostly, every group has a record
+        cells[3][: len(groups)] = groups[:n]
+    scored = kind == "auc" or draw(st.booleans())
+    present = np.full((n, len(labels)), scored)
+    rows = st.integers(0, n - 1)
+    for fault in draw(st.lists(st.sampled_from(
+        ("repeat", "repeat number", "id number", "unknown", "json", "no scores", "no positive")
+    ), max_size=4)):
+        row = draw(rows)
+        if fault == "repeat":
+            ids[row] = ids[draw(rows)]
+        elif fault == "repeat number":  # 5 against "5"
+            number = draw(st.integers(31, 32))
+            ids[row], ids[draw(rows)] = number, str(number)
+        elif fault == "id number" and isinstance(ids[row], str):
+            number = int(ids[row])
+            ids[row] = draw(st.sampled_from([number, float(number), [number]]))
+        elif fault == "unknown":
+            cells[draw(st.integers(1, 3))][row] = draw(st.sampled_from(UNKNOWN_CELLS))
+        elif fault == "json":
+            column = cells[draw(st.integers(1, 3))]
+            if isinstance(column[row], str):
+                column[row] = AS_JSON.get(column[row], column[row])
+        elif fault == "no scores":
+            present[row] = False
+        else:
+            present[row, -1] = False
+    scores = np.where(present, 0.5, math.nan) if scored else None
+    lines = [*accumulate(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))]
+    manifest = RunManifest(
+        method="m", dataset="d", seed=0, split="test", utility_kind=kind,
+        label_space=LabelSpace(labels=labels), group_space=GroupSpace(groups=groups),
+    )
+    return manifest, "run.jsonl", lines, cells, scores, present, []
+
+
+def _outcome(finish, args) -> object:
+    try:
+        return finish(*args)
+    except ParseError as exc:
+        return type(exc), exc.path, exc.line, str(exc)
+
+
+@given(decoded_records())
+@settings(max_examples=400, deadline=None)
+def test_finish_run_raises_or_builds_as_the_reference(args):
+    got, expected = _outcome(_finish_run, args), _outcome(reference_finish_run, args)
+    assert got == expected
+    if isinstance(expected, EvaluationRun):
+        assert got.sample_ids.tolist() == expected.sample_ids.tolist()
+        for name in ("group", "y", "y_hat", "scores"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+
+
+def test_a_run_whose_records_were_read_is_freed_without_the_cyclic_gc():
+    run = make_run([("neg", "neg", "A"), ("pos", "pos", "B")])
+    assert run.records[0].group == "A"
+    freed = weakref.ref(run)
+    enabled = gc.isenabled()
+    gc.disable()  # commands run with it paused
+    try:
+        del run
+        assert freed() is None
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_csv_write_of_a_lone_surrogate_id_leaves_no_file(tmp_path):
+    source = write_fixture(tmp_path, [
+        '{"sample_id": "a\\ud800", "y": "pos", "y_hat": "pos", "group": "A"}', OK2,
+    ])
+    run = parse_run(source)
+    target = tmp_path / "x.csv"
+    with pytest.raises(ValueError) as err:
+        write_run(run, target)
+    assert str(err.value) == (
+        f"{target}: sample_id 'a\\ud800' holds a lone surrogate, which a CSV log cannot "
+        "hold (JSONL escapes it)"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl", "run.manifest.json"]
+    write_run(run, tmp_path / "x.jsonl")  # JSONL escapes the surrogate
+    assert parse_run(tmp_path / "x.jsonl") == run
+
+
+def test_csv_write_of_a_lone_surrogate_group_names_the_group(tmp_path):
+    run = make_run([("neg", "neg", "A"), ("pos", "pos", "b\ud800")], groups=("A", "b\ud800"))
+    with pytest.raises(ValueError, match="group 'b.ud800' holds a lone surrogate"):
+        write_run(run, tmp_path / "x.csv")
+    assert not any(tmp_path.iterdir())
 
 
 ROUND_TRIP_IDS = st.text(alphabet="ab ,\"\x00\u2028\r\n\t\xe9", max_size=6)
