@@ -16,12 +16,15 @@ on stderr), 2 bad input or configuration, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import glob
 import json
 import os
 import stat
 import sys
+from bisect import bisect_left
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -145,25 +148,148 @@ def _evaluate_file(path: Path, eqodd: str = "diagonal") -> tuple[MetricReport, R
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _candidate_from_run(path: Path) -> CandidatePoint:
-    """A log's selection point; its degenerate-cell warnings go to stderr."""
-    report, manifest = _evaluate_file(path)
-    for warning in report.warnings:
-        sys.stderr.write(f"warning: {path}: {warning}\n")
-    return CandidatePoint(
-        run_id=manifest.run_id,
-        method=manifest.method,
-        group_utilities=report.group_utilities,
-        gap=report.gap,
-        overall=report.overall,
-    )
+def _single_threaded() -> bool:
+    """Whether this process runs exactly one OS thread; False where that cannot be told.
+
+    Only such a process forks: a lock that another thread held at the fork
+    stays held in the child for ever.
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
-def _load_candidates(paths: list[Path]) -> list[CandidatePoint]:
+def _file_size(path: Path) -> int:
+    """Bytes in ``path``; 0 for a file that cannot be read."""
+    try:
+        return path.stat().st_size
+    except OSError:  # reported when the log is read
+        return 0
+
+
+def _slices(sizes: list[int], n: int) -> list[range]:
+    """``n`` contiguous, non-empty index ranges over ``sizes`` of about equal total size."""
+    ends = [*accumulate(sizes)]
+    bounds = [0]
+    for k in range(1, n):
+        target = ends[-1] * k / n
+        i = bisect_left(ends, target)  # the item whose end reaches the target
+        cut = i if i and ends[i] - target > target - ends[i - 1] else i + 1
+        bounds.append(min(max(cut, bounds[-1] + 1), len(sizes) - n + k))
+    bounds.append(len(sizes))
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _fork_reader(paths: list[Path], part: range, eqodd: str) -> tuple[int, int]:
+    """Fork a helper that reports ``paths[part]`` in order; its pid and result pipe.
+
+    The helper sends one pickled list of (report, manifest) pairs and no
+    exception: a list short of its slice stops at the first log that
+    faulted, which the parent then reads itself to raise the same error.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    try:  # in the helper, which never returns from here
+        import pickle
+
+        os.close(read_end)
+        reports = []
+        with contextlib.suppress(Exception):
+            for i in part:
+                reports.append(_evaluate_file(paths[i], eqodd))
+        with open(write_end, "wb") as pipe:
+            pickle.dump(reports, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _read_ahead(
+    paths: list[Path], eqodd: str, jobs: int
+) -> list[tuple[MetricReport, RunManifest] | None]:
+    """The logs' reports, read by up to ``jobs`` processes, in input order.
+
+    None stands for a log the caller reads itself, in order, as a serial
+    command does: every log when the logs are read serially, else a log
+    that faulted or that no process read. Helpers are forked only from a
+    single-threaded process, after numpy is loaded; the parent reads the
+    first slice itself, and every helper is reaped before this returns
+    or raises.
+    """
+    results: list[tuple[MetricReport, RunManifest] | None] = [None] * len(paths)
+    n = min(jobs, len(paths))
+    if n < 2 or not hasattr(os, "fork"):
+        return results
+    from . import metrics  # noqa: F401  numpy and the log code, loaded once before any fork
+
+    if not _single_threaded():
+        return results
+    import pickle  # loaded only by a command that forks
+    import signal
+
+    first, *rest = _slices([*map(_file_size, paths)], n)
+    helpers: list[tuple[int, int, range]] = []
+    try:
+        for part in rest:
+            try:
+                helpers.append((*_fork_reader(paths, part, eqodd), part))
+            except OSError:  # no process to be had: the caller reads what is left
+                break
+        complete = True
+        for i in first:
+            try:
+                results[i] = _evaluate_file(paths[i], eqodd)
+            except Exception:  # read again by the caller, which raises it
+                complete = False
+                break
+        for _, pipe, part in helpers:
+            if not complete:  # a fault comes first: the later reports are not needed
+                break
+            with open(pipe, "rb", closefd=False) as stream:
+                data = stream.read()
+            try:
+                reports = pickle.loads(data)
+            except Exception:  # the helper died before it had written everything
+                reports = []
+            results[part.start : part.start + len(reports)] = reports
+            complete = len(reports) == len(part)
+    finally:
+        for pid, pipe, _ in helpers:
+            os.close(pipe)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)  # finished already, or no longer needed
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    return results
+
+
+def _load_candidates(paths: list[Path], jobs: int) -> list[CandidatePoint]:
+    """Selection points in input order; a log's degenerate-cell warnings go to stderr."""
+    logs = [p for p in paths if is_prediction_log(p)]
+    read = dict(zip(logs, _read_ahead(logs, "diagonal", jobs)))
     candidates: list[CandidatePoint] = []
     for path in paths:
-        if is_prediction_log(path):
-            candidates.append(_candidate_from_run(path))
+        if path in read:
+            report, manifest = read[path] or _evaluate_file(path)
+            for warning in report.warnings:
+                sys.stderr.write(f"warning: {path}: {warning}\n")
+            candidates.append(
+                CandidatePoint(
+                    run_id=manifest.run_id,
+                    method=manifest.method,
+                    group_utilities=report.group_utilities,
+                    gap=report.gap,
+                    overall=report.overall,
+                )
+            )
         else:
             candidates += (
                 CandidatePoint.from_utilities(
@@ -187,7 +313,10 @@ def cmd_evaluate(config: EngineConfig) -> int:
             f"{', '.join(str(p) for p in bad)}"
         )
 
-    rows = stats.aggregate([_evaluate_file(p, config.eqodd) for p in run_paths])
+    read = _read_ahead(run_paths, config.eqodd, config.jobs)
+    rows = stats.aggregate(
+        [pair or _evaluate_file(p, config.eqodd) for p, pair in zip(run_paths, read)]
+    )
 
     if config.format == "csv":
         text = rows_to_csv(rows, config.units)
@@ -202,7 +331,7 @@ def cmd_evaluate(config: EngineConfig) -> int:
 def cmd_select_erm(config: EngineConfig) -> int:
     out = _output(config.out)
     paths = _expand_inputs(config.inputs)
-    candidates = _load_candidates(paths)
+    candidates = _load_candidates(paths, config.jobs)
     if not candidates:
         raise EmptyCandidateSet(f"no candidates matched: {' '.join(config.inputs)}")
     target = selection.utopia(candidates)
@@ -232,7 +361,7 @@ def _resolve_baseline(
         raise ParseError("select-fwh requires --baseline (a file or a candidate run_id)")
     path = Path(spec)
     if path.exists():
-        found = _load_candidates([_input_file(path)])
+        found = _load_candidates([_input_file(path)], config.jobs)
         if len(found) != 1:
             raise ParseError(
                 f"baseline summary file must contain exactly one row, got {len(found)}",
@@ -249,7 +378,7 @@ def _resolve_baseline(
 def cmd_select_fwh(config: EngineConfig) -> int:
     out = _output(config.out)
     paths = _expand_inputs(config.inputs)
-    candidates = _load_candidates(paths)
+    candidates = _load_candidates(paths, config.jobs)
     baseline, candidates, origin = _resolve_baseline(config, candidates)
     if not candidates:
         raise EmptyCandidateSet("no candidates left after resolving the baseline")
@@ -377,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     values = vars(namespace)
     command = values.pop("command")
     inputs = values.pop("inputs")
+    # nhfair calls no BLAS routine, and a BLAS thread pool started with numpy
+    # would keep the log readers from forking (_read_ahead).
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Cyclic GC is paused for the command: reference counting frees what it
     # drops, and it leaves the same few reference cycles whatever its input
     # (README), so the collector's passes would only cost time.

@@ -428,7 +428,7 @@ def _decode_jsonl(
                     continue
                 try:
                     value = json.loads(raw)
-                except (json.JSONDecodeError, RecursionError) as exc:
+                except (ValueError, RecursionError) as exc:  # also an integer of too many digits
                     reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
                     error = MalformedLine(f"invalid JSON: {reason}", path=str(path), line=line_no)
                     return lines, columns, maps, error

@@ -53,6 +53,13 @@ def _option(
     return field(default=default, metadata=metadata)
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _nemenyi_alpha(value: float) -> str | None:
     return None if value in (0.05, 0.10) else f"must be 0.05 or 0.10, got {value}"
 
@@ -90,7 +97,9 @@ class EngineConfig:
     )
     baseline: str | None = _option(None, ("select-fwh",), "baseline file or candidate run_id")
     jobs: int = _option(
-        1, ("evaluate",), "accepted for scripts; has no effect", type=int, check=_at_least(1),
+        _usable_cpus(), ("evaluate", "select-erm", "select-fwh"),
+        "processes that read prediction logs (default: the CPUs this process may use)",
+        type=int, check=_at_least(1),
     )
     tie_corrected: bool = _option(
         False, ("compare",), "divide the Friedman statistic by the tie correction",

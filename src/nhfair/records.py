@@ -277,7 +277,7 @@ def _load_manifest(record_path: Path) -> RunManifest:
         raise ParseError(f"manifest sidecar not found: {mpath}", path=str(record_path))
     try:
         raw = json.loads(read_text(mpath))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise MalformedLine(f"manifest is not valid JSON: {exc}", path=str(mpath)) from exc
     except RecursionError:
         raise MalformedLine(
@@ -302,7 +302,7 @@ def _load_manifest(record_path: Path) -> RunManifest:
         for name in (manifest.method, manifest.dataset, *label_space.labels, *group_space.groups):
             name.encode("utf-8")
         return manifest
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: seed 1e400
         raise MalformedLine(f"bad manifest: {exc}", path=str(mpath)) from exc
 
 

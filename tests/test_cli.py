@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import errno
 import gc
 import io
 import json
@@ -11,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -268,9 +271,27 @@ def _undecodable_cases():
         path.write_bytes(b"[" * 100_000)
         return ["evaluate", str(d / "run.jsonl")], path, None
 
+    def jsonl_long_integer(d):
+        # more digits than Python converts between int and str
+        path = log(d, "jsonl")
+        record = b'{"sample_id": "z", "y": "neg", "y_hat": "neg", "group": "A", "scores": '
+        score = b'{"pos": 1' + b"0" * 5000 + b"}"
+        return ["evaluate", str(path)], path, append(path, record + score + b"}\n")
+
+    def manifest_long_integer(d):
+        path = log(d, "jsonl").with_suffix(".manifest.json")
+        path.write_text(_LOG_MANIFEST.replace('"seed": 1', '"seed": 1' + "0" * 5000))
+        return ["evaluate", str(d / "run.jsonl")], path, None
+
+    def manifest_infinite_seed(d):
+        path = log(d, "jsonl").with_suffix(".manifest.json")
+        path.write_text(_LOG_MANIFEST.replace('"seed": 1', '"seed": 1e400'))
+        return ["evaluate", str(d / "run.jsonl")], path, None
+
     return [(f.__name__, f) for f in (
         jsonl_bytes, jsonl_bytes_after_bad_json, csv_bytes, manifest_bytes, summary_bytes, table_bytes, config_bytes,
-        jsonl_nesting, manifest_nesting,
+        jsonl_nesting, manifest_nesting, jsonl_long_integer, manifest_long_integer,
+        manifest_infinite_seed,
     )]
 
 
@@ -571,6 +592,207 @@ def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
     assert json.loads(child.stdout) == [None if argv is None else 0, loaded], child.stderr
     if argv is not None:
         assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+
+
+# Runs each command given as JSON through ``cli.main`` in this fresh
+# interpreter, as the nhfair script does, counting the processes it forks.
+# A command may name a sabotage: "helper dies" makes every forked helper exit
+# at its first log, "interrupt" raises KeyboardInterrupt at the parent's first
+# log. Prints, per command: exit code, stdout, stderr, the --out file's text
+# (None if it was not written), forks, and whether a child was left unreaped.
+_FORK_CHILD = """
+import contextlib, io, json, os, sys
+from nhfair import cli
+forks, parent, sabotage = [], os.getpid(), None
+fork, evaluate_file = os.fork, cli._evaluate_file
+
+def counting_fork():
+    forks.append(1)
+    return fork()
+
+def sabotaged(path, eqodd="diagonal"):
+    if sabotage == "helper dies" and os.getpid() != parent:
+        os._exit(1)
+    if sabotage == "interrupt" and os.getpid() == parent:
+        raise KeyboardInterrupt
+    return evaluate_file(path, eqodd)
+
+os.fork, cli._evaluate_file = counting_fork, sabotaged
+results = []
+for argv, sabotage in json.loads(sys.argv[1]):
+    out, err, started = io.StringIO(), io.StringIO(), len(forks)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except KeyboardInterrupt:
+            code = "interrupted"
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        unreaped = True
+    except ChildProcessError:
+        unreaped = False
+    target = argv[argv.index("--out") + 1]
+    text = None
+    if os.path.exists(target):
+        with open(target, encoding="utf-8") as handle:
+            text = handle.read()
+        os.remove(target)
+    results.append([code, out.getvalue(), err.getvalue(), text, len(forks) - started, unreaped])
+print(json.dumps(results))
+"""
+
+
+def _fork_inputs(directory: Path) -> dict[str, list[str]]:
+    """Input lists by case, over logs of unequal sizes; the last one warns."""
+    names = []
+    for i in range(4):
+        spec = dataclasses.replace(spec_for(i), n_per_group={"A": 30 + 70 * i, "B": 60})
+        write_run(generate(spec, utility_kind="auc", method=f"m{i % 2}", dataset="demo"),
+                  directory / f"l{i}.jsonl")
+        names.append(f"l{i}.jsonl")
+    # group B holds only positives: AUC falls back to 0.5 with a warning
+    write_run(make_run([("pos", "pos", "A", 0.9), ("neg", "neg", "A", 0.2),
+                        ("pos", "pos", "B", 0.7), ("pos", "neg", "B", 0.4)],
+                       utility_kind="auc", method="single", dataset="demo"),
+              directory / "warns.jsonl")
+    for name, source, extra in (("bad-first.jsonl", "l0.jsonl", '{"sample_id": \n'),
+                                ("bad-last.jsonl", "warns.jsonl", '{"y": "neg"}\n')):
+        text = (directory / source).read_text(encoding="utf-8")
+        (directory / name).write_text(text + extra, encoding="utf-8")
+        (directory / name).with_suffix(".manifest.json").write_text(
+            (directory / source).with_suffix(".manifest.json").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+    (directory / "bad-summ.csv").write_text(
+        "run_id,method,A,B,overall\nr1,s,0.8,1.5,0.8\n", encoding="utf-8"
+    )
+    (directory / "base.csv").write_text(
+        "run_id,method,A,B,overall\nbase,erm,0.7,0.7,0.7\n", encoding="utf-8"
+    )
+    return {
+        "warning in a helper's slice": [*names, "warns.jsonl"],
+        "fault in the last log": [*names, "bad-last.jsonl"],
+        "faults in two slices": ["bad-first.jsonl", *names[1:], "bad-last.jsonl"],
+        "summary fault before a log fault": ["bad-summ.csv", *names[:3], "bad-last.jsonl"],
+    }
+
+
+def test_forked_log_readers_give_the_serial_bytes_and_are_reaped(tmp_path):
+    cases = _fork_inputs(tmp_path)
+    commands = {
+        "evaluate": ["evaluate", "--out", "out.csv"],
+        "select-erm": ["select-erm", "--out", "out.json"],
+        "select-fwh": ["select-fwh", "--baseline", "base.csv", "--out", "out.json"],
+    }
+    jobs = {"default": [], "1": ["--jobs", "1"], "3": ["--jobs", "3"]}
+    runs = [
+        (case, command, j, None) for case in cases for command in commands for j in jobs
+    ] + [
+        ("warning in a helper's slice", command, "3", "helper dies") for command in commands
+    ] + [("warning in a helper's slice", "select-erm", "3", "interrupt")]
+    argvs = [
+        [[*commands[command][:1], *jobs[j], *commands[command][1:], *cases[case]], sabotage]
+        for case, command, j, sabotage in runs
+    ]
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)  # cli.main sets it, so numpy starts no thread
+    child = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _FORK_CHILD, json.dumps(argvs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=False, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    results = dict(zip(runs, json.loads(child.stdout)))
+    n_logs = 5
+    for (case, command, j, sabotage), (code, out, err, text, forks, unreaped) in results.items():
+        assert not unreaped, (case, command, j, sabotage)
+        if sabotage == "interrupt":
+            assert code == "interrupted" and forks == 2
+            continue
+        serial = results[(case, command, "1", None)]
+        assert [code, out, err, text] == serial[:4], (case, command, j, sabotage)
+        expected_forks = {"1": 0, "3": 2, "default": min(cli.EngineConfig().jobs, n_logs) - 1}[j]
+        if case == "summary fault before a log fault":
+            expected_forks = min(expected_forks, 3)  # four logs, one slice each at most
+        if command == "evaluate" and case == "summary fault before a log fault":
+            expected_forks = 0  # evaluate refuses a summary file before reading any log
+        assert forks == expected_forks, (case, command, j, sabotage)
+
+    def first(case, command):
+        return results[(case, command, "1", None)]
+
+    for command in commands:
+        assert first("warning in a helper's slice", command)[0] == 0
+        assert first("fault in the last log", command)[:3] == [
+            2, "", f"error: bad-last.jsonl: line 5: missing field 'sample_id'\n"
+        ]
+        assert first("faults in two slices", command)[2].startswith("error: bad-first.jsonl: ")
+    warning = "warning: warns.jsonl: group B: only one class present, auc set to 0.5"
+    assert warning in first("warning in a helper's slice", "select-erm")[2]
+    assert first("summary fault before a log fault", "select-fwh")[2].startswith(
+        "error: bad-summ.csv: line 2: "
+    )
+
+
+def test_default_jobs_read_serially_where_no_helper_can_be_forked(run_dir, tmp_path,
+                                                                   monkeypatch, capsys):
+    import numpy  # noqa: F401  loaded already by the test modules
+
+    argvs = [
+        ["evaluate", "--out", str(tmp_path / "table.csv")],
+        ["select-erm"],
+        ["select-fwh", "--baseline", "erm:demo:seed1:test"],
+    ]
+    logs = sorted(str(p) for p in run_dir.glob("*.jsonl"))
+
+    def outputs(jobs):
+        seen = []
+        for argv in argvs:
+            code = main([*argv, *jobs, *logs])
+            seen.append([code, *capsys.readouterr()])
+        return seen, (tmp_path / "table.csv").read_bytes()
+
+    serial = outputs(["--jobs", "1"])
+    forks = []
+
+    def refused_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    # a second thread runs: no fork is tried
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert outputs(["--jobs", "3"]) == serial
+        assert outputs([]) == serial
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == []
+    # one thread, but the fork fails: the command reads the logs itself
+    monkeypatch.setattr(cli, "_single_threaded", lambda: True)
+    assert outputs(["--jobs", "3"]) == serial
+    assert forks
+
+
+@given(sizes=st.lists(st.integers(0, 1000), min_size=1, max_size=12), data=st.data())
+def test_slices_are_contiguous_non_empty_and_cover_every_log(sizes, data):
+    n = data.draw(st.integers(1, len(sizes)))
+    slices = cli._slices(sizes, n)
+    assert len(slices) == n and all(slices)
+    assert [i for part in slices for i in part] == list(range(len(sizes)))
+    if n == 2 and sum(sizes):  # the cut is at the log end nearest half the bytes
+        ends = [sum(sizes[:k]) for k in range(1, len(sizes))]
+        best = min(abs(2 * end - sum(sizes)) for end in ends)
+        assert abs(2 * ends[slices[0].stop - 1] - sum(sizes)) == best
+
+
+@pytest.mark.parametrize("command", ["evaluate", "select-erm", "select-fwh"])
+def test_jobs_below_1_exits_2(run_dir, capsys, command):
+    assert main([command, "--jobs", "0", str(run_dir / "*.jsonl")]) == 2
+    assert "jobs must be >= 1, got 0" in capsys.readouterr().err
 
 
 def _fuzz_seed_files() -> dict[str, bytes]:
@@ -1093,9 +1315,9 @@ class TestFlags:
             )
             for command, p in sub.choices.items()
         }
-        assert sum(len(f) for f in flags.values()) == 18
-        assert flags["select-erm"] == ["--config", "--out"]
-        assert flags["select-fwh"] == ["--baseline", "--config", "--out", "--tolerance"]
+        assert sum(len(f) for f in flags.values()) == 20
+        assert flags["select-erm"] == ["--config", "--jobs", "--out"]
+        assert flags["select-fwh"] == ["--baseline", "--config", "--jobs", "--out", "--tolerance"]
         with pytest.raises(SystemExit):
             main(["evaluate", "--help"])
         out = capsys.readouterr().out
