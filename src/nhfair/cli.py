@@ -23,8 +23,6 @@ import json
 import os
 import stat
 import sys
-from bisect import bisect_left
-from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -160,33 +158,62 @@ def _single_threaded() -> bool:
         return False
 
 
-def _file_size(path: Path) -> int:
-    """Bytes in ``path``; 0 for a file that cannot be read."""
+_TOKEN = 4  # bytes of one log index in the claim pipe
+
+
+def _claim_pipe(n: int) -> int:
+    """The read end of a pipe holding the log indices 0, 1, ... in order, write end closed.
+
+    An index is a fixed-size token, so one ``os.read`` of ``_TOKEN`` bytes
+    claims one log: a pipe read is atomic on Linux, and nothing is locked
+    that a process killed mid-claim could keep. The tokens are written
+    before any fork, as many as the pipe holds; the caller reads the rest
+    of the logs itself.
+    """
+    import fcntl
+    import select
+
+    read_end, write_end = os.pipe()
+    with contextlib.suppress(AttributeError, OSError):  # a larger pipe; Linux only
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, n * _TOKEN)
+    os.set_blocking(write_end, False)
+    data = b"".join(i.to_bytes(_TOKEN, sys.byteorder) for i in range(n))
+    step = select.PIPE_BUF // _TOKEN * _TOKEN  # a write of at most PIPE_BUF is all or nothing
     try:
-        return path.stat().st_size
-    except OSError:  # reported when the log is read
-        return 0
+        for start in range(0, len(data), step):
+            os.write(write_end, data[start : start + step])
+    except BlockingIOError:  # the pipe is full
+        pass
+    finally:
+        os.close(write_end)
+    return read_end
 
 
-def _slices(sizes: list[int], n: int) -> list[range]:
-    """``n`` contiguous, non-empty index ranges over ``sizes`` of about equal total size."""
-    ends = [*accumulate(sizes)]
-    bounds = [0]
-    for k in range(1, n):
-        target = ends[-1] * k / n
-        i = bisect_left(ends, target)  # the item whose end reaches the target
-        cut = i if i and ends[i] - target > target - ends[i - 1] else i + 1
-        bounds.append(min(max(cut, bounds[-1] + 1), len(sizes) - n + k))
-    bounds.append(len(sizes))
-    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+def _claimed_reports(
+    paths: list[Path], claims: int, eqodd: str
+) -> list[tuple[int, MetricReport, RunManifest]]:
+    """Reports of the logs claimed from ``claims``, until none is left or one faults.
+
+    A faulty log is left out and ends the claiming: the claims still in
+    the pipe are drained, since no log after the first fault is needed.
+    """
+    reports = []
+    try:
+        while token := os.read(claims, _TOKEN):
+            i = int.from_bytes(token, sys.byteorder)
+            reports.append((i, *_evaluate_file(paths[i], eqodd)))
+    except Exception:  # read again by the caller, which raises it
+        while os.read(claims, 1 << 16):
+            pass
+    return reports
 
 
-def _fork_reader(paths: list[Path], part: range, eqodd: str) -> tuple[int, int]:
-    """Fork a helper that reports ``paths[part]`` in order; its pid and result pipe.
+def _fork_reader(paths: list[Path], claims: int, eqodd: str) -> tuple[int, int]:
+    """Fork a helper that reports the logs it claims; its pid and result pipe.
 
-    The helper sends one pickled list of (report, manifest) pairs and no
-    exception: a list short of its slice stops at the first log that
-    faulted, which the parent then reads itself to raise the same error.
+    The helper sends one pickled list of (index, report, manifest) and no
+    exception: a log it claimed and did not report, faulty or not, is
+    read by the parent itself.
     """
     read_end, write_end = os.pipe()
     try:
@@ -202,10 +229,7 @@ def _fork_reader(paths: list[Path], part: range, eqodd: str) -> tuple[int, int]:
         import pickle
 
         os.close(read_end)
-        reports = []
-        with contextlib.suppress(Exception):
-            for i in part:
-                reports.append(_evaluate_file(paths[i], eqodd))
+        reports = _claimed_reports(paths, claims, eqodd)
         with open(write_end, "wb") as pipe:
             pickle.dump(reports, pipe, pickle.HIGHEST_PROTOCOL)
     finally:
@@ -219,10 +243,10 @@ def _read_ahead(
 
     None stands for a log the caller reads itself, in order, as a serial
     command does: every log when the logs are read serially, else a log
-    that faulted or that no process read. Helpers are forked only from a
-    single-threaded process, after numpy is loaded; the parent reads the
-    first slice itself, and every helper is reaped before this returns
-    or raises.
+    that faulted or that no process reported. Helpers are forked only
+    from a single-threaded process, after numpy is loaded. The parent and
+    each helper claim the next unread log, one at a time, until none is
+    left; every helper is reaped before this returns or raises.
     """
     results: list[tuple[MetricReport, RunManifest] | None] = [None] * len(paths)
     n = min(jobs, len(paths))
@@ -235,34 +259,25 @@ def _read_ahead(
     import pickle  # loaded only by a command that forks
     import signal
 
-    first, *rest = _slices([*map(_file_size, paths)], n)
-    helpers: list[tuple[int, int, range]] = []
+    claims = _claim_pipe(len(paths))
+    helpers: list[tuple[int, int]] = []
     try:
-        for part in rest:
+        for _ in range(n - 1):
             try:
-                helpers.append((*_fork_reader(paths, part, eqodd), part))
-            except OSError:  # no process to be had: the caller reads what is left
+                helpers.append(_fork_reader(paths, claims, eqodd))
+            except OSError:  # no process to be had: fewer processes claim the logs
                 break
-        complete = True
-        for i in first:
-            try:
-                results[i] = _evaluate_file(paths[i], eqodd)
-            except Exception:  # read again by the caller, which raises it
-                complete = False
-                break
-        for _, pipe, part in helpers:
-            if not complete:  # a fault comes first: the later reports are not needed
-                break
+        reports = _claimed_reports(paths, claims, eqodd)
+        for _, pipe in helpers:
             with open(pipe, "rb", closefd=False) as stream:
                 data = stream.read()
-            try:
-                reports = pickle.loads(data)
-            except Exception:  # the helper died before it had written everything
-                reports = []
-            results[part.start : part.start + len(reports)] = reports
-            complete = len(reports) == len(part)
+            with contextlib.suppress(Exception):  # a helper that died reported nothing
+                reports += pickle.loads(data)
+        for i, report, manifest in reports:
+            results[i] = report, manifest
     finally:
-        for pid, pipe, _ in helpers:
+        os.close(claims)
+        for pid, pipe in helpers:
             os.close(pipe)
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)  # finished already, or no longer needed
@@ -303,10 +318,11 @@ def _load_candidates(paths: list[Path], jobs: int) -> list[CandidatePoint]:
 def cmd_evaluate(config: EngineConfig) -> int:
     out = _output(config.out)
     paths = _expand_inputs(config.inputs)
-    run_paths = [p for p in paths if is_prediction_log(p)]
+    is_log = [*map(is_prediction_log, paths)]
+    run_paths = [p for p, log in zip(paths, is_log) if log]
     if not run_paths:
         raise ParseError(f"no runs matched: {' '.join(config.inputs) or '(no inputs)'}")
-    bad = [p for p in paths if not is_prediction_log(p)]
+    bad = [p for p, log in zip(paths, is_log) if not log]
     if bad:
         raise ParseError(
             f"evaluate expects prediction logs, got summary file(s): "

@@ -15,15 +15,17 @@ for table output. Conventions:
 Degenerate cells are never silently NaN: single-class groups get AUC 0.5
 plus a warning, and classes empty in some group are skipped from eqodd
 with a warning. Every function is pure. The kernels work on a run's
-columns: the confusion tensor is one ``bincount``, AUC a mid-rank sum
-over masked score columns, and the other metrics are reductions of the
-confusion tensor. Within a run, sums follow the canonical record order,
-so results do not depend on the order of the input records.
+columns: the confusion tensor is one ``bincount``, every group's AUC a
+mid-rank sum over one sort of the run's scores, and the other metrics
+are reductions of the confusion tensor. Within a run, sums follow the
+canonical record order or are exact, so results do not depend on the
+order of the input records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,27 +98,53 @@ def group_accuracy(t: ConfusionTensor) -> GroupUtilityVector:
     return GroupUtilityVector(utility=dict(zip(t.groups, rates.tolist())), utility_kind="accuracy")
 
 
-def _mid_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the tie group's average rank."""
-    uniq, inverse, tie_counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(tie_counts)
-    starts = ends - tie_counts + 1
-    return ((starts + ends) / 2.0)[inverse]
-
-
-def _auc_from_scores(pos: np.ndarray, neg: np.ndarray) -> float:
-    """Rank-based AUC, equal to (concordant + tied/2) / (n_pos * n_neg)."""
-    ranks = _mid_ranks(np.concatenate([pos, neg]))
-    n_pos = len(pos)
-    u = float(ranks[:n_pos].sum()) - n_pos * (n_pos + 1) / 2
-    return u / (n_pos * len(neg))
-
-
 def _positive_scores(run: EvaluationRun) -> tuple[np.ndarray, np.ndarray]:
     """Each record's positive-label score (present in auc runs), and which are positives."""
     labels = run.manifest.label_space.labels
     positive = labels.index(run.manifest.label_space.positive_label)
     return run.scores[:, positive], run.y == positive
+
+
+def _u_statistics(
+    score: np.ndarray, is_pos: np.ndarray, code: np.ndarray | None = None, n_codes: int = 1
+) -> list[tuple[float, int, int]]:
+    """Per code (one code for all records if None): the positives' Mann-Whitney U,
+    the number of positives and the number of negatives.
+
+    One sort puts the records in (code, score) order: a quicksort of the
+    scores, then a stable sort of the codes. A tie run is a stretch of
+    neighbours equal in both, and its records share the run's mid-rank
+    within their code. Twice a mid-rank is an integer, so each U is exact.
+    """
+    order = np.argsort(score)
+    if code is not None:
+        order = order[np.argsort(code[order], kind="stable")]
+    s = score[order]
+    n = len(s)
+    edges = np.ones(n + 1, dtype=bool)  # where a tie run starts, and the end
+    np.not_equal(s[1:], s[:-1], out=edges[1:n])
+    if code is not None:
+        c = code[order]
+        edges[1:n] |= c[1:] != c[:-1]
+    bounds = np.flatnonzero(edges)
+    starts, ends = bounds[:-1], bounds[1:]
+    before = np.zeros(n + 1, dtype=np.intp)  # positives before each position
+    np.cumsum(is_pos[order], out=before[1:])
+    # twice the sum of the positives' 1-based mid-ranks over all records, per code
+    twice = (before[ends] - before[starts]) * (starts + ends + 1)
+    if code is None:
+        sizes, twice_sums = [n], [int(twice.sum())]
+    else:
+        sizes = np.bincount(code, minlength=n_codes).tolist()
+        twice_sums = np.bincount(c[starts], weights=twice, minlength=n_codes).tolist()
+    cuts = [0, *accumulate(sizes)]  # where each code's records start, and the end
+    positives = before[cuts].tolist()
+    per_code = []
+    for first, size, twice_sum, p, q in zip(cuts, sizes, twice_sums, positives, positives[1:]):
+        n_pos = q - p
+        # ranks shifted to start at 1 within the code; U = rank sum - n_pos (n_pos + 1) / 2
+        per_code.append(((twice_sum - n_pos * (2 * first + n_pos + 1)) / 2, n_pos, size - n_pos))
+    return per_code
 
 
 def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
@@ -126,30 +154,25 @@ def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
     utility 0.5 and a warning. If every group is degenerate the metric is
     undefined and AllGroupsDegenerate is raised.
     """
-    manifest = run.manifest
-    score, is_pos = _positive_scores(run)
+    groups = run.manifest.group_space.groups
+    per_group = _u_statistics(*_positive_scores(run), run.group, len(groups))
     utility: dict[str, float] = {}
     warnings: list[str] = []
-    degenerate = 0
-    for i, g in enumerate(manifest.group_space.groups):
-        in_group = run.group == i
-        pos = score[in_group & is_pos]
-        neg = score[in_group & ~is_pos]
-        if not pos.size or not neg.size:
+    for g, (u, n_pos, n_neg) in zip(groups, per_group):
+        if n_pos and n_neg:
+            utility[g] = u / (n_pos * n_neg)
+        else:
             utility[g] = 0.5
             warnings.append(f"group {g}: only one class present, auc set to 0.5")
-            degenerate += 1
-        else:
-            utility[g] = _auc_from_scores(pos, neg)
-    if degenerate == len(manifest.group_space.groups):
+    if len(warnings) == len(groups):
         raise AllGroupsDegenerate("no group contains both classes")
     return GroupUtilityVector(utility=utility, utility_kind="auc"), warnings
 
 
 def pooled_auc(run: EvaluationRun) -> float:
     """AUC over all records together, same tie handling as group_auc."""
-    score, is_pos = _positive_scores(run)
-    return _auc_from_scores(score[is_pos], score[~is_pos])
+    ((u, n_pos, n_neg),) = _u_statistics(*_positive_scores(run))
+    return u / (n_pos * n_neg)
 
 
 def gap(v: GroupUtilityVector) -> float:

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -284,25 +285,28 @@ def _load_manifest(record_path: Path) -> RunManifest:
             "manifest is not valid JSON: nested too deeply", path=str(mpath)
         ) from None
     try:
-        label_space = LabelSpace(
-            labels=tuple(str(x) for x in raw["labels"]),
-            positive_label=str(raw.get("positive_label", "")),
-        )
-        group_space = GroupSpace(groups=tuple(str(x) for x in raw["groups"]))
+        scalars = {key: raw[key] for key in ("method", "dataset", "seed", "split", "utility_kind")}
+        positive_label = raw.get("positive_label", "")
+        for key, value in (*scalars.items(), ("positive_label", positive_label)):
+            kind = int if key == "seed" else str
+            if type(value) is not kind:  # neither coerced nor, for a seed, true or false
+                raise TypeError(
+                    f"{key} must be a JSON {'integer' if kind is int else 'string'}, "
+                    f"got {reprlib.repr(value)}"
+                )
         manifest = RunManifest(
-            method=str(raw["method"]),
-            dataset=str(raw["dataset"]),
-            seed=int(raw["seed"]),
-            split=str(raw["split"]),
-            utility_kind=str(raw["utility_kind"]),
-            label_space=label_space,
-            group_space=group_space,
+            **scalars,
+            label_space=LabelSpace(
+                labels=tuple(str(x) for x in raw["labels"]), positive_label=positive_label
+            ),
+            group_space=GroupSpace(groups=tuple(str(x) for x in raw["groups"])),
         )
         # a "\ud800" escape decodes to a lone surrogate, which no output can encode
-        for name in (manifest.method, manifest.dataset, *label_space.labels, *group_space.groups):
+        for name in (manifest.method, manifest.dataset, *manifest.label_space.labels,
+                     *manifest.group_space.groups):
             name.encode("utf-8")
         return manifest
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: seed 1e400
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedLine(f"bad manifest: {exc}", path=str(mpath)) from exc
 
 

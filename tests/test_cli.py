@@ -597,14 +597,16 @@ def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
 # Runs each command given as JSON through ``cli.main`` in this fresh
 # interpreter, as the nhfair script does, counting the processes it forks.
 # A command may name a sabotage: "helper dies" makes every forked helper exit
-# at its first log, "interrupt" raises KeyboardInterrupt at the parent's first
-# log. Prints, per command: exit code, stdout, stderr, the --out file's text
-# (None if it was not written), forks, and whether a child was left unreaped.
+# at its first log, "killed at claim" SIGKILLs every helper right after it
+# takes its first log index from the claim pipe, "interrupt" raises
+# KeyboardInterrupt at the parent's first log. Prints, per command: exit code,
+# stdout, stderr, the --out file's text (None if it was not written), forks,
+# and whether a child was left unreaped.
 _FORK_CHILD = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, signal, sys
 from nhfair import cli
 forks, parent, sabotage = [], os.getpid(), None
-fork, evaluate_file = os.fork, cli._evaluate_file
+fork, evaluate_file, read = os.fork, cli._evaluate_file, os.read
 
 def counting_fork():
     forks.append(1)
@@ -617,7 +619,13 @@ def sabotaged(path, eqodd="diagonal"):
         raise KeyboardInterrupt
     return evaluate_file(path, eqodd)
 
-os.fork, cli._evaluate_file = counting_fork, sabotaged
+def sabotaged_read(fd, n):
+    data = read(fd, n)
+    if sabotage == "killed at claim" and os.getpid() != parent and n == cli._TOKEN:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return data
+
+os.fork, cli._evaluate_file, os.read = counting_fork, sabotaged, sabotaged_read
 results = []
 for argv, sabotage in json.loads(sys.argv[1]):
     out, err, started = io.StringIO(), io.StringIO(), len(forks)
@@ -643,7 +651,7 @@ print(json.dumps(results))
 
 
 def _fork_inputs(directory: Path) -> dict[str, list[str]]:
-    """Input lists by case, over logs of unequal sizes; the last one warns."""
+    """Input lists by case, over logs of unequal sizes and formats."""
     names = []
     for i in range(4):
         spec = dataclasses.replace(spec_for(i), n_per_group={"A": 30 + 70 * i, "B": 60})
@@ -669,11 +677,31 @@ def _fork_inputs(directory: Path) -> dict[str, list[str]]:
     (directory / "base.csv").write_text(
         "run_id,method,A,B,overall\nbase,erm,0.7,0.7,0.7\n", encoding="utf-8"
     )
+    # 40 tiny logs, JSONL and CSV in turn, auc and accuracy methods; the
+    # faulty copies break logs 7 (CSV), 22 (JSONL) and 39 (CSV)
+    tiny = []
+    for i in range(40):
+        spec = dataclasses.replace(spec_for(100 + i), n_per_group={"A": 6 + i % 5, "B": 8})
+        name = f"t{i:02d}.{'csv' if i % 2 else 'jsonl'}"
+        write_run(generate(spec, utility_kind="auc" if i % 4 < 2 else "accuracy",
+                           method=f"t{i % 4}", dataset="tiny"), directory / name)
+        tiny.append(name)
+    faulty = [*tiny]
+    for i, extra in ((7, '{"y": "neg"}\n'), (22, "z,neg,neg,Q\n"), (39, "z,neg\n")):
+        faulty[i] = "bad-" + tiny[i]
+        text = (directory / tiny[i]).read_text(encoding="utf-8")
+        (directory / faulty[i]).write_text(text + extra, encoding="utf-8")
+        (directory / faulty[i]).with_suffix(".manifest.json").write_text(
+            (directory / tiny[i]).with_suffix(".manifest.json").read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
     return {
-        "warning in a helper's slice": [*names, "warns.jsonl"],
+        "warning in the last log": [*names, "warns.jsonl"],
         "fault in the last log": [*names, "bad-last.jsonl"],
-        "faults in two slices": ["bad-first.jsonl", *names[1:], "bad-last.jsonl"],
+        "faults in the first and last log": ["bad-first.jsonl", *names[1:], "bad-last.jsonl"],
         "summary fault before a log fault": ["bad-summ.csv", *names[:3], "bad-last.jsonl"],
+        "40 tiny mixed logs": tiny,
+        "40 tiny mixed logs, three faults": faulty,
     }
 
 
@@ -684,12 +712,17 @@ def test_forked_log_readers_give_the_serial_bytes_and_are_reaped(tmp_path):
         "select-erm": ["select-erm", "--out", "out.json"],
         "select-fwh": ["select-fwh", "--baseline", "base.csv", "--out", "out.json"],
     }
-    jobs = {"default": [], "1": ["--jobs", "1"], "3": ["--jobs", "3"]}
+    jobs = {"default": [], **{j: ["--jobs", j] for j in ("1", "2", "3", "4")}}
+    tiny = [case for case in cases if case.startswith("40 tiny")]
     runs = [
-        (case, command, j, None) for case in cases for command in commands for j in jobs
+        (case, command, j, None)
+        for case in cases for command in commands
+        for j in (jobs if case in tiny else ("default", "1", "3"))
     ] + [
-        ("warning in a helper's slice", command, "3", "helper dies") for command in commands
-    ] + [("warning in a helper's slice", "select-erm", "3", "interrupt")]
+        (case, command, "3", sabotage)
+        for case in ("warning in the last log", *tiny) for command in commands
+        for sabotage in ("helper dies", "killed at claim")
+    ] + [("warning in the last log", "select-erm", "3", "interrupt")]
     argvs = [
         [[*commands[command][:1], *jobs[j], *commands[command][1:], *cases[case]], sabotage]
         for case, command, j, sabotage in runs
@@ -702,7 +735,6 @@ def test_forked_log_readers_give_the_serial_bytes_and_are_reaped(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     results = dict(zip(runs, json.loads(child.stdout)))
-    n_logs = 5
     for (case, command, j, sabotage), (code, out, err, text, forks, unreaped) in results.items():
         assert not unreaped, (case, command, j, sabotage)
         if sabotage == "interrupt":
@@ -710,9 +742,9 @@ def test_forked_log_readers_give_the_serial_bytes_and_are_reaped(tmp_path):
             continue
         serial = results[(case, command, "1", None)]
         assert [code, out, err, text] == serial[:4], (case, command, j, sabotage)
-        expected_forks = {"1": 0, "3": 2, "default": min(cli.EngineConfig().jobs, n_logs) - 1}[j]
-        if case == "summary fault before a log fault":
-            expected_forks = min(expected_forks, 3)  # four logs, one slice each at most
+        n_logs = sum(name.endswith((".jsonl", ".csv")) and "summ" not in name
+                     for name in cases[case])
+        expected_forks = min(cli.EngineConfig().jobs if j == "default" else int(j), n_logs) - 1
         if command == "evaluate" and case == "summary fault before a log fault":
             expected_forks = 0  # evaluate refuses a summary file before reading any log
         assert forks == expected_forks, (case, command, j, sabotage)
@@ -721,13 +753,17 @@ def test_forked_log_readers_give_the_serial_bytes_and_are_reaped(tmp_path):
         return results[(case, command, "1", None)]
 
     for command in commands:
-        assert first("warning in a helper's slice", command)[0] == 0
+        assert first("warning in the last log", command)[0] == 0
+        assert first("40 tiny mixed logs", command)[0] == 0
         assert first("fault in the last log", command)[:3] == [
             2, "", f"error: bad-last.jsonl: line 5: missing field 'sample_id'\n"
         ]
-        assert first("faults in two slices", command)[2].startswith("error: bad-first.jsonl: ")
+        assert first("faults in the first and last log", command)[2].startswith("error: bad-first.jsonl: ")
+        assert first("40 tiny mixed logs, three faults", command)[:3] == [
+            2, "", f"error: bad-t07.csv: line 18: expected 4 fields, got 1\n"
+        ]
     warning = "warning: warns.jsonl: group B: only one class present, auc set to 0.5"
-    assert warning in first("warning in a helper's slice", "select-erm")[2]
+    assert warning in first("warning in the last log", "select-erm")[2]
     assert first("summary fault before a log fault", "select-fwh")[2].startswith(
         "error: bad-summ.csv: line 2: "
     )
@@ -777,16 +813,65 @@ def test_default_jobs_read_serially_where_no_helper_can_be_forked(run_dir, tmp_p
     assert forks
 
 
-@given(sizes=st.lists(st.integers(0, 1000), min_size=1, max_size=12), data=st.data())
-def test_slices_are_contiguous_non_empty_and_cover_every_log(sizes, data):
-    n = data.draw(st.integers(1, len(sizes)))
-    slices = cli._slices(sizes, n)
-    assert len(slices) == n and all(slices)
-    assert [i for part in slices for i in part] == list(range(len(sizes)))
-    if n == 2 and sum(sizes):  # the cut is at the log end nearest half the bytes
-        ends = [sum(sizes[:k]) for k in range(1, len(sizes))]
-        best = min(abs(2 * end - sum(sizes)) for end in ends)
-        assert abs(2 * ends[slices[0].stop - 1] - sum(sizes)) == best
+# Claims log indices 0..n-1 with cli's claim pipe and claim loop in this
+# fresh interpreter and in forked workers (more than the cores here), with a
+# stub report per log that raises at index ``fault``. Prints the bytes left in
+# the pipe at the end, then, per process, the indices it reported.
+_CLAIM_CHILD = """
+import json, os, sys
+from nhfair import cli
+n, fault, workers = json.loads(sys.argv[1])
+
+def stub(i, eqodd):
+    if i == fault:
+        raise ValueError(i)
+    return i, eqodd
+
+cli._evaluate_file = stub
+claims = cli._claim_pipe(n)
+pipes = []
+for _ in range(workers):
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if not pid:
+        with open(write_end, "w") as pipe:
+            json.dump([i for i, _, _ in cli._claimed_reports(range(n), claims, "x")], pipe)
+        os._exit(0)
+    os.close(write_end)
+    pipes.append((pid, read_end))
+claimed = [[i for i, _, _ in cli._claimed_reports(range(n), claims, "x")]]
+for pid, read_end in pipes:
+    with open(read_end) as pipe:
+        claimed.append(json.load(pipe))
+    os.waitpid(pid, 0)
+print(json.dumps([len(os.read(claims, 1 << 16)), *claimed]))
+"""
+
+
+@pytest.mark.parametrize(
+    "n, fault, workers",
+    [(1, None, 4), (1000, None, 4), (1000, 0, 4), (1000, 500, 4), (1000, 500, 0),
+     (100_000, None, 4), (400_000, None, 4), (400_000, 10_000, 4)],
+)
+def test_claims_hand_out_a_prefix_of_the_logs_once_each_in_order(n, fault, workers):
+    child = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _CLAIM_CHILD, json.dumps([n, fault, workers])],
+        env=_child_env(), capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    left, *claimed = json.loads(child.stdout)
+    assert left == 0  # every claim was taken, or drained after the fault
+    assert all(c == sorted(c) for c in claimed)  # each process claims in input order
+    reported = sorted(i for c in claimed for i in c)
+    assert len(set(reported)) == len(reported)  # no log is claimed twice
+    if fault is None:
+        # every index the pipe held; it holds at least its default 64 KiB of them
+        assert reported == list(range(len(reported)))
+        assert len(reported) == n or len(reported) >= 65536 // cli._TOKEN
+    else:
+        # the faulty log is never reported, and every log before it is
+        assert fault not in reported
+        assert reported[:fault] == list(range(fault))
 
 
 @pytest.mark.parametrize("command", ["evaluate", "select-erm", "select-fwh"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from nhfair.metrics import (
     worst,
 )
 from nhfair.columns import EvaluationRun
+from nhfair.records import GroupSpace, LabelSpace, RunManifest
 
 
 class TestConfusion:
@@ -471,3 +473,76 @@ def test_auc_duplication_invariance(run):
     except AllGroupsDegenerate:
         return
     assert u1.utility == u2.utility
+
+
+# --- AUC against the per-group kernel it replaced ----------------------------
+
+
+def _reference_mid_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties replaced by the tie group's average rank."""
+    _, inverse, tie_counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(tie_counts)
+    starts = ends - tie_counts + 1
+    return ((starts + ends) / 2.0)[inverse]
+
+
+def _reference_auc(pos: np.ndarray, neg: np.ndarray) -> float:
+    ranks = _reference_mid_ranks(np.concatenate([pos, neg]))
+    n_pos = len(pos)
+    u = float(ranks[:n_pos].sum()) - n_pos * (n_pos + 1) / 2
+    return u / (n_pos * len(neg))
+
+
+def _reference_group_auc(run: EvaluationRun) -> tuple[dict[str, float], list[str]]:
+    """One ``np.unique`` per group, as group_auc computed it before one sort served all."""
+    score, is_pos = run.scores[:, 1], run.y == 1
+    utility, warnings = {}, []
+    for i, g in enumerate(run.manifest.group_space.groups):
+        pos, neg = score[(run.group == i) & is_pos], score[(run.group == i) & ~is_pos]
+        if not pos.size or not neg.size:
+            utility[g] = 0.5
+            warnings.append(f"group {g}: only one class present, auc set to 0.5")
+        else:
+            utility[g] = _reference_auc(pos, neg)
+    if len(warnings) == len(utility):
+        raise AllGroupsDegenerate("no group contains both classes")
+    return utility, warnings
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (AllGroupsDegenerate, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@st.composite
+def tied_auc_runs(draw):
+    """Binary auc runs with heavy ties: scores on a coarse grid with 0.0, -0.0 and 1.0,
+    groups of one class or one record, some empty, and all-equal scores."""
+    groups = GROUPS3[: draw(st.integers(2, 3))]
+    grid = draw(st.sampled_from([(0.5,), (0.0, -0.0, 1.0), (0.0, -0.0, 0.25, 0.5, 1.0),
+                                 tuple(i / 8 for i in range(9))]))
+    n = draw(st.integers(1, 30))
+    group = np.array(draw(st.lists(st.integers(0, len(groups) - 1), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    score = np.array(draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n)))
+    manifest = RunManifest(
+        method="m", dataset="d", seed=0, split="test", utility_kind="auc",
+        label_space=LabelSpace(labels=("neg", "pos")), group_space=GroupSpace(groups=groups),
+    )
+    return EvaluationRun(manifest, np.array([f"s{i:02d}" for i in range(n)], dtype=object),
+                         group, y, y, np.stack([1.0 - score, score], axis=1))
+
+
+@given(tied_auc_runs())
+@settings(max_examples=300, deadline=None)
+def test_auc_equals_the_per_group_mid_rank_kernel(run):
+    got = _outcome(group_auc, run)
+    want = _outcome(_reference_group_auc, run)
+    if want is AllGroupsDegenerate:
+        assert got is AllGroupsDegenerate
+    else:
+        assert (got[0].utility, got[1]) == want
+    score, is_pos = run.scores[:, 1], run.y == 1
+    assert _outcome(pooled_auc, run) == _outcome(_reference_auc, score[is_pos], score[~is_pos])

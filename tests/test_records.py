@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_run
+from nhfair.cli import main
 from nhfair.columns import Check, EvaluationRun, _finish_run, _raise_first
 from nhfair.errors import (
     DuplicateSampleId,
@@ -240,6 +241,51 @@ class TestParseRun:
         run = parse_run(path)
         assert run.records[0].scores == {"pos": 0.8}
         assert run.records[1].scores is None
+
+
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [
+        ("seed", 1.5, "1.5"),
+        ("seed", True, "True"),
+        ("seed", "7", "'7'"),
+        ("seed", float("inf"), "inf"),
+        ("seed", None, "None"),
+        ("method", None, "None"),
+        ("method", ["a"], "['a']"),
+        ("method", 3, "3"),
+        ("dataset", 3, "3"),
+        ("split", False, "False"),
+        ("utility_kind", {"kind": "auc"}, "{'kind': 'auc'}"),
+        ("positive_label", 1, "1"),
+        ("positive_label", None, "None"),
+    ],
+)
+def test_manifest_scalar_of_another_json_type_exits_2_naming_the_sidecar(tmp_path, capsys, key,
+                                                                        value, shown):
+    path = write_fixture(tmp_path, [record_line("s1", "pos", "pos", "A"),
+                                    record_line("s2", "neg", "neg", "B")],
+                         manifest=dict(MANIFEST, **{key: value}))
+    kind = "integer" if key == "seed" else "string"
+    sidecar = tmp_path / "run.manifest.json"
+    message = f"{sidecar}: bad manifest: {key} must be a JSON {kind}, got {shown}"
+    with pytest.raises(MalformedLine) as caught:
+        parse_run(path)
+    assert str(caught.value) == message
+    assert main(["evaluate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", [0, -3, 2**70])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_manifest_scalars_round_trip_as_written(tmp_path, seed, fmt):
+    run = make_run([("pos", "pos", "A", 0.8), ("neg", "pos", "B", 0.6), ("neg", "neg", "A", 0.1)],
+                   utility_kind="auc", positive_label="pos", method="m\u00e9thode \"x\"",
+                   dataset="d,1", seed=seed, split="validation")
+    write_run(run, tmp_path / f"run.{fmt}")
+    again = parse_run(tmp_path / f"run.{fmt}")
+    assert again.manifest == run.manifest and type(again.manifest.seed) is int
+    assert again == run
 
 
 class TestRoundTrip:
