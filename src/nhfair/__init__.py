@@ -19,11 +19,10 @@ _EXPORTS = {
     "GroupSpace": "records",
     "GroupUtilityVector": "selection",
     "LabelSpace": "records",
-    "MetricReport": "metrics",
     "PredictionRecord": "records",
     "RankMatrix": "stats",
     "RunManifest": "records",
-    "RunSummary": "records",
+    "RunResult": "selection",
     "SelectionResult": "selection",
     "UtopiaPoint": "selection",
     "Zone": "selection",

@@ -24,7 +24,6 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import selection, stats
 from .config import EngineConfig, add_flags, build_config
@@ -37,7 +36,6 @@ from .errors import (
     StatsError,
 )
 from .records import (
-    RunManifest,
     is_manifest,
     is_prediction_log,
     parse_run,
@@ -45,12 +43,9 @@ from .records import (
     read_csv_table,
     require_distinct_columns,
 )
-from .selection import CandidatePoint
+from .selection import RunResult
 from .svgplot import render_cd_plot
 from .tables import parse_mean_std, rows_to_csv, rows_to_json, rows_to_markdown
-
-if TYPE_CHECKING:
-    from .metrics import MetricReport
 
 
 def _input_file(path: Path) -> Path:
@@ -135,13 +130,13 @@ def _emit(*outputs: tuple[Path | None, str]) -> None:
             temporary.unlink(missing_ok=True)
 
 
-def _evaluate_file(path: Path, eqodd: str = "diagonal") -> tuple[MetricReport, RunManifest]:
-    """Parse one prediction log and compute its report; the run is dropped after."""
+def _evaluate_file(path: Path, eqodd: str = "diagonal") -> RunResult:
+    """Parse one prediction log and compute its result; the run is dropped after."""
     from . import metrics  # numpy: loaded only by commands that read a log
 
     run = parse_run(path)
     try:
-        return metrics.metric_report(run, eqodd_variant=eqodd), run.manifest
+        return metrics.metric_report(run, eqodd_variant=eqodd)
     except MetricError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -189,10 +184,8 @@ def _claim_pipe(n: int) -> int:
     return read_end
 
 
-def _claimed_reports(
-    paths: list[Path], claims: int, eqodd: str
-) -> list[tuple[int, MetricReport, RunManifest]]:
-    """Reports of the logs claimed from ``claims``, until none is left or one faults.
+def _claimed_reports(paths: list[Path], claims: int, eqodd: str) -> list[tuple[int, RunResult]]:
+    """Results of the logs claimed from ``claims``, until none is left or one faults.
 
     A faulty log is left out and ends the claiming: the claims still in
     the pipe are drained, since no log after the first fault is needed.
@@ -201,7 +194,7 @@ def _claimed_reports(
     try:
         while token := os.read(claims, _TOKEN):
             i = int.from_bytes(token, sys.byteorder)
-            reports.append((i, *_evaluate_file(paths[i], eqodd)))
+            reports.append((i, _evaluate_file(paths[i], eqodd)))
     except Exception:  # read again by the caller, which raises it
         while os.read(claims, 1 << 16):
             pass
@@ -211,7 +204,7 @@ def _claimed_reports(
 def _fork_reader(paths: list[Path], claims: int, eqodd: str) -> tuple[int, int]:
     """Fork a helper that reports the logs it claims; its pid and result pipe.
 
-    The helper sends one pickled list of (index, report, manifest) and no
+    The helper sends one pickled list of (index, result) and no
     exception: a log it claimed and did not report, faulty or not, is
     read by the parent itself.
     """
@@ -236,10 +229,8 @@ def _fork_reader(paths: list[Path], claims: int, eqodd: str) -> tuple[int, int]:
         os._exit(0)
 
 
-def _read_ahead(
-    paths: list[Path], eqodd: str, jobs: int
-) -> list[tuple[MetricReport, RunManifest] | None]:
-    """The logs' reports, read by up to ``jobs`` processes, in input order.
+def _read_ahead(paths: list[Path], eqodd: str, jobs: int) -> list[RunResult | None]:
+    """The logs' results, read by up to ``jobs`` processes, in input order.
 
     None stands for a log the caller reads itself, in order, as a serial
     command does: every log when the logs are read serially, else a log
@@ -248,7 +239,7 @@ def _read_ahead(
     each helper claim the next unread log, one at a time, until none is
     left; every helper is reaped before this returns or raises.
     """
-    results: list[tuple[MetricReport, RunManifest] | None] = [None] * len(paths)
+    results: list[RunResult | None] = [None] * len(paths)
     n = min(jobs, len(paths))
     if n < 2 or not hasattr(os, "fork"):
         return results
@@ -273,8 +264,8 @@ def _read_ahead(
                 data = stream.read()
             with contextlib.suppress(Exception):  # a helper that died reported nothing
                 reports += pickle.loads(data)
-        for i, report, manifest in reports:
-            results[i] = report, manifest
+        for i, result in reports:
+            results[i] = result
     finally:
         os.close(claims)
         for pid, pipe in helpers:
@@ -286,32 +277,21 @@ def _read_ahead(
     return results
 
 
-def _load_candidates(paths: list[Path], jobs: int) -> list[CandidatePoint]:
-    """Selection points in input order; a log's degenerate-cell warnings go to stderr."""
+def _load_candidates(paths: list[Path], jobs: int) -> list[RunResult]:
+    """Selection candidates in input order; a log's degenerate-cell warnings go to stderr.
+
+    A run_id that two candidates share is an error.
+    """
     logs = [p for p in paths if is_prediction_log(p)]
     read = dict(zip(logs, _read_ahead(logs, "diagonal", jobs)))
-    candidates: list[CandidatePoint] = []
+    candidates: list[RunResult] = []
     for path in paths:
-        if path in read:
-            report, manifest = read[path] or _evaluate_file(path)
-            for warning in report.warnings:
+        results = [read[path] or _evaluate_file(path)] if path in read else parse_summaries(path)
+        for result in results:
+            for warning in result.warnings:
                 sys.stderr.write(f"warning: {path}: {warning}\n")
-            candidates.append(
-                CandidatePoint(
-                    run_id=manifest.run_id,
-                    method=manifest.method,
-                    group_utilities=report.group_utilities,
-                    gap=report.gap,
-                    overall=report.overall,
-                )
-            )
-        else:
-            candidates += (
-                CandidatePoint.from_utilities(
-                    s.run_id, s.method, s.group_utilities, s.overall_utility
-                )
-                for s in parse_summaries(path)
-            )
+        candidates += results
+    selection.require_distinct_run_ids(candidates)
     return candidates
 
 
@@ -331,7 +311,7 @@ def cmd_evaluate(config: EngineConfig) -> int:
 
     read = _read_ahead(run_paths, config.eqodd, config.jobs)
     rows = stats.aggregate(
-        [pair or _evaluate_file(p, config.eqodd) for p, pair in zip(run_paths, read)]
+        [result or _evaluate_file(p, config.eqodd) for p, result in zip(run_paths, read)]
     )
 
     if config.format == "csv":
@@ -370,8 +350,8 @@ def cmd_select_erm(config: EngineConfig) -> int:
 
 
 def _resolve_baseline(
-    config: EngineConfig, candidates: list[CandidatePoint]
-) -> tuple[CandidatePoint, list[CandidatePoint], str]:
+    config: EngineConfig, candidates: list[RunResult]
+) -> tuple[RunResult, list[RunResult], str]:
     spec = config.baseline
     if not spec:
         raise ParseError("select-fwh requires --baseline (a file or a candidate run_id)")

@@ -35,7 +35,7 @@ from .errors import (
     InternalInvariantViolation,
     NoEvaluableClass,
 )
-from .selection import GroupUtilityVector
+from .selection import GroupUtilityVector, RunResult
 from .tables import EQODD_VARIANTS
 
 
@@ -49,33 +49,6 @@ class ConfusionTensor:
 
     def n_group(self, group: str) -> int:
         return int(self.counts[self.groups.index(group)].sum())
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """The five reported columns plus degenerate-cell warnings.
-
-    ``group_utilities`` is the per-group vector that worst and gap come
-    from, so selection need not compute it again.
-    """
-
-    overall: float
-    worst: float
-    gap: float
-    dp: float
-    eqodd: float
-    warnings: tuple[str, ...] = ()
-    group_utilities: GroupUtilityVector | None = None
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "utility": self.overall,
-            "worst": self.worst,
-            "gap": self.gap,
-            "eqodd": self.eqodd,
-            "dp": self.dp,
-            "warnings": list(self.warnings),
-        }
 
 
 def confusion(run: EvaluationRun) -> ConfusionTensor:
@@ -232,8 +205,8 @@ def equalized_odds(t: ConfusionTensor, variant: str = "diagonal") -> tuple[float
     return sum(scores) / len(scores), warnings
 
 
-def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> MetricReport:
-    """Compute the full five-metric bundle for one run."""
+def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunResult:
+    """Compute the full five-metric bundle for one run, with the run's identity."""
     t = confusion(run)
     if run.manifest.utility_kind == "auc":
         utilities, warnings = group_auc(run)
@@ -254,12 +227,13 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> Metric
         for g, n in zip(t.groups, t.counts.sum(axis=(1, 2)).tolist())
         if n < 2
     ]
-    return MetricReport(
+    return RunResult(
+        **run.manifest.identity(),
+        group_utilities=utilities,
         overall=overall,
         worst=worst(utilities),
         gap=gap(utilities),
         dp=dp,
         eqodd=eqodd,
         warnings=(*warnings, *eq_warnings, *thin),
-        group_utilities=utilities,
     )

@@ -23,8 +23,7 @@ from .errors import (
     NoEvaluableClass,
     SelectionError,
 )
-from .metrics import MetricReport
-from .selection import ZONE_ORDER, CandidatePoint, SelectionResult, Zone
+from .selection import ZONE_ORDER, GroupUtilityVector, RunResult, SelectionResult, Zone
 
 
 def _oracle_group_accuracy(run: EvaluationRun) -> dict[str, float]:
@@ -155,7 +154,7 @@ def _oracle_eqodd(run: EvaluationRun, variant: str) -> tuple[float, list[str]]:
     return sum(scores) / len(scores), warnings
 
 
-def oracle_metrics(run: EvaluationRun, eqodd_variant: str = "diagonal") -> MetricReport:
+def oracle_metrics(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunResult:
     """Full metric bundle by explicit enumeration; mirrors metric_report."""
     warnings: list[str] = []
     if run.manifest.utility_kind == "auc":
@@ -179,7 +178,9 @@ def oracle_metrics(run: EvaluationRun, eqodd_variant: str = "diagonal") -> Metri
         if n < 2:
             warnings.append(f"thin support: group {g} has only {n} record(s)")
 
-    return MetricReport(
+    return RunResult(
+        **run.manifest.identity(),
+        group_utilities=GroupUtilityVector(utilities, run.manifest.utility_kind),
         overall=overall,
         worst=min(values),
         gap=max(values) - min(values),
@@ -189,7 +190,7 @@ def oracle_metrics(run: EvaluationRun, eqodd_variant: str = "diagonal") -> Metri
     )
 
 
-def _oracle_zone(candidate: CandidatePoint, baseline: CandidatePoint, tolerance: float) -> Zone:
+def _oracle_zone(candidate: RunResult, baseline: RunResult, tolerance: float) -> Zone:
     groups = list(baseline.group_utilities.groups)
     ok = []
     for g in groups:
@@ -209,7 +210,7 @@ def _oracle_zone(candidate: CandidatePoint, baseline: CandidatePoint, tolerance:
     return Zone.UNWANTED
 
 
-def _oracle_distance(a: CandidatePoint, coords: dict[str, float]) -> float:
+def _oracle_distance(a: RunResult, coords: dict[str, float]) -> float:
     total = 0.0
     for g in a.group_utilities.groups:
         d = coords[g] - a.group_utilities.utility[g]
@@ -218,7 +219,7 @@ def _oracle_distance(a: CandidatePoint, coords: dict[str, float]) -> float:
 
 
 def oracle_select(
-    candidates: list[CandidatePoint], baseline: CandidatePoint, tolerance: float = 0.0
+    candidates: list[RunResult], baseline: RunResult, tolerance: float = 0.0
 ) -> SelectionResult:
     """Zone classification and selection by exhaustive comparison."""
     if not candidates:
@@ -271,7 +272,7 @@ def oracle_select(
     )
 
 
-def oracle_dto(candidates: list[CandidatePoint]) -> tuple[CandidatePoint, float]:
+def oracle_dto(candidates: list[RunResult]) -> tuple[RunResult, float]:
     """Distance-to-utopia selection by exhaustive comparison."""
     if not candidates:
         raise EmptyCandidateSet("dto selection needs at least one candidate")

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     UtilityOutOfRange,
 )
+from .selection import RunResult
 
 if TYPE_CHECKING:
     from .columns import EvaluationRun
@@ -125,18 +126,10 @@ class RunManifest:
     def run_id(self) -> str:
         return f"{self.method}:{self.dataset}:seed{self.seed}:{self.split}"
 
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Pre-computed per-run utilities, e.g. transcribed from a results table."""
-
-    method: str
-    run_id: str
-    group_utilities: dict[str, float]
-    overall_utility: float
-    dp: float | None = None
-    eqodd: float | None = None
+    def identity(self) -> dict[str, object]:
+        """The fields that a result of this run takes from its manifest."""
+        return {"run_id": self.run_id, "method": self.method, "dataset": self.dataset,
+                "seed": self.seed, "split": self.split}
 
 
 _MANIFEST_SUFFIX = ".manifest.json"
@@ -272,6 +265,18 @@ def require_distinct_columns(names: Sequence[str], path: Path) -> None:
         seen.add(name)
 
 
+def _names(raw: dict, key: str) -> tuple[str, ...]:
+    """A manifest's ``labels`` or ``groups``: a JSON array, each item read as a record
+    cell is (a string, or a number, bool or null that stands for its Python text)."""
+    items = raw[key]
+    if type(items) is not list or any(isinstance(item, (list, dict)) for item in items):
+        raise TypeError(
+            f"{key} must be a JSON array of strings, numbers, booleans or nulls, "
+            f"got {reprlib.repr(items)}"
+        )
+    return tuple(map(str, items))
+
+
 def _load_manifest(record_path: Path) -> RunManifest:
     mpath = _manifest_path(record_path)
     if not mpath.exists():
@@ -296,10 +301,8 @@ def _load_manifest(record_path: Path) -> RunManifest:
                 )
         manifest = RunManifest(
             **scalars,
-            label_space=LabelSpace(
-                labels=tuple(str(x) for x in raw["labels"]), positive_label=positive_label
-            ),
-            group_space=GroupSpace(groups=tuple(str(x) for x in raw["groups"])),
+            label_space=LabelSpace(labels=_names(raw, "labels"), positive_label=positive_label),
+            group_space=GroupSpace(groups=_names(raw, "groups")),
         )
         # a "\ud800" escape decodes to a lone surrogate, which no output can encode
         for name in (manifest.method, manifest.dataset, *manifest.label_space.labels,
@@ -394,9 +397,10 @@ def _parse_utility_cell(cell: str, percent_column: bool, path: str, line: int) -
     return value
 
 
-def parse_summaries(path: str | Path) -> list[RunSummary]:
+def parse_summaries(path: str | Path) -> list[RunResult]:
     """Parse a summary CSV: ``run_id,method,<group>[%],...,overall[%]``.
 
+    Each row is a :class:`RunResult` without dataset, seed or split.
     Columns named ``dp``/``eqodd`` (optionally %-marked) populate the
     corresponding optional fields; every other non-reserved column is a
     group utility. Column names, ``%`` marker aside, must be distinct.
@@ -424,7 +428,7 @@ def parse_summaries(path: str | Path) -> list[RunSummary]:
         raise MalformedRow("header must name at least 2 group columns", path=str(path), line=1)
     markers = dict(columns)
 
-    summaries: list[RunSummary] = []
+    summaries: list[RunResult] = []
     for line_no, row in zip(lines, rows):
         cells = dict(zip(names, row))
         utilities = {
@@ -437,13 +441,9 @@ def parse_summaries(path: str | Path) -> list[RunSummary]:
         if "eqodd" in cells and cells["eqodd"].strip():
             eqodd = _parse_utility_cell(cells["eqodd"], markers["eqodd"], str(path), line_no)
         summaries.append(
-            RunSummary(
-                method=cells["method"].strip(),
-                run_id=cells["run_id"].strip(),
-                group_utilities=utilities,
-                overall_utility=overall,
-                dp=dp,
-                eqodd=eqodd,
+            RunResult.from_utilities(
+                cells["run_id"].strip(), cells["method"].strip(), utilities, overall,
+                dp=dp, eqodd=eqodd,
             )
         )
     if fault is not None:

@@ -68,17 +68,28 @@ class Zone(str, Enum):
 ZONE_ORDER = (Zone.OPTIMAL, Zone.SUB_OPTIMAL, Zone.DEGRADATION, Zone.UNWANTED)
 
 
-@dataclass(frozen=True)
-class CandidatePoint:
+@dataclass(frozen=True, kw_only=True)
+class RunResult:
+    """One scored run: a row of the seed-aggregated table and a selection candidate.
+
+    A run read from a log carries its manifest's identity; a summary-table
+    row leaves ``dataset``, ``seed`` and ``split`` empty, and ``dp`` and
+    ``eqodd`` None where the table has no such column. ``worst`` and
+    ``gap`` are the minimum and the spread of ``group_utilities``.
+    """
+
     run_id: str
     method: str
+    dataset: str = ""
+    seed: int | None = None
+    split: str = ""
     group_utilities: GroupUtilityVector
-    gap: float
     overall: float
-
-    @property
-    def worst(self) -> float:
-        return min(self.group_utilities.utility.values())
+    worst: float
+    gap: float
+    dp: float | None = None
+    eqodd: float | None = None
+    warnings: tuple[str, ...] = ()
 
     @staticmethod
     def from_utilities(
@@ -87,15 +98,35 @@ class CandidatePoint:
         utilities: dict[str, float],
         overall: float,
         utility_kind: str = "accuracy",
-    ) -> "CandidatePoint":
+        dp: float | None = None,
+        eqodd: float | None = None,
+    ) -> RunResult:
+        """A result whose worst and gap are taken from ``utilities``."""
         values = list(utilities.values())
-        return CandidatePoint(
+        return RunResult(
             run_id=run_id,
             method=method,
             group_utilities=GroupUtilityVector(utility=dict(utilities), utility_kind=utility_kind),
-            gap=max(values) - min(values),
             overall=overall,
+            worst=min(values),
+            gap=max(values) - min(values),
+            dp=dp,
+            eqodd=eqodd,
         )
+
+    def as_dict(self) -> dict[str, object]:
+        """The five reported metrics, ``overall`` named ``utility``, and the warnings."""
+        return {
+            "utility": self.overall,
+            "worst": self.worst,
+            "gap": self.gap,
+            "eqodd": self.eqodd,
+            "dp": self.dp,
+            "warnings": list(self.warnings),
+        }
+
+
+CandidatePoint = RunResult  # kept for callers that build candidates by this name
 
 
 @dataclass(frozen=True)
@@ -105,7 +136,7 @@ class UtopiaPoint:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    selected: CandidatePoint | None
+    selected: RunResult | None
     zone: Zone | None
     tally: dict[Zone, int]
     candidate_zones: dict[str, Zone]
@@ -149,7 +180,15 @@ class ZoneTally:
         return self.text
 
 
-def _check_same_groups(candidates: list[CandidatePoint]) -> tuple[str, ...]:
+def require_distinct_run_ids(candidates: list[RunResult]) -> None:
+    """Reject a candidate set that holds a run_id more than once, naming each."""
+    ids = [c.run_id for c in candidates]
+    if len(set(ids)) != len(ids):
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        raise SelectionError(f"duplicate candidate run_id(s): {', '.join(duplicates)}")
+
+
+def _check_same_groups(candidates: list[RunResult]) -> tuple[str, ...]:
     groups = candidates[0].group_utilities.groups
     for c in candidates[1:]:
         if set(c.group_utilities.groups) != set(groups):
@@ -160,7 +199,7 @@ def _check_same_groups(candidates: list[CandidatePoint]) -> tuple[str, ...]:
     return groups
 
 
-def utopia(candidates: list[CandidatePoint]) -> UtopiaPoint:
+def utopia(candidates: list[RunResult]) -> UtopiaPoint:
     """Per-group maximum utility over the candidate set."""
     if not candidates:
         raise EmptyCandidateSet("cannot build a utopia point from zero candidates")
@@ -171,7 +210,7 @@ def utopia(candidates: list[CandidatePoint]) -> UtopiaPoint:
     return UtopiaPoint(coordinates=coords)
 
 
-def distance_to(point: CandidatePoint, coordinates: dict[str, float]) -> float:
+def distance_to(point: RunResult, coordinates: dict[str, float]) -> float:
     total = 0.0
     for g in point.group_utilities.groups:
         d = coordinates[g] - point.group_utilities.utility[g]
@@ -179,7 +218,7 @@ def distance_to(point: CandidatePoint, coordinates: dict[str, float]) -> float:
     return math.sqrt(total)
 
 
-def dto_select(candidates: list[CandidatePoint]) -> tuple[CandidatePoint, float]:
+def dto_select(candidates: list[RunResult]) -> tuple[RunResult, float]:
     """Pick the candidate with the smallest Euclidean distance to utopia.
 
     Ties go to the higher worst-group utility, then the lexicographically
@@ -195,7 +234,7 @@ def dto_select(candidates: list[CandidatePoint]) -> tuple[CandidatePoint, float]
     return best, distance_to(best, target)
 
 
-def _tie_fallback(baseline: CandidatePoint, zones: Iterable[Zone]) -> bool:
+def _tie_fallback(baseline: RunResult, zones: Iterable[Zone]) -> bool:
     """Whether the worst-group rule decided a mixed zone because two baseline groups tie."""
     values = list(baseline.group_utilities.utility.values())
     mixed = any(z in (Zone.SUB_OPTIMAL, Zone.UNWANTED) for z in zones)
@@ -203,7 +242,7 @@ def _tie_fallback(baseline: CandidatePoint, zones: Iterable[Zone]) -> bool:
 
 
 def classify_zone(
-    candidate: CandidatePoint, baseline: CandidatePoint, tolerance: float = 0.0
+    candidate: RunResult, baseline: RunResult, tolerance: float = 0.0
 ) -> Zone:
     """Assign exactly one zone to a candidate relative to the baseline.
 
@@ -221,7 +260,7 @@ def classify_zone(
     return zone
 
 
-def _zone(candidate: CandidatePoint, baseline: CandidatePoint, tolerance: float) -> Zone:
+def _zone(candidate: RunResult, baseline: RunResult, tolerance: float) -> Zone:
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     if set(candidate.group_utilities.groups) != set(baseline.group_utilities.groups):
@@ -243,7 +282,7 @@ def _zone(candidate: CandidatePoint, baseline: CandidatePoint, tolerance: float)
 
 
 def fwh_select(
-    candidates: list[CandidatePoint], baseline: CandidatePoint, tolerance: float = 0.0
+    candidates: list[RunResult], baseline: RunResult, tolerance: float = 0.0
 ) -> SelectionResult:
     """Zone every candidate and select by Optimal > SubOptimal > Degradation.
 
@@ -254,10 +293,7 @@ def fwh_select(
     """
     if not candidates:
         raise EmptyCandidateSet("selection needs at least one candidate")
-    ids = [c.run_id for c in candidates]
-    if len(set(ids)) != len(ids):
-        duplicates = sorted({i for i in ids if ids.count(i) > 1})
-        raise SelectionError(f"duplicate candidate run_id(s): {', '.join(duplicates)}")
+    require_distinct_run_ids(candidates)
 
     notes: list[str] = []
     zones = {c.run_id: _zone(c, baseline, tolerance) for c in candidates}
@@ -271,7 +307,7 @@ def fwh_select(
         tally[zone] += 1
 
     by_zone = {z: [c for c in candidates if zones[c.run_id] == z] for z in ZONE_ORDER}
-    selected: CandidatePoint | None = None
+    selected: RunResult | None = None
     zone: Zone | None = None
     if by_zone[Zone.OPTIMAL]:
         zone = Zone.OPTIMAL

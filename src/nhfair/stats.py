@@ -29,8 +29,7 @@ from .errors import (
 from .tables import METRIC_NAMES, ReportRow
 
 if TYPE_CHECKING:
-    from .metrics import MetricReport
-    from .records import RunManifest
+    from .selection import RunResult
 
 METRIC_DIRECTIONS = {
     "utility": "higher_better",
@@ -97,8 +96,8 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, var**0.5
 
 
-def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow]:
-    """Collapse per-seed reports into one table row per (method, dataset, split).
+def aggregate(results: list[RunResult]) -> list[ReportRow]:
+    """Collapse per-seed results into one table row per (method, dataset, split).
 
     Seeds must be distinct within a row and its runs must share one
     utility kind. Warnings are merged without repeats, and means and
@@ -106,16 +105,17 @@ def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow
     a row does not depend on the order of its inputs. Rows come back in
     table order: by dataset, then method, then split.
     """
-    groups: dict[tuple[str, str, str], list[tuple[MetricReport, RunManifest]]] = {}
-    mixed: RunManifest | None = None  # first run, in input order, of a second kind
-    for report, manifest in reports:
-        entries = groups.setdefault((manifest.method, manifest.dataset, manifest.split), [])
-        if mixed is None and entries and entries[0][1].utility_kind != manifest.utility_kind:
-            mixed = manifest
-        entries.append((report, manifest))
+    groups: dict[tuple[str, str, str], list[RunResult]] = {}
+    mixed: RunResult | None = None  # first run, in input order, of a second kind
+    for result in results:
+        entries = groups.setdefault((result.method, result.dataset, result.split), [])
+        kind = result.group_utilities.utility_kind
+        if mixed is None and entries and entries[0].group_utilities.utility_kind != kind:
+            mixed = result
+        entries.append(result)
 
     for (method, dataset, split), entries in sorted(groups.items()):
-        seeds = [manifest.seed for _, manifest in entries]
+        seeds = [result.seed for result in entries]
         if len(set(seeds)) != len(seeds):
             dup = sorted({s for s in seeds if seeds.count(s) > 1})
             raise DuplicateSeed(
@@ -126,15 +126,15 @@ def aggregate(reports: list[tuple[MetricReport, RunManifest]]) -> list[ReportRow
 
     rows: list[ReportRow] = []
     for (method, dataset, split), entries in groups.items():
-        in_seed_order = [report for report, _ in sorted(entries, key=lambda e: e[1].seed)]
-        values = [report.as_dict() for report in in_seed_order]
-        warnings = dict.fromkeys(w for report in in_seed_order for w in report.warnings)
+        in_seed_order = sorted(entries, key=lambda result: result.seed)
+        values = [result.as_dict() for result in in_seed_order]
+        warnings = dict.fromkeys(w for result in in_seed_order for w in result.warnings)
         rows.append(
             ReportRow(
                 method=method,
                 dataset=dataset,
                 split=split,
-                utility_kind=entries[0][1].utility_kind,
+                utility_kind=entries[0].group_utilities.utility_kind,
                 n_seeds=len(entries),
                 metrics={name: _mean_std([v[name] for v in values]) for name in METRIC_NAMES},
                 warnings=tuple(warnings),

@@ -16,7 +16,6 @@ from conftest import make_run, point, random_candidate_cloud, random_cohort_spec
 from nhfair.cli import main
 from nhfair.errors import AdvantageTieWarning, AllGroupsDegenerate, NoEvaluableClass
 from nhfair.metrics import (
-    GroupUtilityVector,
     gap,
     group_auc,
     metric_report,
@@ -142,19 +141,17 @@ def test_criterion_1_table_fixture_consistency(tmp_path):
         path.write_text(summaries_csv_for(dataset), encoding="utf-8")
         summaries = {s.method: s for s in parse_summaries(path)}
         for method, (_, worst_pts, gap_pts) in TABLE[dataset]["rows"].items():
-            v = GroupUtilityVector(
-                utility=summaries[method].group_utilities, utility_kind="accuracy"
-            )
+            v = summaries[method].group_utilities
             assert abs(gap(v) * 100 - gap_pts) <= 0.01, (dataset, method)
             assert abs(worst(v) * 100 - worst_pts) <= 0.01, (dataset, method)
             checked += 1
         erm = point(
-            "erm", summaries["erm"].group_utilities,
-            method="erm", overall=summaries["erm"].overall_utility,
+            "erm", summaries["erm"].group_utilities.utility,
+            method="erm", overall=summaries["erm"].overall,
         )
         ra = point(
-            "randaug", summaries["randaug"].group_utilities,
-            method="randaug", overall=summaries["randaug"].overall_utility,
+            "randaug", summaries["randaug"].group_utilities.utility,
+            method="randaug", overall=summaries["randaug"].overall,
         )
         randaug_results[dataset] = fwh_select([ra], erm)
         assert classify_zone(ra, erm) is Zone.OPTIMAL, dataset

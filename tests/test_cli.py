@@ -25,7 +25,8 @@ from conftest import make_run
 from nhfair import cli
 from nhfair.cli import build_parser, main
 from nhfair.config import OPTIONS
-from nhfair.records import write_run
+from nhfair.metrics import metric_report
+from nhfair.records import parse_run, parse_summaries, write_run
 from nhfair.synth import CohortSpec, generate
 
 
@@ -835,11 +836,11 @@ for _ in range(workers):
     pid = os.fork()
     if not pid:
         with open(write_end, "w") as pipe:
-            json.dump([i for i, _, _ in cli._claimed_reports(range(n), claims, "x")], pipe)
+            json.dump([i for i, _ in cli._claimed_reports(range(n), claims, "x")], pipe)
         os._exit(0)
     os.close(write_end)
     pipes.append((pid, read_end))
-claimed = [[i for i, _, _ in cli._claimed_reports(range(n), claims, "x")]]
+claimed = [[i for i, _ in cli._claimed_reports(range(n), claims, "x")]]
 for pid, read_end in pipes:
     with open(read_end) as pipe:
         claimed.append(json.load(pipe))
@@ -1101,6 +1102,53 @@ class TestSelectFromLogs:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["baseline"]["group_utilities"]["B"] == 0.5
         assert f"warning: {single}: group B: only one class present" in captured.err
+
+
+def test_selection_from_logs_equals_selection_from_their_summary_table(run_dir, tmp_path,
+                                                                       capsys):
+    logs = sorted(run_dir.glob("*.jsonl"))
+    results = [metric_report(parse_run(log)) for log in logs]
+    groups = results[0].group_utilities.groups
+    lines = [",".join(["run_id", "method", *groups, "overall", "dp", "eqodd"])]
+    for r in results:
+        cells = [*(r.group_utilities.utility[g] for g in groups), r.overall, r.dp, r.eqodd]
+        lines.append(",".join([r.run_id, r.method, *map(repr, cells)]))
+    table = tmp_path / "summ.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # a summary row is the log's result without the manifest's dataset, seed and split
+    assert parse_summaries(table) == [
+        dataclasses.replace(r, dataset="", seed=None, split="", warnings=()) for r in results
+    ]
+    for command in (["select-erm"], ["select-fwh", "--baseline", results[0].run_id]):
+        outputs = []
+        for inputs in ([str(log) for log in logs], [str(table)]):
+            assert main([*command, *inputs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("kind", ["logs", "summary table"])
+@pytest.mark.parametrize("command", ["select-erm", "select-fwh"])
+def test_repeated_candidate_run_id_exits_2_naming_it(tmp_path, capsys, command, kind):
+    if kind == "logs":  # two logs of one manifest identity, in either format
+        run_id = "erm:demo:seed1:test"
+        for skew, name in ((0.0, "a.jsonl"), (0.05, "b.csv"), (0.1, "c.jsonl")):
+            method = "other" if name == "c.jsonl" else "erm"
+            write_run(generate(spec_for(1, skew), method=method, dataset="demo"),
+                      tmp_path / name)
+        inputs = [str(tmp_path / name) for name in ("a.jsonl", "b.csv", "c.jsonl")]
+    else:
+        run_id = "r1"
+        table = tmp_path / "summ.csv"
+        table.write_text("run_id,method,a,b,overall\nr1,erm,0.8,0.7,0.75\n"
+                         "r2,dro,0.78,0.76,0.77\nr1,erm,0.79,0.72,0.76\n", encoding="utf-8")
+        inputs = [str(table)]
+    argv = [command, *inputs] if command == "select-erm" else [
+        command, "--baseline", run_id, *inputs]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: duplicate candidate run_id(s): {run_id}"
 
 
 class TestSelectErm:

@@ -259,6 +259,12 @@ class TestParseRun:
         ("utility_kind", {"kind": "auc"}, "{'kind': 'auc'}"),
         ("positive_label", 1, "1"),
         ("positive_label", None, "None"),
+        ("labels", "ab", "'ab'"),
+        ("labels", None, "None"),
+        ("labels", [["neg"], "pos"], "[['neg'], 'pos']"),
+        ("groups", {"A": 0, "B": 1}, "{'A': 0, 'B': 1}"),
+        ("groups", 2, "2"),
+        ("groups", ["A", {"B": 1}], "['A', {'B': 1}]"),
     ],
 )
 def test_manifest_scalar_of_another_json_type_exits_2_naming_the_sidecar(tmp_path, capsys, key,
@@ -266,7 +272,8 @@ def test_manifest_scalar_of_another_json_type_exits_2_naming_the_sidecar(tmp_pat
     path = write_fixture(tmp_path, [record_line("s1", "pos", "pos", "A"),
                                     record_line("s2", "neg", "neg", "B")],
                          manifest=dict(MANIFEST, **{key: value}))
-    kind = "integer" if key == "seed" else "string"
+    names = "array of strings, numbers, booleans or nulls"
+    kind = {"seed": "integer", "labels": names, "groups": names}.get(key, "string")
     sidecar = tmp_path / "run.manifest.json"
     message = f"{sidecar}: bad manifest: {key} must be a JSON {kind}, got {shown}"
     with pytest.raises(MalformedLine) as caught:
@@ -274,6 +281,17 @@ def test_manifest_scalar_of_another_json_type_exits_2_naming_the_sidecar(tmp_pat
     assert str(caught.value) == message
     assert main(["evaluate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_manifest_names_of_numbers_bools_and_null_stand_for_their_text(tmp_path):
+    manifest = dict(MANIFEST, labels=[0, 1.5], groups=[True, None], positive_label="1.5")
+    path = write_fixture(tmp_path, [record_line("s1", 1.5, 0, True),
+                                    record_line("s2", "0", "1.5", "None")], manifest=manifest)
+    run = parse_run(path)
+    assert run.manifest.label_space.labels == ("0", "1.5")
+    assert run.manifest.group_space.groups == ("True", "None")
+    assert [(r.true_label, r.predicted_label, r.group) for r in run.records] == [
+        ("1.5", "0", "True"), ("0", "1.5", "None")]
 
 
 @pytest.mark.parametrize("seed", [0, -3, 2**70])
@@ -847,8 +865,8 @@ class TestParseSummaries:
         )
         rows = parse_summaries(path)
         assert len(rows) == 1
-        assert rows[0].group_utilities == pytest.approx({"adv": 0.9052, "disadv": 0.8376})
-        assert rows[0].overall_utility == pytest.approx(0.8657)
+        assert rows[0].group_utilities.utility == pytest.approx({"adv": 0.9052, "disadv": 0.8376})
+        assert rows[0].overall == pytest.approx(0.8657)
 
     def test_percent_header_marker(self, tmp_path):
         path = tmp_path / "summ.csv"
@@ -857,7 +875,7 @@ class TestParseSummaries:
             encoding="utf-8",
         )
         rows = parse_summaries(path)
-        assert rows[0].group_utilities["adv"] == pytest.approx(0.9052)
+        assert rows[0].group_utilities.utility["adv"] == pytest.approx(0.9052)
 
     def test_fraction_values(self, tmp_path):
         path = tmp_path / "summ.csv"
@@ -865,7 +883,7 @@ class TestParseSummaries:
             "run_id,method,adv,disadv,overall\nr1,erm,0.9052,0.8376,0.8657\n",
             encoding="utf-8",
         )
-        assert parse_summaries(path)[0].overall_utility == 0.8657
+        assert parse_summaries(path)[0].overall == 0.8657
 
     def test_out_of_range(self, tmp_path):
         path = tmp_path / "summ.csv"

@@ -17,9 +17,8 @@ from nhfair.errors import (
     UnsupportedAlpha,
     UnsupportedK,
 )
-from nhfair.metrics import MetricReport
 from nhfair.oracle import oracle_friedman
-from nhfair.records import GroupSpace, LabelSpace, RunManifest
+from nhfair.selection import GroupUtilityVector, RunResult
 from nhfair.stats import (
     _Q_TABLE,
     AggregateCell,
@@ -33,20 +32,24 @@ from nhfair.stats import (
 )
 
 
-def manifest(method="m", dataset="d", seed=0, split="test", utility_kind="accuracy"):
-    return RunManifest(
+def result(
+    overall, method="m", dataset="d", seed=0, split="test", utility_kind="accuracy", warnings=()
+):
+    """One log's result: both groups at ``overall``, dp and eqodd 1."""
+    return RunResult(
+        run_id=f"{method}:{dataset}:seed{seed}:{split}",
         method=method,
         dataset=dataset,
         seed=seed,
         split=split,
-        utility_kind=utility_kind,
-        label_space=LabelSpace(labels=("neg", "pos")),
-        group_space=GroupSpace(groups=("A", "B")),
+        group_utilities=GroupUtilityVector({"A": overall, "B": overall}, utility_kind),
+        overall=overall,
+        worst=overall,
+        gap=0.0,
+        dp=1.0,
+        eqodd=1.0,
+        warnings=warnings,
     )
-
-
-def report(overall):
-    return MetricReport(overall=overall, worst=overall, gap=0.0, dp=1.0, eqodd=1.0)
 
 
 def cells_from_means(means: dict[str, dict[str, float]], metric="gap"):
@@ -66,8 +69,7 @@ def cells_from_means(means: dict[str, dict[str, float]], metric="gap"):
 class TestAggregate:
     def test_five_seed_mean(self):
         values = [0.865, 0.867, 0.866, 0.864, 0.8665]
-        pairs = [(report(v), manifest(seed=i)) for i, v in enumerate(values)]
-        (row,) = aggregate(pairs)
+        (row,) = aggregate([result(v, seed=i) for i, v in enumerate(values)])
         mean, std = row.metrics["utility"]
         assert mean * 100 == pytest.approx(86.57, abs=1e-9)
         assert row.n_seeds == 5
@@ -75,57 +77,43 @@ class TestAggregate:
         assert std == pytest.approx(expected_std, abs=1e-15)
 
     def test_single_seed_std_zero(self):
-        (row,) = aggregate([(report(0.9), manifest(seed=3))])
+        (row,) = aggregate([result(0.9, seed=3)])
         assert row.n_seeds == 1
         assert all(std == 0.0 for _, std in row.metrics.values())
 
     def test_duplicate_seed(self):
-        pairs = [(report(0.9), manifest(seed=1)), (report(0.8), manifest(seed=1))]
         with pytest.raises(DuplicateSeed):
-            aggregate(pairs)
+            aggregate([result(0.9, seed=1), result(0.8, seed=1)])
 
     def test_different_splits_do_not_collide(self):
-        pairs = [
-            (report(0.9), manifest(seed=1, split="validation")),
-            (report(0.8), manifest(seed=1, split="test")),
-        ]
-        rows = aggregate(pairs)
+        rows = aggregate([result(0.9, seed=1, split="validation"), result(0.8, seed=1)])
         assert {r.split for r in rows} == {"validation", "test"}
 
     def test_mixed_utility_kinds(self):
-        pairs = [
-            (report(0.9), manifest(seed=1)),
-            (report(0.8), manifest(seed=2, utility_kind="auc")),
-        ]
         with pytest.raises(ParseError) as caught:
-            aggregate(pairs)
+            aggregate([result(0.9, seed=1), result(0.8, seed=2, utility_kind="auc")])
         assert str(caught.value) == "mixed utility kinds for method=m dataset=d"
 
     def test_duplicate_seed_reported_before_mixed_kinds(self):
-        pairs = [
-            (report(0.9), manifest(method="a", seed=1)),
-            (report(0.8), manifest(method="a", seed=2, utility_kind="auc")),
-            (report(0.8), manifest(method="b", seed=1)),
-            (report(0.8), manifest(method="b", seed=1)),
+        results = [
+            result(0.9, method="a", seed=1),
+            result(0.8, method="a", seed=2, utility_kind="auc"),
+            result(0.8, method="b", seed=1),
+            result(0.8, method="b", seed=1),
         ]
         with pytest.raises(DuplicateSeed, match=r"duplicate seed\(s\) \[1\] for method=b"):
-            aggregate(pairs)
+            aggregate(results)
 
     def test_rows_in_table_order_with_warnings_merged_in_seed_order(self):
-        def warned(*warnings):
-            return MetricReport(
-                overall=0.5, worst=0.5, gap=0.0, dp=1.0, eqodd=1.0, warnings=warnings
-            )
-
-        pairs = [
-            (warned("w2", "w1"), manifest(method="b", dataset="d1", seed=2)),
-            (report(0.7), manifest(method="z", dataset="d0", seed=1)),
-            (warned("w1", "w3"), manifest(method="b", dataset="d1", seed=1)),
+        results = [
+            result(0.5, method="b", dataset="d1", seed=2, warnings=("w2", "w1")),
+            result(0.7, method="z", dataset="d0", seed=1),
+            result(0.5, method="b", dataset="d1", seed=1, warnings=("w1", "w3")),
         ]
-        rows = aggregate(pairs)
+        rows = aggregate(results)
         assert [(r.dataset, r.method) for r in rows] == [("d0", "z"), ("d1", "b")]
         assert rows[1].warnings == ("w1", "w3", "w2")  # seed 1, then seed 2
-        assert aggregate(pairs[::-1]) == rows
+        assert aggregate(results[::-1]) == rows
         assert rows[1].utility_kind == "accuracy"
         assert list(rows[1].metrics) == ["utility", "worst", "gap", "eqodd", "dp"]
 
