@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 # export name -> the module that defines it
 _EXPORTS = {
-    "AggregateCell": "stats",
     "CandidatePoint": "selection",
     "CohortSpec": "synth",
     "ConfusionTensor": "metrics",
@@ -21,6 +20,7 @@ _EXPORTS = {
     "LabelSpace": "records",
     "PredictionRecord": "records",
     "RankMatrix": "stats",
+    "ReportRow": "tables",
     "RunManifest": "records",
     "RunResult": "selection",
     "SelectionResult": "selection",

@@ -9,8 +9,10 @@ Four subcommands cover the evaluation workflow:
 
 Inputs are file paths or globs. A ``.jsonl`` file (or a ``.csv`` with a
 manifest sidecar), the suffix in any case, is a prediction log; any other
-``.csv`` is a summary table. Exit codes: 0 success (possibly with warnings
-on stderr), 2 bad input or configuration, 3 internal invariant violation.
+``.csv`` is a summary table. ``compare`` reads one aggregated table, CSV
+or JSON, through ``tables.read_rows``. Exit codes: 0 success (possibly
+with warnings on stderr), 2 bad input or configuration, 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -33,19 +35,13 @@ from .errors import (
     InternalInvariantViolation,
     MetricError,
     ParseError,
+    SelectionError,
     StatsError,
 )
-from .records import (
-    is_manifest,
-    is_prediction_log,
-    parse_run,
-    parse_summaries,
-    read_csv_table,
-    require_distinct_columns,
-)
+from .records import is_manifest, is_prediction_log, parse_run, parse_summaries
 from .selection import RunResult
 from .svgplot import render_cd_plot
-from .tables import parse_mean_std, rows_to_csv, rows_to_json, rows_to_markdown
+from .tables import read_rows, rows_to_csv, rows_to_json, rows_to_markdown
 
 
 def _input_file(path: Path) -> Path:
@@ -280,18 +276,25 @@ def _read_ahead(paths: list[Path], eqodd: str, jobs: int) -> list[RunResult | No
 def _load_candidates(paths: list[Path], jobs: int) -> list[RunResult]:
     """Selection candidates in input order; a log's degenerate-cell warnings go to stderr.
 
-    A run_id that two candidates share is an error.
+    A run_id that two candidates share is an error naming the inputs it came from.
     """
     logs = [p for p in paths if is_prediction_log(p)]
     read = dict(zip(logs, _read_ahead(logs, "diagonal", jobs)))
     candidates: list[RunResult] = []
+    sources: dict[str, list[str]] = {}  # run_id -> the inputs holding it, in input order
     for path in paths:
         results = [read[path] or _evaluate_file(path)] if path in read else parse_summaries(path)
         for result in results:
             for warning in result.warnings:
                 sys.stderr.write(f"warning: {path}: {warning}\n")
+            sources.setdefault(result.run_id, []).append(str(path))
         candidates += results
-    selection.require_distinct_run_ids(candidates)
+    if len(sources) != len(candidates):
+        repeated = sorted(i for i, found in sources.items() if len(found) > 1)
+        raise SelectionError(
+            "duplicate candidate run_id(s): "
+            + "; ".join(f"{i} ({', '.join(dict.fromkeys(sources[i]))})" for i in repeated)
+        )
     return candidates
 
 
@@ -363,12 +366,14 @@ def _resolve_baseline(
                 f"baseline summary file must contain exactly one row, got {len(found)}",
                 path=str(path),
             )
-        return found[0], candidates, f"file {path}"
-    matches = [c for c in candidates if c.run_id == spec]
-    if not matches:
-        raise ParseError(f"baseline {spec!r} is neither a file nor a candidate run_id")
-    rest = [c for c in candidates if c.run_id != spec]
-    return matches[0], rest, f"candidate {spec!r} (excluded from the candidate set)"
+        baseline, origin = found[0], f"file {path}"
+    else:
+        matches = [c for c in candidates if c.run_id == spec]
+        if not matches:
+            raise ParseError(f"baseline {spec!r} is neither a file nor a candidate run_id")
+        baseline, origin = matches[0], f"candidate {spec!r} (excluded from the candidate set)"
+    # a candidate with the baseline's run_id is the baseline: it leaves the candidate set
+    return baseline, [c for c in candidates if c.run_id != baseline.run_id], origin
 
 
 def cmd_select_fwh(config: EngineConfig) -> int:
@@ -395,43 +400,6 @@ def cmd_select_fwh(config: EngineConfig) -> int:
     return 0
 
 
-def _cells_from_csv(path: Path, metric: str) -> list[stats.AggregateCell]:
-    header, rows, lines, fault = read_csv_table(path, ParseError)
-    require_distinct_columns(header or [], path)
-    for column in (metric, "method", "dataset"):
-        if column not in (header or []):
-            raise ParseError(f"column {column!r} not found", path=str(path), line=1)
-    cells = []
-    for line, fields in zip(lines, rows):
-        row = dict(zip(header, fields))
-        try:
-            mean, std = parse_mean_std(row[metric])
-        except ValueError:
-            raise ParseError(
-                f"bad {metric} cell {row[metric]!r}", path=str(path), line=line
-            ) from None
-        try:
-            n_seeds = int(row.get("n_seeds") or 1)
-        except ValueError:
-            n_seeds = 0
-        if n_seeds < 1:
-            raise ParseError(f"bad n_seeds cell {row['n_seeds']!r}", path=str(path), line=line)
-        cells.append(
-            stats.AggregateCell(
-                method=row["method"],
-                dataset=row["dataset"],
-                metric=metric,
-                mean=mean,
-                std=std,
-                n_seeds=n_seeds,
-                split=row.get("split", "") or "",
-            )
-        )
-    if fault is not None:
-        raise fault
-    return cells
-
-
 def cmd_compare(config: EngineConfig) -> int:
     if not config.metric:
         raise ParseError("compare requires --metric")
@@ -445,9 +413,9 @@ def cmd_compare(config: EngineConfig) -> int:
         raise ParseError(
             f"compare expects exactly one aggregated table, got {len(paths)} input(s)"
         )
-    cells = _cells_from_csv(paths[0], config.metric)
+    rows = read_rows(paths[0], config.metric)
     try:
-        matrix = stats.rank_matrix(cells, config.metric)
+        matrix = stats.rank_matrix(rows, config.metric)
         statistic, df = stats.friedman(matrix, tie_corrected=config.tie_corrected)
         cd = stats.nemenyi_cd(matrix.k, matrix.n_blocks, alpha=config.alpha)
     except StatsError as exc:

@@ -59,19 +59,6 @@ _Q_TABLE = {
 
 
 @dataclass(frozen=True)
-class AggregateCell:
-    """Mean and sample std of one metric for one (method, dataset), as compare reads it."""
-
-    method: str
-    dataset: str
-    metric: str
-    mean: float
-    std: float
-    n_seeds: int
-    split: str = ""
-
-
-@dataclass(frozen=True)
 class RankMatrix:
     methods: tuple[str, ...]
     blocks: tuple[str, ...]
@@ -160,14 +147,13 @@ def _average_ranks(values: list[float], higher_better: bool) -> list[float]:
     return ranks
 
 
-def rank_matrix(
-    cells: list[AggregateCell], metric: str, direction: str | None = None
-) -> RankMatrix:
-    """Rank method means per dataset for one metric.
+def rank_matrix(rows: list[ReportRow], metric: str, direction: str | None = None) -> RankMatrix:
+    """Rank method means per dataset for one metric, which every row must hold.
 
     Every (method, dataset) cell must be present; a hole raises
     MissingCell naming it, matching the convention of dropping a method
-    from the comparison rather than imputing.
+    from the comparison rather than imputing. Ranks do not depend on
+    the units of the means.
     """
     if direction is None:
         if metric not in METRIC_DIRECTIONS:
@@ -179,20 +165,18 @@ def rank_matrix(
     table: dict[tuple[str, str], float] = {}
     methods: list[str] = []
     blocks: list[str] = []
-    for cell in cells:
-        if cell.metric != metric:
-            continue
-        key = (cell.method, cell.dataset)
+    for row in rows:
+        key = (row.method, row.dataset)
         if key in table:
             raise MissingCell(
-                f"duplicate cell for method={cell.method} dataset={cell.dataset}; "
+                f"duplicate cell for method={row.method} dataset={row.dataset}; "
                 "pass a single table per comparison"
             )
-        table[key] = cell.mean
-        if cell.method not in methods:
-            methods.append(cell.method)
-        if cell.dataset not in blocks:
-            blocks.append(cell.dataset)
+        table[key] = row.metrics[metric][0]
+        if row.method not in methods:
+            methods.append(row.method)
+        if row.dataset not in blocks:
+            blocks.append(row.dataset)
     if len(methods) < 2 or len(blocks) < 1:
         raise DegenerateMatrix(
             f"need at least 2 methods and 1 dataset for metric {metric!r}, "

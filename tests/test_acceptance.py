@@ -26,8 +26,8 @@ from nhfair.oracle import oracle_dto, oracle_metrics, oracle_select
 from nhfair.records import parse_summaries, write_run
 from nhfair.selection import Zone, classify_zone, dto_select, fwh_select, zone_tally_table
 from nhfair.stats import friedman, nemenyi_cd, rank_matrix
-from nhfair.stats import AggregateCell
 from nhfair.synth import CohortSpec, generate
+from nhfair.tables import ReportRow
 
 
 def announce(number: int, message: str) -> None:
@@ -246,8 +246,8 @@ def test_criterion_4_zone_partition_exhaustive():
 
 def test_criterion_5_friedman_fixture():
     cells = [
-        AggregateCell(method=f"m{j}", dataset=f"d{i}", metric="gap",
-                      mean=float(j), std=0.0, n_seeds=5)
+        ReportRow(method=f"m{j}", dataset=f"d{i}", split="", utility_kind="accuracy",
+                  n_seeds=5, metrics={"gap": (float(j), 0.0)})
         for j in (1, 2, 3) for i in range(4)
     ]
     matrix = rank_matrix(cells, "gap")
@@ -257,8 +257,8 @@ def test_criterion_5_friedman_fixture():
     cd = nemenyi_cd(3, 4, 0.05)
     assert abs(cd - 1.657) <= 0.001
     tied = [
-        AggregateCell(method=f"m{j}", dataset=f"d{i}", metric="gap",
-                      mean=1.0, std=0.0, n_seeds=5)
+        ReportRow(method=f"m{j}", dataset=f"d{i}", split="", utility_kind="accuracy",
+                  n_seeds=5, metrics={"gap": (1.0, 0.0)})
         for j in (1, 2, 3) for i in range(4)
     ]
     tied_statistic, _ = friedman(rank_matrix(tied, "gap"))

@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 
 import nhfair
 from conftest import make_run
-from nhfair import cli
+from nhfair import cli, stats
 from nhfair.cli import build_parser, main
 from nhfair.config import OPTIONS
 from nhfair.metrics import metric_report
 from nhfair.records import parse_run, parse_summaries, write_run
 from nhfair.synth import CohortSpec, generate
+from nhfair.tables import METRIC_NAMES, parse_mean_std
 
 
 def spec_for(seed, skew=0.0):
@@ -404,6 +405,12 @@ _PATH_INPUTS = {  # file name: content
     "run.jsonl": None,  # written from a generated run, with its manifest
     "summ.csv": "run_id,method,a,b,overall\nr1,m,0.8,0.7,0.75\nr2,n,0.7,0.8,0.76\n",
     "agg.csv": "method,dataset,gap\nm1,d1,0.1\nm2,d1,0.2\nm1,d2,0.15\nm2,d2,0.25\n",
+    "agg.json": json.dumps([
+        {"method": m, "dataset": d, "split": "", "n_seeds": 1,
+         "metrics": {"gap": {"mean": gap, "std": 0.0}}}
+        for m, d, gap in (("m1", "d1", 0.1), ("m2", "d1", 0.2), ("m1", "d2", 0.15),
+                          ("m2", "d2", 0.25))
+    ]),
 }
 
 
@@ -576,12 +583,13 @@ print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
     [
         (None, []),
         (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.csv"], []),
+        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.json"], []),
         (["select-erm", "--out", "erm.json", "summ.csv"], []),
         (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"], []),
         (["evaluate", "--out", "table.csv", "run.jsonl"],
          ["numpy", "nhfair.columns", "nhfair.metrics"]),
     ],
-    ids=["import", "compare", "select-erm", "select-fwh", "evaluate"],
+    ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "evaluate"],
 )
 def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
     _path_inputs(tmp_path)
@@ -1127,7 +1135,7 @@ def test_selection_from_logs_equals_selection_from_their_summary_table(run_dir, 
         assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("kind", ["logs", "summary table"])
+@pytest.mark.parametrize("kind", ["logs", "summary table", "two tables"])
 @pytest.mark.parametrize("command", ["select-erm", "select-fwh"])
 def test_repeated_candidate_run_id_exits_2_naming_it(tmp_path, capsys, command, kind):
     if kind == "logs":  # two logs of one manifest identity, in either format
@@ -1137,18 +1145,28 @@ def test_repeated_candidate_run_id_exits_2_naming_it(tmp_path, capsys, command, 
             write_run(generate(spec_for(1, skew), method=method, dataset="demo"),
                       tmp_path / name)
         inputs = [str(tmp_path / name) for name in ("a.jsonl", "b.csv", "c.jsonl")]
-    else:
+        named = f"{run_id} ({inputs[0]}, {inputs[1]})"
+    elif kind == "summary table":
         run_id = "r1"
         table = tmp_path / "summ.csv"
         table.write_text("run_id,method,a,b,overall\nr1,erm,0.8,0.7,0.75\n"
                          "r2,dro,0.78,0.76,0.77\nr1,erm,0.79,0.72,0.76\n", encoding="utf-8")
         inputs = [str(table)]
+        named = f"r1 ({table})"
+    else:  # each id named once, sorted, with its files in input order
+        run_id = "r3"
+        inputs = [str(tmp_path / name) for name in ("c2.csv", "base.csv")]
+        Path(inputs[0]).write_text("run_id,method,a,b,overall\nr2,dro,0.78,0.76,0.77\n"
+                                   "r1,erm,0.8,0.7,0.75\nr3,erm,0.7,0.7,0.7\n", encoding="utf-8")
+        Path(inputs[1]).write_text("run_id,method,a,b,overall\nr1,erm,0.8,0.7,0.75\n"
+                                   "r2,dro,0.78,0.76,0.77\n", encoding="utf-8")
+        named = f"r1 ({inputs[0]}, {inputs[1]}); r2 ({inputs[0]}, {inputs[1]})"
     argv = [command, *inputs] if command == "select-erm" else [
         command, "--baseline", run_id, *inputs]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == f"error: duplicate candidate run_id(s): {run_id}"
+    assert captured.err.splitlines()[-1] == f"error: duplicate candidate run_id(s): {named}"
 
 
 class TestSelectErm:
@@ -1197,6 +1215,21 @@ class TestSelectFwh:
         assert main(["select-fwh", "--baseline", str(base), str(summary_csv)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["zones"]) == 3  # baseline not excluded when external
+
+    def test_baseline_file_row_leaves_the_candidates_as_a_run_id_does(self, tmp_path, capsys):
+        base, cand = tmp_path / "base.csv", tmp_path / "cand.csv"
+        base.write_text("run_id,method,a,b,overall\nr1,erm,0.8,0.7,0.75\n", encoding="utf-8")
+        cand.write_text("run_id,method,a,b,overall\nr1,erm,0.8,0.7,0.75\n"
+                        "r2,dro,0.78,0.76,0.77\n", encoding="utf-8")
+        payloads = []
+        for spec in (str(base), "r1"):
+            assert main(["select-fwh", "--baseline", spec, str(cand)]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        for payload in payloads:
+            assert payload["zones"] == {"r2": "SubOptimal"}
+            assert payload["selected"]["run_id"] == "r2"
+        assert payloads[0]["baseline"]["origin"] == f"file {base}"
+        assert {**payloads[0], "baseline": None} == {**payloads[1], "baseline": None}
 
     def test_all_unwanted_warns_but_exits_0(self, tmp_path, capsys):
         path = tmp_path / "cand.csv"
@@ -1346,6 +1379,143 @@ class TestCompare:
             ) == 0
             pairs.append((out.read_bytes(), svg.read_bytes()))
         assert pairs[0] == pairs[1]
+
+
+
+def _agg_json() -> str:
+    """The rows of AGG as ``evaluate --format json`` writes them."""
+    header, *lines = AGG.splitlines()
+    rows = []
+    for line in lines:
+        cells = dict(zip(header.split(","), line.split(",")))
+        rows.append({
+            "method": cells["method"], "dataset": cells["dataset"], "split": "test",
+            "utility_kind": "accuracy", "n_seeds": int(cells["n_seeds"]),
+            "metrics": {name: dict(zip(("mean", "std"), parse_mean_std(cells[name])))
+                        for name in METRIC_NAMES},
+            "warnings": [],
+        })
+    return json.dumps(rows, indent=2) + "\n"
+
+
+_ROW = '{"method": "m", "dataset": "d", "split": "", "n_seeds": 1, "metrics": {"gap": %s}}'
+_BAD_JSON = {  # id: (table text, start of the message after the path)
+    "csv": ("method,dataset,gap\n", "not valid JSON: Expecting value: line 1 column 1"),
+    "deep": ("[" * 100_000, "not valid JSON: nested too deeply"),
+    "long integer": ("[1" + "0" * 5000 + "]", "not valid JSON: "),
+    "object": ('{"rows": []}', "expected a JSON array of table rows"),
+    "number row": ("[1]", "row 1: expected a JSON object, got 1"),
+    "no method": ('[{"dataset": "d", "split": "", "n_seeds": 1}]',
+                  "row 1: method must be a JSON string"),
+    "number method": ('[{"method": 1, "dataset": "d", "split": ""}]',
+                      "row 1: method must be a JSON string"),
+    "no split": ('[{"method": "m", "dataset": "d", "n_seeds": 1}]',
+                 "row 1: split must be a JSON string"),
+    **{f"n_seeds {value}": (
+        '[{"method": "m", "dataset": "d", "split": "", "n_seeds": %s}]' % value,
+        f"row 1: n_seeds must be a JSON integer of at least 1, got {shown}",
+    ) for value, shown in (("true", True), ("0", 0), ("2.0", 2.0), ('"3"', "'3'"))},
+    "no metrics": ('[{"method": "m", "dataset": "d", "split": "", "n_seeds": 1}]',
+                   "row 1: metrics.gap must be a JSON object, got None"),
+    "other metric": (f"[{_ROW.replace('gap', 'utility') % '{}'}]",
+                     "row 1: metrics.gap must be a JSON object, got None"),
+    **{f"cell {name}": (f"[{_ROW % cell}]", "row 1: metrics.gap must hold a finite mean")
+       for name, cell in (
+           ("no std", '{"mean": 0.1}'),
+           ("NaN", '{"mean": NaN, "std": 0}'),
+           ("negative std", '{"mean": 0.1, "std": -0.5}'),
+           ("1e999", '{"mean": 1e999, "std": 0}'),
+           ("string", '{"mean": "0.1", "std": 0}'),
+           ("bool", '{"mean": true, "std": 0}'),
+           ("Infinity std", '{"mean": 0.1, "std": Infinity}'),
+           ("400-digit mean", '{"mean": 1' + "0" * 400 + ', "std": 0}'),
+       )},
+}
+
+
+class TestCompareJson:
+    @pytest.mark.parametrize("metric", METRIC_NAMES)
+    @pytest.mark.parametrize("name", ["agg.json", "AGG.JSON"])
+    def test_json_table_gives_what_the_csv_table_gives(self, tmp_path, metric, name):
+        (tmp_path / "agg.csv").write_text(AGG, encoding="utf-8")
+        (tmp_path / name).write_text(_agg_json(), encoding="utf-8")
+        outputs = []
+        for table in ("agg.csv", name):
+            out, svg = tmp_path / f"{table}.out.json", tmp_path / f"{table}.svg"
+            argv = ["compare", "--metric", metric, "--out", str(out), "--svg", str(svg)]
+            assert main([*argv, str(tmp_path / table)]) == 0
+            outputs.append((out.read_bytes(), svg.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("text, fault", _BAD_JSON.values(), ids=_BAD_JSON)
+    def test_bad_json_table_exits_2_naming_it(self, tmp_path, capsys, text, fault):
+        good = json.loads(_agg_json())[0]
+        table = tmp_path / "agg.json"
+        table.write_text(text, encoding="utf-8")
+        assert main(["compare", "--metric", "gap", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {table}: {fault}")
+        # the same fault in a later row names that row
+        if fault.startswith("row 1: "):
+            table.write_text(json.dumps([good, *json.loads(text)]), encoding="utf-8")
+            assert main(["compare", "--metric", "gap", str(table)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {table}: row 2: {fault[7:]}")
+
+    def test_json_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        table = tmp_path / "agg.json"
+        table.write_bytes(b'[{"method": "\xff"}]')
+        assert main(["compare", "--metric", "gap", str(table)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {table}: ")
+
+
+@given(
+    n_methods=st.integers(2, 3),
+    n_datasets=st.integers(2, 3),
+    n_seeds=st.integers(1, 2),
+    skews=st.lists(st.sampled_from([0.0, 0.05, 0.1]), min_size=9, max_size=9),
+    first_seed=st.integers(0, 100),
+    metric=st.sampled_from([name for name in METRIC_NAMES if name != "gap"]),
+)
+@settings(max_examples=15, deadline=None)
+def test_compare_on_evaluate_json_ranks_the_aggregated_rows(
+    n_methods, n_datasets, n_seeds, skews, first_seed, metric
+):
+    """compare on evaluate's JSON, for gap (lower is better) and a higher-is-better metric,
+    is the rank statistics of ``stats.aggregate`` over the runs held in memory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        results = []
+        for i in range(n_methods):
+            for j in range(n_datasets):
+                for seed in range(first_seed, first_seed + n_seeds):
+                    run = generate(spec_for(seed, skews[3 * i + j]), method=f"m{i}",
+                                   dataset=f"d{j}")
+                    write_run(run, directory / f"m{i}-d{j}-s{seed}.jsonl")
+                    results.append(metric_report(run))
+        rows = stats.aggregate(results)
+        table, out = directory / "table.json", directory / "cd.json"
+        assert main(["evaluate", "--jobs", "1", "--format", "json", "--out", str(table),
+                     str(directory / "*.jsonl")]) == 0
+        for name in ("gap", metric):
+            assert main(["compare", "--metric", name, "--out", str(out), str(table)]) == 0
+            matrix = stats.rank_matrix(rows, name)
+            statistic, df = stats.friedman(matrix)
+            cd = stats.nemenyi_cd(matrix.k, matrix.n_blocks)
+            ranks = stats.mean_ranks(matrix)
+            expected = {
+                "metric": name,
+                "direction": matrix.direction,
+                "k": n_methods,
+                "n_datasets": n_datasets,
+                "alpha": 0.05,
+                "friedman_statistic": statistic,
+                "df": df,
+                "cd": cd,
+                "mean_ranks": {m: ranks[m] for m in sorted(ranks, key=lambda n: (ranks[n], n))},
+                "cliques": [list(c) for c in stats.cliques(ranks, cd)],
+            }
+            assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
 
 class TestConfig:

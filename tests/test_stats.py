@@ -21,7 +21,6 @@ from nhfair.oracle import oracle_friedman
 from nhfair.selection import GroupUtilityVector, RunResult
 from nhfair.stats import (
     _Q_TABLE,
-    AggregateCell,
     RankMatrix,
     aggregate,
     cliques,
@@ -30,6 +29,7 @@ from nhfair.stats import (
     nemenyi_cd,
     rank_matrix,
 )
+from nhfair.tables import ReportRow
 
 
 def result(
@@ -58,9 +58,9 @@ def cells_from_means(means: dict[str, dict[str, float]], metric="gap"):
     for method, per_dataset in means.items():
         for dataset, mean in per_dataset.items():
             out.append(
-                AggregateCell(
-                    method=method, dataset=dataset, metric=metric,
-                    mean=mean, std=0.0, n_seeds=5,
+                ReportRow(
+                    method=method, dataset=dataset, split="", utility_kind="accuracy",
+                    n_seeds=5, metrics={metric: (mean, 0.0)},
                 )
             )
     return out
