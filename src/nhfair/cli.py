@@ -30,6 +30,7 @@ from pathlib import Path
 from . import selection, stats
 from .config import EngineConfig, add_flags, build_config
 from .errors import (
+    DuplicateSeed,
     EmptyCandidateSet,
     EngineError,
     InternalInvariantViolation,
@@ -313,9 +314,12 @@ def cmd_evaluate(config: EngineConfig) -> int:
         )
 
     read = _read_ahead(run_paths, config.eqodd, config.jobs)
-    rows = stats.aggregate(
-        [result or _evaluate_file(p, config.eqodd) for p, result in zip(run_paths, read)]
-    )
+    results = [result or _evaluate_file(p, config.eqodd) for p, result in zip(run_paths, read)]
+    try:
+        rows = stats.aggregate(results)
+    except (DuplicateSeed, ParseError) as exc:  # named by the logs behind it, in input order
+        logs = [str(p) for p, r in zip(run_paths, results) if any(r is run for run in exc.runs)]
+        raise type(exc)(f"{exc} ({', '.join(logs)})") from exc
 
     if config.format == "csv":
         text = rows_to_csv(rows, config.units)
@@ -408,6 +412,9 @@ def cmd_compare(config: EngineConfig) -> int:
     if svg_path is None and out is not None:
         svg_path = str(out.with_suffix(".svg"))
     svg = _output(svg_path)
+    if out is not None and os.path.realpath(out) == os.path.realpath(svg):
+        raise ParseError("the SVG plot would replace the JSON result; give --svg another path",
+                         path=svg_path)
     paths = _expand_inputs(config.inputs)
     if len(paths) != 1:
         raise ParseError(

@@ -47,9 +47,6 @@ class ConfusionTensor:
     labels: tuple[str, ...]
     counts: np.ndarray  # (G, C, C) int64
 
-    def n_group(self, group: str) -> int:
-        return int(self.counts[self.groups.index(group)].sum())
-
 
 def confusion(run: EvaluationRun) -> ConfusionTensor:
     """Tally records into a (group, true, predicted) count tensor."""

@@ -26,7 +26,8 @@ import json
 import math
 import reprlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -144,8 +145,8 @@ def _suffix_format(path: Path) -> str:
     return path.suffix.lstrip(".").lower()
 
 
-def _record_format(path: Path, format: str | None) -> str:
-    format = _suffix_format(path) if format is None else format
+def _record_format(path: Path) -> str:
+    format = _suffix_format(path)
     if format not in ("jsonl", "csv"):
         raise ParseError(f"unsupported record format {format!r}", path=str(path))
     return format
@@ -265,64 +266,78 @@ def require_distinct_columns(names: Sequence[str], path: Path) -> None:
         seen.add(name)
 
 
-def _names(raw: dict, key: str) -> tuple[str, ...]:
-    """A manifest's ``labels`` or ``groups``: a JSON array, each item read as a record
-    cell is (a string, or a number, bool or null that stands for its Python text)."""
-    items = raw[key]
-    if type(items) is not list or any(isinstance(item, (list, dict)) for item in items):
-        raise TypeError(
-            f"{key} must be a JSON array of strings, numbers, booleans or nulls, "
-            f"got {reprlib.repr(items)}"
-        )
-    return tuple(map(str, items))
+def read_json(path: Path, error: type[ParseError] = ParseError, prefix: str = "") -> object:
+    """The JSON value of a whole :func:`read_text` file; text that is not JSON is an ``error``."""
+    try:
+        return json.loads(read_text(path))
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        reason = str(exc)
+    except RecursionError:
+        reason = "nested too deeply"
+    raise error(f"{prefix}not valid JSON: {reason}", path=str(path))
+
+
+_NAMES = "array of strings, numbers, booleans or nulls"  # items read as record cells are
+_JSON_TYPES = {"string": str, "integer": int, "object": dict, _NAMES: list}
+
+
+def require_json_type(key: str, value: object, kind: str) -> None:
+    """ValueError unless the ``value`` of ``key`` is a JSON ``kind``: a bool is no integer,
+    and an array item no array or object."""
+    nested = type(value) is list and any(isinstance(item, (list, dict)) for item in value)
+    if nested or type(value) is not _JSON_TYPES[kind]:
+        raise ValueError(f"{key} must be a JSON {kind}, got {reprlib.repr(value)}")
+
+
+@dataclass
+class _Sidecar:
+    """The keys of a manifest sidecar in the order written, each with its JSON ``kind`` and
+    the ``source`` of its value in a RunManifest; a key with a default is optional."""
+
+    method: str = field(metadata={"kind": "string", "source": "method"})
+    dataset: str = field(metadata={"kind": "string", "source": "dataset"})
+    seed: int = field(metadata={"kind": "integer", "source": "seed"})
+    split: str = field(metadata={"kind": "string", "source": "split"})
+    utility_kind: str = field(metadata={"kind": "string", "source": "utility_kind"})
+    labels: list = field(metadata={"kind": _NAMES, "source": "label_space.labels"})
+    groups: list = field(metadata={"kind": _NAMES, "source": "group_space.groups"})
+    positive_label: str = field(
+        default="", metadata={"kind": "string", "source": "label_space.positive_label"}
+    )
+
+
+SIDECAR_KEYS = fields(_Sidecar)
 
 
 def _load_manifest(record_path: Path) -> RunManifest:
     mpath = _manifest_path(record_path)
     if not mpath.exists():
         raise ParseError(f"manifest sidecar not found: {mpath}", path=str(record_path))
-    try:
-        raw = json.loads(read_text(mpath))
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
-        raise MalformedLine(f"manifest is not valid JSON: {exc}", path=str(mpath)) from exc
-    except RecursionError:
-        raise MalformedLine(
-            "manifest is not valid JSON: nested too deeply", path=str(mpath)
-        ) from None
-    try:
-        scalars = {key: raw[key] for key in ("method", "dataset", "seed", "split", "utility_kind")}
-        positive_label = raw.get("positive_label", "")
-        for key, value in (*scalars.items(), ("positive_label", positive_label)):
-            kind = int if key == "seed" else str
-            if type(value) is not kind:  # neither coerced nor, for a seed, true or false
-                raise TypeError(
-                    f"{key} must be a JSON {'integer' if kind is int else 'string'}, "
-                    f"got {reprlib.repr(value)}"
-                )
-        manifest = RunManifest(
-            **scalars,
-            label_space=LabelSpace(labels=_names(raw, "labels"), positive_label=positive_label),
-            group_space=GroupSpace(groups=_names(raw, "groups")),
-        )
+    raw = read_json(mpath, MalformedLine, "manifest is ")
+    try:  # the presence of each required key, then each key's JSON type, in table order
+        doc = {k.name: raw[k.name] if k.default is MISSING else raw.get(k.name, k.default)
+               for k in SIDECAR_KEYS}
+        for key in SIDECAR_KEYS:
+            require_json_type(key.name, doc[key.name], key.metadata["kind"])
+        labels = LabelSpace(tuple(map(str, doc.pop("labels"))), doc.pop("positive_label"))
+        groups = GroupSpace(tuple(map(str, doc.pop("groups"))))
+        manifest = RunManifest(**doc, label_space=labels, group_space=groups)
         # a "\ud800" escape decodes to a lone surrogate, which no output can encode
-        for name in (manifest.method, manifest.dataset, *manifest.label_space.labels,
-                     *manifest.group_space.groups):
+        for name in (manifest.method, manifest.dataset, *labels.labels, *groups.groups):
             name.encode("utf-8")
         return manifest
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedLine(f"bad manifest: {exc}", path=str(mpath)) from exc
 
 
-
-
-def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
+def parse_run(path: str | Path) -> EvaluationRun:
     """Parse a record file plus its manifest sidecar into a validated run.
 
     JSONL layout: one object per line with fields ``sample_id``, ``y``,
     ``y_hat``, ``group`` and an optional ``scores`` map (label -> [0, 1]).
     CSV layout: header ``sample_id,y,y_hat,group[,score:<label>...]``;
     a blank score cell means that label is absent from the record's map.
-    ``format`` defaults to the file's suffix, in any case.
+    The file's suffix, in any case, names its layout.
 
     Records come back sorted by ``sample_id`` ascending so every
     downstream aggregation is order-deterministic. A file that is not
@@ -334,7 +349,7 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
     path = Path(path)
     if not path.exists():
         raise ParseError("file not found", path=str(path))
-    format = _record_format(path, format)
+    format = _record_format(path)
     manifest = _load_manifest(path)
     from . import columns  # numpy: loaded only where a log is read
 
@@ -344,7 +359,7 @@ def parse_run(path: str | Path, format: str | None = None) -> EvaluationRun:
         raise (utf8_fault(path) or exc) from None
 
 
-def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -> None:
+def write_run(run: EvaluationRun, path: str | Path) -> None:
     """Serialize a run to JSONL or CSV plus the manifest sidecar.
 
     Round-trip stable: ``parse_run(write_run(run)) == run`` for any valid
@@ -356,22 +371,12 @@ def write_run(run: EvaluationRun, path: str | Path, format: str | None = None) -
     such an id raises ValueError naming it before any file is written.
     """
     path = Path(path)
-    format = _record_format(path, format)
+    format = _record_format(path)
     from . import columns  # numpy: loaded only where a log is written
 
     if format == "csv":
         columns.require_csv_text(run, path)  # before any file is written
-    manifest = run.manifest
-    mdoc = {
-        "method": manifest.method,
-        "dataset": manifest.dataset,
-        "seed": manifest.seed,
-        "split": manifest.split,
-        "utility_kind": manifest.utility_kind,
-        "labels": list(manifest.label_space.labels),
-        "groups": list(manifest.group_space.groups),
-        "positive_label": manifest.label_space.positive_label,
-    }
+    mdoc = {key.name: attrgetter(key.metadata["source"])(run.manifest) for key in SIDECAR_KEYS}
     _manifest_path(path).write_text(json.dumps(mdoc, indent=2) + "\n", encoding="utf-8")
     columns.write_records(run, path, format)
 

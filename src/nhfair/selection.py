@@ -97,16 +97,15 @@ class RunResult:
         method: str,
         utilities: dict[str, float],
         overall: float,
-        utility_kind: str = "accuracy",
         dp: float | None = None,
         eqodd: float | None = None,
     ) -> RunResult:
-        """A result whose worst and gap are taken from ``utilities``."""
+        """An accuracy result whose worst and gap are taken from ``utilities``."""
         values = list(utilities.values())
         return RunResult(
             run_id=run_id,
             method=method,
-            group_utilities=GroupUtilityVector(utility=dict(utilities), utility_kind=utility_kind),
+            group_utilities=GroupUtilityVector(utility=dict(utilities), utility_kind="accuracy"),
             overall=overall,
             worst=min(values),
             gap=max(values) - min(values),

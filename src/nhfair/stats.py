@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     DegenerateMatrix,
     DuplicateSeed,
+    EngineError,
     MissingCell,
     ParseError,
     UnsupportedAlpha,
@@ -83,6 +84,12 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, var**0.5
 
 
+def _behind(error: EngineError, runs: list[RunResult]) -> EngineError:
+    """``error``, its ``runs`` the results behind it."""
+    error.runs = runs
+    return error
+
+
 def aggregate(results: list[RunResult]) -> list[ReportRow]:
     """Collapse per-seed results into one table row per (method, dataset, split).
 
@@ -90,26 +97,29 @@ def aggregate(results: list[RunResult]) -> list[ReportRow]:
     utility kind. Warnings are merged without repeats, and means and
     sample stds (n - 1, zero for a single seed) taken, in seed order, so
     a row does not depend on the order of its inputs. Rows come back in
-    table order: by dataset, then method, then split.
+    table order: by dataset, then method, then split. An error's ``runs``
+    are the results behind it, in input order.
     """
     groups: dict[tuple[str, str, str], list[RunResult]] = {}
-    mixed: RunResult | None = None  # first run, in input order, of a second kind
+    mixed: list[RunResult] = []  # a row's first run and the first, in input order, of another kind
     for result in results:
         entries = groups.setdefault((result.method, result.dataset, result.split), [])
         kind = result.group_utilities.utility_kind
-        if mixed is None and entries and entries[0].group_utilities.utility_kind != kind:
-            mixed = result
+        if not mixed and entries and entries[0].group_utilities.utility_kind != kind:
+            mixed = [entries[0], result]
         entries.append(result)
 
     for (method, dataset, split), entries in sorted(groups.items()):
         seeds = [result.seed for result in entries]
         if len(set(seeds)) != len(seeds):
             dup = sorted({s for s in seeds if seeds.count(s) > 1})
-            raise DuplicateSeed(
+            raise _behind(DuplicateSeed(
                 f"duplicate seed(s) {dup} for method={method} dataset={dataset} split={split}"
-            )
-    if mixed is not None:
-        raise ParseError(f"mixed utility kinds for method={mixed.method} dataset={mixed.dataset}")
+            ), [result for result in entries if result.seed in dup])
+    if mixed:
+        raise _behind(ParseError(
+            f"mixed utility kinds for method={mixed[1].method} dataset={mixed[1].dataset}"
+        ), mixed)
 
     rows: list[ReportRow] = []
     for (method, dataset, split), entries in groups.items():
@@ -147,20 +157,18 @@ def _average_ranks(values: list[float], higher_better: bool) -> list[float]:
     return ranks
 
 
-def rank_matrix(rows: list[ReportRow], metric: str, direction: str | None = None) -> RankMatrix:
+def rank_matrix(rows: list[ReportRow], metric: str) -> RankMatrix:
     """Rank method means per dataset for one metric, which every row must hold.
 
-    Every (method, dataset) cell must be present; a hole raises
-    MissingCell naming it, matching the convention of dropping a method
-    from the comparison rather than imputing. Ranks do not depend on
-    the units of the means.
+    The metric is ranked in its METRIC_DIRECTIONS direction; an unknown
+    metric is a ValueError. Every (method, dataset) cell must be present;
+    a hole raises MissingCell naming it, matching the convention of
+    dropping a method from the comparison rather than imputing. Ranks do
+    not depend on the units of the means.
     """
-    if direction is None:
-        if metric not in METRIC_DIRECTIONS:
-            raise ValueError(f"no default direction for metric {metric!r}")
-        direction = METRIC_DIRECTIONS[metric]
-    if direction not in ("lower_better", "higher_better"):
-        raise ValueError(f"bad direction {direction!r}")
+    if metric not in METRIC_DIRECTIONS:
+        raise ValueError(f"unknown metric {metric!r}")
+    direction = METRIC_DIRECTIONS[metric]
 
     table: dict[tuple[str, str], float] = {}
     methods: list[str] = []

@@ -119,17 +119,12 @@ def generate(
     method: str = "synthetic",
     dataset: str = "cohort",
     split: str = "test",
-    with_scores: bool | None = None,
 ) -> EvaluationRun:
-    """Draw one cohort; deterministic given the spec's seed.
-
-    ``with_scores`` defaults to True for auc runs and False otherwise.
-    """
+    """Draw one cohort; deterministic given the spec's seed. Only an auc run has scores."""
     spec.validate()
     labels = spec.labels
     groups = spec.groups
-    if with_scores is None:
-        with_scores = utility_kind == "auc"
+    with_scores = utility_kind == "auc"
 
     rng = np.random.default_rng(spec.seed)
     width = max(6, len(str(max(spec.n_per_group.values()) - 1)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
-from .records import read_csv_table, read_text, require_distinct_columns
+from .records import read_csv_table, read_json, require_distinct_columns, require_json_type
 
 # The five reported metrics, in column order.
 METRIC_NAMES = ("utility", "worst", "gap", "eqodd", "dp")
@@ -183,12 +183,7 @@ def _rows_from_csv(path: Path, metric: str) -> list[ReportRow]:
 
 def _rows_from_json(path: Path, metric: str) -> list[ReportRow]:
     """JSON rows: an array of objects, each read by :func:`_row_from_json`."""
-    try:
-        payload = json.loads(read_text(path))
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
-        raise ParseError(f"not valid JSON: {exc}", path=str(path)) from None
-    except RecursionError:
-        raise ParseError("not valid JSON: nested too deeply", path=str(path)) from None
+    payload = read_json(path)
     if type(payload) is not list:
         raise ParseError("expected a JSON array of table rows", path=str(path))
     rows = []
@@ -205,8 +200,7 @@ def _row_from_json(item: object, metric: str) -> ReportRow:
     if type(item) is not dict:
         raise ValueError(f"expected a JSON object, got {reprlib.repr(item)}")
     for key in ("method", "dataset", "split"):
-        if type(item.get(key)) is not str:
-            raise ValueError(f"{key} must be a JSON string, got {reprlib.repr(item.get(key))}")
+        require_json_type(key, item.get(key), "string")
     n_seeds = item.get("n_seeds")
     if type(n_seeds) is not int or n_seeds < 1:
         raise ValueError(
@@ -214,8 +208,7 @@ def _row_from_json(item: object, metric: str) -> ReportRow:
         )
     metrics = item.get("metrics")
     cell = metrics.get(metric) if type(metrics) is dict else None
-    if type(cell) is not dict:
-        raise ValueError(f"metrics.{metric} must be a JSON object, got {reprlib.repr(cell)}")
+    require_json_type(f"metrics.{metric}", cell, "object")
     mean, std = _finite(cell.get("mean")), _finite(cell.get("std"))
     if mean is None or std is None or std < 0.0:
         raise ValueError(

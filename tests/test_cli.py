@@ -1169,6 +1169,25 @@ def test_repeated_candidate_run_id_exits_2_naming_it(tmp_path, capsys, command, 
     assert captured.err.splitlines()[-1] == f"error: duplicate candidate run_id(s): {named}"
 
 
+@pytest.mark.parametrize("fault", ["duplicate seed", "mixed utility kinds"])
+def test_row_fault_of_evaluate_names_the_logs_behind_it(tmp_path, capsys, fault):
+    # (name, seed, utility kind) in input order; "b" is the log behind the fault with "d"
+    kind = "auc" if fault == "mixed utility kinds" else "accuracy"
+    logs = [("d", 1, "accuracy"), ("a", 2, "accuracy"), ("c", 3, "accuracy"), ("b", 1, kind)]
+    if fault == "mixed utility kinds":
+        logs[-1] = ("b", 4, kind)
+    for name, seed, utility_kind in logs:
+        write_run(generate(spec_for(seed), utility_kind=utility_kind, method="erm",
+                           dataset="demo"), tmp_path / f"{name}.jsonl")
+    inputs = [str(tmp_path / f"{name}.jsonl") for name, _, _ in logs]
+    assert main(["evaluate", *inputs]) == 2
+    captured = capsys.readouterr()
+    message = ("duplicate seed(s) [1] for method=erm dataset=demo split=test"
+               if fault == "duplicate seed" else "mixed utility kinds for method=erm dataset=demo")
+    assert captured.out == ""
+    assert captured.err == f"error: {message} ({inputs[0]}, {inputs[3]})\n"
+
+
 class TestSelectErm:
     def test_dto_report(self, summary_csv, capsys):
         assert main(["select-erm", str(summary_csv)]) == 0
@@ -1318,6 +1337,23 @@ class TestCompare:
         out = tmp_path / "cd.json"
         assert main(["compare", "--metric", "gap", "--out", str(out), str(table)]) == 0
         assert (tmp_path / "cd.svg").exists()
+
+    @pytest.mark.parametrize("table", ["agg.csv", "missing.csv"])
+    @pytest.mark.parametrize("svg", [None, "cd.json", "sub/../cd.json", "link.json"])
+    def test_svg_that_is_the_out_file_exits_2_before_the_table_is_read(self, tmp_path, capsys,
+                                                                       svg, table):
+        (tmp_path / "agg.csv").write_text(AGG, encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(tmp_path / "cd.json")
+        out = tmp_path / ("cd.svg" if svg is None else "cd.json")
+        svg_flag = [] if svg is None else ["--svg", str(tmp_path / svg)]
+        argv = ["compare", "--metric", "gap", "--out", str(out), *svg_flag,
+                str(tmp_path / table)]
+        assert main(argv) == 2
+        named = out if svg is None else tmp_path / svg
+        message = "the SVG plot would replace the JSON result; give --svg another path"
+        assert capsys.readouterr().err == f"error: {named}: {message}\n"
+        assert not out.exists()
 
     def test_missing_cell_exits_2(self, tmp_path, capsys):
         table = tmp_path / "agg.csv"

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import io
 import json
 import math
+import reprlib
 import tempfile
 import weakref
 from collections.abc import Sequence
@@ -36,6 +38,7 @@ from nhfair.errors import AllGroupsDegenerate, NoEvaluableClass
 from nhfair.metrics import metric_report
 from nhfair.oracle import oracle_metrics
 from nhfair.records import (
+    SIDECAR_KEYS,
     GroupSpace,
     LabelSpace,
     PredictionRecord,
@@ -304,6 +307,79 @@ def test_manifest_scalars_round_trip_as_written(tmp_path, seed, fmt):
     again = parse_run(tmp_path / f"run.{fmt}")
     assert again.manifest == run.manifest and type(again.manifest.seed) is int
     assert again == run
+
+
+_NAMES_TYPE = "array of strings, numbers, booleans or nulls"
+# The JSON type README documents for each sidecar key.
+_DOCUMENTED = {"seed": "integer", "labels": "array", "groups": "array"}
+_SCALAR = st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none())
+_JSON_VALUES = {
+    "string": st.text(max_size=5),
+    "integer": st.integers(),
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "array": st.lists(_SCALAR, max_size=3),
+    "array holding an array": st.lists(_SCALAR, max_size=3).map(lambda items: [*items, [1]]),
+    "object": st.dictionaries(st.text(max_size=3), _SCALAR, max_size=3),
+}
+# A value of the documented type that the manifest's records also accept.
+_VALID = {
+    "method": st.text(max_size=5),
+    "dataset": st.text(max_size=5),
+    "seed": st.integers(),
+    "split": st.sampled_from(["train", "validation", "test"]),
+    "utility_kind": st.just("accuracy"),
+    "labels": st.permutations(["neg", "pos"]).map(list)
+    | st.permutations(["neg", "pos", 7]).map(list),
+    "groups": st.permutations(["A", "B"]).map(list),
+    "positive_label": st.sampled_from(["neg", "pos"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_JSON_VALUES))
+@pytest.mark.parametrize("key", [key.name for key in SIDECAR_KEYS])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_each_json_type_in_each_manifest_key_exits_0_only_for_the_documented_type(key, kind,
+                                                                                  data):
+    documented = kind == _DOCUMENTED.get(key, "string")
+    value = data.draw(_VALID[key] if documented else _JSON_VALUES[kind])
+    with tempfile.TemporaryDirectory() as directory:
+        lines = [record_line(f"s{i}", y, y, group)
+                 for i, (y, group) in enumerate([("pos", "A"), ("neg", "A"), ("pos", "B"),
+                                                 ("neg", "B")])]
+        path = write_fixture(Path(directory), lines, manifest=dict(MANIFEST, **{key: value}))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["evaluate", str(path)])
+    if documented:
+        assert (code, stderr.getvalue()) == (0, "")
+    else:
+        shown = reprlib.repr(json.loads(json.dumps(value)))
+        expected = {"seed": "integer", "labels": _NAMES_TYPE, "groups": _NAMES_TYPE}
+        message = f"{key} must be a JSON {expected.get(key, 'string')}, got {shown}"
+        sidecar = path.with_suffix(".manifest.json")
+        assert (code, stderr.getvalue()) == (2, f"error: {sidecar}: bad manifest: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_sidecar_holds_the_table_keys_in_table_order(tmp_path, fmt):
+    run = make_run([("pos", "pos", "A", 0.8), ("neg", "neg", "B", 0.1)],
+                   utility_kind="auc", positive_label="pos")
+    write_run(run, tmp_path / f"run.{fmt}")
+    sidecar = json.loads((tmp_path / "run.manifest.json").read_text(encoding="utf-8"))
+    assert list(sidecar) == [key.name for key in SIDECAR_KEYS]
+    assert parse_run(tmp_path / f"run.{fmt}") == run
+
+
+def test_manifest_faults_are_reported_presence_first(tmp_path):
+    manifest = {key: value for key, value in MANIFEST.items() if key != "labels"}
+    path = write_fixture(tmp_path, [record_line("s1", "pos", "pos", "A")],
+                         manifest=dict(manifest, seed=1.5))
+    with pytest.raises(MalformedLine) as caught:
+        parse_run(path)
+    assert str(caught.value) == f"{tmp_path / 'run.manifest.json'}: bad manifest: 'labels'"
 
 
 class TestRoundTrip:
