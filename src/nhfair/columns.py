@@ -9,11 +9,12 @@ aggregation never depends on input file order: the sample ids, the group,
 true label and predicted label of each record as small-int codes into the
 manifest's group and label tuples, and an (n, C) float64 score matrix
 over the labels in which NaN marks an absent score. :func:`parse_records`
-decodes each file once into these columns and validates them with array
-operations, in input order: label and group cells are looked up as
-decoded, repeated ids are found with a set, and the per-fault masks are
-built only for a run that has a fault. A run is sorted once, when
-``EvaluationRun`` is built. For callers that want rows,
+decodes each file into these columns (a JSONL file by orjson, and again by
+json where orjson may read it otherwise; see :func:`_parse_jsonl`) and
+validates them with array operations, in input order: label and group
+cells are looked up as decoded, repeated ids are found with a set, and the
+per-fault masks are built only for a run that has a fault. A run is sorted
+once, when ``EvaluationRun`` is built. For callers that want rows,
 ``EvaluationRun.records`` is a read-only view of the same records as
 ``PredictionRecord`` values, and ``EvaluationRun.from_records`` builds a
 run from rows.
@@ -30,6 +31,7 @@ threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -60,7 +62,14 @@ _FIELDS = ("sample_id", "y", "y_hat", "group")
 _get_fields = itemgetter(*_FIELDS)
 _scan_json = json.JSONDecoder().scan_once
 _quote = json.encoder.encode_basestring_ascii  # json.dumps' own string encoder
+_PLAIN_CELLS = {str, int, float, bool, type(None)}  # JSON scalars
 _SCORES_KEY = ', "scores": {'
+_BLANK = object()  # a line of whitespace only
+# orjson 3.8 recurses on the C stack with no nesting limit: a line of
+# 100,000 nested objects crashes the process. Lines of up to this many
+# characters took less than 512 KiB of stack at any nesting; json, which
+# stops at the recursion limit, reads longer ones.
+_LONG_LINE = 8192
 _NO_SCORES: dict[str, object] = {}
 
 
@@ -401,37 +410,68 @@ def _raise_record_fault(
     _raise_first(record_checks, path, lines)
 
 
+def _json_line(raw: str) -> object:
+    """json's value of a line, or ``_BLANK`` for a blank one.
+
+    ValueError or RecursionError if the line is not one JSON value.
+    """
+    try:
+        value, end = _scan_json(raw, 0)
+        if raw[end:] in ("", "\n"):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    # whitespace around the value, a blank line, bad JSON or deep nesting
+    return _BLANK if not raw.strip() else json.loads(raw)
+
+
+def _wide_cells(columns: tuple[list, ...]) -> bool:
+    """Whether orjson may read a cell otherwise than json does.
+
+    orjson reads an integer outside 64 bits as a float, of magnitude 2**63
+    or more. An array or object cell may hold one, or nesting deeper than
+    json reads.
+    """
+    for cells in columns:
+        kinds = set(map(type, cells))
+        if not kinds <= _PLAIN_CELLS:
+            return True
+        if float in kinds and any(abs(c) >= 2.0**63 for c in cells if type(c) is float):
+            return True
+    return False
+
+
 def _decode_jsonl(
-    path: Path,
-) -> tuple[list[int], tuple[list, ...], list[dict | None], ParseError | None]:
+    path: Path, loads: Callable[[str], object]
+) -> tuple[list[int], tuple[list, ...], list[dict | None], ParseError | None, int]:
     """Fields of the records on the non-blank lines before the first faulty one.
 
     Returns their line numbers, their sample_id, y, y_hat and group
-    columns, their score maps, and the fault of the line that stopped
+    columns, their score maps, the fault of the line that stopped
     decoding (or None): not one JSON value, not an object, a missing
-    field or a ``scores`` that is not an object. Lines are numbered as
-    iterating the text file yields them.
+    field or a ``scores`` that is not an object, and the number of keys
+    of the records. Lines are numbered as iterating the text file yields
+    them. Each line is read by ``loads``, and by :func:`_json_line` where
+    ``loads`` raises or the line is longer than ``_LONG_LINE``.
     """
     lines: list[int] = []
+    keys = 0
     columns: tuple[list, ...] = ([], [], [], [])
     add_id, add_y, add_y_hat, add_group = (column.append for column in columns)
     maps: list[dict | None] = []
     with path.open("r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
-                value, end = _scan_json(raw, 0)
-                if raw[end:] not in ("", "\n"):
-                    raise ValueError
-            except (StopIteration, ValueError, RecursionError):
-                # whitespace around the value, a blank line, bad JSON or deep nesting
-                if not raw.strip():
-                    continue
+                value = loads(raw) if len(raw) <= _LONG_LINE else _json_line(raw)
+            except (ValueError, RecursionError):  # json decides
                 try:
-                    value = json.loads(raw)
-                except (ValueError, RecursionError) as exc:  # also an integer of too many digits
+                    value = _json_line(raw)
+                except (ValueError, RecursionError) as exc:  # or an integer of too many digits
                     reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
                     error = MalformedLine(f"invalid JSON: {reason}", path=str(path), line=line_no)
-                    return lines, columns, maps, error
+                    return lines, columns, maps, error, keys
+            if value is _BLANK:
+                continue
             try:
                 sample_id, y, y_hat, group = _get_fields(value)
                 scores = value.get("scores")
@@ -439,14 +479,15 @@ def _decode_jsonl(
                     raise TypeError
             except (KeyError, TypeError):
                 error = MalformedLine(_record_fault(value), path=str(path), line=line_no)
-                return lines, columns, maps, error
+                return lines, columns, maps, error, keys
+            keys += len(value)
             lines.append(line_no)
             add_id(sample_id)
             add_y(y)
             add_y_hat(y_hat)
             add_group(group)
             maps.append(scores)
-    return lines, columns, maps, None
+    return lines, columns, maps, None, keys
 
 
 def _record_fault(value: object) -> str:
@@ -459,7 +500,36 @@ def _record_fault(value: object) -> str:
 
 
 def _parse_jsonl(path: Path, manifest: RunManifest) -> EvaluationRun:
-    lines, columns, maps, pending = _decode_jsonl(path)
+    """The run of a JSONL log, its lines read by ``orjson.loads`` where json reads them alike.
+
+    json reads every line that orjson rejects (a blank line, ``NaN``,
+    ``Infinity``, ``1e400``, a lone-surrogate escape, faulty JSON) and
+    every line longer than ``_LONG_LINE``. orjson's reading stands only
+    where it builds a run whose records hold the fields and ``scores``
+    alone, with cells that json reads alike (see :func:`_wide_cells`);
+    orjson also reads nesting deeper than json does. Any other file, every
+    faulty one included, is decoded again by json alone, so that each run,
+    error message and line is json's.
+    """
+    import orjson  # loaded only where a JSONL log is read
+
+    decoded = _decode_jsonl(path, orjson.loads)
+    lines, columns, maps, _, keys = decoded
+    # no record holds a key beside the four fields and a non-null scores
+    if keys == 4 * len(lines) + len(maps) - maps.count(None) and not _wide_cells(columns):
+        with contextlib.suppress(ParseError):
+            return _jsonl_run(path, manifest, *decoded[:4])
+    return _jsonl_run(path, manifest, *_decode_jsonl(path, _json_line)[:4])
+
+
+def _jsonl_run(
+    path: Path,
+    manifest: RunManifest,
+    lines: list[int],
+    columns: tuple[list, ...],
+    maps: list[dict | None],
+    pending: ParseError | None,
+) -> EvaluationRun:
     scores, present, checks = _mapped_scores(maps, manifest.label_space.labels)
     return _finish_run(manifest, str(path), lines, columns, scores, present, checks, pending)
 

@@ -278,14 +278,16 @@ def read_json(path: Path, error: type[ParseError] = ParseError, prefix: str = ""
 
 
 _NAMES = "array of strings, numbers, booleans or nulls"  # items read as record cells are
-_JSON_TYPES = {"string": str, "integer": int, "object": dict, _NAMES: list}
+_JSON_TYPES = {
+    "string": (str,), "integer": (int,), "number": (int, float), "object": (dict,), _NAMES: (list,)
+}
 
 
 def require_json_type(key: str, value: object, kind: str) -> None:
-    """ValueError unless the ``value`` of ``key`` is a JSON ``kind``: a bool is no integer,
-    and an array item no array or object."""
+    """ValueError unless the ``value`` of ``key`` is a JSON ``kind``: a bool is no integer
+    or number, and an array item no array or object."""
     nested = type(value) is list and any(isinstance(item, (list, dict)) for item in value)
-    if nested or type(value) is not _JSON_TYPES[kind]:
+    if nested or type(value) not in _JSON_TYPES[kind]:
         raise ValueError(f"{key} must be a JSON {kind}, got {reprlib.repr(value)}")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .columns import EvaluationRun
-from .records import GroupSpace, LabelSpace, RunManifest
+from .records import GroupSpace, LabelSpace, RunManifest, read_json, require_json_type
 
 _PRIOR_TOL = 1e-9
 
@@ -90,27 +90,47 @@ class CohortSpec:
 
     @staticmethod
     def from_json(text: str) -> "CohortSpec":
-        raw = json.loads(text)
+        return CohortSpec._from_value(json.loads(text))
+
+    @staticmethod
+    def _from_value(raw: object) -> "CohortSpec":
+        """The spec of a JSON value; a key that is missing or of another JSON type
+        is an InvalidSpec naming it."""
+        doc = _checked("spec", raw, "object")
+        for key in ("seed", "n_per_group", "class_prior", "confusion_spec"):
+            if key not in doc:
+                raise InvalidSpec(f"missing key {key!r}")
         return CohortSpec(
-            seed=int(raw["seed"]),
-            n_per_group={str(g): int(n) for g, n in raw["n_per_group"].items()},
-            class_prior={
-                str(g): {str(lb): float(p) for lb, p in prior.items()}
-                for g, prior in raw["class_prior"].items()
-            },
-            confusion_spec={
-                str(g): {
-                    str(y): {str(lb): float(p) for lb, p in row.items()}
-                    for y, row in rows.items()
-                }
-                for g, rows in raw["confusion_spec"].items()
-            },
-            score_noise=float(raw.get("score_noise", 0.0)),
+            seed=_checked("seed", doc["seed"], "integer"),
+            n_per_group=_nested("n_per_group", doc["n_per_group"], 1, "integer"),
+            class_prior=_nested("class_prior", doc["class_prior"], 2, "number"),
+            confusion_spec=_nested("confusion_spec", doc["confusion_spec"], 3, "number"),
+            score_noise=_checked("score_noise", doc.get("score_noise", 0.0), "number"),
         )
 
     @staticmethod
     def load(path: str | Path) -> "CohortSpec":
-        return CohortSpec.from_json(Path(path).read_text(encoding="utf-8"))
+        """The spec in a JSON file; text that is not JSON is a ParseError naming the file."""
+        return CohortSpec._from_value(read_json(Path(path)))
+
+
+def _checked(key: str, value: object, kind: str) -> object:
+    """``value``, which must be a JSON ``kind``, a number as a float; an InvalidSpec
+    naming ``key`` if it is not."""
+    try:
+        require_json_type(key, value, kind)
+    except ValueError as exc:
+        raise InvalidSpec(str(exc)) from None
+    return float(value) if kind == "number" else value
+
+
+def _nested(key: str, value: object, depth: int, kind: str) -> dict:
+    """:func:`_checked` objects nested ``depth`` deep around JSON ``kind`` values."""
+    return {
+        name: _nested(f"{key}.{name}", item, depth - 1, kind)
+        if depth > 1 else _checked(f"{key}.{name}", item, kind)
+        for name, item in _checked(key, value, "object").items()
+    }
 
 
 def generate(

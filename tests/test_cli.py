@@ -573,7 +573,7 @@ import json, sys
 from nhfair import cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
-heavy = ("numpy", "nhfair.columns", "nhfair.metrics", "nhfair.synth")
+heavy = ("numpy", "orjson", "nhfair.columns", "nhfair.metrics", "nhfair.synth")
 print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
 """
 
@@ -587,12 +587,17 @@ print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
         (["select-erm", "--out", "erm.json", "summ.csv"], []),
         (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"], []),
         (["evaluate", "--out", "table.csv", "run.jsonl"],
+         ["numpy", "orjson", "nhfair.columns", "nhfair.metrics"]),
+        (["evaluate", "--out", "table.csv", "log.csv"],
          ["numpy", "nhfair.columns", "nhfair.metrics"]),
     ],
-    ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "evaluate"],
+    ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "evaluate",
+         "evaluate-csv"],
 )
 def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
+    """Only a JSONL log loads orjson, as only a log loads numpy."""
     _path_inputs(tmp_path)
+    write_run(generate(spec_for(1), method="m", dataset="d"), tmp_path / "log.csv")
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argv)],
         cwd=tmp_path, env=_child_env(), capture_output=True, text=True, check=False,

@@ -16,11 +16,13 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_run
+from nhfair import columns
 from nhfair.cli import main
 from nhfair.columns import Check, EvaluationRun, _finish_run, _raise_first
 from nhfair.errors import (
@@ -39,6 +41,7 @@ from nhfair.metrics import metric_report
 from nhfair.oracle import oracle_metrics
 from nhfair.records import (
     SIDECAR_KEYS,
+    _load_manifest,
     GroupSpace,
     LabelSpace,
     PredictionRecord,
@@ -493,6 +496,8 @@ CORRUPT_CASES = [
     ("two objects on one line", "jsonl", MANIFEST, jsonl(OK1, OK2 + " " + OK3), MalformedLine, 2),
     ("two objects and a comma on one line", "jsonl", MANIFEST, jsonl(OK1, OK2 + "," + OK3),
      MalformedLine, 2),
+    ("100,000 nested objects", "jsonl", MANIFEST,
+     jsonl(OK1, '{"a": ' * 100_000 + "1" + "}" * 100_000, OK2), MalformedLine, 2),
     ("CR line ends", "jsonl", MANIFEST, jsonl(OK1, OK2, "{bad", end="\r"), MalformedLine, 3),
     ("CRLF line ends", "jsonl", MANIFEST,
      jsonl(OK1, "", OK2, record_line("s4", "pos", "pos", "Z"), end="\r\n"), UnknownGroup, 4),
@@ -747,6 +752,142 @@ def test_finish_run_raises_or_builds_as_the_reference(args):
         assert got.sample_ids.tolist() == expected.sample_ids.tolist()
         for name in ("group", "y", "y_hat", "scores"):
             assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+
+
+# The JSONL decoder reads lines with orjson where json reads them alike; the
+# property below compares it with json alone. Numbers, bools and null name
+# labels by their str(). 2**64 is the least integer that orjson reads as a
+# float, 1.8446744073709552e+19, so both texts are labels of one manifest.
+WIDE = str(2**64)
+WIDE_AS_FLOAT = str(float(2**64))
+# json's nesting limit is the interpreter's recursion limit, which
+# hypothesis raises while a test runs; orjson reads lines of up to 8,192
+# characters, so the deepest line here is read by json alone
+DEEP = {depth: "[" * depth + "]" * depth for depth in (600, 1100, 4000, 20000)}
+EQUIVALENCE_MANIFESTS = [
+    dict(MANIFEST, labels=["neg", "pos", WIDE, WIDE_AS_FLOAT, "1.5", "0", "True", "None"]),
+    AUC_MANIFEST,
+    dict(AUC_MANIFEST, labels=[WIDE_AS_FLOAT, WIDE]),
+]
+# JSON texts of record values: ODD_IDS, GOOD_SCORES and OTHER_VALUES (of a
+# key beside the fields) may stand in a valid record, ODD_CELLS and
+# ODD_SCORES make a record faulty
+LABEL_LITERALS = [WIDE, WIDE_AS_FLOAT, "1.5", "0", "-0", "true", "null"]
+ODD_IDS = st.one_of(  # valid sample ids but for repeats
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(['"s\\ud800"', '"\\udc00\\ud800"', "true", "null", "[]", f"[{WIDE}]",
+                     f'{{"k": {WIDE}}}', DEEP[600]]),
+)
+GOOD_SCORES = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.sampled_from(["0", "1", "-0.0", "true", '"0.5"', "0.1" + "0" * 400, "1e-400"]),
+)
+ODD_CELLS = st.sampled_from([
+    str(-(2**63) - 1), str(2**64 - 1), "1" + "0" * 30, "[]", f"[{WIDE}]", f'{{"k": {WIDE}}}',
+    DEEP[1100], DEEP[4000], '"\\ud800"', '"Z"',
+])
+ODD_SCORES = st.sampled_from([
+    "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, WIDE, "1.5", '"nan"', "null",
+    "[0.5]", DEEP[1100], DEEP[4000],
+])
+OTHER_VALUES = st.sampled_from(["1", WIDE, DEEP[600], DEEP[4000], DEEP[20000]])
+
+
+def json_object(pairs: list[tuple[str, str]]) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in pairs) + "}"
+
+
+@st.composite
+def jsonl_record_lines(draw, labels: list[str], kind: str, faulty: bool, index: int) -> str:
+    """The ``index``-th record line, which json reads into a valid record, or
+    ``faulty`` some of the time a faulty one."""
+
+    def cell(good, odd=ODD_CELLS):
+        return draw(odd if faulty and draw(st.integers(0, 7)) == 0 else good)
+
+    literals = [text for text in LABEL_LITERALS if str(json.loads(text)) in labels]
+    label = st.sampled_from([*map(json.dumps, labels), *literals])
+    pairs = [
+        ("sample_id", cell(ODD_IDS if draw(st.integers(0, 3)) == 0 else st.just(f'"s{index}"'))),
+        ("y", cell(label)),
+        ("y_hat", cell(label)),
+        ("group", cell(st.sampled_from(['"A"', '"B"']))),
+    ]
+    keys = [key for key in labels if draw(st.booleans()) or (kind == "auc" and key == labels[-1])]
+    if faulty and draw(st.integers(0, 7)) == 0:
+        keys.append(draw(st.sampled_from(labels + ["maybe"])))
+    scores = [(key, cell(GOOD_SCORES, ODD_SCORES)) for key in keys]
+    if scores:
+        pairs.append(("scores", json_object(scores)))
+    if faulty and draw(st.integers(0, 7)) == 0:
+        pairs.append(("scores", draw(st.sampled_from(["null", "[0.4, 0.6]", DEEP[4000]]))))
+    if draw(st.booleans()):  # a key beside the fields, or a field twice
+        pairs.append(draw(st.one_of(
+            st.tuples(st.just("extra"), OTHER_VALUES), st.sampled_from(pairs[:4])
+        )))
+    if faulty and draw(st.integers(0, 7)) == 0:
+        del pairs[draw(st.integers(0, 3))]
+    return json_object(pairs)
+
+
+@st.composite
+def jsonl_texts(draw) -> tuple[dict, str]:
+    """A manifest and a JSONL text of records, and some of the time text faults,
+    with line ends of one kind."""
+    manifest = draw(st.sampled_from(EQUIVALENCE_MANIFESTS))
+    faulty = draw(st.booleans())
+    lines = []
+    for index in range(draw(st.integers(2, 8))):
+        record = jsonl_record_lines(manifest["labels"], manifest["utility_kind"], faulty, index)
+        fault = st.one_of(
+            st.sampled_from(["", " ", "\t", "\x0c", "{bad", "[1, 2]", '"s"', *DEEP.values()]),
+            record.map(lambda line: "\ufeff" + line),
+            record.map(lambda line: "  " + line + "\t"),
+        )
+        lines.append(draw(st.one_of(record, record, record, fault) if faulty else record))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return manifest, end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _parse_outcome(path: Path) -> object:
+    try:
+        run = parse_run(path)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+    return run, run.sample_ids.tolist()
+
+
+@given(jsonl_texts())
+@settings(max_examples=300, deadline=None)
+def test_jsonl_read_by_orjson_parses_as_read_by_json_alone(case):
+    manifest, text = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "run.jsonl"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        (path.parent / "run.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        got = _parse_outcome(path)
+
+        def refuse(raw):
+            raise orjson.JSONDecodeError("refused", raw, 0)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orjson, "loads", refuse)
+            expected = _parse_outcome(path)
+    assert got == expected
+
+
+def test_a_label_beyond_64_bits_is_read_as_json_reads_it(tmp_path):
+    """orjson alone reads 18446744073709551616 as 1.8446744073709552e+19."""
+    manifest = dict(MANIFEST, labels=["neg", WIDE])
+    path = write_fixture(tmp_path, [
+        record_line("s1", 2**64, 2**64, "A"), record_line("s2", "neg", "neg", "B"),
+    ], manifest)
+    decoded = columns._decode_jsonl(path, orjson.loads)
+    with pytest.raises(UnknownLabel, match="label '1.8446744073709552e\\+19' not in manifest"):
+        columns._jsonl_run(path, _load_manifest(path), *decoded[:4])
+    assert [rec.true_label for rec in parse_run(path).records] == [WIDE, "neg"]
 
 
 def test_a_run_whose_records_were_read_is_freed_without_the_cyclic_gc():

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from nhfair.errors import InvalidSpec
+from nhfair.errors import InvalidSpec, ParseError
 from nhfair.metrics import demographic_parity, confusion, metric_report
 from nhfair.synth import CohortSpec, generate
 
@@ -81,6 +82,55 @@ class TestGenerate:
         path = tmp_path / "spec.json"
         path.write_text(text, encoding="utf-8")
         assert CohortSpec.load(path) == spec
+
+
+def _spec_file(tmp_path, **changes) -> Path:
+    doc = {**json.loads(binary_spec().to_json()), **changes}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"seed": 1.5}, "seed must be a JSON integer, got 1.5"),
+        ({"seed": "7"}, "seed must be a JSON integer, got '7'"),
+        ({"seed": True}, "seed must be a JSON integer, got True"),
+        ({"n_per_group": {"A": True, "B": True}}, "n_per_group.A must be a JSON integer, got True"),
+        ({"n_per_group": [100, 100]}, "n_per_group must be a JSON object, got [100, 100]"),
+        ({"class_prior": {"A": {"neg": "0.5", "pos": 0.5}, "B": {"neg": 0.5, "pos": 0.5}}},
+         "class_prior.A.neg must be a JSON number, got '0.5'"),
+        ({"confusion_spec": {"A": {"neg": 1.0}}},
+         "confusion_spec.A.neg must be a JSON object, got 1.0"),
+        ({"score_noise": None}, "score_noise must be a JSON number, got None"),
+    ],
+    ids=["float seed", "string seed", "bool seed", "bool counts", "array counts",
+         "string prior", "flat confusion", "null noise"],
+)
+def test_spec_value_of_another_json_type_is_invalid_naming_its_key(tmp_path, changes, message):
+    with pytest.raises(InvalidSpec) as err:
+        CohortSpec.load(_spec_file(tmp_path, **changes))
+    assert str(err.value) == message
+
+
+def test_spec_without_a_key_or_not_json_names_it(tmp_path):
+    path = _spec_file(tmp_path)
+    path.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+    with pytest.raises(InvalidSpec, match="missing key 'n_per_group'"):
+        CohortSpec.load(path)
+    path.write_text("{", encoding="utf-8")
+    with pytest.raises(ParseError, match="spec.json: not valid JSON"):
+        CohortSpec.load(path)
+
+
+def test_spec_numbers_may_be_json_integers(tmp_path):
+    path = _spec_file(tmp_path, score_noise=1, class_prior={
+        "A": {"neg": 0, "pos": 1}, "B": {"neg": 0.5, "pos": 0.5}
+    })
+    spec = CohortSpec.load(path)
+    assert spec.score_noise == 1.0 and spec.class_prior["A"] == {"neg": 0.0, "pos": 1.0}
+    assert type(spec.score_noise) is float and type(spec.class_prior["A"]["pos"]) is float
 
 
 class TestInvalidSpec:
