@@ -1,8 +1,8 @@
 """Fairness evaluation engine: metrics, harm-aware selection, rank statistics.
 
 Every export is resolved on first access (PEP 562), so importing the
-package, or a command that reads only summary tables, loads neither
-numpy nor the log and metric code.
+package, or a command that reads only summary tables, loads none of the
+log and metric code. Only ``nhfair.synth`` loads numpy.
 """
 
 from importlib import import_module

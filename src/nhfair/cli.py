@@ -129,7 +129,7 @@ def _emit(*outputs: tuple[Path | None, str]) -> None:
 
 def _evaluate_file(path: Path, eqodd: str = "diagonal") -> RunResult:
     """Parse one prediction log and compute its result; the run is dropped after."""
-    from . import metrics  # numpy: loaded only by commands that read a log
+    from . import metrics  # the log and metric code: loaded only by commands that read a log
 
     run = parse_run(path)
     try:
@@ -232,15 +232,15 @@ def _read_ahead(paths: list[Path], eqodd: str, jobs: int) -> list[RunResult | No
     None stands for a log the caller reads itself, in order, as a serial
     command does: every log when the logs are read serially, else a log
     that faulted or that no process reported. Helpers are forked only
-    from a single-threaded process, after numpy is loaded. The parent and
-    each helper claim the next unread log, one at a time, until none is
-    left; every helper is reaped before this returns or raises.
+    from a single-threaded process. The parent and each helper claim the
+    next unread log, one at a time, until none is left; every helper is
+    reaped before this returns or raises.
     """
     results: list[RunResult | None] = [None] * len(paths)
     n = min(jobs, len(paths))
     if n < 2 or not hasattr(os, "fork"):
         return results
-    from . import metrics  # noqa: F401  numpy and the log code, loaded once before any fork
+    from . import metrics  # noqa: F401  the log and metric code, loaded once before any fork
 
     if not _single_threaded():
         return results
@@ -477,10 +477,6 @@ def main(argv: list[str] | None = None) -> int:
     values = vars(namespace)
     command = values.pop("command")
     inputs = values.pop("inputs")
-    # nhfair calls no BLAS routine, and a BLAS thread pool started with numpy
-    # would keep the log readers from forking (_read_ahead).
-    if "numpy" not in sys.modules:
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Cyclic GC is paused for the command: reference counting frees what it
     # drops, and it leaves the same few reference cycles whatever its input
     # (README), so the collector's passes would only cost time.

@@ -1,32 +1,36 @@
-"""A run's records as numpy columns: the run value, log decoding, record writing.
+"""A run's records as columns: the run value, log decoding, record writing.
 
-``records`` imports this module, and numpy with it, only when a
-prediction log is read or written, so a command that reads only summary
-tables never loads numpy. ``metrics`` and ``synth`` build on it.
+``records`` imports this module only when a prediction log is read or
+written; ``metrics`` and ``synth`` build on it. It needs the standard
+library alone (and orjson where a JSONL log is read), so no command that
+reads a log loads numpy.
 
 A run holds its records as columns sorted by ``sample_id``, so downstream
-aggregation never depends on input file order: the sample ids, the group,
-true label and predicted label of each record as small-int codes into the
-manifest's group and label tuples, and an (n, C) float64 score matrix
-over the labels in which NaN marks an absent score. :func:`parse_records`
-decodes each file into these columns (a JSONL file by orjson, and again by
-json where orjson may read it otherwise; see :func:`_parse_jsonl`) and
-validates them with array operations, in input order: label and group
-cells are looked up as decoded, repeated ids are found with a set, and the
-per-fault masks are built only for a run that has a fault. A run is sorted
-once, when ``EvaluationRun`` is built. For callers that want rows,
-``EvaluationRun.records`` is a read-only view of the same records as
-``PredictionRecord`` values, and ``EvaluationRun.from_records`` builds a
-run from rows.
+aggregation never depends on input file order: a tuple of the sample ids;
+the group, true label and predicted label of each record as small-int
+codes into the manifest's group and label tuples, each an ``array.array``
+of the smallest signed type that holds them; and one ``array('d')`` of
+scores per label, in which NaN marks an absent score, or None for a run
+without scores. No Python object is held per record but its sample id.
+:func:`parse_records` decodes each file into these columns (a JSONL file by
+orjson, and again by json where orjson may read it otherwise; see
+:func:`_parse_jsonl`) and validates them column by column, in input order:
+label and group cells are looked up as decoded, repeated ids are found
+with a set, the scores of each label are checked by one sum, min and max,
+and the rows each fault flags are listed only for a run that has a fault.
+A run is sorted once, when ``EvaluationRun`` is built. For callers that
+want rows, ``EvaluationRun.records`` is a read-only view of the same
+records as ``PredictionRecord`` values, and ``EvaluationRun.from_records``
+builds a run from rows.
 :func:`write_records` writes the records column by column, streamed to
 the file: each column is formatted once (strings quoted by json's own
 encoder, each label and group name once per run; scores by
 ``float.__repr__``), and the bytes are those of one ``json.dumps`` per
 record.
 
-Column arrays are read-only. Parsing is a pure function of the file
-bytes, so files may be parsed concurrently and the results shared across
-threads.
+Columns are never modified once a run is built. Parsing is a pure
+function of the file bytes, so files may be parsed concurrently and the
+results shared across threads.
 """
 
 from __future__ import annotations
@@ -35,15 +39,14 @@ import contextlib
 import csv
 import json
 import math
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, count, repeat
-from operator import itemgetter
+from functools import cached_property, partial
+from itertools import accumulate, count, islice, repeat
+from operator import is_not, itemgetter, le
 from pathlib import Path
-
-import numpy as np
 
 from .errors import (
     DuplicateSampleId,
@@ -71,74 +74,124 @@ _BLANK = object()  # a line of whitespace only
 # stops at the recursion limit, reads longer ones.
 _LONG_LINE = 8192
 _NO_SCORES: dict[str, object] = {}
+# The score of a label a JSONL record does not map: a NaN that no decoder
+# returns, so absent cells are counted and skipped by identity.
+_ABSENT = float("nan")
+_BUFFER_TYPES = "?bBhHiIlLqQfd"  # buffer formats of bools and numbers
 
 
-def _code_dtype(size: int) -> np.dtype:
-    """Smallest signed integer type that holds -1 and every code below ``size``."""
-    return np.min_scalar_type(-size)
+def _code_type(size: int) -> str:
+    """Smallest signed array typecode that holds -1 and every code below ``size``."""
+    return next(t for t in "bhiq" if size <= 1 << (8 * array(t).itemsize - 1))
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _column(values: Sequence, typecode: str) -> array:
+    """A new ``typecode`` array of ``values``: any sequence, a numpy array included.
+
+    A one-dimensional buffer of numbers or bools (an ``array``, a numpy
+    array) is read through a memoryview, and copied as bytes where its
+    type is ``typecode``.
+    """
+    try:
+        view = memoryview(values)
+    except TypeError:
+        return array(typecode, values)
+    with view:
+        if view.ndim != 1 or view.format not in _BUFFER_TYPES:
+            return array(typecode, values)
+        return array(typecode, view.tobytes() if view.format == typecode else view.tolist())
+
+
+def _float_or_nan(value: object) -> float:
+    """``float(value)``, or NaN where ``float`` rejects it (a blank CSV cell: absent)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _in_unit_range(values: array) -> bool:
+    """Whether every value is a number in [0, 1]: a NaN makes the sum NaN, an infinity
+    leaves the min or max out of range."""
+    total = sum(values)
+    return total == total and (not values or (min(values) >= 0.0 and max(values) <= 1.0))
+
+
+def _same_scores(a: tuple[array, ...] | None, b: tuple[array, ...] | None) -> bool:
+    """Whether two runs' score columns are equal, a NaN equal to a NaN."""
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(
+        x == y or (len(x) == len(y) and all(p == q or p != p and q != q for p, q in zip(x, y)))
+        for x, y in zip(a, b)
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationRun:
     """One run's records as columns, sorted by ``sample_id`` on construction.
 
-    ``sample_ids`` is an object array of str, so one long id does not
-    widen every entry. ``group``, ``y`` and ``y_hat`` are codes into
-    ``manifest.group_space.groups`` and ``manifest.label_space.labels``.
-    ``scores`` is (n, C) over the labels with NaN for an absent score; pass
-    None for a run without scores. Columns are taken as valid: use
-    :meth:`from_records` or ``records.parse_run`` to validate records.
+    ``sample_ids`` is a tuple of str. ``group``, ``y`` and ``y_hat`` are
+    codes into ``manifest.group_space.groups`` and
+    ``manifest.label_space.labels``, held as ``array.array`` of the
+    smallest signed type that fits. ``scores`` holds one ``array('d')`` per
+    label with NaN for an absent score; it is None for a run without
+    scores, also where every given score is NaN. Any sequences may be
+    passed, numpy arrays included; the run keeps copies. Columns are taken
+    as valid: use :meth:`from_records` or ``records.parse_run`` to validate
+    records.
     """
 
     manifest: RunManifest
-    sample_ids: np.ndarray
-    group: np.ndarray
-    y: np.ndarray
-    y_hat: np.ndarray
-    scores: np.ndarray | None = None
+    sample_ids: tuple[str, ...]
+    group: array
+    y: array
+    y_hat: array
+    scores: tuple[array, ...] | None = None
 
     def __post_init__(self):
-        ids = np.asarray(self.sample_ids, dtype=object)
-        keys = ids.tolist()
+        keys = tuple(self.sample_ids)
         n = len(keys)
+        order: list[int] | None = None
+        if not all(map(le, keys, islice(keys, 1, None))):  # in order already, as nhfair writes logs
+            order = sorted(range(n), key=keys.__getitem__)
+            keys = tuple(map(keys.__getitem__, order))
+        object.__setattr__(self, "sample_ids", keys)
+
+        def column(name: str, values: Sequence, typecode: str) -> array:
+            if len(values) != n:
+                raise ValueError(f"column {name} has {len(values)} values, expected {n}")
+            copy = _column(values, typecode)  # never the caller's sequence
+            return copy if order is None else array(typecode, map(copy.__getitem__, order))
+
         n_labels = self.manifest.label_space.size
-        order: np.ndarray | None = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
-        if (order[1:] > order[:-1]).all():  # in order already, as nhfair writes logs
-            order = None
-
-        def column(name: str, values, dtype, shape: tuple[int, ...]) -> None:
-            array = np.asarray(values)
-            if array.shape != shape:
-                raise ValueError(f"column {name} has shape {array.shape}, expected {shape}")
-            copy = array.astype(dtype)  # never the caller's array
-            object.__setattr__(self, name, _read_only(copy if order is None else copy[order]))
-
-        column("sample_ids", ids, object, (n,))
-        column("group", self.group, _code_dtype(self.manifest.group_space.size), (n,))
-        column("y", self.y, _code_dtype(n_labels), (n,))
-        column("y_hat", self.y_hat, _code_dtype(n_labels), (n,))
-        if self.scores is None:
-            # one shared NaN seen through zero strides: no memory per record
-            no_scores = np.broadcast_to(np.float64(math.nan), (n, n_labels))
-            object.__setattr__(self, "scores", no_scores)
-        else:
-            column("scores", self.scores, np.float64, (n, n_labels))
+        code = _code_type(n_labels)
+        object.__setattr__(self, "group", column(
+            "group", self.group, _code_type(self.manifest.group_space.size)
+        ))
+        object.__setattr__(self, "y", column("y", self.y, code))
+        object.__setattr__(self, "y_hat", column("y_hat", self.y_hat, code))
+        scores = None
+        if self.scores is not None:
+            if len(self.scores) != n_labels:
+                raise ValueError(
+                    f"scores has {len(self.scores)} columns, expected one per label ({n_labels})"
+                )
+            scores = tuple(column("scores", values, "d") for values in self.scores)
+            if not any(value == value for values in scores for value in values):
+                scores = None  # no score present: a run without scores
+        object.__setattr__(self, "scores", scores)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvaluationRun):
             return NotImplemented
         return (
             self.manifest == other.manifest
-            and np.array_equal(self.sample_ids, other.sample_ids)
-            and np.array_equal(self.group, other.group)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.y_hat, other.y_hat)
-            and np.array_equal(self.scores, other.scores, equal_nan=True)
+            and self.sample_ids == other.sample_ids
+            and self.group == other.group
+            and self.y == other.y
+            and self.y_hat == other.y_hat
+            and _same_scores(self.scores, other.scores)
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -163,16 +216,20 @@ class EvaluationRun:
             [r.predicted_label for r in rows],
             [r.group for r in rows],
         ]
-        score_maps = _mapped_scores([r.scores for r in rows], manifest.label_space.labels)
-        return _finish_run(manifest, None, range(1, len(rows) + 1), columns, *score_maps)
+        scores, checks = _mapped_scores([r.scores for r in rows], manifest.label_space.labels)
+        return _finish_run(manifest, None, range(1, len(rows) + 1), columns, scores, checks)
 
 
-def _score_maps(labels: tuple[str, ...], scores: np.ndarray) -> list[dict[str, float]]:
+def _score_maps(
+    labels: tuple[str, ...], scores: tuple[array, ...] | None
+) -> Iterable[dict[str, float] | None]:
     """Each record's label -> score map over its present scores, label order."""
-    return [
+    if scores is None:
+        return repeat(None)
+    return (
         {label: value for label, value in zip(labels, row) if value == value}  # NaN: absent
-        for row in scores.tolist()
-    ]
+        for row in zip(*scores)
+    )
 
 
 class RecordView(Sequence):
@@ -204,11 +261,7 @@ class RecordView(Sequence):
                     scores=scores or None,
                 )
                 for sample_id, group, y, y_hat, scores in zip(
-                    sample_ids.tolist(),
-                    group.tolist(),
-                    y.tolist(),
-                    y_hat.tolist(),
-                    _score_maps(labels, scores),
+                    sample_ids, group, y, y_hat, _score_maps(labels, scores)
                 )
             )
         return self._rows
@@ -235,82 +288,80 @@ class RecordView(Sequence):
         return f"RecordView({self._all()!r})"
 
 
-# A check is a mask over the records in input order and, for a record it
-# flags, the error class and message to raise.
-Check = tuple[np.ndarray, Callable[[int], tuple[type[ParseError], str]]]
+# A fault is the error class and message of a record, or None for a record
+# without that fault; a check is the records, in input order, that a fault
+# flags and the fault itself.
+Fault = Callable[[int], "tuple[type[ParseError], str] | None"]
+Check = tuple[Sequence[int], Fault]
 
 
 def _raise_first(checks: list[Check], path: str | None, lines: Sequence[int]) -> None:
     """Raise the fault of the earliest flagged record; on one record the earlier check wins."""
-    first: tuple[int, Callable] | None = None
-    for mask, fault in checks:
-        hits = np.flatnonzero(mask)
-        if hits.size and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), fault)
+    first: tuple[int, Fault] | None = None
+    for rows, fault in checks:
+        if rows and (first is None or rows[0] < first[0]):
+            first = (rows[0], fault)
     if first is not None:
         row, fault = first
         cls, message = fault(row)
         raise cls(message, path=path, line=lines[row])
 
 
-def _floats(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``float()`` of each value, and a mask of the values it rejects (left NaN)."""
-    failed = np.zeros(len(values), dtype=bool)
-    try:
-        return np.fromiter(map(float, values), np.float64, len(values)), failed
-    except (TypeError, ValueError, OverflowError):
-        pass
-    out = np.full(len(values), math.nan)
-    for i, value in enumerate(values):
-        try:
-            out[i] = float(value)
-        except (TypeError, ValueError, OverflowError):
-            failed[i] = True
-    return out, failed
-
-
-def _out_of_range(scores: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Present scores that are not finite numbers in [0, 1]."""
-    with np.errstate(invalid="ignore"):
-        return present & ~((scores >= 0.0) & (scores <= 1.0))
+def _flagged(fault: Fault, n: int) -> Check:
+    """The check of ``fault`` over records ``0 .. n-1``."""
+    return [row for row in range(n) if fault(row)], fault
 
 
 def _mapped_scores(
     maps: list[dict | None], labels: tuple[str, ...]
-) -> tuple[np.ndarray | None, np.ndarray, list[Check]]:
-    """Score matrix and presence mask of per-record label -> score maps.
+) -> tuple[tuple[array, ...] | None, list[Check]]:
+    """Score columns of per-record label -> score maps, and their check.
 
     A record's map is checked label by label (a value ``float()`` rejects,
-    then one outside [0, 1]), then for a key outside the label space.
+    then one outside [0, 1]), then for a key outside the label space. Each
+    label's scores are checked together first; records are checked one by
+    one only where that finds a fault, or a value ``float()`` alone reads.
     """
-    n, n_labels = len(maps), len(labels)
-    present = np.zeros((n, n_labels), dtype=bool)
+    n = len(maps)
     if maps.count(None) == n:
-        return None, present, []
+        return None, []
     maps = [m or _NO_SCORES for m in maps]
-    scores = np.empty((n, n_labels))
-    rejected = np.zeros((n, n_labels), dtype=bool)
-    for c, label in enumerate(labels):
-        present[:, c] = np.fromiter(map(dict.__contains__, maps, repeat(label)), bool, n)
-        scores[:, c], rejected[:, c] = _floats(
-            list(map(dict.get, maps, repeat(label), repeat(math.nan)))
-        )
-    out_of_range = _out_of_range(scores, present)
-    unknown = np.fromiter(map(len, maps), np.intp, n) > present.sum(axis=1)
+    columns = []
+    present = 0
+    clean = True
+    for label in labels:
+        cells = [*map(dict.get, maps, repeat(label), repeat(_ABSENT))]
+        absent = cells.count(_ABSENT)  # by identity: no decoder returns _ABSENT
+        present += n - absent
+        try:
+            column = array("d", cells)
+        except (TypeError, OverflowError):  # a string, null, array or object, or a huge integer
+            columns.append(array("d", map(_float_or_nan, cells)))
+            clean = False
+            continue
+        given = array("d", filter(partial(is_not, _ABSENT), cells)) if absent else column
+        clean = clean and _in_unit_range(given)
+        columns.append(column)
+    if clean and sum(map(len, maps)) == present:  # no key outside the label space
+        return tuple(columns), []
 
-    def fault(row: int) -> tuple[type[ParseError], str]:
-        for c, label in enumerate(labels):
-            if rejected[row, c]:
-                return MalformedLine, f"score for {label!r} is not a number"
-            if out_of_range[row, c]:
-                return MalformedLine, f"score for {label!r} out of [0, 1]: {float(scores[row, c])}"
-        key = next(k for k in maps[row] if k not in labels)
-        return UnknownLabel, f"score key {key!r} not in label space"
+    def fault(row: int) -> tuple[type[ParseError], str] | None:
+        record = maps[row]
+        for label in labels:
+            if label in record:
+                try:
+                    value = float(record[label])
+                except (TypeError, ValueError, OverflowError):
+                    return MalformedLine, f"score for {label!r} is not a number"
+                if not 0.0 <= value <= 1.0:
+                    return MalformedLine, f"score for {label!r} out of [0, 1]: {value}"
+        key = next((k for k in record if k not in labels), None)
+        return None if key is None else (UnknownLabel, f"score key {key!r} not in label space")
 
-    return scores, present, [(rejected.any(axis=1) | out_of_range.any(axis=1) | unknown, fault)]
+    return tuple(columns), [_flagged(fault, n)]
 
 
-def _codes(cells: Sequence, space: tuple[str, ...]) -> np.ndarray:
+def _codes(cells: Sequence, space: tuple[str, ...]) -> array:
     """Index of each cell in ``space``, or -1 where it is not a member.
 
     A cell names the member equal to its ``str()``, so a JSON number or
@@ -318,11 +369,11 @@ def _codes(cells: Sequence, space: tuple[str, ...]) -> np.ndarray:
     are first; only a column in which one misses is mapped through ``str``.
     """
     index = {name: i for i, name in enumerate(space)}
-    dtype = _code_dtype(len(space))
+    typecode = _code_type(len(space))
     try:
-        return np.fromiter(map(index.__getitem__, cells), dtype, len(cells))
+        return array(typecode, map(index.__getitem__, cells))
     except (KeyError, TypeError):  # not a member as it is, or unhashable (a JSON array)
-        return np.fromiter(map(index.get, map(str, cells), repeat(-1)), dtype, len(cells))
+        return array(typecode, map(index.get, map(str, cells), repeat(-1)))
 
 
 def _finish_run(
@@ -330,21 +381,21 @@ def _finish_run(
     path: str | None,
     lines: Sequence[int],
     columns: Sequence[Sequence],
-    scores: np.ndarray | None,
-    present: np.ndarray,
+    scores: tuple[array, ...] | None,
     checks: list[Check],
     pending: ParseError | None = None,
 ) -> EvaluationRun:
     """Validate decoded records and build the run.
 
     ``columns`` are the sample_id, y, y_hat and group of the records
-    decoded, in input order, and ``checks`` their decode faults; ``pending`` is
-    the fault of the input line after the last of them, if decoding
-    stopped there. As when records are checked one at a time, in input
-    order, the first decode fault wins, then the pending one; then, again
-    in input order, duplicate ids, unknown labels and groups and missing
-    auc scores (see :func:`_raise_record_fault`); then groups without
-    records. A sample id is compared by its ``str()``.
+    decoded, in input order, ``scores`` their score columns (NaN: absent)
+    and ``checks`` their decode faults; ``pending`` is the fault of the
+    input line after the last of them, if decoding stopped there. As when
+    records are checked one at a time, in input order, the first decode
+    fault wins, then the pending one; then, again in input order, duplicate
+    ids, unknown labels and groups and missing auc scores (see
+    :func:`_raise_record_fault`); then groups without records. A sample id
+    is compared by its ``str()``.
     """
     _raise_first(checks, path, lines)
     if pending is not None:
@@ -357,17 +408,25 @@ def _finish_run(
     y = _codes(columns[1], labels)
     y_hat = _codes(columns[2], labels)
     group = _codes(columns[3], group_names)
-    bad = (y < 0) | (y_hat < 0) | (group < 0)
-    if manifest.utility_kind == "auc":
-        bad |= ~present[:, labels.index(manifest.label_space.positive_label)]
-    if bad.any() or len(set(ids)) < len(ids):
-        _raise_record_fault(manifest, path, lines, ids, columns, (y, y_hat, group), present)
+    bad = -1 in y or -1 in y_hat or -1 in group or len(set(ids)) < len(ids)
+    if manifest.utility_kind == "auc" and not bad:
+        # the decode checks passed, so a present score is in [0, 1] and the
+        # sum is NaN only where a record lacks the positive score
+        positive = labels.index(manifest.label_space.positive_label)
+        total = math.nan if scores is None else sum(scores[positive])
+        bad = total != total
+    if bad:
+        _raise_record_fault(manifest, path, lines, ids, columns, (y, y_hat, group), scores)
 
-    sizes = np.bincount(group, minlength=len(group_names))
-    missing = [g for g, size in zip(group_names, sizes) if size == 0]
+    missing = [g for i, g in enumerate(group_names) if i not in group]
     if missing:
         raise EmptyGroup(f"no records for group(s): {', '.join(missing)}", path=path)
     return EvaluationRun(manifest, ids, group, y, y_hat, scores)
+
+
+def _negative(codes: array) -> list[int]:
+    """The rows whose cell named no member (code -1)."""
+    return [row for row, code in enumerate(codes) if code < 0]
 
 
 def _raise_record_fault(
@@ -376,32 +435,37 @@ def _raise_record_fault(
     lines: Sequence[int],
     ids: list[str],
     columns: Sequence[Sequence],
-    codes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    present: np.ndarray,
+    codes: tuple[array, array, array],
+    scores: tuple[array, ...] | None,
 ) -> None:
     """Raise the first record fault: on one record, a repeated id, then an
     unknown label, prediction or group, then a missing auc score."""
     first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    firsts = np.fromiter(map(first_row.__getitem__, ids), np.intp, len(ids))
     ys, y_hats, groups = columns[1:]
     y, y_hat, group = codes
     record_checks: list[Check] = [
-        (firsts != np.arange(len(ids)), lambda row: (
+        ([row for row, i in enumerate(ids) if first_row[i] != row], lambda row: (
             DuplicateSampleId,
             f"sample_id {ids[row]!r} already seen on line {lines[first_row[ids[row]]]}",
         )),
-        (y < 0, lambda row: (UnknownLabel, f"label {str(ys[row])!r} not in manifest")),
-        (y_hat < 0, lambda row: (UnknownLabel, f"label {str(y_hats[row])!r} not in manifest")),
-        (group < 0, lambda row: (UnknownGroup, f"group {str(groups[row])!r} not in manifest")),
+        (_negative(y), lambda row: (UnknownLabel, f"label {str(ys[row])!r} not in manifest")),
+        (_negative(y_hat), lambda row: (
+            UnknownLabel, f"label {str(y_hats[row])!r} not in manifest"
+        )),
+        (_negative(group), lambda row: (
+            UnknownGroup, f"group {str(groups[row])!r} not in manifest"
+        )),
     ]
     if manifest.utility_kind == "auc":
         labels = manifest.label_space.labels
         positive = manifest.label_space.positive_label
+        c = labels.index(positive)
+        rows = [()] * len(ids) if scores is None else [*zip(*scores)]  # NaN: absent
         record_checks += [
-            (~present.any(axis=1), lambda row: (
-                MissingScores, f"auc run but record {ids[row]!r} has no scores",
-            )),
-            (~present[:, labels.index(positive)], lambda row: (
+            ([row for row, values in enumerate(rows) if not any(v == v for v in values)],
+             lambda row: (MissingScores, f"auc run but record {ids[row]!r} has no scores")),
+            ([row for row, values in enumerate(rows) if not values or values[c] != values[c]],
+             lambda row: (
                 MissingScores,
                 f"auc run but record {ids[row]!r} lacks a score for the "
                 f"positive label {positive!r}",
@@ -530,60 +594,62 @@ def _jsonl_run(
     maps: list[dict | None],
     pending: ParseError | None,
 ) -> EvaluationRun:
-    scores, present, checks = _mapped_scores(maps, manifest.label_space.labels)
-    return _finish_run(manifest, str(path), lines, columns, scores, present, checks, pending)
+    scores, checks = _mapped_scores(maps, manifest.label_space.labels)
+    return _finish_run(manifest, str(path), lines, columns, scores, checks, pending)
+
+
+def _last_filled(cells: tuple[str, ...]) -> str:
+    """The last non-blank cell, or ``""``."""
+    return next(filter(None, reversed(cells)), "")
 
 
 def _cell_scores(
     columns: list[tuple[str, ...]], column_labels: list[str], labels: tuple[str, ...]
-) -> tuple[np.ndarray | None, np.ndarray, list[Check]]:
-    """Score matrix and presence mask of CSV score columns; a blank cell is absent.
+) -> tuple[tuple[array, ...] | None, list[Check]]:
+    """Score columns of CSV score cells, and their check; a blank cell is absent.
 
     A row is checked for a cell that is not a number (column order), then
     for a score outside [0, 1] (label order), then for a score under a
     label outside the label space. Of repeated columns the last non-blank
-    cell counts.
+    cell counts. Each label's scores are checked together first; rows are
+    checked one by one only where that finds a fault or a label repeats.
     """
-    n = len(columns[0]) if columns else 0
-    present = np.zeros((n, len(labels)), dtype=bool)
     if not columns:
-        return None, present, []
-    index = {label: c for c, label in enumerate(labels)}
-    scores = np.full((n, len(labels)), math.nan)
-    rejected = np.zeros((n, len(columns)), dtype=bool)
-    unknown = np.zeros(n, dtype=bool)
-    for j, (label, cells) in enumerate(zip(column_labels, columns)):
-        filled = np.fromiter(map(bool, cells), bool, n)
-        values, failed = _floats([cell or "nan" for cell in cells])
-        rejected[:, j] = filled & failed
-        if label in index:
-            scores[filled, index[label]] = values[filled]
-            present[:, index[label]] |= filled
-        else:
-            unknown |= filled
-    out_of_range = _out_of_range(scores, present)
+        return None, []
+    n = len(columns[0])
+    clean = len(set(column_labels)) == len(column_labels) and not any(
+        any(cells) for name, cells in zip(column_labels, columns) if name not in labels
+    )
+    scores = []
+    for label in labels:
+        sources = [cells for name, cells in zip(column_labels, columns) if name == label]
+        if len(sources) != 1:  # no column (every cell blank), or repeated columns
+            sources = [[*map(_last_filled, zip(*sources, repeat("", n)))]]
+        cells = sources[0]
+        try:
+            given = array("d", map(float, filter(None, cells)))
+        except ValueError:
+            clean, given = False, array("d")
+        clean = clean and _in_unit_range(given)
+        scores.append(given if len(given) == n else array("d", map(_float_or_nan, cells)))
+    if clean:
+        return tuple(scores), []
 
-    def not_a_number(row: int) -> tuple[type[ParseError], str]:
-        cell = columns[int(np.argmax(rejected[row]))][row]
-        return MalformedLine, f"score cell {cell!r} is not a number"
+    def fault(row: int) -> tuple[type[ParseError], str] | None:
+        for cells in columns:
+            try:
+                float(cells[row] or 0)  # a blank cell is absent
+            except ValueError:
+                return MalformedLine, f"score cell {cells[row]!r} is not a number"
+        for label, column in zip(labels, scores):
+            given = any(cells[row] for name, cells in zip(column_labels, columns) if name == label)
+            if given and not 0.0 <= column[row] <= 1.0:
+                return MalformedLine, f"score for {label!r} out of [0, 1]: {column[row]}"
+        key = next((name for name, cells in zip(column_labels, columns)
+                    if name not in labels and cells[row]), None)
+        return None if key is None else (UnknownLabel, f"score key {key!r} not in label space")
 
-    def outside(row: int) -> tuple[type[ParseError], str]:
-        c = int(np.argmax(out_of_range[row]))
-        return MalformedLine, f"score for {labels[c]!r} out of [0, 1]: {float(scores[row, c])}"
-
-    def unknown_key(row: int) -> tuple[type[ParseError], str]:
-        key = next(
-            label for label, cells in zip(column_labels, columns)
-            if label not in index and cells[row]
-        )
-        return UnknownLabel, f"score key {key!r} not in label space"
-
-    checks: list[Check] = [
-        (rejected.any(axis=1), not_a_number),
-        (out_of_range.any(axis=1), outside),
-        (unknown, unknown_key),
-    ]
-    return scores, present, checks
+    return tuple(scores), [_flagged(fault, n)]
 
 
 def _parse_csv(path: Path, manifest: RunManifest) -> EvaluationRun:
@@ -598,12 +664,11 @@ def _parse_csv(path: Path, manifest: RunManifest) -> EvaluationRun:
             raise MalformedLine(f"unexpected column {col!r}", path=str(path), line=1)
         column_labels.append(col[len("score:") :])
     columns = list(zip(*rows))
-    scores, present, checks = _cell_scores(
+    scores, checks = _cell_scores(
         columns[len(_FIELDS) :], column_labels, manifest.label_space.labels
     )
-    return _finish_run(
-        manifest, str(path), lines, columns[: len(_FIELDS)], scores, present, checks, fault
-    )
+    return _finish_run(manifest, str(path), lines, columns[: len(_FIELDS)], scores, checks, fault)
+
 
 def parse_records(path: Path, format: str, manifest: RunManifest) -> EvaluationRun:
     """The validated run of a ``jsonl`` or ``csv`` record file; see ``records.parse_run``."""
@@ -613,18 +678,21 @@ def parse_records(path: Path, format: str, manifest: RunManifest) -> EvaluationR
 
 
 def _score_cells(
-    column: np.ndarray, prefix: str, non_finite: Callable[[float], str]
+    column: array, prefix: str, non_finite: Callable[[float], str]
 ) -> Iterator[str]:
     """Lazily, ``prefix + repr(score)`` per record; NaN (absent) gives ``""``.
 
     A present score that is not finite is written ``prefix + non_finite(score)``.
     """
-    values = column.tolist()
+    cells = map(prefix.__add__, map(float.__repr__, column))
+    if math.isfinite(sum(column)):  # neither NaN nor an infinity: no special cell
+        return cells
     special = {
-        row: prefix + non_finite(values[row]) if values[row] == values[row] else ""
-        for row in np.flatnonzero(~np.isfinite(column)).tolist()
+        row: prefix + non_finite(value) if value == value else ""
+        for row, value in enumerate(column)
+        if not math.isfinite(value)
     }
-    return map(special.get, count(), map(prefix.__add__, map(float.__repr__, values)))
+    return map(special.get, count(), cells)
 
 
 def _jsonl_lines(run: EvaluationRun) -> Iterator[str]:
@@ -638,19 +706,18 @@ def _jsonl_lines(run: EvaluationRun) -> Iterator[str]:
     labels = [*map(_quote, manifest.label_space.labels)]
     groups = [*map(_quote, manifest.group_space.groups)]
     cells = [
-        _score_cells(run.scores[:, c], f", {label}: ", json.dumps)
-        for c, label in enumerate(labels)
-        if not np.isnan(run.scores[:, c]).all()
+        _score_cells(column, f", {label}: ", json.dumps)
+        for label, column in zip(labels, run.scores or ())
     ]
     scores = map("".join, zip(*cells)) if cells else repeat("")
     return (
         f'{{"sample_id": {sample_id}, "y": {y}, "y_hat": {y_hat}, "group": {group}'
         f'{_SCORES_KEY + pairs[2:] + "}" if pairs else ""}}}\n'
         for sample_id, y, y_hat, group, pairs in zip(
-            map(_quote, run.sample_ids.tolist()),
-            map(labels.__getitem__, run.y.tolist()),
-            map(labels.__getitem__, run.y_hat.tolist()),
-            map(groups.__getitem__, run.group.tolist()),
+            map(_quote, run.sample_ids),
+            map(labels.__getitem__, run.y),
+            map(labels.__getitem__, run.y_hat),
+            map(groups.__getitem__, run.group),
             scores,
         )
     )
@@ -664,7 +731,7 @@ def require_csv_text(run: EvaluationRun, path: Path) -> None:
     """
     manifest = run.manifest
     fields = {
-        "sample_id": run.sample_ids.tolist(),
+        "sample_id": run.sample_ids,
         "label": manifest.label_space.labels,
         "group": manifest.group_space.groups,
     }
@@ -693,14 +760,14 @@ def write_records(run: EvaluationRun, path: Path, format: str) -> None:
     manifest = run.manifest
     labels = manifest.label_space.labels
     columns = [
-        run.sample_ids.tolist(),
-        map(labels.__getitem__, run.y.tolist()),
-        map(labels.__getitem__, run.y_hat.tolist()),
-        map(manifest.group_space.groups.__getitem__, run.group.tolist()),
+        run.sample_ids,
+        map(labels.__getitem__, run.y),
+        map(labels.__getitem__, run.y_hat),
+        map(manifest.group_space.groups.__getitem__, run.group),
     ]
-    scored = not np.isnan(run.scores).all()
+    scored = run.scores is not None
     if scored:
-        columns += [_score_cells(run.scores[:, c], "", repr) for c in range(len(labels))]
+        columns += [_score_cells(column, "", repr) for column in run.scores]
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([*_FIELDS, *(f"score:{lb}" for lb in labels if scored)])

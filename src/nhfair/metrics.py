@@ -14,20 +14,27 @@ for table output. Conventions:
 
 Degenerate cells are never silently NaN: single-class groups get AUC 0.5
 plus a warning, and classes empty in some group are skipped from eqodd
-with a warning. Every function is pure. The kernels work on a run's
-columns: the confusion tensor is one ``bincount``, every group's AUC a
-mid-rank sum over one sort of the run's scores, and the other metrics
-are reductions of the confusion tensor. Within a run, sums follow the
-canonical record order or are exact, so results do not depend on the
+with a warning. Every function is pure and needs the standard library
+alone. The kernels work on a run's columns: the confusion tensor is one
+count over the flat ``(group * C + true) * C + predicted`` codes, every
+group's AUC an exact integer (twice the Mann-Whitney U, from a sort of
+the group's negative scores and two bisections per positive), and the
+other metrics are reductions of the confusion tensor. Counts are exact
+integers and a rate is one ``int / int`` division; sums follow a fixed
+order (label, then predicted label), so results do not depend on the
 order of the input records.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-
-import numpy as np
+from itertools import compress, repeat
+from operator import add, eq, mul, not_
 
 from .columns import EvaluationRun
 from .errors import (
@@ -41,80 +48,69 @@ from .tables import EQODD_VARIANTS
 
 @dataclass(frozen=True)
 class ConfusionTensor:
-    """Counts indexed by (group, true label, predicted label)."""
+    """Counts indexed ``counts[group][true label][predicted label]``."""
 
     groups: tuple[str, ...]
     labels: tuple[str, ...]
-    counts: np.ndarray  # (G, C, C) int64
+    counts: tuple[tuple[tuple[int, ...], ...], ...]  # (G, C, C)
 
 
 def confusion(run: EvaluationRun) -> ConfusionTensor:
     """Tally records into a (group, true, predicted) count tensor."""
     groups = run.manifest.group_space.groups
     labels = run.manifest.label_space.labels
-    n_groups, n_labels = len(groups), len(labels)
-    flat = (run.group.astype(np.intp) * n_labels + run.y) * n_labels + run.y_hat
-    counts = np.bincount(flat, minlength=n_groups * n_labels * n_labels)
-    return ConfusionTensor(
-        groups=groups,
-        labels=labels,
-        counts=counts.astype(np.int64, copy=False).reshape(n_groups, n_labels, n_labels),
+    n_labels = len(labels)
+    tally = Counter(map(add, map(mul, map(add, map(mul, run.group, repeat(n_labels)), run.y),
+                                 repeat(n_labels)), run.y_hat))
+    cells = range(n_labels)
+    counts = tuple(
+        tuple(tuple(tally[(g * n_labels + y) * n_labels + p] for p in cells) for y in cells)
+        for g in range(len(groups))
     )
+    return ConfusionTensor(groups=groups, labels=labels, counts=counts)
+
+
+def _size(block: tuple[tuple[int, ...], ...]) -> int:
+    """Records counted in one group's (true, predicted) block."""
+    return sum(map(sum, block))
+
+
+def _correct(block: tuple[tuple[int, ...], ...]) -> int:
+    """Records of one group's block predicted as their true label."""
+    return sum(row[y] for y, row in enumerate(block))
 
 
 def group_accuracy(t: ConfusionTensor) -> GroupUtilityVector:
     """Per-group accuracy: correct count over group size."""
-    rates = t.counts.trace(axis1=1, axis2=2) / t.counts.sum(axis=(1, 2))
-    return GroupUtilityVector(utility=dict(zip(t.groups, rates.tolist())), utility_kind="accuracy")
+    rates = [_correct(block) / _size(block) for block in t.counts]
+    return GroupUtilityVector(utility=dict(zip(t.groups, rates)), utility_kind="accuracy")
 
 
-def _positive_scores(run: EvaluationRun) -> tuple[np.ndarray, np.ndarray]:
-    """Each record's positive-label score (present in auc runs), and which are positives."""
+def _positive_scores(run: EvaluationRun) -> tuple[Sequence[float], Sequence[int]]:
+    """Each record's positive-label score (present in auc runs), and 1 for a positive
+    record, 0 for a negative one (an auc run has two labels)."""
     labels = run.manifest.label_space.labels
     positive = labels.index(run.manifest.label_space.positive_label)
-    return run.scores[:, positive], run.y == positive
+    is_pos = run.y if positive == 1 else array("b", map(not_, run.y))
+    return run.scores[positive], is_pos
 
 
-def _u_statistics(
-    score: np.ndarray, is_pos: np.ndarray, code: np.ndarray | None = None, n_codes: int = 1
-) -> list[tuple[float, int, int]]:
-    """Per code (one code for all records if None): the positives' Mann-Whitney U,
-    the number of positives and the number of negatives.
+def _twice_u(negatives: list[float], positives: list[float]) -> int:
+    """Twice the positives' Mann-Whitney U against the negatives, exactly.
 
-    One sort puts the records in (code, score) order: a quicksort of the
-    scores, then a stable sort of the codes. A tie run is a stretch of
-    neighbours equal in both, and its records share the run's mid-rank
-    within their code. Twice a mid-rank is an integer, so each U is exact.
+    A positive scores 2 for each negative below it and 1 for each it ties:
+    the negatives before its left and before its right insertion point into
+    the sorted negatives. Where no positive ties a negative, the two points
+    are one.
     """
-    order = np.argsort(score)
-    if code is not None:
-        order = order[np.argsort(code[order], kind="stable")]
-    s = score[order]
-    n = len(s)
-    edges = np.ones(n + 1, dtype=bool)  # where a tie run starts, and the end
-    np.not_equal(s[1:], s[:-1], out=edges[1:n])
-    if code is not None:
-        c = code[order]
-        edges[1:n] |= c[1:] != c[:-1]
-    bounds = np.flatnonzero(edges)
-    starts, ends = bounds[:-1], bounds[1:]
-    before = np.zeros(n + 1, dtype=np.intp)  # positives before each position
-    np.cumsum(is_pos[order], out=before[1:])
-    # twice the sum of the positives' 1-based mid-ranks over all records, per code
-    twice = (before[ends] - before[starts]) * (starts + ends + 1)
-    if code is None:
-        sizes, twice_sums = [n], [int(twice.sum())]
-    else:
-        sizes = np.bincount(code, minlength=n_codes).tolist()
-        twice_sums = np.bincount(c[starts], weights=twice, minlength=n_codes).tolist()
-    cuts = [0, *accumulate(sizes)]  # where each code's records start, and the end
-    positives = before[cuts].tolist()
-    per_code = []
-    for first, size, twice_sum, p, q in zip(cuts, sizes, twice_sums, positives, positives[1:]):
-        n_pos = q - p
-        # ranks shifted to start at 1 within the code; U = rank sum - n_pos (n_pos + 1) / 2
-        per_code.append(((twice_sum - n_pos * (2 * first + n_pos + 1)) / 2, n_pos, size - n_pos))
-    return per_code
+    negatives.sort()
+    lefts = [*map(bisect_left, repeat(negatives), positives)]
+    negatives.append(math.inf)  # past every score: each left point indexes a negative
+    tied = any(map(eq, map(negatives.__getitem__, lefts), positives))
+    del negatives[-1]
+    if not tied:
+        return 2 * sum(lefts)
+    return sum(lefts) + sum(map(bisect_right, repeat(negatives), positives))
 
 
 def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
@@ -125,12 +121,18 @@ def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
     undefined and AllGroupsDegenerate is raised.
     """
     groups = run.manifest.group_space.groups
-    per_group = _u_statistics(*_positive_scores(run), run.group, len(groups))
+    score, is_pos = _positive_scores(run)
+    # per group, its negatives' then its positives' scores
+    split: list[list[float]] = [[] for _ in range(2 * len(groups))]
+    adds = [part.append for part in split]
+    for key, value in zip(map(add, map(mul, run.group, repeat(2)), is_pos), score):
+        adds[key](value)
     utility: dict[str, float] = {}
     warnings: list[str] = []
-    for g, (u, n_pos, n_neg) in zip(groups, per_group):
-        if n_pos and n_neg:
-            utility[g] = u / (n_pos * n_neg)
+    for g, negatives, positives in zip(groups, split[::2], split[1::2]):
+        if negatives and positives:
+            u = _twice_u(negatives, positives) / 2
+            utility[g] = u / (len(positives) * len(negatives))
         else:
             utility[g] = 0.5
             warnings.append(f"group {g}: only one class present, auc set to 0.5")
@@ -141,8 +143,11 @@ def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
 
 def pooled_auc(run: EvaluationRun) -> float:
     """AUC over all records together, same tie handling as group_auc."""
-    ((u, n_pos, n_neg),) = _u_statistics(*_positive_scores(run))
-    return u / (n_pos * n_neg)
+    score, is_pos = _positive_scores(run)
+    positives = [*compress(score, is_pos)]
+    negatives = [*compress(score, map(not_, is_pos))]
+    u = _twice_u(negatives, positives) / 2
+    return u / (len(positives) * len(negatives))
 
 
 def gap(v: GroupUtilityVector) -> float:
@@ -154,10 +159,10 @@ def worst(v: GroupUtilityVector) -> float:
     return min(v.values_in_order())
 
 
-def _spread(rates: np.ndarray) -> np.ndarray:
-    # The worst |rate_a - rate_b| over the groups (axis 0) is max - min: a rounded
+def _spread(rates: list[float]) -> float:
+    # The worst |rate_a - rate_b| over the groups is max - min: a rounded
     # difference is monotone in each operand, so no pair rounds above (max, min).
-    return rates.max(axis=0) - rates.min(axis=0)
+    return max(rates) - min(rates)
 
 
 def demographic_parity(t: ConfusionTensor, positive_label: str) -> float:
@@ -166,11 +171,10 @@ def demographic_parity(t: ConfusionTensor, positive_label: str) -> float:
     Binary tasks compare only the positive class; multi-class tasks take
     the maximum over classes as well.
     """
-    predicted = t.counts.sum(axis=1)  # (G, C) records predicted as each class
-    rates = predicted / predicted.sum(axis=1, keepdims=True)
-    if len(t.labels) == 2:
-        rates = rates[:, t.labels.index(positive_label)]
-    return 1.0 - float(_spread(rates).max())
+    # per group, the share of its records predicted as each class
+    rates = [[sum(column) / _size(block) for column in zip(*block)] for block in t.counts]
+    classes = [t.labels.index(positive_label)] if len(t.labels) == 2 else range(len(t.labels))
+    return 1.0 - max(_spread([row[c] for row in rates]) for c in classes)
 
 
 def equalized_odds(t: ConfusionTensor, variant: str = "diagonal") -> tuple[float, list[str]]:
@@ -183,20 +187,19 @@ def equalized_odds(t: ConfusionTensor, variant: str = "diagonal") -> tuple[float
     """
     if variant not in EQODD_VARIANTS:
         raise ValueError(f"unknown eqodd variant {variant!r}")
-    totals = t.counts.sum(axis=2)  # (G, C) records of each true class
-    evaluable = totals.all(axis=0)
-    warnings = [
-        f"eqodd: class {t.labels[y]} skipped (no samples in group(s) "
-        f"{', '.join(g for g, n in zip(t.groups, totals[:, y]) if not n)})"
-        for y in np.flatnonzero(~evaluable)
-    ]
-    ys = np.flatnonzero(evaluable)
-    if variant == "diagonal":
-        rates = t.counts[:, ys, ys] / totals[:, ys]
-    else:
-        rates = t.counts[:, ys] / totals[:, ys, None]
-    # class order, then predicted-class order; Python's sum keeps the last bit
-    scores = (1.0 - _spread(rates)).ravel().tolist()
+    totals = [[*map(sum, block)] for block in t.counts]  # (G, C) records of each true class
+    warnings = []
+    scores = []  # class order, then predicted-class order; Python's sum keeps the last bit
+    for y, label in enumerate(t.labels):
+        empty = [g for g, sizes in zip(t.groups, totals) if not sizes[y]]
+        if empty:
+            warnings.append(
+                f"eqodd: class {label} skipped (no samples in group(s) {', '.join(empty)})"
+            )
+            continue
+        for c in [y] if variant == "diagonal" else range(len(t.labels)):
+            rates = [block[y][c] / sizes[y] for block, sizes in zip(t.counts, totals)]
+            scores.append(1.0 - _spread(rates))
     if not scores:
         raise NoEvaluableClass("every class has an empty (group, class) cell")
     return sum(scores) / len(scores), warnings
@@ -210,7 +213,7 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRes
         overall = pooled_auc(run)
     else:
         utilities, warnings = group_accuracy(t), []
-        overall = int(np.trace(t.counts.sum(axis=0))) / len(run.sample_ids)
+        overall = sum(map(_correct, t.counts)) / len(run.sample_ids)
         values = utilities.values_in_order()
         if not (min(values) - 1e-12 <= overall <= max(values) + 1e-12):
             raise InternalInvariantViolation(
@@ -221,7 +224,7 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRes
     eqodd, eq_warnings = equalized_odds(t, variant=eqodd_variant)
     thin = [
         f"thin support: group {g} has only {n} record(s)"
-        for g, n in zip(t.groups, t.counts.sum(axis=(1, 2)).tolist())
+        for g, n in zip(t.groups, map(_size, t.counts))
         if n < 2
     ]
     return RunResult(

@@ -8,9 +8,9 @@ documented on :func:`parse_run` and :func:`write_run`. This module also
 reads summary tables (:func:`parse_summaries`) and holds the text and
 CSV rules every reader shares (:func:`read_text`, :func:`read_csv_table`).
 
-A run's records are held as numpy columns by ``columns.EvaluationRun``.
-That module, and numpy with it, is imported only when a log is read or
-written, so reading summary tables needs neither.
+A run's records are held as columns by ``columns.EvaluationRun``. That
+module is imported only when a log is read or written, so reading summary
+tables needs none of the log code.
 
 Everything here is an immutable value object. Parsing is a pure function
 of the file bytes, so files may be parsed concurrently and the results
@@ -353,7 +353,7 @@ def parse_run(path: str | Path) -> EvaluationRun:
         raise ParseError("file not found", path=str(path))
     format = _record_format(path)
     manifest = _load_manifest(path)
-    from . import columns  # numpy: loaded only where a log is read
+    from . import columns  # loaded only where a log is read
 
     try:
         return columns.parse_records(path, format, manifest)
@@ -374,7 +374,7 @@ def write_run(run: EvaluationRun, path: str | Path) -> None:
     """
     path = Path(path)
     format = _record_format(path)
-    from . import columns  # numpy: loaded only where a log is written
+    from . import columns  # loaded only where a log is written
 
     if format == "csv":
         columns.require_csv_text(run, path)  # before any file is written
@@ -412,7 +412,8 @@ def parse_summaries(path: str | Path) -> list[RunResult]:
     corresponding optional fields; every other non-reserved column is a
     group utility. Column names, ``%`` marker aside, must be distinct.
     Values in percent units must be marked with ``%`` on the header or on
-    the value itself; unmarked values must already lie in [0, 1].
+    the value itself; unmarked values must already lie in [0, 1]. A table
+    without a row is a ParseError, as a log without a record is.
     """
     path = Path(path)
     if not path.exists():
@@ -433,6 +434,8 @@ def parse_summaries(path: str | Path) -> list[RunResult]:
     group_cols = [name for name in names if name not in _SUMMARY_RESERVED]
     if len(group_cols) < 2:
         raise MalformedRow("header must name at least 2 group columns", path=str(path), line=1)
+    if not rows and fault is None:
+        raise ParseError("summary table has a header but no rows", path=str(path))
     markers = dict(columns)
 
     summaries: list[RunResult] = []

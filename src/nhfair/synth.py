@@ -4,7 +4,9 @@ A CohortSpec pins down, per group, how many samples to draw, the class
 prior, and the row-stochastic confusion behavior (true label -> predicted
 label distribution). Generation is driven by numpy's default PCG64
 generator seeded from the spec, so the same spec always produces a
-byte-identical run on any platform.
+byte-identical run on any platform. This is the one module that loads
+numpy; its draws are handed to ``EvaluationRun`` as arrays, which the run
+copies into its own columns.
 
 Scores are per-class probability vectors that sum to one. With
 score_noise = 0 they are one-hot on the predicted label; larger noise
@@ -193,5 +195,6 @@ def generate(
         group=np.concatenate(group_codes),
         y=np.concatenate(true_codes),
         y_hat=np.concatenate(pred_codes),
-        scores=np.concatenate(score_blocks) if with_scores else None,
+        # one contiguous column per label
+        scores=np.concatenate(score_blocks).T.copy() if with_scores else None,
     )

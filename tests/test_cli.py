@@ -587,15 +587,14 @@ print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
         (["select-erm", "--out", "erm.json", "summ.csv"], []),
         (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"], []),
         (["evaluate", "--out", "table.csv", "run.jsonl"],
-         ["numpy", "orjson", "nhfair.columns", "nhfair.metrics"]),
-        (["evaluate", "--out", "table.csv", "log.csv"],
-         ["numpy", "nhfair.columns", "nhfair.metrics"]),
+         ["orjson", "nhfair.columns", "nhfair.metrics"]),
+        (["evaluate", "--out", "table.csv", "log.csv"], ["nhfair.columns", "nhfair.metrics"]),
     ],
     ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "evaluate",
          "evaluate-csv"],
 )
-def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
-    """Only a JSONL log loads orjson, as only a log loads numpy."""
+def test_only_commands_that_read_a_log_load_the_log_code(tmp_path, argv, loaded):
+    """Only a log loads the log and metric code, only a JSONL log orjson; none loads numpy."""
     _path_inputs(tmp_path)
     write_run(generate(spec_for(1), method="m", dataset="d"), tmp_path / "log.csv")
     child = subprocess.run(
@@ -606,6 +605,46 @@ def test_only_commands_that_read_a_log_load_numpy(tmp_path, argv, loaded):
     assert json.loads(child.stdout) == [None if argv is None else 0, loaded], child.stderr
     if argv is not None:
         assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+
+
+# Runs each argv given as JSON through ``cli.main`` in a fresh interpreter,
+# then prints the exit codes and whether numpy was loaded.
+_NO_NUMPY_CHILD = """
+import json, sys
+from nhfair import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def test_log_commands_load_no_numpy(tmp_path):
+    """evaluate, select-erm and select-fwh read JSONL and CSV logs, serially and by
+    forked helpers, without numpy."""
+    data = Path(__file__).parent / "data"
+    binary = CohortSpec.load(data / "cohort_binary.json")
+    write_run(generate(binary, utility_kind="auc", method="erm"), tmp_path / "erm.jsonl")
+    write_run(generate(binary, utility_kind="auc", method="dro"), tmp_path / "dro.csv")
+    write_run(generate(CohortSpec.load(data / "cohort_multiclass.json")),
+              tmp_path / "multiclass.csv")
+    logs = ["erm.jsonl", "dro.csv"]  # selection compares runs of one group space
+    baseline = parse_run(tmp_path / "erm.jsonl").manifest.run_id
+    argvs = [
+        [*command, *jobs, "--out", f"out{i}-{len(jobs)}", *inputs]
+        for i, (command, inputs) in enumerate([
+            (["evaluate"], [*logs, "multiclass.csv"]),
+            (["select-erm"], logs),
+            (["select-fwh", "--baseline", baseline], logs),
+        ])
+        for jobs in ([], ["--jobs", "1"])
+    ]
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_CHILD, json.dumps(argvs)],
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [[0] * len(argvs), False], child.stderr
+    for i in range(3):  # the default --jobs and --jobs 1 write the same bytes
+        assert (tmp_path / f"out{i}-0").read_bytes() == (tmp_path / f"out{i}-2").read_bytes()
 
 
 # Runs each command given as JSON through ``cli.main`` in this fresh
@@ -741,11 +780,9 @@ def test_forked_log_readers_give_the_serial_bytes_and_are_reaped(tmp_path):
         [[*commands[command][:1], *jobs[j], *commands[command][1:], *cases[case]], sabotage]
         for case, command, j, sabotage in runs
     ]
-    env = _child_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)  # cli.main sets it, so numpy starts no thread
     child = subprocess.run(
         [sys.executable, "-X", "dev", "-c", _FORK_CHILD, json.dumps(argvs)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, check=False, timeout=300,
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, check=False, timeout=300,
     )
     assert child.returncode == 0, child.stderr
     results = dict(zip(runs, json.loads(child.stdout)))
@@ -785,8 +822,6 @@ def test_forked_log_readers_give_the_serial_bytes_and_are_reaped(tmp_path):
 
 def test_default_jobs_read_serially_where_no_helper_can_be_forked(run_dir, tmp_path,
                                                                    monkeypatch, capsys):
-    import numpy  # noqa: F401  loaded already by the test modules
-
     argvs = [
         ["evaluate", "--out", str(tmp_path / "table.csv")],
         ["select-erm"],
@@ -1219,6 +1254,64 @@ class TestSelectErm:
 
     def test_no_candidates_exits_2(self, tmp_path):
         assert main(["select-erm", str(tmp_path / "missing-*.csv")]) == 2
+
+
+# A summary table whose rows a corrupted file lost: the header holds them
+# after a deleted newline, or an unclosed quote in its last column swallows them.
+_ROWLESS_TABLES = {
+    "deleted newline": "run_id,method,a,b,overall,dp"
+                       "r1,erm,0.8,0.7,0.75,0.5r2,dro,0.78,0.76,0.77,\n",
+    "unclosed quote": 'run_id,method,a,b,overall,"dp\n'
+                      "r1,erm,0.8,0.7,0.75,0.5\nr2,dro,0.78,0.76,0.77,\n",
+    "header only": "run_id,method,a,b,overall\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_ROWLESS_TABLES))
+@pytest.mark.parametrize("command", ["select-erm", "select-fwh r1", "select-fwh --baseline FILE"])
+def test_summary_table_without_rows_exits_2_naming_it(tmp_path, capsys, shape, command):
+    table = tmp_path / "summ.csv"
+    table.write_text(_ROWLESS_TABLES[shape], encoding="utf-8")
+    other = tmp_path / "cand.csv"
+    other.write_text("run_id,method,a,b,overall\nr2,dro,0.78,0.76,0.77\n", encoding="utf-8")
+    argv = {
+        "select-erm": ["select-erm", str(table)],
+        "select-fwh r1": ["select-fwh", "--baseline", "r1", str(table)],
+        "select-fwh --baseline FILE": ["select-fwh", "--baseline", str(table), str(other)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {table}: summary table has a header but no rows\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["select-fwh", "cand.csv"],
+         "select-fwh requires --baseline (a file or a candidate run_id)"),
+        (["compare", "agg.csv"], "compare requires --metric"),
+        (["compare", "--metric", "gap", "agg.csv", "agg2.csv"],
+         "compare expects exactly one aggregated table, got 2 input(s)"),
+        (["select-fwh", "--baseline", "two.csv", "cand.csv"],
+         "two.csv: baseline summary file must contain exactly one row, got 2"),
+        (["select-fwh", "--baseline", "r2", "cand.csv"],
+         "no candidates left after resolving the baseline"),
+    ],
+    ids=["select-fwh without baseline", "compare without metric", "compare on two tables",
+         "baseline file of two rows", "no candidate but the baseline"],
+)
+def test_missing_or_surplus_input_exits_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("cand.csv").write_text("run_id,method,a,b,overall\nr2,dro,0.78,0.76,0.77\n",
+                                encoding="utf-8")
+    Path("two.csv").write_text("run_id,method,a,b,overall\nr1,erm,0.8,0.7,0.75\n"
+                               "r3,erm,0.7,0.7,0.7\n", encoding="utf-8")
+    for name in ("agg.csv", "agg2.csv"):
+        Path(name).write_text("method,dataset,gap\nerm,d1,0.1\ndro,d1,0.05\n", encoding="utf-8")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestSelectFwh:

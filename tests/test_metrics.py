@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,14 +30,15 @@ from nhfair.records import GroupSpace, LabelSpace, RunManifest
 class TestConfusion:
     def test_single_cell(self):
         run = make_run([("pos", "pos", "A")] * 4 + [("neg", "neg", "B")])
-        t = confusion(run)
-        assert t.counts[0, 1, 1] == 4
-        assert t.counts.sum() == 5
+        counts = np.array(confusion(run).counts)
+        assert counts[0, 1, 1] == 4
+        assert counts.sum() == 5
 
     def test_empty_intersection_recorded(self):
         run = make_run([("pos", "pos", "A"), ("pos", "neg", "B")])
         t = confusion(run)
-        assert t.counts[t.groups.index("B"), t.labels.index("neg")].sum() == 0  # no error
+        counts = np.array(t.counts)
+        assert counts[t.groups.index("B"), t.labels.index("neg")].sum() == 0  # no error
 
     def test_counts_match_per_record_tally(self):
         import random
@@ -48,7 +51,7 @@ class TestConfusion:
         ]
         triples += [(labels[0], labels[0], g) for g in groups]  # every group present
         run = make_run(triples, labels=labels, groups=groups)
-        t = confusion(run)
+        counts = np.array(confusion(run).counts)
         for gi, g in enumerate(groups):
             for yi, y in enumerate(labels):
                 for pi, p in enumerate(labels):
@@ -57,7 +60,7 @@ class TestConfusion:
                         for rec in run.records
                         if rec.group == g and rec.true_label == y and rec.predicted_label == p
                     )
-                    assert t.counts[gi, yi, pi] == expected
+                    assert counts[gi, yi, pi] == expected
 
 
 class TestGroupAccuracy:
@@ -209,8 +212,9 @@ class TestDemographicParity:
         triples += [("c1", "c1", "A"), ("c2", "c2", "A"), ("c1", "c1", "B"), ("c2", "c0", "B")]
         run = make_run(triples, labels=labels)
         t = confusion(run)
-        rates_a = [t.counts[0, :, c].sum() / t.counts[0].sum() for c in range(3)]
-        rates_b = [t.counts[1, :, c].sum() / t.counts[1].sum() for c in range(3)]
+        counts = np.array(t.counts)
+        rates_a = [counts[0, :, c].sum() / counts[0].sum() for c in range(3)]
+        rates_b = [counts[1, :, c].sum() / counts[1].sum() for c in range(3)]
         expected = 1.0 - max(abs(ra - rb) for ra, rb in zip(rates_a, rates_b))
         assert demographic_parity(t, "c2") == expected
 
@@ -419,10 +423,11 @@ def test_bounds_and_gap_zero_iff_equal(run):
 def test_dp_one_iff_identical_distributions(run):
     t = confusion(run)
     dp = demographic_parity(t, run.manifest.label_space.positive_label)
+    counts = np.array(t.counts)
     rates = []
     for gi in range(len(t.groups)):
-        n = t.counts[gi].sum()
-        rates.append(tuple(t.counts[gi, :, c].sum() / n for c in range(len(t.labels))))
+        n = counts[gi].sum()
+        rates.append(tuple(counts[gi, :, c].sum() / n for c in range(len(t.labels))))
     if len(t.labels) == 2:
         identical = len({r[t.labels.index(run.manifest.label_space.positive_label)]
                          for r in rates}) == 1
@@ -438,12 +443,13 @@ def test_binary_dp_agrees_with_multiclass_restriction(run):
     if len(t.labels) != 2:
         return
     binary = demographic_parity(t, run.manifest.label_space.positive_label)
+    counts = np.array(t.counts)
     worst_diff = 0.0
     for c in range(2):
         for a in range(len(t.groups)):
             for b in range(a + 1, len(t.groups)):
-                ra = t.counts[a, :, c].sum() / t.counts[a].sum()
-                rb = t.counts[b, :, c].sum() / t.counts[b].sum()
+                ra = counts[a, :, c].sum() / counts[a].sum()
+                rb = counts[b, :, c].sum() / counts[b].sum()
                 worst_diff = max(worst_diff, abs(float(ra) - float(rb)))
     assert binary == pytest.approx(1.0 - worst_diff, abs=1e-12)
 
@@ -495,10 +501,10 @@ def _reference_auc(pos: np.ndarray, neg: np.ndarray) -> float:
 
 def _reference_group_auc(run: EvaluationRun) -> tuple[dict[str, float], list[str]]:
     """One ``np.unique`` per group, as group_auc computed it before one sort served all."""
-    score, is_pos = run.scores[:, 1], run.y == 1
+    score, is_pos, group = np.array(run.scores[1]), np.array(run.y) == 1, np.array(run.group)
     utility, warnings = {}, []
     for i, g in enumerate(run.manifest.group_space.groups):
-        pos, neg = score[(run.group == i) & is_pos], score[(run.group == i) & ~is_pos]
+        pos, neg = score[(group == i) & is_pos], score[(group == i) & ~is_pos]
         if not pos.size or not neg.size:
             utility[g] = 0.5
             warnings.append(f"group {g}: only one class present, auc set to 0.5")
@@ -532,7 +538,7 @@ def tied_auc_runs(draw):
         label_space=LabelSpace(labels=("neg", "pos")), group_space=GroupSpace(groups=groups),
     )
     return EvaluationRun(manifest, np.array([f"s{i:02d}" for i in range(n)], dtype=object),
-                         group, y, y, np.stack([1.0 - score, score], axis=1))
+                         group, y, y, [1.0 - score, score])
 
 
 @given(tied_auc_runs())
@@ -544,5 +550,147 @@ def test_auc_equals_the_per_group_mid_rank_kernel(run):
         assert got is AllGroupsDegenerate
     else:
         assert (got[0].utility, got[1]) == want
-    score, is_pos = run.scores[:, 1], run.y == 1
+    score, is_pos = np.array(run.scores[1]), np.array(run.y) == 1
     assert _outcome(pooled_auc, run) == _outcome(_reference_auc, score[is_pos], score[~is_pos])
+
+
+# --- Every kernel against the numpy kernels it replaced ----------------------
+
+
+def reference_confusion(run: EvaluationRun) -> np.ndarray:
+    """The (G, C, C) int64 count tensor as one ``np.bincount`` built it."""
+    n_groups, n_labels = run.manifest.group_space.size, run.manifest.label_space.size
+    group, y, y_hat = (np.array(column, dtype=np.intp) for column in (run.group, run.y, run.y_hat))
+    flat = (group * n_labels + y) * n_labels + y_hat
+    counts = np.bincount(flat, minlength=n_groups * n_labels * n_labels)
+    return counts.astype(np.int64, copy=False).reshape(n_groups, n_labels, n_labels)
+
+
+def reference_u_statistics(
+    score: np.ndarray, is_pos: np.ndarray, code: np.ndarray | None = None, n_codes: int = 1
+) -> list[tuple[float, int, int]]:
+    """Per code, the positives' Mann-Whitney U and the numbers of positives and
+    negatives, from one sort of every record by (code, score) and mid-ranks."""
+    order = np.argsort(score)
+    if code is not None:
+        order = order[np.argsort(code[order], kind="stable")]
+    s = score[order]
+    n = len(s)
+    edges = np.ones(n + 1, dtype=bool)  # where a tie run starts, and the end
+    np.not_equal(s[1:], s[:-1], out=edges[1:n])
+    if code is not None:
+        c = code[order]
+        edges[1:n] |= c[1:] != c[:-1]
+    bounds = np.flatnonzero(edges)
+    starts, ends = bounds[:-1], bounds[1:]
+    before = np.zeros(n + 1, dtype=np.intp)  # positives before each position
+    np.cumsum(is_pos[order], out=before[1:])
+    twice = (before[ends] - before[starts]) * (starts + ends + 1)
+    if code is None:
+        sizes, twice_sums = [n], [int(twice.sum())]
+    else:
+        sizes = np.bincount(code, minlength=n_codes).tolist()
+        twice_sums = np.bincount(c[starts], weights=twice, minlength=n_codes).tolist()
+    cuts = [0, *accumulate(sizes)]
+    positives = before[cuts].tolist()
+    per_code = []
+    for first, size, twice_sum, p, q in zip(cuts, sizes, twice_sums, positives, positives[1:]):
+        n_pos = q - p
+        per_code.append(((twice_sum - n_pos * (2 * first + n_pos + 1)) / 2, n_pos, size - n_pos))
+    return per_code
+
+
+def reference_report(run: EvaluationRun, variant: str) -> tuple:
+    """Utilities, overall, dp, eqodd and warnings as the numpy kernels computed them."""
+    manifest = run.manifest
+    groups, labels = manifest.group_space.groups, manifest.label_space.labels
+    counts = reference_confusion(run)
+    warnings = []
+    if manifest.utility_kind == "auc":
+        positive = labels.index(manifest.label_space.positive_label)
+        score, is_pos = np.array(run.scores[positive]), np.array(run.y) == positive
+        utilities = {}
+        for g, (u, n_pos, n_neg) in zip(groups, reference_u_statistics(
+                score, is_pos, np.array(run.group, dtype=np.intp), len(groups))):
+            if n_pos and n_neg:
+                utilities[g] = u / (n_pos * n_neg)
+            else:
+                utilities[g] = 0.5
+                warnings.append(f"group {g}: only one class present, auc set to 0.5")
+        if len(warnings) == len(groups):
+            return AllGroupsDegenerate
+        ((u, n_pos, n_neg),) = reference_u_statistics(score, is_pos)
+        overall = u / (n_pos * n_neg)
+    else:
+        rates = counts.trace(axis1=1, axis2=2) / counts.sum(axis=(1, 2))
+        utilities = dict(zip(groups, rates.tolist()))
+        overall = int(np.trace(counts.sum(axis=0))) / len(run.sample_ids)
+    predicted = counts.sum(axis=1)
+    rates = predicted / predicted.sum(axis=1, keepdims=True)
+    if len(labels) == 2:
+        rates = rates[:, labels.index(manifest.label_space.positive_label)]
+    dp = 1.0 - float((rates.max(axis=0) - rates.min(axis=0)).max())
+    totals = counts.sum(axis=2)
+    evaluable = totals.all(axis=0)
+    warnings += [
+        f"eqodd: class {labels[y]} skipped (no samples in group(s) "
+        f"{', '.join(g for g, n in zip(groups, totals[:, y]) if not n)})"
+        for y in np.flatnonzero(~evaluable)
+    ]
+    ys = np.flatnonzero(evaluable)
+    if variant == "diagonal":
+        rates = counts[:, ys, ys] / totals[:, ys]
+    else:
+        rates = counts[:, ys] / totals[:, ys, None]
+    scores = (1.0 - (rates.max(axis=0) - rates.min(axis=0))).ravel().tolist()
+    if not scores:
+        return NoEvaluableClass
+    warnings += [f"thin support: group {g} has only {n} record(s)"
+                 for g, n in zip(groups, counts.sum(axis=(1, 2)).tolist()) if n < 2]
+    return utilities, overall, dp, sum(scores) / len(scores), tuple(warnings)
+
+
+@st.composite
+def kernel_runs(draw):
+    """Runs of random codes in which every group has a record: auc runs (binary, scores
+    on a grid with ties, 0.0 and -0.0) or accuracy runs of 2 to 4 labels, with
+    single-class groups and classes missing from a group."""
+    auc = draw(st.booleans())
+    groups = GROUPS3[: draw(st.integers(2, 3))]
+    labels = ("neg", "pos") if auc else ("l0", "l1", "l2", "l3")[: draw(st.integers(2, 4))]
+    n = draw(st.integers(len(groups), 40))
+    codes = st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n)
+    rest = n - len(groups)
+    group = [*range(len(groups)),
+             *draw(st.lists(st.integers(0, len(groups) - 1), min_size=rest, max_size=rest))]
+    y = draw(codes)
+    y_hat = draw(codes)
+    if draw(st.booleans()):  # one group holds a single class
+        y = [y[0] if g == 0 else label for g, label in zip(group, y)]
+    scores = None
+    if auc:
+        grid = draw(st.sampled_from([(0.5,), (0.0, -0.0, 1.0), tuple(i / 8 for i in range(9))]))
+        positive = draw(st.lists(st.sampled_from(grid), min_size=n, max_size=n))
+        scores = [[1.0 - v for v in positive], positive]
+    manifest = RunManifest(
+        method="m", dataset="d", seed=0, split="test", utility_kind="auc" if auc else "accuracy",
+        label_space=LabelSpace(labels=labels), group_space=GroupSpace(groups=groups),
+    )
+    ids = draw(st.permutations([f"s{i:02d}" for i in range(n)]))
+    return EvaluationRun(manifest, ids, group, y, y_hat, scores)
+
+
+@given(kernel_runs(), st.sampled_from(["diagonal", "full"]))
+@settings(max_examples=300, deadline=None)
+def test_kernels_equal_the_numpy_kernels_they_replaced(run, variant):
+    assert confusion(run).counts == tuple(
+        tuple(map(tuple, block)) for block in reference_confusion(run).tolist()
+    )
+    want = reference_report(run, variant)
+    try:
+        got = metric_report(run, eqodd_variant=variant)
+    except (AllGroupsDegenerate, NoEvaluableClass) as exc:
+        assert type(exc) is want
+        return
+    assert (dict(got.group_utilities.utility), got.overall, got.dp, got.eqodd,
+            got.warnings) == want

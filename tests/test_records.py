@@ -604,16 +604,16 @@ def reference_finish_run(
     path: str | None,
     lines: Sequence[int],
     columns: Sequence[Sequence],
-    scores: np.ndarray | None,
-    present: np.ndarray,
+    scores: Sequence[Sequence[float]] | None,
     checks: list[Check],
     pending: ParseError | None = None,
 ) -> EvaluationRun:
     """``columns._finish_run`` written with a ``str`` copy of every cell and an argsort.
 
-    Every cell is mapped through ``str`` before its lookup, and repeated ids
+    Every cell is mapped through ``str`` before its lookup, repeated ids
     are found by comparing neighbours after a stable sort, whose order also
-    sorts the columns before the run is built.
+    sorts the columns before the run is built, and each check is a numpy
+    mask, a score being present where it is not NaN.
     """
     _raise_first(checks, path, lines)
     if pending is not None:
@@ -622,6 +622,8 @@ def reference_finish_run(
         raise ParseError("run contains no records", path=path)
     ids, ys, y_hats, groups = ([*map(str, column)] for column in columns)
     labels = manifest.label_space.labels
+    matrix = None if scores is None else np.array(scores, dtype=float).T  # (n, C)
+    present = np.zeros((len(ids), len(labels)), bool) if matrix is None else ~np.isnan(matrix)
     group_names = manifest.group_space.groups
 
     def codes(names: list[str], space: tuple[str, ...]) -> np.ndarray:
@@ -636,7 +638,7 @@ def reference_finish_run(
     sorted_ids = np.array(ids, dtype=object)[order]
     repeated = np.zeros(len(ids), dtype=bool)
     repeated[np.asarray(order[1:], dtype=np.intp)[sorted_ids[1:] == sorted_ids[:-1]]] = True
-    record_checks: list[Check] = [
+    masks = [
         (repeated, lambda row: (
             DuplicateSampleId,
             f"sample_id {ids[row]!r} already seen on line {lines[ids.index(ids[row])]}",
@@ -647,7 +649,7 @@ def reference_finish_run(
     ]
     if manifest.utility_kind == "auc":
         positive = manifest.label_space.positive_label
-        record_checks += [
+        masks += [
             (~present.any(axis=1), lambda row: (
                 MissingScores, f"auc run but record {ids[row]!r} has no scores",
             )),
@@ -657,7 +659,7 @@ def reference_finish_run(
                 f"positive label {positive!r}",
             )),
         ]
-    _raise_first(record_checks, path, lines)
+    _raise_first([(np.flatnonzero(mask).tolist(), fault) for mask, fault in masks], path, lines)
 
     sizes = np.bincount(group, minlength=len(group_names))
     missing = [g for g, size in zip(group_names, sizes) if size == 0]
@@ -669,7 +671,7 @@ def reference_finish_run(
         group=group[order],
         y=y[order],
         y_hat=y_hat[order],
-        scores=None if scores is None else scores[order],
+        scores=None if matrix is None else matrix[order].T,
     )
 
 
@@ -727,13 +729,13 @@ def decoded_records(draw):
             present[row] = False
         else:
             present[row, -1] = False
-    scores = np.where(present, 0.5, math.nan) if scored else None
+    scores = [*np.where(present, 0.5, math.nan).T] if scored else None  # one column per label
     lines = [*accumulate(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))]
     manifest = RunManifest(
         method="m", dataset="d", seed=0, split="test", utility_kind=kind,
         label_space=LabelSpace(labels=labels), group_space=GroupSpace(groups=groups),
     )
-    return manifest, "run.jsonl", lines, cells, scores, present, []
+    return manifest, "run.jsonl", lines, cells, scores, []
 
 
 def _outcome(finish, args) -> object:
@@ -749,9 +751,12 @@ def test_finish_run_raises_or_builds_as_the_reference(args):
     got, expected = _outcome(_finish_run, args), _outcome(reference_finish_run, args)
     assert got == expected
     if isinstance(expected, EvaluationRun):
-        assert got.sample_ids.tolist() == expected.sample_ids.tolist()
-        for name in ("group", "y", "y_hat", "scores"):
-            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+        assert got.sample_ids == expected.sample_ids
+        for name in ("group", "y", "y_hat"):
+            assert getattr(got, name).typecode == getattr(expected, name).typecode, name
+        assert (got.scores is None) == (expected.scores is None)
+        for got_column, expected_column in zip(got.scores or (), expected.scores or ()):
+            assert got_column.typecode == expected_column.typecode == "d"
 
 
 # The JSONL decoder reads lines with orjson where json reads them alike; the
@@ -855,7 +860,7 @@ def _parse_outcome(path: Path) -> object:
         run = parse_run(path)
     except ParseError as exc:
         return type(exc), exc.line, str(exc)
-    return run, run.sample_ids.tolist()
+    return run, list(run.sample_ids)
 
 
 @given(jsonl_texts())
@@ -977,7 +982,7 @@ def test_write_parse_reproduces_columns_rows_and_oracle(built):
             parsed = parse_run(path)
             assert parsed == run
             for name in ("sample_ids", "group", "y", "y_hat"):
-                assert getattr(parsed, name).tolist() == getattr(run, name).tolist()
+                assert list(getattr(parsed, name)) == list(getattr(run, name))
             np.testing.assert_array_equal(parsed.scores, run.scores)
             assert parsed.records == run.records
             try:
@@ -1059,8 +1064,8 @@ def _odd_run(scores=True) -> EvaluationRun:
 def _with_infinite_score() -> EvaluationRun:
     """A run built from columns, bypassing validation: one score is inf, one -inf."""
     run = _odd_run()
-    scores = np.array(run.scores)
-    scores[0, 1], scores[1, 0] = math.inf, -math.inf
+    scores = np.array(run.scores)  # (label, record)
+    scores[1, 0], scores[0, 1] = math.inf, -math.inf
     return EvaluationRun(run.manifest, run.sample_ids, run.group, run.y, run.y_hat, scores)
 
 
@@ -1111,10 +1116,13 @@ class TestParseSummaries:
             parse_summaries(path)
         assert err.value.line == 2
 
-    def test_header_only_gives_empty_list(self, tmp_path):
+    def test_header_only_is_an_error_naming_the_file(self, tmp_path):
         path = tmp_path / "summ.csv"
-        path.write_text("run_id,method,adv,disadv,overall\n", encoding="utf-8")
-        assert parse_summaries(path) == []
+        path.write_text("run_id,method,adv,disadv,overall\n\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            parse_summaries(path)
+        assert (err.value.path, err.value.line) == (str(path), None)
+        assert str(err.value) == f"{path}: summary table has a header but no rows"
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "summ.csv"
@@ -1149,3 +1157,25 @@ class TestSpaces:
     def test_group_space_distinct(self):
         with pytest.raises(ValueError):
             GroupSpace(groups=("A", "A"))
+
+
+def test_run_columns_are_standard_library_arrays_from_any_sequences():
+    """numpy arrays of any dtype and plain lists build the same run: a tuple of ids,
+    codes of the smallest signed type and one float array per label."""
+    spec = CohortSpec.load(Path(__file__).parent / "data" / "cohort_binary.json")
+    run = generate(spec, utility_kind="auc")
+    ids, codes = list(run.sample_ids), [list(run.group), list(run.y), list(run.y_hat)]
+    scores = [list(column) for column in run.scores]
+    from_lists = EvaluationRun(run.manifest, ids[::-1], *(c[::-1] for c in codes),
+                               [s[::-1] for s in scores])
+    from_numpy = EvaluationRun(
+        run.manifest, np.array(ids, dtype=object), np.array(codes[0], dtype=np.int64),
+        np.array(codes[1], dtype=np.uint8), np.array(codes[2]) == 1, np.array(scores),
+    )
+    for built in (from_lists, from_numpy):
+        assert built == run
+        assert type(built.sample_ids) is tuple
+        assert [c.typecode for c in (built.group, built.y, built.y_hat)] == ["b", "b", "b"]
+        assert [type(c).__name__ + c.typecode for c in built.scores] == ["arrayd", "arrayd"]
+    with pytest.raises(ValueError, match="column y has 3 values, expected"):
+        EvaluationRun(run.manifest, ids, codes[0], [0, 1, 0], codes[2])

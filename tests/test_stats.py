@@ -29,6 +29,7 @@ from nhfair.stats import (
     nemenyi_cd,
     rank_matrix,
 )
+from nhfair.svgplot import render_cd_plot
 from nhfair.tables import ReportRow
 
 
@@ -316,6 +317,30 @@ class TestCliques:
         for clique in result:
             positions = sorted("abcd".index(m) for m in clique)
             assert positions == list(range(positions[0], positions[-1] + 1))
+
+
+def test_cd_plot_stacks_overlapping_clique_bars_and_reuses_free_levels():
+    """Each clique is one bar from its best to its worst mean rank; a bar that
+    overlaps the bar on a level goes one level lower, and one that starts after a
+    level's last bar ends goes back up to that level."""
+    ranks = {"a": 1.0, "b": 1.5, "c": 2.0, "d": 2.6, "e": 3.2, "f": 3.7}
+    groups = cliques(ranks, cd=1.1)
+    assert groups == [("a", "b", "c"), ("c", "d"), ("d", "e"), ("e", "f")]
+    svg = render_cd_plot("gap", ranks, 1.1)
+    bars = [
+        tuple(float(line.split(f'{name}="')[1].split('"')[0]) for name in ("x1", "x2", "y1"))
+        for line in svg.splitlines() if 'stroke-width="4"' in line
+    ]
+    left, span = 70, 800 - 2 * 70  # the rank axis runs from rank 1 to rank k
+
+    def x_of(rank: float) -> float:
+        return round(left + (rank - 1.0) / (len(ranks) - 1) * span, 2)
+
+    assert [(x1, x2) for x1, x2, _ in bars] == [
+        (x_of(ranks[members[0]]), x_of(ranks[members[-1]])) for members in groups
+    ]
+    top = bars[0][2]
+    assert [y for _, _, y in bars] == [top, top + 5, top, top + 5]
 
 
 # --- property tests ---------------------------------------------------------
