@@ -13,6 +13,14 @@ manifest sidecar), the suffix in any case, is a prediction log; any other
 or JSON, through ``tables.read_rows``. Exit codes: 0 success (possibly
 with warnings on stderr), 2 bad input or configuration, 3 internal
 invariant violation.
+
+A command loads only the modules whose code it runs. ``inputs`` tells a
+log from a table; the run model (``records``) and ``selection`` are
+loaded by the first log or summary table read, ``stats`` by ``evaluate``
+and ``compare``, the log and metric code by the first log. Every layer
+function is still called through a module attribute (``parse_run`` and
+the table writers through this module's), so a profiler or tracer can
+wrap it there.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ import os
 import stat
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import selection, stats
 from .config import EngineConfig, add_flags, build_config
 from .errors import (
     DuplicateSeed,
@@ -39,10 +47,27 @@ from .errors import (
     SelectionError,
     StatsError,
 )
-from .records import is_manifest, is_prediction_log, parse_run, parse_summaries
-from .selection import RunResult
+from .inputs import is_manifest, is_prediction_log
 from .svgplot import render_cd_plot
 from .tables import read_rows, rows_to_csv, rows_to_json, rows_to_markdown
+
+if TYPE_CHECKING:
+    from .columns import EvaluationRun
+    from .selection import RunResult
+
+
+def parse_run(path: Path) -> EvaluationRun:
+    """``records.parse_run``; the log model is loaded by the first log read."""
+    from . import records
+
+    return records.parse_run(path)
+
+
+def parse_summaries(path: Path) -> list[RunResult]:
+    """``records.parse_summaries``; the summary model is loaded by the first table read."""
+    from . import records
+
+    return records.parse_summaries(path)
 
 
 def _input_file(path: Path) -> Path:
@@ -300,6 +325,8 @@ def _load_candidates(paths: list[Path], jobs: int) -> list[RunResult]:
 
 
 def cmd_evaluate(config: EngineConfig) -> int:
+    from . import stats
+
     out = _output(config.out)
     paths = _expand_inputs(config.inputs)
     is_log = [*map(is_prediction_log, paths)]
@@ -332,6 +359,8 @@ def cmd_evaluate(config: EngineConfig) -> int:
 
 
 def cmd_select_erm(config: EngineConfig) -> int:
+    from . import selection
+
     out = _output(config.out)
     paths = _expand_inputs(config.inputs)
     candidates = _load_candidates(paths, config.jobs)
@@ -381,6 +410,8 @@ def _resolve_baseline(
 
 
 def cmd_select_fwh(config: EngineConfig) -> int:
+    from . import selection
+
     out = _output(config.out)
     paths = _expand_inputs(config.inputs)
     candidates = _load_candidates(paths, config.jobs)
@@ -405,6 +436,8 @@ def cmd_select_fwh(config: EngineConfig) -> int:
 
 
 def cmd_compare(config: EngineConfig) -> int:
+    from . import stats
+
     if not config.metric:
         raise ParseError("compare requires --metric")
     out = _output(config.out)

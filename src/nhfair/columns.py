@@ -57,7 +57,8 @@ from .errors import (
     UnknownGroup,
     UnknownLabel,
 )
-from .records import PredictionRecord, RunManifest, read_csv_table
+from .inputs import read_csv_table
+from .records import PredictionRecord, RunManifest
 
 # Fields every record carries, in the order a missing one is reported;
 # also the leading CSV columns.
@@ -80,7 +81,7 @@ _ABSENT = float("nan")
 _BUFFER_TYPES = "?bBhHiIlLqQfd"  # buffer formats of bools and numbers
 
 
-def _code_type(size: int) -> str:
+def code_type(size: int) -> str:
     """Smallest signed array typecode that holds -1 and every code below ``size``."""
     return next(t for t in "bhiq" if size <= 1 << (8 * array(t).itemsize - 1))
 
@@ -165,9 +166,9 @@ class EvaluationRun:
             return copy if order is None else array(typecode, map(copy.__getitem__, order))
 
         n_labels = self.manifest.label_space.size
-        code = _code_type(n_labels)
+        code = code_type(n_labels)
         object.__setattr__(self, "group", column(
-            "group", self.group, _code_type(self.manifest.group_space.size)
+            "group", self.group, code_type(self.manifest.group_space.size)
         ))
         object.__setattr__(self, "y", column("y", self.y, code))
         object.__setattr__(self, "y_hat", column("y_hat", self.y_hat, code))
@@ -369,7 +370,7 @@ def _codes(cells: Sequence, space: tuple[str, ...]) -> array:
     are first; only a column in which one misses is mapped through ``str``.
     """
     index = {name: i for i, name in enumerate(space)}
-    typecode = _code_type(len(space))
+    typecode = code_type(len(space))
     try:
         return array(typecode, map(index.__getitem__, cells))
     except (KeyError, TypeError):  # not a member as it is, or unhashable (a JSON array)

@@ -24,7 +24,7 @@ from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .records import read_text
+from .inputs import read_text
 from .tables import EQODD_VARIANTS, METRIC_NAMES
 
 ENV_CONFIG = "NHFAIR_CONFIG"

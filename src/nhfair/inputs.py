@@ -1,0 +1,176 @@
+"""Input files: what kind each is, and the readers every input shares.
+
+A ``.jsonl`` file, or a ``.csv`` with a ``<basename>.manifest.json``
+sidecar, the suffix in any case, is a prediction log; any other file is a
+table (:func:`is_prediction_log`). This is the one place that decides an
+input's kind. The readers here hold the text, CSV and JSON rules that
+logs, summary tables, aggregated tables, config files and cohort specs
+share (:func:`read_text`, :func:`read_csv_table`, :func:`read_json`).
+
+The module needs only ``errors`` and the standard library, so a command
+that reads no log loads none of the log code to tell an input's kind.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import reprlib
+from collections.abc import Sequence
+from pathlib import Path
+
+from .errors import MalformedLine, MalformedRow, ParseError
+
+_MANIFEST_SUFFIX = ".manifest.json"
+
+
+def manifest_path(path: Path) -> Path:
+    """The manifest sidecar of the log at ``path``."""
+    return path.parent / (path.stem + _MANIFEST_SUFFIX)
+
+
+def suffix_format(path: Path) -> str:
+    """The record format a file's suffix names, in any case: ``jsonl`` for ``run.JSONL``."""
+    return path.suffix.lstrip(".").lower()
+
+
+def is_prediction_log(path: Path) -> bool:
+    """A ``.jsonl`` file, or a ``.csv`` with its sidecar, is a log; any other file a table."""
+    format = suffix_format(path)
+    return format == "jsonl" or (format == "csv" and manifest_path(path).exists())
+
+
+def is_manifest(path: Path) -> bool:
+    """Whether a file is a manifest sidecar, which is read along with its log."""
+    return path.name.endswith(_MANIFEST_SUFFIX)
+
+
+def utf8_fault(path: Path) -> ParseError | None:
+    """The error for a file's first byte that is not UTF-8, or None if it has none.
+
+    It names the line of that byte, counting line ends as text-mode
+    reading does (``\n``, ``\r\n`` or a lone ``\r``).
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return MalformedLine(
+            f"not UTF-8 text: {exc.reason} at offset {exc.start}", path=str(path), line=line
+        )
+    return None
+
+
+def read_text(path: Path) -> str:
+    """The whole of a text file, line ends kept as they are.
+
+    A file that is not UTF-8, that is missing (say, a dangling link that
+    a pattern matched) or that is a directory is a ParseError.
+    """
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise ParseError("file not found", path=str(path)) from None
+    except IsADirectoryError:
+        raise ParseError("is a directory, expected a file", path=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise (utf8_fault(path) or exc) from None  # exc only if the file changed meanwhile
+
+
+def read_csv_table(
+    path: Path, error: type[ParseError]
+) -> tuple[list[str] | None, list[list[str]], Sequence[int], ParseError | None]:
+    """The header (None for an empty file), records, record lines and fault of a CSV file.
+
+    The records are those before the first faulty one, blank rows left out;
+    each is numbered by the physical line it starts on, lines ending at
+    ``\n``, ``\r\n`` or a lone ``\r`` as in :func:`utf8_fault`. The fault is
+    an ``error`` for that record's field count or csv syntax, or None. A NUL
+    character is read as text on every supported Python.
+    """
+    text = read_text(path)
+    if "\x00" not in text:
+        return _csv_records(text, path, error)
+    # Python 3.10's csv rejects NUL ("line contains NUL"), later versions read
+    # it as text. Text decoded as strict UTF-8 holds no lone surrogate, so one
+    # stands in for NUL while csv reads the text.
+    stand_in = "\ud800"
+    header, rows, lines, fault = _csv_records(text.replace("\x00", stand_in), path, error)
+
+    def restore(fields: list[str]) -> list[str]:
+        return [field.replace(stand_in, "\x00") for field in fields]
+
+    return None if header is None else restore(header), [*map(restore, rows)], lines, fault
+
+
+def _csv_records(
+    text: str, path: Path, error: type[ParseError]
+) -> tuple[list[str] | None, list[list[str]], Sequence[int], ParseError | None]:
+    """:func:`read_csv_table` of the text of ``path``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows: list[list[str]] = []
+    with contextlib.suppress(csv.Error):
+        rows = list(reader)
+    widths = set(map(len, rows))
+    if rows and reader.line_num == len(rows) and widths == {len(rows[0])} and 0 not in widths:
+        return rows[0], rows[1:], range(2, len(rows) + 1), None
+    # some record is blank, spans lines, has the wrong field count or cannot be read
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, rows, lines, end = None, [], [], 0
+    try:
+        for row in reader:
+            if header is None:
+                header = row
+            elif row and len(row) != len(header):
+                message = f"expected {len(header)} fields, got {len(row)}"
+                return header, rows, lines, error(message, path=str(path), line=end + 1)
+            elif row:
+                rows.append(row)
+                lines.append(end + 1)
+            end = reader.line_num
+    except csv.Error as exc:
+        fault = error(f"unreadable CSV record: {exc}", path=str(path), line=end + 1)
+        if header is None:
+            raise fault from None
+        return header, rows, lines, fault
+    return header, rows, lines, None
+
+
+def require_distinct_columns(names: Sequence[str], path: Path) -> None:
+    """Reject a table header that names a column twice, naming the first repeat."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise MalformedRow(f"column {name!r} is repeated", path=str(path), line=1)
+        seen.add(name)
+
+
+def read_json(path: Path, error: type[ParseError] = ParseError, prefix: str = "") -> object:
+    """The JSON value of a whole :func:`read_text` file; text that is not JSON is an ``error``."""
+    try:
+        return json.loads(read_text(path))
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        reason = str(exc)
+    except RecursionError:
+        reason = "nested too deeply"
+    raise error(f"{prefix}not valid JSON: {reason}", path=str(path))
+
+
+NAME_ARRAY = "array of strings, numbers, booleans or nulls"  # items read as record cells are
+_JSON_TYPES = {
+    "string": (str,), "integer": (int,), "number": (int, float), "object": (dict,),
+    NAME_ARRAY: (list,),
+}
+
+
+def require_json_type(key: str, value: object, kind: str) -> None:
+    """ValueError unless the ``value`` of ``key`` is a JSON ``kind``: a bool is no integer
+    or number, and an array item no array or object."""
+    nested = type(value) is list and any(isinstance(item, (list, dict)) for item in value)
+    if nested or type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"{key} must be a JSON {kind}, got {reprlib.repr(value)}")

@@ -9,8 +9,6 @@ inputs, so repeated renders are byte-identical.
 
 from __future__ import annotations
 
-from .stats import cliques as _cliques
-
 WIDTH = 800
 _MARGIN = 70
 _AXIS_Y = 44
@@ -82,7 +80,9 @@ def render_cd_plot(metric: str, ranks: dict[str, float], cd: float) -> str:
         )
 
     # Clique bars just below the axis; overlapping bars stack greedily.
-    bars = _cliques(ranks, cd)
+    from .stats import cliques  # loaded only where a plot is drawn
+
+    bars = cliques(ranks, cd)
     intervals = [
         (min(ranks[m] for m in members), max(ranks[m] for m in members)) for members in bars
     ]

@@ -5,8 +5,8 @@ prior, and the row-stochastic confusion behavior (true label -> predicted
 label distribution). Generation is driven by numpy's default PCG64
 generator seeded from the spec, so the same spec always produces a
 byte-identical run on any platform. This is the one module that loads
-numpy; its draws are handed to ``EvaluationRun`` as arrays, which the run
-copies into its own columns.
+numpy; its draws are handed to ``EvaluationRun`` as arrays of the run's
+own typecodes, which the run copies into its columns as bytes.
 
 Scores are per-class probability vectors that sum to one. With
 score_noise = 0 they are one-hot on the predicted label; larger noise
@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .columns import EvaluationRun
-from .records import GroupSpace, LabelSpace, RunManifest, read_json, require_json_type
+from .columns import EvaluationRun, code_type
+from .inputs import read_json, require_json_type
+from .records import GroupSpace, LabelSpace, RunManifest
 
 _PRIOR_TOL = 1e-9
 
@@ -153,11 +154,13 @@ def generate(
     sample_ids: list[str] = []
     group_codes, true_codes, pred_codes, score_blocks = [], [], [], []
     n_labels = len(labels)
+    # codes of the run's own typecodes, which the run copies as bytes
+    group_type, label_type = code_type(len(groups)), code_type(n_labels)
     for gi, g in enumerate(groups):
         n = spec.n_per_group[g]
         prior = np.array([spec.class_prior[g][lb] for lb in labels])
-        true_idx = rng.choice(n_labels, size=n, p=prior)
-        pred_idx = np.empty(n, dtype=np.int64)
+        true_idx = rng.choice(n_labels, size=n, p=prior).astype(label_type)
+        pred_idx = np.empty(n, dtype=label_type)
         for y, true_label in enumerate(labels):
             mask = true_idx == y
             count = int(mask.sum())
@@ -176,7 +179,7 @@ def generate(
                 scores = (1.0 - lam) * onehot + lam * noise
             score_blocks.append(scores)
         sample_ids.extend(f"{g}-{i:0{width}d}" for i in range(n))
-        group_codes.append(np.full(n, gi))
+        group_codes.append(np.full(n, gi, dtype=group_type))
         true_codes.append(true_idx)
         pred_codes.append(pred_idx)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
-from .records import read_csv_table, read_json, require_distinct_columns, require_json_type
+from .inputs import read_csv_table, read_json, require_distinct_columns, require_json_type
 
 # The five reported metrics, in column order.
 METRIC_NAMES = ("utility", "worst", "gap", "eqodd", "dp")

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import errno
 import gc
+import importlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -573,28 +575,35 @@ import json, sys
 from nhfair import cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
-heavy = ("numpy", "orjson", "nhfair.columns", "nhfair.metrics", "nhfair.synth")
+heavy = ("numpy", "orjson", "nhfair.columns", "nhfair.metrics", "nhfair.records",
+         "nhfair.selection", "nhfair.stats", "nhfair.synth")
 print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
 """
+
+_SUMMARY_CODE = ["nhfair.records", "nhfair.selection"]
+_LOG_CODE = ["nhfair.columns", "nhfair.metrics", *_SUMMARY_CODE, "nhfair.stats"]
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         (None, []),
-        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.csv"], []),
-        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.json"], []),
-        (["select-erm", "--out", "erm.json", "summ.csv"], []),
-        (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"], []),
-        (["evaluate", "--out", "table.csv", "run.jsonl"],
-         ["orjson", "nhfair.columns", "nhfair.metrics"]),
-        (["evaluate", "--out", "table.csv", "log.csv"], ["nhfair.columns", "nhfair.metrics"]),
+        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.csv"],
+         ["nhfair.stats"]),
+        (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.json"],
+         ["nhfair.stats"]),
+        (["select-erm", "--out", "erm.json", "summ.csv"], _SUMMARY_CODE),
+        (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"], _SUMMARY_CODE),
+        (["evaluate", "--out", "table.csv", "run.jsonl"], ["orjson", *_LOG_CODE]),
+        (["evaluate", "--out", "table.csv", "log.csv"], _LOG_CODE),
     ],
     ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "evaluate",
          "evaluate-csv"],
 )
 def test_only_commands_that_read_a_log_load_the_log_code(tmp_path, argv, loaded):
-    """Only a log loads the log and metric code, only a JSONL log orjson; none loads numpy."""
+    """Each command loads only the modules it runs: only a log loads the log and metric
+    code, only a JSONL log orjson, only a summary table or a log the run model and
+    selection, only evaluate and compare the rank statistics; none loads numpy."""
     _path_inputs(tmp_path)
     write_run(generate(spec_for(1), method="m", dataset="d"), tmp_path / "log.csv")
     child = subprocess.run(
@@ -645,6 +654,76 @@ def test_log_commands_load_no_numpy(tmp_path):
     assert json.loads(child.stdout) == [[0] * len(argvs), False], child.stderr
     for i in range(3):  # the default --jobs and --jobs 1 write the same bytes
         assert (tmp_path / f"out{i}-0").read_bytes() == (tmp_path / f"out{i}-2").read_bytes()
+
+
+# The (module, attribute) pairs that the benchmark's tracer replaces with
+# timing wrappers (bench/trace.py, setup_targets and command_targets). Each
+# must stay an attribute of its module that the commands call through that
+# module, or the layer it times reads 0.
+_TRACE_SEAMS = [
+    ("synth", "generate"), ("records", "write_run"),
+    ("cli", "parse_run"), ("cli", "parse_summaries"),
+    ("metrics", "metric_report"), ("metrics", "confusion"), ("metrics", "group_auc"),
+    ("metrics", "pooled_auc"),
+    ("stats", "aggregate"), ("stats", "rank_matrix"), ("stats", "friedman"),
+    ("stats", "nemenyi_cd"), ("stats", "mean_ranks"), ("stats", "cliques"),
+    ("cli", "rows_to_csv"), ("cli", "rows_to_json"), ("cli", "rows_to_markdown"),
+    ("cli", "render_cd_plot"),
+    ("selection", "dto_select"), ("selection", "fwh_select"),
+]
+_TWO_LOGS = {"cli.parse_run": 2, "metrics.metric_report": 2, "metrics.confusion": 2,
+             "metrics.group_auc": 2, "metrics.pooled_auc": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["evaluate", "erm.jsonl", "dro.csv"],
+         {**_TWO_LOGS, "stats.aggregate": 1, "cli.rows_to_csv": 1}),
+        (["evaluate", "--format", "json", "erm.jsonl", "dro.csv"],
+         {**_TWO_LOGS, "stats.aggregate": 1, "cli.rows_to_json": 1}),
+        (["evaluate", "--format", "md", "erm.jsonl", "dro.csv"],
+         {**_TWO_LOGS, "stats.aggregate": 1, "cli.rows_to_markdown": 1}),
+        (["select-erm", "erm.jsonl", "dro.csv"], {**_TWO_LOGS, "selection.dto_select": 1}),
+        (["select-fwh", "--baseline", "erm.jsonl", "dro.csv"],
+         {**_TWO_LOGS, "selection.fwh_select": 1}),
+        (["select-erm", "summ.csv"], {"cli.parse_summaries": 1, "selection.dto_select": 1}),
+        (["select-fwh", "--baseline", "r1", "summ.csv"],
+         {"cli.parse_summaries": 1, "selection.fwh_select": 1}),
+        (["compare", "--metric", "gap", "--svg", "cd.svg", "agg.csv"],
+         {"stats.rank_matrix": 1, "stats.friedman": 1, "stats.nemenyi_cd": 1,
+          # friedman calls mean_ranks, and the plot cliques, through stats
+          "stats.mean_ranks": 2, "stats.cliques": 2, "cli.render_cd_plot": 1}),
+    ],
+    ids=["evaluate", "evaluate-json", "evaluate-md", "select-erm-logs", "select-fwh-logs",
+         "select-erm", "select-fwh", "compare"],
+)
+def test_commands_call_each_layer_through_the_benchmark_trace_seams(
+    tmp_path, monkeypatch, capsys, argv, calls
+):
+    """Each wrapper the benchmark's tracer puts on a layer runs once per call of that layer."""
+    counts: Counter[str] = Counter()
+    for module, attr in _TRACE_SEAMS:
+        owner = importlib.import_module(f"nhfair.{module}")
+
+        def counted(*args, _name=f"{module}.{attr}", _original=getattr(owner, attr), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    _path_inputs(tmp_path)
+    binary = CohortSpec.load(Path(__file__).parent / "data" / "cohort_binary.json")
+    for method, name in (("erm", "erm.jsonl"), ("dro", "dro.csv")):
+        nhfair.records.write_run(
+            nhfair.synth.generate(binary, utility_kind="auc", method=method), tmp_path / name
+        )
+    assert counts == {"synth.generate": 2, "records.write_run": 2}
+    counts.clear()
+    monkeypatch.chdir(tmp_path)
+
+    jobs = [] if argv[0] == "compare" else ["--jobs", "1"]
+    assert main([*argv, *jobs, "--out", "out"]) == 0, capsys.readouterr().err
+    assert counts == calls
 
 
 # Runs each command given as JSON through ``cli.main`` in this fresh
