@@ -44,7 +44,7 @@ _EXPORTS = {
     "metric_report": "metrics",
     "nemenyi_cd": "stats",
     "parse_run": "records",
-    "parse_summaries": "records",
+    "parse_summaries": "selection",
     "pooled_auc": "metrics",
     "rank_matrix": "stats",
     "utopia": "selection",

@@ -15,12 +15,14 @@ with warnings on stderr), 2 bad input or configuration, 3 internal
 invariant violation.
 
 A command loads only the modules whose code it runs. ``inputs`` tells a
-log from a table; the run model (``records``) and ``selection`` are
-loaded by the first log or summary table read, ``stats`` by ``evaluate``
-and ``compare``, the log and metric code by the first log. Every layer
-function is still called through a module attribute (``parse_run`` and
-the table writers through this module's), so a profiler or tracer can
-wrap it there.
+log from a table; ``selection``, which also reads summary tables, is
+loaded by the select commands and the first log, the run model
+(``records``) and the log and metric code by the first log, ``stats`` by
+``evaluate`` and ``compare``, ``tables`` by the first table read or
+written, and ``svgplot`` by the first plot drawn. Every layer
+function is still called through a module attribute (``parse_run``,
+``parse_summaries``, the table readers and writers and the plot through
+this module's), so a profiler or tracer can wrap it there.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ from .errors import (
     StatsError,
 )
 from .inputs import is_manifest, is_prediction_log
-from .svgplot import render_cd_plot
-from .tables import read_rows, rows_to_csv, rows_to_json, rows_to_markdown
 
 if TYPE_CHECKING:
     from .columns import EvaluationRun
     from .selection import RunResult
+    from .tables import ReportRow
 
 
 def parse_run(path: Path) -> EvaluationRun:
@@ -64,10 +65,45 @@ def parse_run(path: Path) -> EvaluationRun:
 
 
 def parse_summaries(path: Path) -> list[RunResult]:
-    """``records.parse_summaries``; the summary model is loaded by the first table read."""
-    from . import records
+    """``selection.parse_summaries``; loaded by the first summary table read."""
+    from . import selection
 
-    return records.parse_summaries(path)
+    return selection.parse_summaries(path)
+
+
+def read_rows(path: Path, metric: str) -> list[ReportRow]:
+    """``tables.read_rows``; the table code is loaded by the first table read."""
+    from . import tables
+
+    return tables.read_rows(path, metric)
+
+
+def rows_to_csv(rows: list[ReportRow], units: str) -> str:
+    """``tables.rows_to_csv``; the table code is loaded by the first table written."""
+    from . import tables
+
+    return tables.rows_to_csv(rows, units)
+
+
+def rows_to_markdown(rows: list[ReportRow], units: str) -> str:
+    """``tables.rows_to_markdown``; the table code is loaded by the first table written."""
+    from . import tables
+
+    return tables.rows_to_markdown(rows, units)
+
+
+def rows_to_json(rows: list[ReportRow]) -> str:
+    """``tables.rows_to_json``; the table code is loaded by the first table written."""
+    from . import tables
+
+    return tables.rows_to_json(rows)
+
+
+def render_cd_plot(metric: str, ranks: dict[str, float], cd: float) -> str:
+    """``svgplot.render_cd_plot``; the plot code is loaded by the first plot drawn."""
+    from . import svgplot
+
+    return svgplot.render_cd_plot(metric, ranks, cd)
 
 
 def _input_file(path: Path) -> Path:

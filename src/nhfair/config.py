@@ -10,8 +10,13 @@ The config file is flat ``key = value`` text ('#' starts a comment) with
 the same keys as the CLI flags. A file can be named with --config or the
 NHFAIR_CONFIG environment variable. It is shared by all subcommands:
 every key is typed and validated whatever the command, and a command
-ignores the keys of the others. Everything is validated up front so a
+ignores the keys of the others. Every fault in the file names the file
+and, where there is one, its line. Everything is validated up front so a
 bad configuration aborts before any computation.
+
+The option choices that other modules share, :data:`METRIC_NAMES` and
+:data:`EQODD_VARIANTS`, are declared here with the options that take
+them, so that reading the configuration loads none of the table code.
 """
 
 from __future__ import annotations
@@ -25,9 +30,14 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .inputs import read_text
-from .tables import EQODD_VARIANTS, METRIC_NAMES
 
 ENV_CONFIG = "NHFAIR_CONFIG"
+
+# The five reported metrics, in column order: the choices of ``metric``.
+METRIC_NAMES = ("utility", "worst", "gap", "eqodd", "dp")
+# What the eqodd column compares, the correct-classification rates or every
+# rate: the choices of ``eqodd``.
+EQODD_VARIANTS = ("diagonal", "full")
 
 
 def _at_least(low: float) -> Callable[[float], str | None]:
@@ -138,10 +148,14 @@ def add_flags(parser: argparse.ArgumentParser, command: str) -> None:
             parser.add_argument(flag, type=meta["type"], choices=meta["choices"], help=meta["help"])
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
+def _parse_config_file(path: Path) -> dict[str, object]:
+    """The typed value of each key the file sets, the last setting of a key winning.
+
+    A fault in a line, its value's included, names the file and the line.
+    """
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    values: dict[str, str] = {}
+    texts: dict[str, tuple[int, str]] = {}  # key -> (line, value text)
     # lines end at \n, \r\n or a lone \r, as for every input file
     for line_no, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -149,10 +163,16 @@ def _parse_config_file(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: line {line_no}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, text = (part.strip() for part in line.split("=", 1))
         if key not in _BY_NAME:
             raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
-        values[key] = value
+        texts[key] = line_no, text
+    values: dict[str, object] = {}
+    for key, (line_no, text) in texts.items():
+        try:
+            values[key] = _BY_NAME[key].metadata["type"](text)
+        except ValueError:
+            raise ConfigError(f"{path}: line {line_no}: key {key!r}: bad value {text!r}") from None
     return values
 
 
@@ -162,12 +182,8 @@ def build_config(cli_values: dict[str, object], inputs: list[str]) -> EngineConf
 
     config_path = cli_values.get("config") or os.environ.get(ENV_CONFIG)
     if config_path:
-        raw = _parse_config_file(Path(str(config_path)))
-        for key, text in raw.items():
-            try:
-                setattr(config, key, _BY_NAME[key].metadata["type"](text))
-            except ValueError:
-                raise ConfigError(f"config key {key!r}: bad value {text!r}") from None
+        for key, value in _parse_config_file(Path(str(config_path))).items():
+            setattr(config, key, value)
 
     for key in _BY_NAME:
         value = cli_values.get(key)

@@ -37,13 +37,13 @@ from itertools import compress, repeat
 from operator import add, eq, mul, not_
 
 from .columns import EvaluationRun
+from .config import EQODD_VARIANTS
 from .errors import (
     AllGroupsDegenerate,
     InternalInvariantViolation,
     NoEvaluableClass,
 )
 from .selection import GroupUtilityVector, RunResult
-from .tables import EQODD_VARIANTS
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,16 @@
-"""Prediction-log data model and input files.
+"""Prediction-log data model and log files.
 
 A *run* is one classifier evaluated on one dataset split: a manifest
 (method, dataset, seed, split, utility kind, label/group spaces) plus one
 record per sample. Records arrive as JSONL or CSV with a JSON manifest
 sidecar named ``<basename>.manifest.json``; the exact layouts are
-documented on :func:`parse_run` and :func:`write_run`. This module also
-reads summary tables (:func:`parse_summaries`). An input's kind and the
-text, CSV and JSON rules every reader shares are those of ``inputs``.
+documented on :func:`parse_run` and :func:`write_run`. An input's kind
+and the text, CSV and JSON rules every reader shares are those of
+``inputs``; summary tables are read by ``selection.parse_summaries``.
 
-A run's records are held as columns by ``columns.EvaluationRun``, and a
-summary row is a ``selection.RunResult``. Each of those modules is
-imported only when a log is read or written, or a summary table read, so
-loading this module loads neither.
+A run's records are held as columns by ``columns.EvaluationRun``, which
+is imported only when a log is read or written, so loading this module
+does not load it.
 
 Everything here is an immutable value object. Parsing is a pure function
 of the file bytes, so files may be parsed concurrently and the results
@@ -21,24 +20,16 @@ shared across threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (
-    MalformedLine,
-    MalformedRow,
-    ParseError,
-    UtilityOutOfRange,
-)
+from .errors import MalformedLine, ParseError
 from .inputs import (
     NAME_ARRAY,
     manifest_path,
-    read_csv_table,
     read_json,
-    require_distinct_columns,
     require_json_type,
     suffix_format,
     utf8_fault,
@@ -46,13 +37,9 @@ from .inputs import (
 
 if TYPE_CHECKING:
     from .columns import EvaluationRun
-    from .selection import RunResult
 
 SPLITS = ("train", "validation", "test")
 UTILITY_KINDS = ("accuracy", "auc")
-
-# Reserved summary-CSV column names; every other column is a group.
-_SUMMARY_RESERVED = ("run_id", "method", "overall", "dp", "eqodd")
 
 
 @dataclass(frozen=True)
@@ -236,83 +223,3 @@ def write_run(run: EvaluationRun, path: str | Path) -> None:
     mdoc = {key.name: attrgetter(key.metadata["source"])(run.manifest) for key in SIDECAR_KEYS}
     manifest_path(path).write_text(json.dumps(mdoc, indent=2) + "\n", encoding="utf-8")
     columns.write_records(run, path, format)
-
-
-def _percent_marked(text: str) -> tuple[str, bool]:
-    """Stripped text without a trailing ``%``, and whether it had one."""
-    text = text.strip()
-    return (text[:-1].strip(), True) if text.endswith("%") else (text, False)
-
-
-def _parse_utility_cell(cell: str, percent_column: bool, path: str, line: int) -> float:
-    """Parse one utility value; '%' on the header or the value means 0-100 units."""
-    text, percent = _percent_marked(cell)
-    percent = percent or percent_column
-    try:
-        value = float(text)
-    except ValueError:
-        raise MalformedRow(f"utility cell {cell!r} is not a number", path=path, line=line) from None
-    if percent:
-        value /= 100.0
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise UtilityOutOfRange(f"utility {cell!r} outside [0, 1]", path=path, line=line)
-    return value
-
-
-def parse_summaries(path: str | Path) -> list[RunResult]:
-    """Parse a summary CSV: ``run_id,method,<group>[%],...,overall[%]``.
-
-    Each row is a :class:`RunResult` without dataset, seed or split.
-    Columns named ``dp``/``eqodd`` (optionally %-marked) populate the
-    corresponding optional fields; every other non-reserved column is a
-    group utility. Column names, ``%`` marker aside, must be distinct.
-    Values in percent units must be marked with ``%`` on the header or on
-    the value itself; unmarked values must already lie in [0, 1]. A table
-    without a row is a ParseError, as a log without a record is.
-    """
-    from .selection import RunResult  # loaded only where a summary table is read
-
-    path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", path=str(path))
-    header, rows, lines, fault = read_csv_table(path, MalformedRow)
-    if header is None:
-        raise MalformedRow("empty file, expected a header", path=str(path), line=1)
-
-    columns = [_percent_marked(col) for col in header]  # (name, percent marker)
-    names = [name for name, _ in columns]
-    require_distinct_columns(names, path)
-    if "run_id" not in names or "method" not in names or "overall" not in names:
-        raise MalformedRow(
-            "header must contain run_id, method and overall columns",
-            path=str(path),
-            line=1,
-        )
-    group_cols = [name for name in names if name not in _SUMMARY_RESERVED]
-    if len(group_cols) < 2:
-        raise MalformedRow("header must name at least 2 group columns", path=str(path), line=1)
-    if not rows and fault is None:
-        raise ParseError("summary table has a header but no rows", path=str(path))
-    markers = dict(columns)
-
-    summaries: list[RunResult] = []
-    for line_no, row in zip(lines, rows):
-        cells = dict(zip(names, row))
-        utilities = {
-            g: _parse_utility_cell(cells[g], markers[g], str(path), line_no) for g in group_cols
-        }
-        overall = _parse_utility_cell(cells["overall"], markers["overall"], str(path), line_no)
-        dp = eqodd = None
-        if "dp" in cells and cells["dp"].strip():
-            dp = _parse_utility_cell(cells["dp"], markers["dp"], str(path), line_no)
-        if "eqodd" in cells and cells["eqodd"].strip():
-            eqodd = _parse_utility_cell(cells["eqodd"], markers["eqodd"], str(path), line_no)
-        summaries.append(
-            RunResult.from_utilities(
-                cells["run_id"].strip(), cells["method"].strip(), utilities, overall,
-                dp=dp, eqodd=eqodd,
-            )
-        )
-    if fault is not None:
-        raise fault
-    return summaries

@@ -22,6 +22,11 @@ With more than two groups (or a tied two-group baseline) there is no
 single advantaged group; mixed candidates are then SubOptimal iff the
 baseline-worst group passed. For two groups with distinct baseline
 utilities this reduces exactly to the quadrant rule above.
+
+Candidates are :class:`RunResult` values: ``metrics.metric_report`` makes
+one from a prediction log, and :func:`parse_summaries` one from each row
+of a summary table, so selecting from summaries needs none of the log
+code.
 """
 
 from __future__ import annotations
@@ -31,13 +36,18 @@ import warnings as _warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 from .errors import (
     AdvantageTieWarning,
     EmptyCandidateSet,
     GroupSpaceMismatch,
+    MalformedRow,
+    ParseError,
     SelectionError,
+    UtilityOutOfRange,
 )
+from .inputs import read_csv_table, require_distinct_columns
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,87 @@ class RunResult:
 
 
 CandidatePoint = RunResult  # kept for callers that build candidates by this name
+
+# Reserved summary-CSV column names; every other column is a group.
+_SUMMARY_RESERVED = ("run_id", "method", "overall", "dp", "eqodd")
+
+
+def _percent_marked(text: str) -> tuple[str, bool]:
+    """Stripped text without a trailing ``%``, and whether it had one."""
+    text = text.strip()
+    return (text[:-1].strip(), True) if text.endswith("%") else (text, False)
+
+
+def _parse_utility_cell(cell: str, percent_column: bool, path: str, line: int) -> float:
+    """Parse one utility value; '%' on the header or the value means 0-100 units."""
+    text, percent = _percent_marked(cell)
+    percent = percent or percent_column
+    try:
+        value = float(text)
+    except ValueError:
+        raise MalformedRow(f"utility cell {cell!r} is not a number", path=path, line=line) from None
+    if percent:
+        value /= 100.0
+    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+        raise UtilityOutOfRange(f"utility {cell!r} outside [0, 1]", path=path, line=line)
+    return value
+
+
+def parse_summaries(path: str | Path) -> list[RunResult]:
+    """Parse a summary CSV: ``run_id,method,<group>[%],...,overall[%]``.
+
+    Each row is a :class:`RunResult` without dataset, seed or split.
+    Columns named ``dp``/``eqodd`` (optionally %-marked) populate the
+    corresponding optional fields; every other non-reserved column is a
+    group utility. Column names, ``%`` marker aside, must be distinct.
+    Values in percent units must be marked with ``%`` on the header or on
+    the value itself; unmarked values must already lie in [0, 1]. A table
+    without a row is a ParseError, as a log without a record is.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ParseError("file not found", path=str(path))
+    header, rows, lines, fault = read_csv_table(path, MalformedRow)
+    if header is None:
+        raise MalformedRow("empty file, expected a header", path=str(path), line=1)
+
+    columns = [_percent_marked(col) for col in header]  # (name, percent marker)
+    names = [name for name, _ in columns]
+    require_distinct_columns(names, path)
+    if "run_id" not in names or "method" not in names or "overall" not in names:
+        raise MalformedRow(
+            "header must contain run_id, method and overall columns",
+            path=str(path),
+            line=1,
+        )
+    group_cols = [name for name in names if name not in _SUMMARY_RESERVED]
+    if len(group_cols) < 2:
+        raise MalformedRow("header must name at least 2 group columns", path=str(path), line=1)
+    if not rows and fault is None:
+        raise ParseError("summary table has a header but no rows", path=str(path))
+    markers = dict(columns)
+
+    summaries: list[RunResult] = []
+    for line_no, row in zip(lines, rows):
+        cells = dict(zip(names, row))
+        utilities = {
+            g: _parse_utility_cell(cells[g], markers[g], str(path), line_no) for g in group_cols
+        }
+        overall = _parse_utility_cell(cells["overall"], markers["overall"], str(path), line_no)
+        dp = eqodd = None
+        if "dp" in cells and cells["dp"].strip():
+            dp = _parse_utility_cell(cells["dp"], markers["dp"], str(path), line_no)
+        if "eqodd" in cells and cells["eqodd"].strip():
+            eqodd = _parse_utility_cell(cells["eqodd"], markers["eqodd"], str(path), line_no)
+        summaries.append(
+            RunResult.from_utilities(
+                cells["run_id"].strip(), cells["method"].strip(), utilities, overall,
+                dp=dp, eqodd=eqodd,
+            )
+        )
+    if fault is not None:
+        raise fault
+    return summaries
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .config import METRIC_NAMES
 from .errors import (
     DegenerateMatrix,
     DuplicateSeed,
@@ -27,7 +28,7 @@ from .errors import (
     UnsupportedAlpha,
     UnsupportedK,
 )
-from .tables import METRIC_NAMES, ReportRow
+from .tables import ReportRow
 
 if TYPE_CHECKING:
     from .selection import RunResult

@@ -20,13 +20,10 @@ import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import METRIC_NAMES
 from .errors import ParseError
 from .inputs import read_csv_table, read_json, require_distinct_columns, require_json_type
 
-# The five reported metrics, in column order.
-METRIC_NAMES = ("utility", "worst", "gap", "eqodd", "dp")
-# What the eqodd column compares: the correct-classification rates or every rate.
-EQODD_VARIANTS = ("diagonal", "full")
 _PM = "±"  # plus-minus sign
 
 

@@ -23,8 +23,15 @@ from nhfair.metrics import (
     worst,
 )
 from nhfair.oracle import oracle_dto, oracle_metrics, oracle_select
-from nhfair.records import parse_summaries, write_run
-from nhfair.selection import Zone, classify_zone, dto_select, fwh_select, zone_tally_table
+from nhfair.records import write_run
+from nhfair.selection import (
+    Zone,
+    classify_zone,
+    dto_select,
+    fwh_select,
+    parse_summaries,
+    zone_tally_table,
+)
 from nhfair.stats import friedman, nemenyi_cd, rank_matrix
 from nhfair.synth import CohortSpec, generate
 from nhfair.tables import ReportRow

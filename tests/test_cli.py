@@ -26,9 +26,10 @@ import nhfair
 from conftest import make_run
 from nhfair import cli, stats
 from nhfair.cli import build_parser, main
-from nhfair.config import OPTIONS
+from nhfair.config import OPTIONS, build_config
 from nhfair.metrics import metric_report
-from nhfair.records import parse_run, parse_summaries, write_run
+from nhfair.records import parse_run, write_run
+from nhfair.selection import parse_summaries
 from nhfair.synth import CohortSpec, generate
 from nhfair.tables import METRIC_NAMES, parse_mean_std
 
@@ -576,12 +577,12 @@ from nhfair import cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
 heavy = ("numpy", "orjson", "nhfair.columns", "nhfair.metrics", "nhfair.records",
-         "nhfair.selection", "nhfair.stats", "nhfair.synth")
+         "nhfair.selection", "nhfair.stats", "nhfair.svgplot", "nhfair.synth", "nhfair.tables")
 print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
 """
 
-_SUMMARY_CODE = ["nhfair.records", "nhfair.selection"]
-_LOG_CODE = ["nhfair.columns", "nhfair.metrics", *_SUMMARY_CODE, "nhfair.stats"]
+_LOG_CODE = ["nhfair.columns", "nhfair.metrics", "nhfair.records", "nhfair.selection"]
+_RANK_CODE = ["nhfair.stats", "nhfair.svgplot", "nhfair.tables"]
 
 
 @pytest.mark.parametrize(
@@ -589,21 +590,26 @@ _LOG_CODE = ["nhfair.columns", "nhfair.metrics", *_SUMMARY_CODE, "nhfair.stats"]
     [
         (None, []),
         (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.csv"],
-         ["nhfair.stats"]),
+         _RANK_CODE),
         (["compare", "--metric", "gap", "--out", "cd.json", "--svg", "cd.svg", "agg.json"],
-         ["nhfair.stats"]),
-        (["select-erm", "--out", "erm.json", "summ.csv"], _SUMMARY_CODE),
-        (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"], _SUMMARY_CODE),
-        (["evaluate", "--out", "table.csv", "run.jsonl"], ["orjson", *_LOG_CODE]),
-        (["evaluate", "--out", "table.csv", "log.csv"], _LOG_CODE),
+         _RANK_CODE),
+        (["select-erm", "--out", "erm.json", "summ.csv"], ["nhfair.selection"]),
+        (["select-fwh", "--baseline", "r1", "--out", "fwh.json", "summ.csv"],
+         ["nhfair.selection"]),
+        (["select-erm", "--out", "erm.json", "run.jsonl"], ["orjson", *_LOG_CODE]),
+        (["evaluate", "--out", "table.csv", "run.jsonl"],
+         ["orjson", *_LOG_CODE, "nhfair.stats", "nhfair.tables"]),
+        (["evaluate", "--out", "table.csv", "log.csv"],
+         [*_LOG_CODE, "nhfair.stats", "nhfair.tables"]),
     ],
-    ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "evaluate",
-         "evaluate-csv"],
+    ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "select-erm-log",
+         "evaluate", "evaluate-csv"],
 )
 def test_only_commands_that_read_a_log_load_the_log_code(tmp_path, argv, loaded):
-    """Each command loads only the modules it runs: only a log loads the log and metric
-    code, only a JSONL log orjson, only a summary table or a log the run model and
-    selection, only evaluate and compare the rank statistics; none loads numpy."""
+    """Each command loads only the modules it runs: only a log loads the run model and
+    the log and metric code, only a JSONL log orjson, only a summary table or a log
+    selection, only evaluate and compare the rank statistics and the table code, only
+    a plot the plot code; none loads numpy."""
     _path_inputs(tmp_path)
     write_run(generate(spec_for(1), method="m", dataset="d"), tmp_path / "log.csv")
     child = subprocess.run(
@@ -1798,6 +1804,35 @@ class TestConfig:
         cfg = tmp_path / "engine.cfg"
         cfg.write_text("made_up = 1\n", encoding="utf-8")
         assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("jobs = x\n", "{cfg}: line 1: key 'jobs': bad value 'x'"),
+            ("# a\ntie_corrected = maybe\n",
+             "{cfg}: line 2: key 'tie_corrected': bad value 'maybe'"),
+            ("tolerance = 0.1\njobs\n", "{cfg}: line 2: expected key = value"),
+            (None, "config file not found: {cfg}"),
+            ("", "{cfg}: is a directory, expected a file"),
+        ],
+        ids=["bad-integer", "bad-boolean", "no-equals", "missing", "directory"],
+    )
+    def test_config_file_errors_name_the_file(self, tmp_path, summary_csv, capsys, text,
+                                               message):
+        cfg = tmp_path / "engine.cfg"
+        if text == "":
+            cfg.mkdir()
+        elif text is not None:
+            cfg.write_text(text, encoding="utf-8")
+        assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+    @pytest.mark.parametrize("text, value", [("TRUE", True), ("1", True), ("False", False),
+                                             ("0", False)])
+    def test_config_booleans(self, tmp_path, text, value):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"tie_corrected = {text}\n", encoding="utf-8")
+        assert build_config({"config": str(cfg)}, []).tie_corrected is value
 
 
 class TestFlags:

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import make_run, point, random_candidate_cloud, random_cohort_spec
+from nhfair.config import EQODD_VARIANTS
 from nhfair.errors import AllGroupsDegenerate, NoEvaluableClass
 from nhfair.metrics import metric_report
 from nhfair.oracle import oracle_dto, oracle_metrics, oracle_select
 from nhfair.selection import dto_select, fwh_select
 from nhfair.synth import generate
-from nhfair.tables import EQODD_VARIANTS
 
 FIELDS = ("overall", "worst", "gap", "dp", "eqodd")
 # AUC is a rank sum here and a pair count in the oracle, so its last bits may differ

@@ -47,9 +47,9 @@ from nhfair.records import (
     PredictionRecord,
     RunManifest,
     parse_run,
-    parse_summaries,
     write_run,
 )
+from nhfair.selection import parse_summaries
 from nhfair.synth import CohortSpec, generate
 
 
