@@ -13,8 +13,8 @@ of the smallest signed type that holds them; and one ``array('d')`` of
 scores per label, in which NaN marks an absent score, or None for a run
 without scores. No Python object is held per record but its sample id.
 :func:`parse_records` decodes each file into these columns (a JSONL file by
-orjson, and again by json where orjson may read it otherwise; see
-:func:`_parse_jsonl`) and validates them column by column, in input order:
+orjson, its lines first checked against the nesting limit ``MAX_DEPTH``;
+see :func:`_parse_jsonl`) and validates them column by column, in input order:
 label and group cells are looked up as decoded, repeated ids are found
 with a set, the scores of each label are checked by one sum, min and max,
 and the rows each fault flags are listed only for a run that has a fault.
@@ -35,10 +35,10 @@ results shared across threads.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
+import re
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -64,16 +64,17 @@ from .records import PredictionRecord, RunManifest
 # also the leading CSV columns.
 _FIELDS = ("sample_id", "y", "y_hat", "group")
 _get_fields = itemgetter(*_FIELDS)
-_scan_json = json.JSONDecoder().scan_once
 _quote = json.encoder.encode_basestring_ascii  # json.dumps' own string encoder
 _PLAIN_CELLS = {str, int, float, bool, type(None)}  # JSON scalars
 _SCORES_KEY = ', "scores": {'
 _BLANK = object()  # a line of whitespace only
-# orjson 3.8 recurses on the C stack with no nesting limit: a line of
-# 100,000 nested objects crashes the process. Lines of up to this many
-# characters took less than 512 KiB of stack at any nesting; json, which
-# stops at the recursion limit, reads longer ones.
-_LONG_LINE = 8192
+# The deepest nesting a JSONL line may hold; a record nests 2 deep. A
+# declared limit (RFC 8259 section 9) makes which lines a log accepts the
+# same in every process: json's depth depends on the recursion limit and
+# on how deep the caller's stack is, and orjson 3.8 has no limit at all.
+MAX_DEPTH = 100
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)  # a JSON string, closed or not
+_STEPS = {"[": 1, "{": 1, "]": -1, "}": -1}
 _NO_SCORES: dict[str, object] = {}
 # The score of a label a JSONL record does not map: a NaN that no decoder
 # returns, so absent cells are counted and skipped by identity.
@@ -475,27 +476,37 @@ def _raise_record_fault(
     _raise_first(record_checks, path, lines)
 
 
+def _too_deep(raw: str) -> bool:
+    """Whether a line nests deeper than ``MAX_DEPTH``.
+
+    Read from its start, outside strings, the brackets ``[`` and ``{``
+    opened less those ``]`` and ``}`` closed exceed ``MAX_DEPTH`` somewhere.
+    A string runs from a ``"`` to the next one not escaped by a backslash,
+    or to the end of the line. A line with no more opening brackets than
+    ``MAX_DEPTH`` is decided by counting them.
+    """
+    if raw.count("[") + raw.count("{") <= MAX_DEPTH:
+        return False
+    steps = filter(None, map(_STEPS.get, _STRING.sub("", raw)))
+    return max(accumulate(steps), default=0) > MAX_DEPTH
+
+
 def _json_line(raw: str) -> object:
     """json's value of a line, or ``_BLANK`` for a blank one.
 
-    ValueError or RecursionError if the line is not one JSON value.
+    ValueError if the line nests deeper than ``MAX_DEPTH`` or is not one
+    JSON value.
     """
-    try:
-        value, end = _scan_json(raw, 0)
-        if raw[end:] in ("", "\n"):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    # whitespace around the value, a blank line, bad JSON or deep nesting
-    return _BLANK if not raw.strip() else json.loads(raw)
+    if _too_deep(raw):
+        raise ValueError(f"nested deeper than {MAX_DEPTH} levels")
+    return json.loads(raw) if raw.strip() else _BLANK
 
 
 def _wide_cells(columns: tuple[list, ...]) -> bool:
     """Whether orjson may read a cell otherwise than json does.
 
     orjson reads an integer outside 64 bits as a float, of magnitude 2**63
-    or more. An array or object cell may hold one, or nesting deeper than
-    json reads.
+    or more. An array or object cell may hold one.
     """
     for cells in columns:
         kinds = set(map(type, cells))
@@ -508,33 +519,36 @@ def _wide_cells(columns: tuple[list, ...]) -> bool:
 
 def _decode_jsonl(
     path: Path, loads: Callable[[str], object]
-) -> tuple[list[int], tuple[list, ...], list[dict | None], ParseError | None, int]:
+) -> tuple[list[int], tuple[list, ...], list[dict | None], ParseError | None]:
     """Fields of the records on the non-blank lines before the first faulty one.
 
     Returns their line numbers, their sample_id, y, y_hat and group
-    columns, their score maps, the fault of the line that stopped
-    decoding (or None): not one JSON value, not an object, a missing
-    field or a ``scores`` that is not an object, and the number of keys
-    of the records. Lines are numbered as iterating the text file yields
-    them. Each line is read by ``loads``, and by :func:`_json_line` where
-    ``loads`` raises or the line is longer than ``_LONG_LINE``.
+    columns, their score maps, and the fault of the line that stopped
+    decoding (or None): nested deeper than ``MAX_DEPTH``, not one JSON
+    value, not an object, a missing field or a ``scores`` that is not an
+    object. Lines are numbered as iterating the text file yields them.
+    Each line is read by ``loads``, which must reject what is not JSON,
+    and by :func:`_json_line` where ``loads`` raises. A line that ``loads``
+    reads is valid JSON, which nests at most half its length deep, so a
+    line is checked for depth before ``loads`` reads it only where it is
+    longer than ``2 * MAX_DEPTH`` characters.
     """
     lines: list[int] = []
-    keys = 0
     columns: tuple[list, ...] = ([], [], [], [])
     add_id, add_y, add_y_hat, add_group = (column.append for column in columns)
     maps: list[dict | None] = []
     with path.open("r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
-                value = loads(raw) if len(raw) <= _LONG_LINE else _json_line(raw)
-            except (ValueError, RecursionError):  # json decides
+                if len(raw) > 2 * MAX_DEPTH and _too_deep(raw):
+                    raise ValueError  # named by _json_line
+                value = loads(raw)
+            except ValueError:  # json decides
                 try:
                     value = _json_line(raw)
-                except (ValueError, RecursionError) as exc:  # or an integer of too many digits
-                    reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
-                    error = MalformedLine(f"invalid JSON: {reason}", path=str(path), line=line_no)
-                    return lines, columns, maps, error, keys
+                except ValueError as exc:  # or an integer of too many digits
+                    error = MalformedLine(f"invalid JSON: {exc}", path=str(path), line=line_no)
+                    return lines, columns, maps, error
             if value is _BLANK:
                 continue
             try:
@@ -544,15 +558,14 @@ def _decode_jsonl(
                     raise TypeError
             except (KeyError, TypeError):
                 error = MalformedLine(_record_fault(value), path=str(path), line=line_no)
-                return lines, columns, maps, error, keys
-            keys += len(value)
+                return lines, columns, maps, error
             lines.append(line_no)
             add_id(sample_id)
             add_y(y)
             add_y_hat(y_hat)
             add_group(group)
             maps.append(scores)
-    return lines, columns, maps, None, keys
+    return lines, columns, maps, None
 
 
 def _record_fault(value: object) -> str:
@@ -565,36 +578,20 @@ def _record_fault(value: object) -> str:
 
 
 def _parse_jsonl(path: Path, manifest: RunManifest) -> EvaluationRun:
-    """The run of a JSONL log, its lines read by ``orjson.loads`` where json reads them alike.
+    """The run of a JSONL log, its lines read by ``orjson.loads``.
 
     json reads every line that orjson rejects (a blank line, ``NaN``,
-    ``Infinity``, ``1e400``, a lone-surrogate escape, faulty JSON) and
-    every line longer than ``_LONG_LINE``. orjson's reading stands only
-    where it builds a run whose records hold the fields and ``scores``
-    alone, with cells that json reads alike (see :func:`_wide_cells`);
-    orjson also reads nesting deeper than json does. Any other file, every
-    faulty one included, is decoded again by json alone, so that each run,
-    error message and line is json's.
+    ``Infinity``, ``1e400``, a lone-surrogate escape, faulty JSON). Of
+    lines that nest no deeper than ``MAX_DEPTH``, orjson reads every other
+    one as json does, but for an integer outside 64 bits: a file in which
+    a decoded cell may hold one (see :func:`_wide_cells`) is decoded again
+    by json alone, so that each run, error message and line is json's.
     """
     import orjson  # loaded only where a JSONL log is read
 
-    decoded = _decode_jsonl(path, orjson.loads)
-    lines, columns, maps, _, keys = decoded
-    # no record holds a key beside the four fields and a non-null scores
-    if keys == 4 * len(lines) + len(maps) - maps.count(None) and not _wide_cells(columns):
-        with contextlib.suppress(ParseError):
-            return _jsonl_run(path, manifest, *decoded[:4])
-    return _jsonl_run(path, manifest, *_decode_jsonl(path, _json_line)[:4])
-
-
-def _jsonl_run(
-    path: Path,
-    manifest: RunManifest,
-    lines: list[int],
-    columns: tuple[list, ...],
-    maps: list[dict | None],
-    pending: ParseError | None,
-) -> EvaluationRun:
+    lines, columns, maps, pending = _decode_jsonl(path, orjson.loads)
+    if _wide_cells(columns):
+        lines, columns, maps, pending = _decode_jsonl(path, _json_line)
     scores, checks = _mapped_scores(maps, manifest.label_space.labels)
     return _finish_run(manifest, str(path), lines, columns, scores, checks, pending)
 

@@ -264,6 +264,11 @@ class TestEqualizedOdds:
         with pytest.raises(NoEvaluableClass):
             equalized_odds(confusion(run))
 
+    def test_unknown_variant_is_a_value_error(self):
+        run = make_run([("pos", "pos", "A"), ("neg", "neg", "B")])
+        with pytest.raises(ValueError, match="^unknown eqodd variant 'bogus'$"):
+            equalized_odds(confusion(run), "bogus")
+
     def test_full_variant_counts_off_diagonal(self):
         run = make_run(
             [

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import reprlib
+import sys
 import tempfile
 import weakref
 from collections.abc import Sequence
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from conftest import make_run
 from nhfair import columns
 from nhfair.cli import main
-from nhfair.columns import Check, EvaluationRun, _finish_run, _raise_first
+from nhfair.columns import MAX_DEPTH, Check, EvaluationRun, _finish_run, _raise_first
 from nhfair.errors import (
     DuplicateSampleId,
     EmptyGroup,
@@ -498,6 +499,9 @@ CORRUPT_CASES = [
      MalformedLine, 2),
     ("100,000 nested objects", "jsonl", MANIFEST,
      jsonl(OK1, '{"a": ' * 100_000 + "1" + "}" * 100_000, OK2), MalformedLine, 2),
+    ("1,100 nested arrays under an extra key", "jsonl", MANIFEST,
+     jsonl(OK1[:-1] + ', "extra": ' + "[" * 1100 + "]" * 1100 + "}", OK2), MalformedLine, 1),
+    ("150 unclosed arrays", "jsonl", MANIFEST, jsonl(OK1, "[" * 150, OK2), MalformedLine, 2),
     ("CR line ends", "jsonl", MANIFEST, jsonl(OK1, OK2, "{bad", end="\r"), MalformedLine, 3),
     ("CRLF line ends", "jsonl", MANIFEST,
      jsonl(OK1, "", OK2, record_line("s4", "pos", "pos", "Z"), end="\r\n"), UnknownGroup, 4),
@@ -759,16 +763,105 @@ def test_finish_run_raises_or_builds_as_the_reference(args):
             assert got_column.typecode == expected_column.typecode == "d"
 
 
+@contextlib.contextmanager
+def recursion_limit(limit: int):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def stack_depth() -> int:
+    """The number of Python frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["100,000 nested objects", "1,100 nested arrays under an extra key", "150 unclosed arrays"],
+)
+def test_a_line_nested_deeper_than_the_limit_is_malformed_under_any_recursion_limit(
+    tmp_path, name
+):
+    _, fmt, manifest, text, _, line = next(case for case in CORRUPT_CASES if case[0] == name)
+    path = tmp_path / f"run.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    (tmp_path / "run.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    message = f"{path}: line {line}: invalid JSON: nested deeper than 100 levels"
+    for limit in (stack_depth() + MAX_DEPTH + 50, 10_000):
+        with recursion_limit(limit), pytest.raises(MalformedLine) as err:
+            parse_run(path)
+        assert str(err.value) == message
+
+
+def json_depth(text: str) -> int:
+    """How deep json reads a JSON text to nest, found level by level (no recursion)."""
+    with recursion_limit(10_000):  # an object as the list of its values, repeated keys kept
+        level = [json.loads(text, object_pairs_hook=lambda pairs: [v for _, v in pairs])]
+    depth = 0
+    while containers := [item for item in level if isinstance(item, list)]:
+        depth += 1
+        level = [item for c in containers for item in c]
+    return depth
+
+
+# strings full of what the depth scan must skip: brackets, quotes, backslashes
+BRACKET_TEXT = st.one_of(
+    st.text(alphabet='[]{}"\\ a', max_size=8),
+    st.builds(
+        str.__add__, st.text(alphabet='[{"\\', max_size=4), st.integers(0, 120).map("[".__mul__)
+    ),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.integers(), BRACKET_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(BRACKET_TEXT, inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def nested_texts(draw) -> tuple[str, str]:
+    """A JSON text nested in arrays and objects to about ``MAX_DEPTH`` levels,
+    with brackets, quotes and backslashes in its strings, and the same text
+    with its last string left open and the text cut there."""
+    n = draw(st.one_of(st.integers(MAX_DEPTH - 5, MAX_DEPTH + 1), st.integers(1, 2 * MAX_DEPTH)))
+    wrappers = draw(st.lists(st.sampled_from(["[", '{"[": ']), min_size=n, max_size=n))
+    opened = "".join(wrappers) + json.dumps(draw(JSON_VALUES))
+    # a last string: an item of the innermost array, or a key of the innermost object
+    last = json.dumps(draw(BRACKET_TEXT) + "[" * draw(st.integers(0, 2 * MAX_DEPTH)))
+    closing = "".join("]" if w == "[" else "}" for w in reversed(wrappers))
+    colon = "" if wrappers[-1] == "[" else ": 0"
+    cut = draw(st.integers(1, len(last) - 1))  # inside the string, maybe inside an escape
+    return opened + ", " + last + colon + closing, opened + ", " + last[:cut]
+
+
+@given(nested_texts(), st.sampled_from(["", "\n"]))
+@settings(max_examples=300, deadline=None)
+def test_depth_scan_agrees_with_json_and_skips_strings_closed_or_open(texts, end):
+    closed, cut = texts
+    too_deep = json_depth(closed) > MAX_DEPTH
+    assert columns._too_deep(closed + end) is too_deep
+    assert columns._too_deep(cut + end) is too_deep
+
+
 # The JSONL decoder reads lines with orjson where json reads them alike; the
 # property below compares it with json alone. Numbers, bools and null name
 # labels by their str(). 2**64 is the least integer that orjson reads as a
 # float, 1.8446744073709552e+19, so both texts are labels of one manifest.
 WIDE = str(2**64)
 WIDE_AS_FLOAT = str(float(2**64))
-# json's nesting limit is the interpreter's recursion limit, which
-# hypothesis raises while a test runs; orjson reads lines of up to 8,192
-# characters, so the deepest line here is read by json alone
-DEEP = {depth: "[" * depth + "]" * depth for depth in (600, 1100, 4000, 20000)}
+# Arrays of each depth. A cell or an extra key's value nests one level
+# inside its record and a score two: a line at the limit of MAX_DEPTH (100)
+# levels and one a level past it hold a cell of DEEP[99] and DEEP[100], or
+# a score of DEEP[98] and DEEP[99]. No decoder reads a line past the limit.
+DEEP = {depth: "[" * depth + "]" * depth for depth in (98, 99, 100, 101, 600, 1100, 4000, 20000)}
 EQUIVALENCE_MANIFESTS = [
     dict(MANIFEST, labels=["neg", "pos", WIDE, WIDE_AS_FLOAT, "1.5", "0", "True", "None"]),
     AUC_MANIFEST,
@@ -782,7 +875,7 @@ ODD_IDS = st.one_of(  # valid sample ids but for repeats
     st.integers(-(2**70), 2**70).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(['"s\\ud800"', '"\\udc00\\ud800"', "true", "null", "[]", f"[{WIDE}]",
-                     f'{{"k": {WIDE}}}', DEEP[600]]),
+                     f'{{"k": {WIDE}}}', DEEP[99], DEEP[100], DEEP[600]]),
 )
 GOOD_SCORES = st.one_of(
     st.floats(0, 1).map(repr),
@@ -794,9 +887,11 @@ ODD_CELLS = st.sampled_from([
 ])
 ODD_SCORES = st.sampled_from([
     "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, WIDE, "1.5", '"nan"', "null",
-    "[0.5]", DEEP[1100], DEEP[4000],
+    "[0.5]", DEEP[98], DEEP[99], DEEP[1100], DEEP[4000],
 ])
-OTHER_VALUES = st.sampled_from(["1", WIDE, DEEP[600], DEEP[4000], DEEP[20000]])
+OTHER_VALUES = st.sampled_from(
+    ["1", WIDE, DEEP[99], DEEP[100], DEEP[101], DEEP[600], DEEP[4000], DEEP[20000]]
+)
 
 
 def json_object(pairs: list[tuple[str, str]]) -> str:
@@ -846,7 +941,9 @@ def jsonl_texts(draw) -> tuple[dict, str]:
     for index in range(draw(st.integers(2, 8))):
         record = jsonl_record_lines(manifest["labels"], manifest["utility_kind"], faulty, index)
         fault = st.one_of(
-            st.sampled_from(["", " ", "\t", "\x0c", "{bad", "[1, 2]", '"s"', *DEEP.values()]),
+            st.sampled_from(
+                ["", " ", "\t", "\x0c", "{bad", "[1, 2]", '"s"', "[" * 150, *DEEP.values()]
+            ),
             record.map(lambda line: "\ufeff" + line),
             record.map(lambda line: "  " + line + "\t"),
         )
@@ -872,7 +969,11 @@ def test_jsonl_read_by_orjson_parses_as_read_by_json_alone(case):
         with path.open("w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         (path.parent / "run.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        got = _parse_outcome(path)
+        # json reads some lines; which it accepts must not depend on the stack
+        with recursion_limit(stack_depth() + MAX_DEPTH + 50):
+            got = _parse_outcome(path)
+        with recursion_limit(10_000):
+            assert _parse_outcome(path) == got
 
         def refuse(raw):
             raise orjson.JSONDecodeError("refused", raw, 0)
@@ -889,10 +990,43 @@ def test_a_label_beyond_64_bits_is_read_as_json_reads_it(tmp_path):
     path = write_fixture(tmp_path, [
         record_line("s1", 2**64, 2**64, "A"), record_line("s2", "neg", "neg", "B"),
     ], manifest)
-    decoded = columns._decode_jsonl(path, orjson.loads)
+    lines, cells, maps, pending = columns._decode_jsonl(path, orjson.loads)
+    scores, checks = columns._mapped_scores(maps, tuple(manifest["labels"]))
     with pytest.raises(UnknownLabel, match="label '1.8446744073709552e\\+19' not in manifest"):
-        columns._jsonl_run(path, _load_manifest(path), *decoded[:4])
+        _finish_run(_load_manifest(path), str(path), lines, cells, scores, checks, pending)
     assert [rec.true_label for rec in parse_run(path).records] == [WIDE, "neg"]
+
+
+@pytest.mark.parametrize("lines, decodes", [
+    ([OK1[:-1] + ', "path": "a"}', OK2[:-1] + ', "path": [1]}'], 1),  # an extra key in each
+    ([OK1, OK2, record_line("s3", "pos", "pos", "Z")], 1),  # a faulty last record
+    ([record_line("s1", 2**64, "neg", "A"), OK2], 2),  # a cell beyond 64 bits: json alone
+])
+def test_a_log_is_decoded_again_only_for_a_cell_beyond_64_bits(
+    tmp_path, monkeypatch, lines, decodes
+):
+    path = write_fixture(tmp_path, lines, dict(MANIFEST, labels=["neg", "pos", WIDE]))
+    calls = []
+    decode = columns._decode_jsonl
+    monkeypatch.setattr(
+        columns, "_decode_jsonl", lambda *args: calls.append(args[1]) or decode(*args)
+    )
+    with contextlib.suppress(UnknownGroup):
+        parse_run(path)
+    assert calls[0] is orjson.loads
+    assert calls[1:] == [columns._json_line] * (decodes - 1)
+
+
+def test_a_file_of_another_suffix_is_no_record_format(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_text(OK1 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        parse_run(path)
+    assert str(err.value) == f"{path}: unsupported record format 'txt'"
+    run = make_run([("neg", "neg", "A"), ("pos", "pos", "B")])
+    with pytest.raises(ParseError, match="unsupported record format 'txt'"):
+        write_run(run, tmp_path / "x.TXT")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]  # no log and no sidecar
 
 
 def test_a_run_whose_records_were_read_is_freed_without_the_cyclic_gc():
