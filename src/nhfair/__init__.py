@@ -14,7 +14,7 @@ _EXPORTS = {
     "CandidatePoint": "selection",
     "CohortSpec": "synth",
     "ConfusionTensor": "metrics",
-    "EvaluationRun": "columns",
+    "EvaluationRun": "records",
     "GroupSpace": "records",
     "GroupUtilityVector": "selection",
     "LabelSpace": "records",

@@ -12,12 +12,12 @@ manifest sidecar), the suffix in any case, is a prediction log; any other
 ``.csv`` is a summary table. ``compare`` reads one aggregated table, CSV
 or JSON, through ``tables.read_rows``. Exit codes: 0 success (possibly
 with warnings on stderr), 2 bad input or configuration, 3 internal
-invariant violation.
+error.
 
 A command loads only the modules whose code it runs. ``inputs`` tells a
 log from a table; ``selection``, which also reads summary tables, is
-loaded by the select commands and the first log, the run model
-(``records``) and the log and metric code by the first log, ``stats`` by
+loaded by the select commands and the first log, the log format and run
+model (``records``) and the metric code by the first log, ``stats`` by
 ``evaluate`` and ``compare``, ``tables`` by the first table read or
 written, and ``svgplot`` by the first plot drawn. Every layer
 function is still called through a module attribute (``parse_run``,
@@ -43,7 +43,6 @@ from .errors import (
     DuplicateSeed,
     EmptyCandidateSet,
     EngineError,
-    InternalInvariantViolation,
     MetricError,
     ParseError,
     SelectionError,
@@ -52,7 +51,7 @@ from .errors import (
 from .inputs import is_manifest, is_prediction_log
 
 if TYPE_CHECKING:
-    from .columns import EvaluationRun
+    from .records import EvaluationRun
     from .selection import RunResult
     from .tables import ReportRow
 
@@ -554,9 +553,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(values, inputs)
         return _COMMANDS[command][0](config)
-    except InternalInvariantViolation as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return 3
     except EngineError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

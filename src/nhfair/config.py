@@ -9,10 +9,12 @@ subcommand's flags (:func:`add_flags`).
 The config file is flat ``key = value`` text ('#' starts a comment) with
 the same keys as the CLI flags. A file can be named with --config or the
 NHFAIR_CONFIG environment variable. It is shared by all subcommands:
-every key is typed and validated whatever the command, and a command
-ignores the keys of the others. Every fault in the file names the file
-and, where there is one, its line. Everything is validated up front so a
-bad configuration aborts before any computation.
+every key is typed and validated whatever the command, also one that a
+flag overrides, and a command ignores the keys of the others. Every
+fault in the file, a value outside its option's choices or check
+included, names the file and, where there is one, its line. Everything
+is validated up front so a bad configuration aborts before any
+computation.
 
 The option choices that other modules share, :data:`METRIC_NAMES` and
 :data:`EQODD_VARIANTS`, are declared here with the options that take
@@ -119,16 +121,20 @@ class EngineConfig:
 
     def validate(self) -> None:
         for option in OPTIONS:
-            value = getattr(self, option.name)
-            if value is None:
-                continue
-            choices = option.metadata["choices"]
-            if choices is not None and value not in choices:
-                raise ConfigError(f"{option.name} must be one of {choices}, got {value!r}")
-            check = option.metadata["check"]
-            problem = check(value) if check else None
+            problem = _problem(option, getattr(self, option.name))
             if problem:
                 raise ConfigError(f"{option.name} {problem}")
+
+
+def _problem(option: Field, value: object) -> str | None:
+    """What is wrong with an option's value: outside its choices or failing its check."""
+    if value is None:
+        return None
+    choices = option.metadata["choices"]
+    if choices is not None and value not in choices:
+        return f"must be one of {choices}, got {value!r}"
+    check = option.metadata["check"]
+    return check(value) if check else None
 
 
 OPTIONS: tuple[Field, ...] = tuple(f for f in fields(EngineConfig) if f.metadata)
@@ -149,7 +155,8 @@ def add_flags(parser: argparse.ArgumentParser, command: str) -> None:
 
 
 def _parse_config_file(path: Path) -> dict[str, object]:
-    """The typed value of each key the file sets, the last setting of a key winning.
+    """The typed and checked value of each key the file sets, the last setting of a key
+    winning.
 
     A fault in a line, its value's included, names the file and the line.
     """
@@ -169,10 +176,14 @@ def _parse_config_file(path: Path) -> dict[str, object]:
         texts[key] = line_no, text
     values: dict[str, object] = {}
     for key, (line_no, text) in texts.items():
+        option = _BY_NAME[key]
         try:
-            values[key] = _BY_NAME[key].metadata["type"](text)
+            values[key] = option.metadata["type"](text)
         except ValueError:
             raise ConfigError(f"{path}: line {line_no}: key {key!r}: bad value {text!r}") from None
+        problem = _problem(option, values[key])
+        if problem:
+            raise ConfigError(f"{path}: line {line_no}: key {key!r}: {problem}")
     return values
 
 

@@ -114,10 +114,6 @@ class ConfigError(EngineError):
     pass
 
 
-class InternalInvariantViolation(EngineError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
-
-
 class AdvantageTieWarning(UserWarning):
     """Baseline groups are tied, so no group is strictly advantaged.
 

@@ -5,7 +5,8 @@ sidecar, the suffix in any case, is a prediction log; any other file is a
 table (:func:`is_prediction_log`). This is the one place that decides an
 input's kind. The readers here hold the text, CSV and JSON rules that
 logs, summary tables, aggregated tables, config files and cohort specs
-share (:func:`read_text`, :func:`read_csv_table`, :func:`read_json`).
+share (:func:`read_text`, :func:`read_csv_table`, :func:`read_json`),
+among them the one nesting limit of every JSON input, ``MAX_DEPTH``.
 
 The module needs only ``errors`` and the standard library, so a command
 that reads no log loads none of the log code to tell an input's kind.
@@ -17,13 +18,24 @@ import contextlib
 import csv
 import io
 import json
+import re
 import reprlib
 from collections.abc import Sequence
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import MalformedLine, MalformedRow, ParseError
 
 _MANIFEST_SUFFIX = ".manifest.json"
+# The deepest nesting a JSON input may hold: a JSONL line (a record nests 2
+# deep), a manifest sidecar, a JSON table or a cohort spec. A declared limit
+# (RFC 8259 section 9) makes which inputs are accepted the same in every
+# process: json's depth depends on the recursion limit and on how deep the
+# caller's stack is, and orjson 3.8 has no limit at all.
+MAX_DEPTH = 100
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)  # a JSON string, closed or not
+_NOT_BRACKETS = re.compile(r"[^\[\]{}]+")
+_STEPS = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def manifest_path(path: Path) -> Path:
@@ -150,15 +162,38 @@ def require_distinct_columns(names: Sequence[str], path: Path) -> None:
         seen.add(name)
 
 
+def _too_deep(text: str) -> bool:
+    """Whether a JSON text nests deeper than ``MAX_DEPTH``.
+
+    Read from its start, outside strings, the brackets ``[`` and ``{``
+    opened less those ``]`` and ``}`` closed exceed ``MAX_DEPTH`` somewhere.
+    A string runs from a ``"`` to the next one not escaped by a backslash,
+    or to the end of the text. A text with no more opening brackets than
+    ``MAX_DEPTH`` is decided by counting them; in any other, the strings and
+    then every character but the brackets are cut out before the brackets
+    are summed.
+    """
+    if text.count("[") + text.count("{") <= MAX_DEPTH:
+        return False
+    brackets = _NOT_BRACKETS.sub("", _STRING.sub("", text))
+    return max(accumulate(map(_STEPS.__getitem__, brackets)), default=0) > MAX_DEPTH
+
+
+def json_value(text: str) -> object:
+    """json's value of a text; ValueError if it nests deeper than ``MAX_DEPTH`` or is
+    not one JSON value (or holds an integer of more digits than Python converts)."""
+    if _too_deep(text):
+        raise ValueError(f"nested deeper than {MAX_DEPTH} levels")
+    return json.loads(text)
+
+
 def read_json(path: Path, error: type[ParseError] = ParseError, prefix: str = "") -> object:
-    """The JSON value of a whole :func:`read_text` file; text that is not JSON is an ``error``."""
+    """The :func:`json_value` of a whole :func:`read_text` file; a ValueError is an
+    ``error``."""
     try:
-        return json.loads(read_text(path))
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
-        reason = str(exc)
-    except RecursionError:
-        reason = "nested too deeply"
-    raise error(f"{prefix}not valid JSON: {reason}", path=str(path))
+        return json_value(read_text(path))
+    except ValueError as exc:
+        raise error(f"{prefix}not valid JSON: {exc}", path=str(path)) from None
 
 
 NAME_ARRAY = "array of strings, numbers, booleans or nulls"  # items read as record cells are

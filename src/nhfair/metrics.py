@@ -36,13 +36,9 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, eq, mul, not_
 
-from .columns import EvaluationRun
 from .config import EQODD_VARIANTS
-from .errors import (
-    AllGroupsDegenerate,
-    InternalInvariantViolation,
-    NoEvaluableClass,
-)
+from .errors import AllGroupsDegenerate, NoEvaluableClass
+from .records import EvaluationRun
 from .selection import GroupUtilityVector, RunResult
 
 
@@ -214,12 +210,6 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRes
     else:
         utilities, warnings = group_accuracy(t), []
         overall = sum(map(_correct, t.counts)) / len(run.sample_ids)
-        values = utilities.values_in_order()
-        if not (min(values) - 1e-12 <= overall <= max(values) + 1e-12):
-            raise InternalInvariantViolation(
-                f"pooled accuracy {overall} outside group accuracy range "
-                f"[{min(values)}, {max(values)}]"
-            )
     dp = demographic_parity(t, run.manifest.label_space.positive_label)
     eqodd, eq_warnings = equalized_odds(t, variant=eqodd_variant)
     thin = [

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math as _math
 import warnings as _warnings
 
-from .columns import EvaluationRun
 from .errors import (
     AllGroupsDegenerate,
     AdvantageTieWarning,
@@ -23,6 +22,7 @@ from .errors import (
     NoEvaluableClass,
     SelectionError,
 )
+from .records import EvaluationRun
 from .selection import ZONE_ORDER, GroupUtilityVector, RunResult, SelectionResult, Zone
 
 

@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec
-from .columns import EvaluationRun, code_type
 from .inputs import read_json, require_json_type
-from .records import GroupSpace, LabelSpace, RunManifest
+from .records import EvaluationRun, GroupSpace, LabelSpace, RunManifest, code_type
 
 _PRIOR_TOL = 1e-9
 

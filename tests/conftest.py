@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from nhfair.columns import EvaluationRun
 from nhfair.records import (
+    EvaluationRun,
     GroupSpace,
     LabelSpace,
     PredictionRecord,

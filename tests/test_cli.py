@@ -576,12 +576,12 @@ import json, sys
 from nhfair import cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
-heavy = ("numpy", "orjson", "nhfair.columns", "nhfair.metrics", "nhfair.records",
-         "nhfair.selection", "nhfair.stats", "nhfair.svgplot", "nhfair.synth", "nhfair.tables")
+heavy = ("numpy", "orjson", "nhfair.metrics", "nhfair.records", "nhfair.selection",
+         "nhfair.stats", "nhfair.svgplot", "nhfair.synth", "nhfair.tables")
 print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
 """
 
-_LOG_CODE = ["nhfair.columns", "nhfair.metrics", "nhfair.records", "nhfair.selection"]
+_LOG_CODE = ["nhfair.metrics", "nhfair.records", "nhfair.selection"]
 _RANK_CODE = ["nhfair.stats", "nhfair.svgplot", "nhfair.tables"]
 
 
@@ -1399,6 +1399,82 @@ def test_missing_or_surplus_input_exits_2(tmp_path, capsys, monkeypatch, argv, m
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def _log_lines(*records: tuple[str, str, str, str], scores: dict | None = None) -> str:
+    fields = ("sample_id", "y", "y_hat", "group")
+    extra = {} if scores is None else {"scores": scores}
+    return "".join(json.dumps({**dict(zip(fields, r)), **extra}) + "\n" for r in records)
+
+
+_LOG_LINES = _log_lines(("s1", "pos", "pos", "A"), ("s2", "neg", "neg", "B"),
+                        ("s3", "neg", "pos", "B"), ("s4", "neg", "neg", "A"))
+
+
+def _sidecar(**changes: object) -> str:
+    return json.dumps({**json.loads(_LOG_MANIFEST), **changes})
+
+
+_BAD_SIDECARS = {  # id: sidecar changes, reason
+    "repeated labels": ({"labels": ["neg", "neg"]}, "labels must be distinct"),
+    "one group": ({"groups": ["A"]}, "group space needs at least 2 groups"),
+    "split dev": ({"split": "dev"},
+                  "split must be one of ('train', 'validation', 'test'), got 'dev'"),
+    "utility_kind f1": ({"utility_kind": "f1"},
+                        "utility_kind must be one of ('accuracy', 'auc'), got 'f1'"),
+    "auc with three labels": ({"utility_kind": "auc", "labels": ["a", "b", "c"]},
+                              "auc runs require a binary label space"),
+}
+_LOG = {"run.jsonl": _LOG_LINES, "run.manifest.json": _LOG_MANIFEST}
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({**_LOG, "summ.csv": "run_id,method,a,b,overall\nr1,m,0.8,0.7,0.75\n"},
+         ["evaluate", "run.jsonl", "summ.csv"],
+         "evaluate expects prediction logs, got summary file(s): summ.csv"),
+        (_LOG, ["select-erm", "*.json"], "no candidates matched: *.json"),
+        ({"auc1.jsonl": _log_lines(("s1", "pos", "pos", "A"), ("s2", "neg", "pos", "B"),
+                                   scores={"neg": 0.3, "pos": 0.7}),
+          "auc1.manifest.json": _sidecar(utility_kind="auc")},
+         ["evaluate", "auc1.jsonl"], "auc1.jsonl: no group contains both classes"),
+        ({"empty.csv": ""}, ["select-erm", "empty.csv"],
+         "empty.csv: line 1: empty file, expected a header"),
+        ({"one.csv": "run_id,method,overall,A\nr1,m,0.8,0.7\n"}, ["select-erm", "one.csv"],
+         "one.csv: line 1: header must name at least 2 group columns"),
+        ({"long.csv": "x" * 140_000 + ",method,overall,A,B\n"}, ["select-erm", "long.csv"],
+         "long.csv: line 1: unreadable CSV record: field larger than field limit (131072)"),
+        *(({"m.jsonl": _LOG_LINES, "m.manifest.json": _sidecar(**changes)},
+           ["evaluate", "m.jsonl"], f"m.manifest.json: bad manifest: {reason}")
+          for changes, reason in _BAD_SIDECARS.values()),
+    ],
+    ids=["summary among logs", "only sidecars matched", "auc groups of one class",
+         "empty summary", "one group column", "field past the csv limit",
+         *(f"sidecar {name}" for name in _BAD_SIDECARS)],
+)
+def test_input_fault_exits_2_with_its_whole_message(tmp_path, capsys, monkeypatch, files, argv,
+                                                    message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_log_name_that_is_no_glob_of_itself_is_read_as_a_literal_path(tmp_path, capsys,
+                                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for stem in ("r[1]", "run"):  # the pattern r[1].jsonl matches only r1.jsonl
+        Path(f"{stem}.jsonl").write_text(_LOG_LINES, encoding="utf-8")
+        Path(f"{stem}.manifest.json").write_text(_LOG_MANIFEST, encoding="utf-8")
+    outputs = []
+    for log in ("r[1].jsonl", "run.jsonl"):
+        assert main(["evaluate", log]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == "" and outputs[0].out.startswith("method,dataset,")
+
+
 class TestSelectFwh:
     def test_baseline_by_run_id(self, summary_csv, capsys):
         assert main(["select-fwh", "--baseline", "erm1", str(summary_csv)]) == 0
@@ -1620,7 +1696,7 @@ def _agg_json() -> str:
 _ROW = '{"method": "m", "dataset": "d", "split": "", "n_seeds": 1, "metrics": {"gap": %s}}'
 _BAD_JSON = {  # id: (table text, start of the message after the path)
     "csv": ("method,dataset,gap\n", "not valid JSON: Expecting value: line 1 column 1"),
-    "deep": ("[" * 100_000, "not valid JSON: nested too deeply"),
+    "deep": ("[" * 100_000, "not valid JSON: nested deeper than 100 levels"),
     "long integer": ("[1" + "0" * 5000 + "]", "not valid JSON: "),
     "object": ('{"rows": []}', "expected a JSON array of table rows"),
     "number row": ("[1]", "row 1: expected a JSON object, got 1"),
@@ -1798,7 +1874,9 @@ class TestConfig:
         cfg.write_text("# a\fb\ntolerance = -1\n", encoding="utf-8")
         assert main(["select-fwh", "--config", str(cfg), "--baseline", "erm1",
                      str(summary_csv)]) == 2
-        assert capsys.readouterr().err == "error: tolerance must be >= 0, got -1.0\n"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: key 'tolerance': must be >= 0, got -1.0\n"
+        )
 
     def test_unknown_key_exits_2(self, tmp_path, summary_csv):
         cfg = tmp_path / "engine.cfg"
@@ -1814,8 +1892,14 @@ class TestConfig:
             ("tolerance = 0.1\njobs\n", "{cfg}: line 2: expected key = value"),
             (None, "config file not found: {cfg}"),
             ("", "{cfg}: is a directory, expected a file"),
+            ("units = percent\nformat = xml\n",
+             "{cfg}: line 2: key 'format': must be one of ('csv', 'json', 'md'), got 'xml'"),
+            ("# a\ntolerance = -1\n", "{cfg}: line 2: key 'tolerance': must be >= 0, got -1.0"),
+            ("alpha = 0.2\n", "{cfg}: line 1: key 'alpha': must be 0.05 or 0.10, got 0.2"),
+            ("jobs = 0\n", "{cfg}: line 1: key 'jobs': must be >= 1, got 0"),
         ],
-        ids=["bad-integer", "bad-boolean", "no-equals", "missing", "directory"],
+        ids=["bad-integer", "bad-boolean", "no-equals", "missing", "directory", "bad-choice",
+             "bad-tolerance", "bad-alpha", "bad-jobs"],
     )
     def test_config_file_errors_name_the_file(self, tmp_path, summary_csv, capsys, text,
                                                message):
@@ -1826,6 +1910,16 @@ class TestConfig:
             cfg.write_text(text, encoding="utf-8")
         assert main(["select-erm", "--config", str(cfg), str(summary_csv)]) == 2
         assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+    def test_a_bad_file_value_fails_also_where_a_flag_overrides_it(self, tmp_path, summary_csv,
+                                                                    capsys):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("tolerance = -1\n", encoding="utf-8")
+        assert main(["select-fwh", "--config", str(cfg), "--tolerance", "0.1",
+                     "--baseline", "erm1", str(summary_csv)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 1: key 'tolerance': must be >= 0, got -1.0\n"
+        )
 
     @pytest.mark.parametrize("text, value", [("TRUE", True), ("1", True), ("False", False),
                                              ("0", False)])

@@ -23,8 +23,7 @@ from nhfair.metrics import (
     pooled_auc,
     worst,
 )
-from nhfair.columns import EvaluationRun
-from nhfair.records import GroupSpace, LabelSpace, RunManifest
+from nhfair.records import EvaluationRun, GroupSpace, LabelSpace, RunManifest
 
 
 class TestConfusion:
@@ -699,3 +698,36 @@ def test_kernels_equal_the_numpy_kernels_they_replaced(run, variant):
         return
     assert (dict(got.group_utilities.utility), got.overall, got.dp, got.eqodd,
             got.warnings) == want
+
+
+@st.composite
+def accuracy_runs(draw):
+    """Accuracy runs of 2 or 3 groups of 1 to 5,000 records, each group with any count
+    of correct predictions. Each group's first record is of class l0, so eqodd always
+    has a class to compare."""
+    groups = GROUPS3[: draw(st.integers(2, 3))]
+    sizes = st.one_of(st.integers(1, 3), st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group, y, y_hat = [], [], []
+    for g in range(len(groups)):
+        size = draw(sizes)
+        correct = draw(st.integers(0, size))
+        truth = [0, *rng.integers(0, 2, size - 1).tolist()]
+        group += [g] * size
+        y += truth
+        y_hat += [t if i < correct else 1 - t for i, t in enumerate(truth)]
+    manifest = RunManifest(
+        method="m", dataset="d", seed=0, split="test", utility_kind="accuracy",
+        label_space=LabelSpace(labels=("l0", "l1")), group_space=GroupSpace(groups=groups),
+    )
+    return EvaluationRun(manifest, [f"s{i:05d}" for i in range(len(y))], group, y, y_hat)
+
+
+@given(accuracy_runs())
+@settings(max_examples=200, deadline=None)
+def test_pooled_accuracy_lies_within_the_group_accuracies_exactly(run):
+    # pooled accuracy sum(c_g) / sum(n_g) is a mediant of the group rates c_g / n_g;
+    # each is one correctly rounded division and rounding is monotone, so no slack
+    report = metric_report(run)
+    values = report.group_utilities.values_in_order()
+    assert min(values) <= report.overall <= max(values)

@@ -23,9 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_run
-from nhfair import columns
+from nhfair import inputs, records
 from nhfair.cli import main
-from nhfair.columns import MAX_DEPTH, Check, EvaluationRun, _finish_run, _raise_first
 from nhfair.errors import (
     DuplicateSampleId,
     EmptyGroup,
@@ -38,11 +37,16 @@ from nhfair.errors import (
     UtilityOutOfRange,
 )
 from nhfair.errors import AllGroupsDegenerate, NoEvaluableClass
+from nhfair.inputs import MAX_DEPTH
 from nhfair.metrics import metric_report
 from nhfair.oracle import oracle_metrics
 from nhfair.records import (
     SIDECAR_KEYS,
+    Check,
+    EvaluationRun,
+    _finish_run,
     _load_manifest,
+    _raise_first,
     GroupSpace,
     LabelSpace,
     PredictionRecord,
@@ -612,7 +616,7 @@ def reference_finish_run(
     checks: list[Check],
     pending: ParseError | None = None,
 ) -> EvaluationRun:
-    """``columns._finish_run`` written with a ``str`` copy of every cell and an argsort.
+    """``records._finish_run`` written with a ``str`` copy of every cell and an argsort.
 
     Every cell is mapped through ``str`` before its lookup, repeated ids
     are found by comparing neighbours after a stable sort, whose order also
@@ -799,6 +803,63 @@ def test_a_line_nested_deeper_than_the_limit_is_malformed_under_any_recursion_li
         assert str(err.value) == message
 
 
+def with_deep_key(doc: object) -> str:
+    """The JSON text of ``doc``, an object or an array of objects, whose first object
+    holds an extra key with 1,100 nested arrays."""
+    text = json.dumps(doc)
+    end = text.index("}")
+    return f'{text[:end]}, "deep": {"[" * 1100}{"]" * 1100}{text[end:]}'
+
+
+def deep_inputs(tmp_path: Path) -> dict[str, tuple[list[str], Path]]:
+    """Per whole-file JSON input a command reads, its argv and the file nested too deep."""
+    log = write_fixture(tmp_path, [OK1, OK2, OK3, record_line("s4", "neg", "neg", "A"),
+                                   record_line("s5", "pos", "neg", "B")])
+    sidecar = tmp_path / "run.manifest.json"
+    sidecar.write_text(with_deep_key(MANIFEST), encoding="utf-8")
+    rows = [
+        {"method": method, "dataset": dataset, "split": "test", "utility_kind": "accuracy",
+         "n_seeds": 1, "metrics": {"gap": {"mean": mean, "std": 0.0}}, "warnings": []}
+        for mean, (method, dataset) in enumerate([("a", "d1"), ("a", "d2"), ("b", "d1"),
+                                                  ("b", "d2")])
+    ]
+    table = tmp_path / "agg.json"
+    table.write_text(with_deep_key(rows), encoding="utf-8")
+    return {
+        "sidecar": (["evaluate", str(log)], sidecar),
+        "table": (["compare", "--metric", "gap", "--out", str(tmp_path / "cd.json"),
+                   "--svg", str(tmp_path / "cd.svg"), str(table)], table),
+    }
+
+
+@pytest.mark.parametrize("kind", ["sidecar", "table"])
+def test_a_json_file_nested_deeper_than_the_limit_exits_2_under_any_recursion_limit(
+    tmp_path, capsys, kind
+):
+    argv, path = deep_inputs(tmp_path)[kind]
+    prefix = "manifest is " if kind == "sidecar" else ""
+    errors = []
+    for limit in (stack_depth() + 150, 10_000):
+        with recursion_limit(limit):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == [f"error: {path}: {prefix}not valid JSON: nested deeper than 100 levels\n"] * 2
+
+
+def test_a_cohort_spec_nested_deeper_than_the_limit_is_a_parse_error_under_any_recursion_limit(
+    tmp_path,
+):
+    spec = tmp_path / "spec.json"
+    data = Path(__file__).parent / "data" / "cohort_binary.json"
+    spec.write_text(with_deep_key(json.loads(data.read_text(encoding="utf-8"))), encoding="utf-8")
+    for limit in (stack_depth() + 150, 10_000):
+        with recursion_limit(limit), pytest.raises(ParseError) as err:
+            CohortSpec.load(spec)
+        assert str(err.value) == f"{spec}: not valid JSON: nested deeper than 100 levels"
+
+
 def json_depth(text: str) -> int:
     """How deep json reads a JSON text to nest, found level by level (no recursion)."""
     with recursion_limit(10_000):  # an object as the list of its values, repeated keys kept
@@ -847,8 +908,8 @@ def nested_texts(draw) -> tuple[str, str]:
 def test_depth_scan_agrees_with_json_and_skips_strings_closed_or_open(texts, end):
     closed, cut = texts
     too_deep = json_depth(closed) > MAX_DEPTH
-    assert columns._too_deep(closed + end) is too_deep
-    assert columns._too_deep(cut + end) is too_deep
+    assert inputs._too_deep(closed + end) is too_deep
+    assert inputs._too_deep(cut + end) is too_deep
 
 
 # The JSONL decoder reads lines with orjson where json reads them alike; the
@@ -990,8 +1051,8 @@ def test_a_label_beyond_64_bits_is_read_as_json_reads_it(tmp_path):
     path = write_fixture(tmp_path, [
         record_line("s1", 2**64, 2**64, "A"), record_line("s2", "neg", "neg", "B"),
     ], manifest)
-    lines, cells, maps, pending = columns._decode_jsonl(path, orjson.loads)
-    scores, checks = columns._mapped_scores(maps, tuple(manifest["labels"]))
+    lines, cells, maps, pending = records._decode_jsonl(path, orjson.loads)
+    scores, checks = records._mapped_scores(maps, tuple(manifest["labels"]))
     with pytest.raises(UnknownLabel, match="label '1.8446744073709552e\\+19' not in manifest"):
         _finish_run(_load_manifest(path), str(path), lines, cells, scores, checks, pending)
     assert [rec.true_label for rec in parse_run(path).records] == [WIDE, "neg"]
@@ -1007,14 +1068,14 @@ def test_a_log_is_decoded_again_only_for_a_cell_beyond_64_bits(
 ):
     path = write_fixture(tmp_path, lines, dict(MANIFEST, labels=["neg", "pos", WIDE]))
     calls = []
-    decode = columns._decode_jsonl
+    decode = records._decode_jsonl
     monkeypatch.setattr(
-        columns, "_decode_jsonl", lambda *args: calls.append(args[1]) or decode(*args)
+        records, "_decode_jsonl", lambda *args: calls.append(args[1]) or decode(*args)
     )
     with contextlib.suppress(UnknownGroup):
         parse_run(path)
     assert calls[0] is orjson.loads
-    assert calls[1:] == [columns._json_line] * (decodes - 1)
+    assert calls[1:] == [records._json_line] * (decodes - 1)
 
 
 def test_a_file_of_another_suffix_is_no_record_format(tmp_path):
