@@ -2,7 +2,8 @@
 
 Every export is resolved on first access (PEP 562), so importing the
 package, or a command that reads only summary tables, loads none of the
-log and metric code. Only ``nhfair.synth`` loads numpy.
+log and metric code. Only ``nhfair.synth`` loads numpy, which the
+``synth`` extra installs.
 """
 
 from importlib import import_module

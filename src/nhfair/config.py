@@ -1,10 +1,12 @@
 """Engine configuration: defaults < config file < command-line flags.
 
-Every option is declared once, as a field of :class:`EngineConfig` whose
-metadata holds its value type, help text, allowed choices or check, and
-the subcommands that take it as a flag. That one declaration types the
-config file, validates the merged configuration, and registers each
-subcommand's flags (:func:`add_flags`).
+Every option is declared once, as a row of :data:`OPTIONS`: its name,
+its default, and metadata that holds its value type, help text, allowed
+choices or check, and the subcommands that take it as a flag. That one
+declaration gives :class:`EngineConfig` its attributes and defaults,
+types the config file, validates the merged configuration, and registers
+each subcommand's flags (:func:`add_flags`). The rows are named tuples,
+so that no command loads ``dataclasses`` at start-up.
 
 The config file is flat ``key = value`` text ('#' starts a comment) with
 the same keys as the CLI flags. A file can be named with --config or the
@@ -27,8 +29,8 @@ import argparse
 import io
 import os
 from collections.abc import Callable
-from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .inputs import read_text
@@ -46,23 +48,30 @@ def _at_least(low: float) -> Callable[[float], str | None]:
     return lambda value: None if value >= low else f"must be >= {low}, got {value}"
 
 
+class Option(NamedTuple):
+    """A config key that is also a ``--flag`` of each of its ``metadata["commands"]``
+    (of every command where that is None); ``metadata`` also holds the flag's ``help``,
+    the value's ``type``, and its allowed ``choices`` or ``check``."""
+
+    name: str
+    default: object
+    metadata: dict[str, object]
+
+
 def _option(
+    name: str,
     default: object,
     commands: tuple[str, ...] | None,
     help: str,
     type: Callable[[str], object] = str,
     choices: tuple[str, ...] | None = None,
     check: Callable[[object], str | None] | None = None,
-) -> object:
-    """A config key that is also a ``--flag`` of each command in ``commands``
-    (of every command if ``commands`` is None).
-
-    ``check`` returns what is wrong with a value, or None; a value of None
-    (not given) is never checked.
-    """
+) -> Option:
+    """The option ``name``. ``check`` returns what is wrong with a value, or None; a
+    value of None (not given) is never checked."""
     metadata = {"commands": commands, "help": help, "type": type, "choices": choices,
                 "check": check}
-    return field(default=default, metadata=metadata)
+    return Option(name, default, metadata)
 
 
 def _usable_cpus() -> int:
@@ -82,42 +91,57 @@ def _bool(text: str) -> bool:
     return text.lower() in ("true", "1")
 
 
-@dataclass
-class EngineConfig:
-    tolerance: float = _option(
-        0.0, ("select-fwh",), "no-harm/zone tolerance (default 0)", type=float,
+OPTIONS = (
+    _option(
+        "tolerance", 0.0, ("select-fwh",), "no-harm/zone tolerance (default 0)", type=float,
         check=_at_least(0),
-    )
-    eqodd: str = _option(
-        "diagonal", ("evaluate",), "equalized-odds rates compared (default diagonal)",
+    ),
+    _option(
+        "eqodd", "diagonal", ("evaluate",), "equalized-odds rates compared (default diagonal)",
         choices=EQODD_VARIANTS,
-    )
-    alpha: float = _option(
-        0.05, ("compare",), "Nemenyi alpha, 0.05 or 0.10", type=float, check=_nemenyi_alpha,
-    )
-    units: str = _option(
-        "percent", ("evaluate",), "table cell units (default percent)",
+    ),
+    _option(
+        "alpha", 0.05, ("compare",), "Nemenyi alpha, 0.05 or 0.10", type=float,
+        check=_nemenyi_alpha,
+    ),
+    _option(
+        "units", "percent", ("evaluate",), "table cell units (default percent)",
         choices=("fraction", "percent"),
-    )
-    format: str = _option(
-        "csv", ("evaluate",), "table format (default csv)", choices=("csv", "json", "md"),
-    )
-    metric: str | None = _option(None, ("compare",), "metric to rank", choices=METRIC_NAMES)
-    out: str | None = _option(None, None, "output path (default: stdout)")
-    svg: str | None = _option(
-        None, ("compare",), "SVG output path (default: --out with .svg suffix)",
-    )
-    baseline: str | None = _option(None, ("select-fwh",), "baseline file or candidate run_id")
-    jobs: int = _option(
-        _usable_cpus(), ("evaluate", "select-erm", "select-fwh"),
+    ),
+    _option(
+        "format", "csv", ("evaluate",), "table format (default csv)",
+        choices=("csv", "json", "md"),
+    ),
+    _option("metric", None, ("compare",), "metric to rank", choices=METRIC_NAMES),
+    _option("out", None, None, "output path (default: stdout)"),
+    _option(
+        "svg", None, ("compare",), "SVG output path (default: --out with .svg suffix)",
+    ),
+    _option("baseline", None, ("select-fwh",), "baseline file or candidate run_id"),
+    _option(
+        "jobs", _usable_cpus(), ("evaluate", "select-erm", "select-fwh"),
         "processes that read prediction logs (default: the CPUs this process may use)",
         type=int, check=_at_least(1),
-    )
-    tie_corrected: bool = _option(
-        False, ("compare",), "divide the Friedman statistic by the tie correction",
-        type=_bool,
-    )
-    inputs: list[str] = field(default_factory=list)
+    ),
+    _option(
+        "tie_corrected", False, ("compare",),
+        "divide the Friedman statistic by the tie correction", type=_bool,
+    ),
+)
+_BY_NAME = {option.name: option for option in OPTIONS}
+
+
+class EngineConfig:
+    """The merged configuration: an attribute per option, its default unless given as
+    a keyword, and ``inputs``, the input paths or globs."""
+
+    def __init__(self, *, inputs: list[str] | None = None, **values: object):
+        for name in values:
+            if name not in _BY_NAME:
+                raise TypeError(f"EngineConfig got an unexpected keyword argument {name!r}")
+        for option in OPTIONS:
+            setattr(self, option.name, values.get(option.name, option.default))
+        self.inputs = [] if inputs is None else inputs
 
     def validate(self) -> None:
         for option in OPTIONS:
@@ -126,7 +150,7 @@ class EngineConfig:
                 raise ConfigError(f"{option.name} {problem}")
 
 
-def _problem(option: Field, value: object) -> str | None:
+def _problem(option: Option, value: object) -> str | None:
     """What is wrong with an option's value: outside its choices or failing its check."""
     if value is None:
         return None
@@ -135,10 +159,6 @@ def _problem(option: Field, value: object) -> str | None:
         return f"must be one of {choices}, got {value!r}"
     check = option.metadata["check"]
     return check(value) if check else None
-
-
-OPTIONS: tuple[Field, ...] = tuple(f for f in fields(EngineConfig) if f.metadata)
-_BY_NAME = {option.name: option for option in OPTIONS}
 
 
 def add_flags(parser: argparse.ArgumentParser, command: str) -> None:

@@ -32,9 +32,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, eq, mul, not_
+from typing import NamedTuple
 
 from .config import EQODD_VARIANTS
 from .errors import AllGroupsDegenerate, NoEvaluableClass
@@ -42,8 +42,7 @@ from .records import EvaluationRun
 from .selection import GroupUtilityVector, RunResult
 
 
-@dataclass(frozen=True)
-class ConfusionTensor:
+class ConfusionTensor(NamedTuple):
     """Counts indexed ``counts[group][true label][predicted label]``."""
 
     groups: tuple[str, ...]

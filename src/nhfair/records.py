@@ -34,10 +34,14 @@ json's own encoder, each label and group name once per run; scores by
 ``float.__repr__``), and the bytes are those of one ``json.dumps`` per
 record.
 
-Everything here is an immutable value object, and columns are never
+The manifest model and the records are named tuples, immutable and equal
+to the plain tuple of their fields; ``LabelSpace``, ``GroupSpace`` and
+``RunManifest`` check their fields on construction, through ``_replace``
+too. ``EvaluationRun`` is a plain class, and its columns are never
 modified once a run is built. Parsing is a pure function of the file
 bytes, so files may be parsed concurrently and the results shared across
-threads.
+threads. The module loads no ``dataclasses``, which every command would
+otherwise pay for at start-up.
 """
 
 from __future__ import annotations
@@ -47,12 +51,13 @@ import json
 import math
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, partial
 from itertools import accumulate, count, islice, repeat
 from operator import attrgetter, is_not, itemgetter, le
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DuplicateSampleId,
@@ -94,47 +99,51 @@ _ABSENT = float("nan")
 _BUFFER_TYPES = "?bBhHiIlLqQfd"  # buffer formats of bools and numbers
 
 
-@dataclass(frozen=True)
-class LabelSpace:
-    """Ordered set of class labels; ``positive_label`` anchors binary DP/AUC."""
+def _checked_make(cls, values: Iterable) -> tuple:
+    """A checked named tuple's ``_make``, and so its ``_replace``: through its checks."""
+    return cls(*values)
 
-    labels: tuple[str, ...]
-    positive_label: str = ""
 
-    def __post_init__(self):
-        if len(self.labels) < 2:
+class LabelSpace(namedtuple("LabelSpace", ["labels", "positive_label"])):
+    """Ordered set of class labels; ``positive_label`` (default: the last label)
+    anchors binary DP/AUC."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, labels: tuple[str, ...], positive_label: str = "") -> LabelSpace:
+        if len(labels) < 2:
             raise ValueError("label space needs at least 2 labels")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        if not self.positive_label:
-            object.__setattr__(self, "positive_label", self.labels[-1])
-        elif self.positive_label not in self.labels:
-            raise ValueError(f"positive_label {self.positive_label!r} not in labels")
+        if positive_label and positive_label not in labels:
+            raise ValueError(f"positive_label {positive_label!r} not in labels")
+        return super().__new__(cls, labels, positive_label or labels[-1])
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class GroupSpace:
+class GroupSpace(namedtuple("GroupSpace", ["groups"])):
     """Ordered set of sensitive-group identifiers."""
 
-    groups: tuple[str, ...]
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if len(self.groups) < 2:
+    def __new__(cls, groups: tuple[str, ...]) -> GroupSpace:
+        if len(groups) < 2:
             raise ValueError("group space needs at least 2 groups")
-        if len(set(self.groups)) != len(self.groups):
+        if len(set(groups)) != len(groups):
             raise ValueError("groups must be distinct")
+        return super().__new__(cls, groups)
 
     @property
     def size(self) -> int:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """One sample: true label, predicted label, group, optional score map.
 
     ``scores`` maps labels to probabilities in [0, 1]. A partial map is
@@ -148,25 +157,32 @@ class PredictionRecord:
     scores: dict[str, float] | None = None
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    method: str
-    dataset: str
-    seed: int
-    split: str
-    utility_kind: str
-    label_space: LabelSpace
-    group_space: GroupSpace
+class RunManifest(namedtuple(
+    "RunManifest",
+    ["method", "dataset", "seed", "split", "utility_kind", "label_space", "group_space"],
+)):
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if self.utility_kind not in UTILITY_KINDS:
-            raise ValueError(
-                f"utility_kind must be one of {UTILITY_KINDS}, got {self.utility_kind!r}"
-            )
-        if self.utility_kind == "auc" and self.label_space.size != 2:
+    def __new__(
+        cls,
+        method: str,
+        dataset: str,
+        seed: int,
+        split: str,
+        utility_kind: str,
+        label_space: LabelSpace,
+        group_space: GroupSpace,
+    ) -> RunManifest:
+        if split not in SPLITS:
+            raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+        if utility_kind not in UTILITY_KINDS:
+            raise ValueError(f"utility_kind must be one of {UTILITY_KINDS}, got {utility_kind!r}")
+        if utility_kind == "auc" and label_space.size != 2:
             raise ValueError("auc runs require a binary label space")
+        return super().__new__(
+            cls, method, dataset, seed, split, utility_kind, label_space, group_space
+        )
 
     @property
     def run_id(self) -> str:
@@ -178,25 +194,26 @@ class RunManifest:
                 "seed": self.seed, "split": self.split}
 
 
+class SidecarKey(NamedTuple):
+    """A key of a manifest sidecar: its JSON ``kind``, the ``source`` of its value in a
+    RunManifest, and the ``default`` of an optional key (None: the key is required)."""
 
-@dataclass
-class _Sidecar:
-    """The keys of a manifest sidecar in the order written, each with its JSON ``kind`` and
-    the ``source`` of its value in a RunManifest; a key with a default is optional."""
-
-    method: str = field(metadata={"kind": "string", "source": "method"})
-    dataset: str = field(metadata={"kind": "string", "source": "dataset"})
-    seed: int = field(metadata={"kind": "integer", "source": "seed"})
-    split: str = field(metadata={"kind": "string", "source": "split"})
-    utility_kind: str = field(metadata={"kind": "string", "source": "utility_kind"})
-    labels: list = field(metadata={"kind": NAME_ARRAY, "source": "label_space.labels"})
-    groups: list = field(metadata={"kind": NAME_ARRAY, "source": "group_space.groups"})
-    positive_label: str = field(
-        default="", metadata={"kind": "string", "source": "label_space.positive_label"}
-    )
+    name: str
+    kind: str
+    source: str
+    default: str | None = None
 
 
-SIDECAR_KEYS = fields(_Sidecar)
+SIDECAR_KEYS = (  # in the order written
+    SidecarKey("method", "string", "method"),
+    SidecarKey("dataset", "string", "dataset"),
+    SidecarKey("seed", "integer", "seed"),
+    SidecarKey("split", "string", "split"),
+    SidecarKey("utility_kind", "string", "utility_kind"),
+    SidecarKey("labels", NAME_ARRAY, "label_space.labels"),
+    SidecarKey("groups", NAME_ARRAY, "group_space.groups"),
+    SidecarKey("positive_label", "string", "label_space.positive_label", default=""),
+)
 
 
 def _load_manifest(record_path: Path) -> RunManifest:
@@ -205,10 +222,10 @@ def _load_manifest(record_path: Path) -> RunManifest:
         raise ParseError(f"manifest sidecar not found: {mpath}", path=str(record_path))
     raw = read_json(mpath, MalformedLine, "manifest is ")
     try:  # the presence of each required key, then each key's JSON type, in table order
-        doc = {k.name: raw[k.name] if k.default is MISSING else raw.get(k.name, k.default)
+        doc = {k.name: raw[k.name] if k.default is None else raw.get(k.name, k.default)
                for k in SIDECAR_KEYS}
         for key in SIDECAR_KEYS:
-            require_json_type(key.name, doc[key.name], key.metadata["kind"])
+            require_json_type(key.name, doc[key.name], key.kind)
         labels = LabelSpace(tuple(map(str, doc.pop("labels"))), doc.pop("positive_label"))
         groups = GroupSpace(tuple(map(str, doc.pop("groups"))))
         manifest = RunManifest(**doc, label_space=labels, group_space=groups)
@@ -267,7 +284,6 @@ def _same_scores(a: tuple[array, ...] | None, b: tuple[array, ...] | None) -> bo
     )
 
 
-@dataclass(frozen=True, eq=False)
 class EvaluationRun:
     """One run's records as columns, sorted by ``sample_id`` on construction.
 
@@ -287,16 +303,23 @@ class EvaluationRun:
     group: array
     y: array
     y_hat: array
-    scores: tuple[array, ...] | None = None
+    scores: tuple[array, ...] | None
 
-    def __post_init__(self):
-        keys = tuple(self.sample_ids)
+    def __init__(
+        self,
+        manifest: RunManifest,
+        sample_ids: Sequence[str],
+        group: Sequence,
+        y: Sequence,
+        y_hat: Sequence,
+        scores: Sequence[Sequence] | None = None,
+    ):
+        keys = tuple(sample_ids)
         n = len(keys)
         order: list[int] | None = None
         if not all(map(le, keys, islice(keys, 1, None))):  # in order already, as nhfair writes logs
             order = sorted(range(n), key=keys.__getitem__)
             keys = tuple(map(keys.__getitem__, order))
-        object.__setattr__(self, "sample_ids", keys)
 
         def column(name: str, values: Sequence, typecode: str) -> array:
             if len(values) != n:
@@ -304,23 +327,22 @@ class EvaluationRun:
             copy = _column(values, typecode)  # never the caller's sequence
             return copy if order is None else array(typecode, map(copy.__getitem__, order))
 
-        n_labels = self.manifest.label_space.size
+        n_labels = manifest.label_space.size
         code = code_type(n_labels)
-        object.__setattr__(self, "group", column(
-            "group", self.group, code_type(self.manifest.group_space.size)
-        ))
-        object.__setattr__(self, "y", column("y", self.y, code))
-        object.__setattr__(self, "y_hat", column("y_hat", self.y_hat, code))
-        scores = None
-        if self.scores is not None:
-            if len(self.scores) != n_labels:
+        self.manifest = manifest
+        self.sample_ids = keys
+        self.group = column("group", group, code_type(manifest.group_space.size))
+        self.y = column("y", y, code)
+        self.y_hat = column("y_hat", y_hat, code)
+        self.scores = None
+        if scores is not None:
+            if len(scores) != n_labels:
                 raise ValueError(
-                    f"scores has {len(self.scores)} columns, expected one per label ({n_labels})"
+                    f"scores has {len(scores)} columns, expected one per label ({n_labels})"
                 )
-            scores = tuple(column("scores", values, "d") for values in self.scores)
-            if not any(value == value for values in scores for value in values):
-                scores = None  # no score present: a run without scores
-        object.__setattr__(self, "scores", scores)
+            columns = tuple(column("scores", values, "d") for values in scores)
+            if any(value == value for values in columns for value in values):
+                self.scores = columns  # else no score present: a run without scores
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EvaluationRun):
@@ -908,7 +930,7 @@ def write_run(run: EvaluationRun, path: str | Path) -> None:
     format = _record_format(path)
     if format == "csv":
         require_csv_text(run, path)  # before any file is written
-    mdoc = {key.name: attrgetter(key.metadata["source"])(run.manifest) for key in SIDECAR_KEYS}
+    mdoc = {key.name: attrgetter(key.source)(run.manifest) for key in SIDECAR_KEYS}
     manifest_path(path).write_text(json.dumps(mdoc, indent=2) + "\n", encoding="utf-8")
     if format == "jsonl":
         with path.open("w", encoding="utf-8") as handle:

@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     AdvantageTieWarning,
@@ -50,8 +50,7 @@ from .errors import (
 from .inputs import read_csv_table, require_distinct_columns
 
 
-@dataclass(frozen=True)
-class GroupUtilityVector:
+class GroupUtilityVector(NamedTuple):
     """Per-group utility (accuracy or AUC), each value in [0, 1]."""
 
     utility: dict[str, float]
@@ -78,25 +77,25 @@ class Zone(str, Enum):
 ZONE_ORDER = (Zone.OPTIMAL, Zone.SUB_OPTIMAL, Zone.DEGRADATION, Zone.UNWANTED)
 
 
-@dataclass(frozen=True, kw_only=True)
-class RunResult:
+class RunResult(NamedTuple):
     """One scored run: a row of the seed-aggregated table and a selection candidate.
 
     A run read from a log carries its manifest's identity; a summary-table
     row leaves ``dataset``, ``seed`` and ``split`` empty, and ``dp`` and
     ``eqodd`` None where the table has no such column. ``worst`` and
-    ``gap`` are the minimum and the spread of ``group_utilities``.
+    ``gap`` are the minimum and the spread of ``group_utilities``. The
+    fields with a default come last; callers pass every field by keyword.
     """
 
     run_id: str
     method: str
-    dataset: str = ""
-    seed: int | None = None
-    split: str = ""
     group_utilities: GroupUtilityVector
     overall: float
     worst: float
     gap: float
+    dataset: str = ""
+    seed: int | None = None
+    split: str = ""
     dp: float | None = None
     eqodd: float | None = None
     warnings: tuple[str, ...] = ()
@@ -219,13 +218,11 @@ def parse_summaries(path: str | Path) -> list[RunResult]:
     return summaries
 
 
-@dataclass(frozen=True)
-class UtopiaPoint:
+class UtopiaPoint(NamedTuple):
     coordinates: dict[str, float]
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     selected: RunResult | None
     zone: Zone | None
     tally: dict[Zone, int]
@@ -255,8 +252,7 @@ class SelectionResult:
         }
 
 
-@dataclass(frozen=True)
-class ZoneTally:
+class ZoneTally(NamedTuple):
     """Per-method zone counts of the *selected* model across datasets."""
 
     counts: dict[Zone, int]

@@ -15,8 +15,7 @@ conclusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import METRIC_NAMES
 from .errors import (
@@ -60,8 +59,7 @@ _Q_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(NamedTuple):
     methods: tuple[str, ...]
     blocks: tuple[str, ...]
     ranks: tuple[tuple[float, ...], ...]  # per block, each method's rank; ties averaged

@@ -5,8 +5,11 @@ prior, and the row-stochastic confusion behavior (true label -> predicted
 label distribution). Generation is driven by numpy's default PCG64
 generator seeded from the spec, so the same spec always produces a
 byte-identical run on any platform. This is the one module that loads
-numpy; its draws are handed to ``EvaluationRun`` as arrays of the run's
-own typecodes, which the run copies into its columns as bytes.
+numpy, which only the ``synth`` extra installs (``nhfair[synth]``;
+without it, importing this module raises ImportError naming the extra),
+and the one that declares a dataclass, as no command loads it. Its draws
+are handed to ``EvaluationRun`` as arrays of the run's own typecodes,
+which the run copies into its columns as bytes.
 
 Scores are per-class probability vectors that sum to one. With
 score_noise = 0 they are one-hot on the predicted label; larger noise
@@ -20,7 +23,12 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError as exc:
+    raise ImportError(
+        "nhfair.synth needs numpy, which the synth extra installs: pip install 'nhfair[synth]'"
+    ) from exc
 
 from .errors import InvalidSpec
 from .inputs import read_json, require_json_type

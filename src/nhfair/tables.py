@@ -17,8 +17,8 @@ import io
 import json
 import math
 import reprlib
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import METRIC_NAMES
 from .errors import ParseError
@@ -56,8 +56,7 @@ def parse_mean_std(cell: str) -> tuple[float, float]:
     return mean, std
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     method: str
     dataset: str
     split: str

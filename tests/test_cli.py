@@ -26,7 +26,7 @@ import nhfair
 from conftest import make_run
 from nhfair import cli, stats
 from nhfair.cli import build_parser, main
-from nhfair.config import OPTIONS, build_config
+from nhfair.config import OPTIONS, EngineConfig, build_config
 from nhfair.metrics import metric_report
 from nhfair.records import parse_run, write_run
 from nhfair.selection import parse_summaries
@@ -570,14 +570,15 @@ def test_out_dev_stdout_writes_to_the_stdout_given(tmp_path):
 
 
 # Runs ``cli.main`` on the argv given as JSON (none: only imports the CLI) in
-# a fresh interpreter, then prints the exit code and which heavy modules it loaded.
+# a fresh interpreter, then prints the exit code and which heavy modules it loaded
+# (dataclasses and inspect are heavy at start-up: no command may load them).
 _CHILD = """
 import json, sys
 from nhfair import cli
 argv = json.loads(sys.argv[1])
 code = None if argv is None else cli.main(argv)
-heavy = ("numpy", "orjson", "nhfair.metrics", "nhfair.records", "nhfair.selection",
-         "nhfair.stats", "nhfair.svgplot", "nhfair.synth", "nhfair.tables")
+heavy = ("dataclasses", "inspect", "numpy", "orjson", "nhfair.metrics", "nhfair.records",
+         "nhfair.selection", "nhfair.stats", "nhfair.svgplot", "nhfair.synth", "nhfair.tables")
 print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
 """
 
@@ -609,7 +610,7 @@ def test_only_commands_that_read_a_log_load_the_log_code(tmp_path, argv, loaded)
     """Each command loads only the modules it runs: only a log loads the run model and
     the log and metric code, only a JSONL log orjson, only a summary table or a log
     selection, only evaluate and compare the rank statistics and the table code, only
-    a plot the plot code; none loads numpy."""
+    a plot the plot code; none loads numpy, dataclasses or inspect."""
     _path_inputs(tmp_path)
     write_run(generate(spec_for(1), method="m", dataset="d"), tmp_path / "log.csv")
     child = subprocess.run(
@@ -660,6 +661,28 @@ def test_log_commands_load_no_numpy(tmp_path):
     assert json.loads(child.stdout) == [[0] * len(argvs), False], child.stderr
     for i in range(3):  # the default --jobs and --jobs 1 write the same bytes
         assert (tmp_path / f"out{i}-0").read_bytes() == (tmp_path / f"out{i}-2").read_bytes()
+
+
+def test_synth_without_numpy_names_the_extra(tmp_path):
+    """numpy is the synth extra: without it, importing the generator fails naming the
+    extra, and the commands still run."""
+    argv = ["select-erm", "--out", "erm.json", "summ.csv"]
+    code = f"""
+import sys
+sys.modules["numpy"] = None  # import numpy fails, as where it is not installed
+from nhfair import cli
+assert cli.main({argv!r}) == 0
+import nhfair.synth
+"""
+    _path_inputs(tmp_path)
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                           capture_output=True, text=True, check=False)
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.endswith(
+        "ImportError: nhfair.synth needs numpy, which the synth extra installs: "
+        "pip install 'nhfair[synth]'\n"
+    ), child.stderr
+    assert (tmp_path / "erm.json").stat().st_size > 0
 
 
 # The (module, attribute) pairs that the benchmark's tracer replaces with
@@ -1250,7 +1273,7 @@ def test_selection_from_logs_equals_selection_from_their_summary_table(run_dir, 
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
     # a summary row is the log's result without the manifest's dataset, seed and split
     assert parse_summaries(table) == [
-        dataclasses.replace(r, dataset="", seed=None, split="", warnings=()) for r in results
+        r._replace(dataset="", seed=None, split="", warnings=()) for r in results
     ]
     for command in (["select-erm"], ["select-fwh", "--baseline", results[0].run_id]):
         outputs = []
@@ -1446,10 +1469,14 @@ _LOG = {"run.jsonl": _LOG_LINES, "run.manifest.json": _LOG_MANIFEST}
         *(({"m.jsonl": _LOG_LINES, "m.manifest.json": _sidecar(**changes)},
            ["evaluate", "m.jsonl"], f"m.manifest.json: bad manifest: {reason}")
           for changes, reason in _BAD_SIDECARS.values()),
+        *(({"bad.csv": "run_id,method,a,b,overall\nr1,m,abc,0.7,0.75\n"},
+           [*command, "bad.csv"], "bad.csv: line 2: utility cell 'abc' is not a number")
+          for command in (["select-erm"], ["select-fwh", "--baseline", "r1"])),
     ],
     ids=["summary among logs", "only sidecars matched", "auc groups of one class",
          "empty summary", "one group column", "field past the csv limit",
-         *(f"sidecar {name}" for name in _BAD_SIDECARS)],
+         *(f"sidecar {name}" for name in _BAD_SIDECARS),
+         "summary cell abc select-erm", "summary cell abc select-fwh"],
 )
 def test_input_fault_exits_2_with_its_whole_message(tmp_path, capsys, monkeypatch, files, argv,
                                                     message):
@@ -1927,6 +1954,16 @@ class TestConfig:
         cfg = tmp_path / "engine.cfg"
         cfg.write_text(f"tie_corrected = {text}\n", encoding="utf-8")
         assert build_config({"config": str(cfg)}, []).tie_corrected is value
+
+    def test_engine_config_holds_each_option_default(self):
+        config = EngineConfig()
+        assert {option.name: getattr(config, option.name) for option in OPTIONS} == {
+            option.name: option.default for option in OPTIONS
+        }
+        assert config.inputs == []
+        assert EngineConfig(alpha=0.1, inputs=["a.csv"]).alpha == 0.1
+        with pytest.raises(TypeError, match="unexpected keyword argument 'alhpa'"):
+            EngineConfig(alhpa=0.1)
 
 
 class TestFlags:

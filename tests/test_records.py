@@ -1353,6 +1353,41 @@ class TestSpaces:
         with pytest.raises(ValueError):
             GroupSpace(groups=("A", "A"))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LabelSpace(("only",)), "label space needs at least 2 labels"),
+            (lambda: GroupSpace(("A", "B", "A")), "groups must be distinct"),
+            (lambda: _manifest(split="dev"),
+             "split must be one of ('train', 'validation', 'test'), got 'dev'"),
+            (lambda: _manifest(utility_kind="auc", label_space=LabelSpace(("a", "b", "c"))),
+             "auc runs require a binary label space"),
+            (lambda: _manifest()._replace(split="dev"),
+             "split must be one of ('train', 'validation', 'test'), got 'dev'"),
+            (lambda: LabelSpace(("a", "b"))._replace(positive_label="c"),
+             "positive_label 'c' not in labels"),
+        ],
+        ids=["one label", "repeated groups", "split dev", "auc with three labels",
+             "replaced split", "replaced positive label"],
+    )
+    def test_checks_keep_their_messages(self, build, message):
+        """A space or manifest is checked when built, by ``_replace`` too."""
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_default_positive_label_is_the_last_label(self):
+        space = LabelSpace(("neg", "pos"))
+        assert space == (("neg", "pos"), "pos")
+        assert space.size == 2
+
+
+def _manifest(**changes: object) -> RunManifest:
+    fields = {"method": "m", "dataset": "d", "seed": 1, "split": "test",
+              "utility_kind": "accuracy", "label_space": LabelSpace(("neg", "pos")),
+              "group_space": GroupSpace(("A", "B"))}
+    return RunManifest(**{**fields, **changes})
+
 
 def test_run_columns_are_standard_library_arrays_from_any_sequences():
     """numpy arrays of any dtype and plain lists build the same run: a tuple of ids,

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import point
 from nhfair.errors import AdvantageTieWarning, EmptyCandidateSet, GroupSpaceMismatch
 from nhfair.selection import (
+    ZONE_ORDER,
     Zone,
+    ZoneTally,
     classify_zone,
     dto_select,
     fwh_select,
@@ -242,6 +244,10 @@ class TestZoneTally:
         tally = zone_tally_table({"d1": opt, "d2": none})
         assert tally.text == "1|0|0|0"
         assert tally.omitted_datasets == ("d2",)
+
+    def test_str_is_the_text(self):
+        counts = dict(zip(ZONE_ORDER, (3, 0, 12, 1)))
+        assert str(ZoneTally(counts=counts)) == "3|0|12|1"
 
 
 # --- property tests ---------------------------------------------------------

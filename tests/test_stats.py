@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -391,3 +392,19 @@ def test_cliques_are_intervals_and_maximal(means, cd):
         for b in result:
             if a != b:
                 assert not set(a) <= set(b)
+
+
+def test_results_and_rows_survive_a_pickle_round_trip():
+    """Forked readers send their results through a pipe pickled; a result, its group
+    utilities and a table row come back equal and of their own types."""
+    result = RunResult(
+        run_id="m:d:seed1:test", method="m", dataset="d", seed=1, split="test",
+        group_utilities=GroupUtilityVector(utility={"A": 0.75, "B": 0.5}, utility_kind="auc"),
+        overall=0.625, worst=0.5, gap=0.25, dp=0.9, eqodd=0.8, warnings=("thin support",),
+    )
+    row = aggregate([result])[0]
+    copies = [pickle.loads(pickle.dumps(v, pickle.HIGHEST_PROTOCOL)) for v in (result, row)]
+    assert copies == [result, row]
+    assert [*map(type, (*copies, copies[0].group_utilities))] == [
+        RunResult, ReportRow, GroupUtilityVector
+    ]
