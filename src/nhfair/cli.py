@@ -7,22 +7,21 @@ Four subcommands cover the evaluation workflow:
 * ``select-fwh`` - four-zone selection against a baseline
 * ``compare``    - Friedman test, Nemenyi CD, cliques, and an SVG plot
 
-Inputs are file paths or globs. A ``.jsonl`` file (or a ``.csv`` with a
-manifest sidecar), the suffix in any case, is a prediction log; any other
-``.csv`` is a summary table. ``compare`` reads one aggregated table, CSV
-or JSON, through ``tables.read_rows``. Exit codes: 0 success (possibly
-with warnings on stderr), 2 bad input or configuration, 3 internal
-error.
+Inputs are file paths or globs, each resolved once to its path and kind
+(``inputs.kind``). A kind the command's role does not read
+(``inputs.ACCEPTS``) is refused with one message; the rest are read by
+their kind. Exit codes: 0 success (possibly with warnings on stderr), 2
+bad input or configuration, 3 internal error.
 
-A command loads only the modules whose code it runs. ``inputs`` tells a
-log from a table; ``selection``, which also reads summary tables, is
+A command loads only the modules whose code it runs. ``inputs`` tells
+what an input is; ``selection``, which also reads summary tables, is
 loaded by the select commands and the first log, the log format and run
 model (``records``) and the metric code by the first log, ``stats`` by
 ``evaluate`` and ``compare``, ``tables`` by the first table read or
 written, and ``svgplot`` by the first plot drawn. Every layer
 function is still called through a module attribute (``parse_run``,
-``parse_summaries``, the table readers and writers and the plot through
-this module's), so a profiler or tracer can wrap it there.
+``parse_summaries``, the table writers and the plot through this
+module's), so a profiler or tracer can wrap it there.
 """
 
 from __future__ import annotations
@@ -48,19 +47,21 @@ from .errors import (
     SelectionError,
     StatsError,
 )
-from .inputs import is_manifest, is_prediction_log
+from .inputs import LOGS, MANIFEST, kind, require_read
 
 if TYPE_CHECKING:
     from .records import EvaluationRun
     from .selection import RunResult
     from .tables import ReportRow
 
+Input = tuple[Path, str]  # an input file and its kind (inputs.kind)
 
-def parse_run(path: Path) -> EvaluationRun:
-    """``records.parse_run``; the log model is loaded by the first log read."""
+
+def parse_run(path: Path, kind: str) -> EvaluationRun:
+    """``records.read_log``; the log model is loaded by the first log read."""
     from . import records
 
-    return records.parse_run(path)
+    return records.read_log(path, kind)
 
 
 def parse_summaries(path: Path) -> list[RunResult]:
@@ -68,13 +69,6 @@ def parse_summaries(path: Path) -> list[RunResult]:
     from . import selection
 
     return selection.parse_summaries(path)
-
-
-def read_rows(path: Path, metric: str) -> list[ReportRow]:
-    """``tables.read_rows``; the table code is loaded by the first table read."""
-    from . import tables
-
-    return tables.read_rows(path, metric)
 
 
 def rows_to_csv(rows: list[ReportRow], units: str) -> str:
@@ -105,24 +99,23 @@ def render_cd_plot(metric: str, ranks: dict[str, float], cd: float) -> str:
     return svgplot.render_cd_plot(metric, ranks, cd)
 
 
-def _input_file(path: Path) -> Path:
-    """``path``, unless it names a directory."""
-    if path.is_dir():
-        raise ParseError("is a directory, expected a file", path=str(path))
-    return path
-
-
-def _expand_inputs(patterns: list[str]) -> list[Path]:
+def _expand_inputs(patterns: list[str], role: str) -> list[Input]:
+    """The files the patterns match, once each, in order, with their kinds, but sidecars
+    (read with their logs); a directory, a match gone or a kind ``role`` does not read is
+    an error."""
     paths: list[Path] = []
-    for pattern in patterns:
-        matched = sorted(glob.glob(pattern))
-        if matched:
-            paths.extend(Path(p) for p in matched)
-        elif Path(pattern).exists():
-            paths.append(Path(pattern))
-        else:
+    for pattern in patterns:  # a pattern that matches nothing may name a file literally
+        matched = sorted(glob.glob(pattern)) or [p for p in [pattern] if os.path.exists(p)]
+        if not matched:
             raise ParseError(f"no runs matched: no file matches {pattern!r}")
-    return [_input_file(p) for p in dict.fromkeys(paths) if not is_manifest(p)]
+        paths += map(Path, matched)
+    inputs = [(path, kind(path)) for path in dict.fromkeys(paths)]
+    for path, found in inputs:
+        if found is None:
+            raise ParseError("file not found", path=str(path))
+        if found != MANIFEST:
+            require_read(path, found, role)
+    return [(path, found) for path, found in inputs if found != MANIFEST]
 
 
 def _output(path: str | None) -> Path | None:
@@ -187,15 +180,15 @@ def _emit(*outputs: tuple[Path | None, str]) -> None:
             temporary.unlink(missing_ok=True)
 
 
-def _evaluate_file(path: Path, eqodd: str = "diagonal") -> RunResult:
+def _evaluate_file(log: Input, eqodd: str = "diagonal") -> RunResult:
     """Parse one prediction log and compute its result; the run is dropped after."""
     from . import metrics  # the log and metric code: loaded only by commands that read a log
 
-    run = parse_run(path)
+    run = parse_run(*log)
     try:
         return metrics.metric_report(run, eqodd_variant=eqodd)
     except MetricError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise type(exc)(f"{log[0]}: {exc}") from exc
 
 
 def _single_threaded() -> bool:
@@ -241,7 +234,7 @@ def _claim_pipe(n: int) -> int:
     return read_end
 
 
-def _claimed_reports(paths: list[Path], claims: int, eqodd: str) -> list[tuple[int, RunResult]]:
+def _claimed_reports(logs: list[Input], claims: int, eqodd: str) -> list[tuple[int, RunResult]]:
     """Results of the logs claimed from ``claims``, until none is left or one faults.
 
     A faulty log is left out and ends the claiming: the claims still in
@@ -251,14 +244,14 @@ def _claimed_reports(paths: list[Path], claims: int, eqodd: str) -> list[tuple[i
     try:
         while token := os.read(claims, _TOKEN):
             i = int.from_bytes(token, sys.byteorder)
-            reports.append((i, _evaluate_file(paths[i], eqodd)))
+            reports.append((i, _evaluate_file(logs[i], eqodd)))
     except Exception:  # read again by the caller, which raises it
         while os.read(claims, 1 << 16):
             pass
     return reports
 
 
-def _fork_reader(paths: list[Path], claims: int, eqodd: str) -> tuple[int, int]:
+def _fork_reader(logs: list[Input], claims: int, eqodd: str) -> tuple[int, int]:
     """Fork a helper that reports the logs it claims; its pid and result pipe.
 
     The helper sends one pickled list of (index, result) and no
@@ -279,14 +272,14 @@ def _fork_reader(paths: list[Path], claims: int, eqodd: str) -> tuple[int, int]:
         import pickle
 
         os.close(read_end)
-        reports = _claimed_reports(paths, claims, eqodd)
+        reports = _claimed_reports(logs, claims, eqodd)
         with open(write_end, "wb") as pipe:
             pickle.dump(reports, pipe, pickle.HIGHEST_PROTOCOL)
     finally:
         os._exit(0)
 
 
-def _read_ahead(paths: list[Path], eqodd: str, jobs: int) -> list[RunResult | None]:
+def _read_ahead(logs: list[Input], eqodd: str, jobs: int) -> list[RunResult | None]:
     """The logs' results, read by up to ``jobs`` processes, in input order.
 
     None stands for a log the caller reads itself, in order, as a serial
@@ -296,8 +289,8 @@ def _read_ahead(paths: list[Path], eqodd: str, jobs: int) -> list[RunResult | No
     next unread log, one at a time, until none is left; every helper is
     reaped before this returns or raises.
     """
-    results: list[RunResult | None] = [None] * len(paths)
-    n = min(jobs, len(paths))
+    results: list[RunResult | None] = [None] * len(logs)
+    n = min(jobs, len(logs))
     if n < 2 or not hasattr(os, "fork"):
         return results
     from . import metrics  # noqa: F401  the log and metric code, loaded once before any fork
@@ -307,15 +300,15 @@ def _read_ahead(paths: list[Path], eqodd: str, jobs: int) -> list[RunResult | No
     import pickle  # loaded only by a command that forks
     import signal
 
-    claims = _claim_pipe(len(paths))
+    claims = _claim_pipe(len(logs))
     helpers: list[tuple[int, int]] = []
     try:
         for _ in range(n - 1):
             try:
-                helpers.append(_fork_reader(paths, claims, eqodd))
+                helpers.append(_fork_reader(logs, claims, eqodd))
             except OSError:  # no process to be had: fewer processes claim the logs
                 break
-        reports = _claimed_reports(paths, claims, eqodd)
+        reports = _claimed_reports(logs, claims, eqodd)
         for _, pipe in helpers:
             with open(pipe, "rb", closefd=False) as stream:
                 data = stream.read()
@@ -334,17 +327,18 @@ def _read_ahead(paths: list[Path], eqodd: str, jobs: int) -> list[RunResult | No
     return results
 
 
-def _load_candidates(paths: list[Path], jobs: int) -> list[RunResult]:
+def _load_candidates(inputs: list[Input], jobs: int) -> list[RunResult]:
     """Selection candidates in input order; a log's degenerate-cell warnings go to stderr.
 
     A run_id that two candidates share is an error naming the inputs it came from.
     """
-    logs = [p for p in paths if is_prediction_log(p)]
+    logs = [log for log in inputs if log[1] in LOGS]
     read = dict(zip(logs, _read_ahead(logs, "diagonal", jobs)))
     candidates: list[RunResult] = []
     sources: dict[str, list[str]] = {}  # run_id -> the inputs holding it, in input order
-    for path in paths:
-        results = [read[path] or _evaluate_file(path)] if path in read else parse_summaries(path)
+    for entry in inputs:
+        path = entry[0]
+        results = [read[entry] or _evaluate_file(entry)] if entry in read else parse_summaries(path)
         for result in results:
             for warning in result.warnings:
                 sys.stderr.write(f"warning: {path}: {warning}\n")
@@ -363,25 +357,17 @@ def cmd_evaluate(config: EngineConfig) -> int:
     from . import stats
 
     out = _output(config.out)
-    paths = _expand_inputs(config.inputs)
-    is_log = [*map(is_prediction_log, paths)]
-    run_paths = [p for p, log in zip(paths, is_log) if log]
-    if not run_paths:
+    logs = _expand_inputs(config.inputs, "evaluate")
+    if not logs:
         raise ParseError(f"no runs matched: {' '.join(config.inputs) or '(no inputs)'}")
-    bad = [p for p, log in zip(paths, is_log) if not log]
-    if bad:
-        raise ParseError(
-            f"evaluate expects prediction logs, got summary file(s): "
-            f"{', '.join(str(p) for p in bad)}"
-        )
 
-    read = _read_ahead(run_paths, config.eqodd, config.jobs)
-    results = [result or _evaluate_file(p, config.eqodd) for p, result in zip(run_paths, read)]
+    read = _read_ahead(logs, config.eqodd, config.jobs)
+    results = [result or _evaluate_file(log, config.eqodd) for log, result in zip(logs, read)]
     try:
         rows = stats.aggregate(results)
     except (DuplicateSeed, ParseError) as exc:  # named by the logs behind it, in input order
-        logs = [str(p) for p, r in zip(run_paths, results) if any(r is run for run in exc.runs)]
-        raise type(exc)(f"{exc} ({', '.join(logs)})") from exc
+        named = [str(p) for (p, _), r in zip(logs, results) if any(r is run for run in exc.runs)]
+        raise type(exc)(f"{exc} ({', '.join(named)})") from exc
 
     if config.format == "csv":
         text = rows_to_csv(rows, config.units)
@@ -397,8 +383,7 @@ def cmd_select_erm(config: EngineConfig) -> int:
     from . import selection
 
     out = _output(config.out)
-    paths = _expand_inputs(config.inputs)
-    candidates = _load_candidates(paths, config.jobs)
+    candidates = _load_candidates(_expand_inputs(config.inputs, "select-erm"), config.jobs)
     if not candidates:
         raise EmptyCandidateSet(f"no candidates matched: {' '.join(config.inputs)}")
     target = selection.utopia(candidates)
@@ -427,8 +412,9 @@ def _resolve_baseline(
     if not spec:
         raise ParseError("select-fwh requires --baseline (a file or a candidate run_id)")
     path = Path(spec)
-    if path.exists():
-        found = _load_candidates([_input_file(path)], config.jobs)
+    if (found_kind := kind(path)) is not None:  # else no file is there: a run_id
+        require_read(path, found_kind, "select-fwh --baseline")
+        found = _load_candidates([(path, found_kind)], config.jobs)
         if len(found) != 1:
             raise ParseError(
                 f"baseline summary file must contain exactly one row, got {len(found)}",
@@ -448,8 +434,7 @@ def cmd_select_fwh(config: EngineConfig) -> int:
     from . import selection
 
     out = _output(config.out)
-    paths = _expand_inputs(config.inputs)
-    candidates = _load_candidates(paths, config.jobs)
+    candidates = _load_candidates(_expand_inputs(config.inputs, "select-fwh"), config.jobs)
     baseline, candidates, origin = _resolve_baseline(config, candidates)
     if not candidates:
         raise EmptyCandidateSet("no candidates left after resolving the baseline")
@@ -471,7 +456,7 @@ def cmd_select_fwh(config: EngineConfig) -> int:
 
 
 def cmd_compare(config: EngineConfig) -> int:
-    from . import stats
+    from . import stats, tables
 
     if not config.metric:
         raise ParseError("compare requires --metric")
@@ -483,18 +468,19 @@ def cmd_compare(config: EngineConfig) -> int:
     if out is not None and os.path.realpath(out) == os.path.realpath(svg):
         raise ParseError("the SVG plot would replace the JSON result; give --svg another path",
                          path=svg_path)
-    paths = _expand_inputs(config.inputs)
-    if len(paths) != 1:
+    inputs = _expand_inputs(config.inputs, "compare")
+    if len(inputs) != 1:
         raise ParseError(
-            f"compare expects exactly one aggregated table, got {len(paths)} input(s)"
+            f"compare expects exactly one aggregated table, got {len(inputs)} input(s)"
         )
-    rows = read_rows(paths[0], config.metric)
+    [(path, table_kind)] = inputs
+    rows = tables.read_table(path, table_kind, config.metric)
     try:
         matrix = stats.rank_matrix(rows, config.metric)
         statistic, df = stats.friedman(matrix, tie_corrected=config.tie_corrected)
         cd = stats.nemenyi_cd(matrix.k, matrix.n_blocks, alpha=config.alpha)
     except StatsError as exc:
-        raise type(exc)(f"{paths[0]}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}") from exc
     ranks = stats.mean_ranks(matrix)
     groups = stats.cliques(ranks, cd)
     payload = {

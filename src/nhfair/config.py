@@ -1,11 +1,11 @@
 """Engine configuration: defaults < config file < command-line flags.
 
 Every option is declared once, as a row of :data:`OPTIONS`: its name,
-its default, and metadata that holds its value type, help text, allowed
-choices or check, and the subcommands that take it as a flag. That one
-declaration gives :class:`EngineConfig` its attributes and defaults,
-types the config file, validates the merged configuration, and registers
-each subcommand's flags (:func:`add_flags`). The rows are named tuples,
+its default, the subcommands that take it as a flag, its help text, and
+its value type, allowed choices or check. That one declaration gives
+:class:`EngineConfig` its attributes and defaults, types the config
+file, validates the merged configuration, and registers each
+subcommand's flags (:func:`add_flags`). The rows are named tuples,
 so that no command loads ``dataclasses`` at start-up.
 
 The config file is flat ``key = value`` text ('#' starts a comment) with
@@ -49,29 +49,18 @@ def _at_least(low: float) -> Callable[[float], str | None]:
 
 
 class Option(NamedTuple):
-    """A config key that is also a ``--flag`` of each of its ``metadata["commands"]``
-    (of every command where that is None); ``metadata`` also holds the flag's ``help``,
-    the value's ``type``, and its allowed ``choices`` or ``check``."""
+    """A config key that is also a ``--flag`` of each of its ``commands`` (of every
+    command where that is None), with the flag's ``help``, the value's ``type``, and
+    its allowed ``choices`` or ``check``. ``check`` returns what is wrong with a
+    value, or None; a value of None (not given) is never checked."""
 
     name: str
     default: object
-    metadata: dict[str, object]
-
-
-def _option(
-    name: str,
-    default: object,
-    commands: tuple[str, ...] | None,
-    help: str,
-    type: Callable[[str], object] = str,
-    choices: tuple[str, ...] | None = None,
-    check: Callable[[object], str | None] | None = None,
-) -> Option:
-    """The option ``name``. ``check`` returns what is wrong with a value, or None; a
-    value of None (not given) is never checked."""
-    metadata = {"commands": commands, "help": help, "type": type, "choices": choices,
-                "check": check}
-    return Option(name, default, metadata)
+    commands: tuple[str, ...] | None
+    help: str
+    type: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    check: Callable[[object], str | None] | None = None
 
 
 def _usable_cpus() -> int:
@@ -92,41 +81,25 @@ def _bool(text: str) -> bool:
 
 
 OPTIONS = (
-    _option(
-        "tolerance", 0.0, ("select-fwh",), "no-harm/zone tolerance (default 0)", type=float,
-        check=_at_least(0),
-    ),
-    _option(
-        "eqodd", "diagonal", ("evaluate",), "equalized-odds rates compared (default diagonal)",
-        choices=EQODD_VARIANTS,
-    ),
-    _option(
-        "alpha", 0.05, ("compare",), "Nemenyi alpha, 0.05 or 0.10", type=float,
-        check=_nemenyi_alpha,
-    ),
-    _option(
-        "units", "percent", ("evaluate",), "table cell units (default percent)",
-        choices=("fraction", "percent"),
-    ),
-    _option(
-        "format", "csv", ("evaluate",), "table format (default csv)",
-        choices=("csv", "json", "md"),
-    ),
-    _option("metric", None, ("compare",), "metric to rank", choices=METRIC_NAMES),
-    _option("out", None, None, "output path (default: stdout)"),
-    _option(
-        "svg", None, ("compare",), "SVG output path (default: --out with .svg suffix)",
-    ),
-    _option("baseline", None, ("select-fwh",), "baseline file or candidate run_id"),
-    _option(
-        "jobs", _usable_cpus(), ("evaluate", "select-erm", "select-fwh"),
-        "processes that read prediction logs (default: the CPUs this process may use)",
-        type=int, check=_at_least(1),
-    ),
-    _option(
-        "tie_corrected", False, ("compare",),
-        "divide the Friedman statistic by the tie correction", type=_bool,
-    ),
+    Option("tolerance", 0.0, ("select-fwh",), "no-harm/zone tolerance (default 0)",
+           type=float, check=_at_least(0)),
+    Option("eqodd", "diagonal", ("evaluate",),
+           "equalized-odds rates compared (default diagonal)", choices=EQODD_VARIANTS),
+    Option("alpha", 0.05, ("compare",), "Nemenyi alpha, 0.05 or 0.10", type=float,
+           check=_nemenyi_alpha),
+    Option("units", "percent", ("evaluate",), "table cell units (default percent)",
+           choices=("fraction", "percent")),
+    Option("format", "csv", ("evaluate",), "table format (default csv)",
+           choices=("csv", "json", "md")),
+    Option("metric", None, ("compare",), "metric to rank", choices=METRIC_NAMES),
+    Option("out", None, None, "output path (default: stdout)"),
+    Option("svg", None, ("compare",), "SVG output path (default: --out with .svg suffix)"),
+    Option("baseline", None, ("select-fwh",), "baseline file or candidate run_id"),
+    Option("jobs", _usable_cpus(), ("evaluate", "select-erm", "select-fwh"),
+           "processes that read prediction logs (default: the CPUs this process may use)",
+           type=int, check=_at_least(1)),
+    Option("tie_corrected", False, ("compare",),
+           "divide the Friedman statistic by the tie correction", type=_bool),
 )
 _BY_NAME = {option.name: option for option in OPTIONS}
 
@@ -154,24 +127,21 @@ def _problem(option: Option, value: object) -> str | None:
     """What is wrong with an option's value: outside its choices or failing its check."""
     if value is None:
         return None
-    choices = option.metadata["choices"]
-    if choices is not None and value not in choices:
-        return f"must be one of {choices}, got {value!r}"
-    check = option.metadata["check"]
-    return check(value) if check else None
+    if option.choices is not None and value not in option.choices:
+        return f"must be one of {option.choices}, got {value!r}"
+    return option.check(value) if option.check else None
 
 
 def add_flags(parser: argparse.ArgumentParser, command: str) -> None:
     """Register the flags of ``command``; a flag not given parses to None."""
     for option in OPTIONS:
-        meta = option.metadata
-        if meta["commands"] is not None and command not in meta["commands"]:
+        if option.commands is not None and command not in option.commands:
             continue
         flag = "--" + option.name.replace("_", "-")
-        if meta["type"] is _bool:
-            parser.add_argument(flag, action="store_true", default=None, help=meta["help"])
+        if option.type is _bool:
+            parser.add_argument(flag, action="store_true", default=None, help=option.help)
         else:
-            parser.add_argument(flag, type=meta["type"], choices=meta["choices"], help=meta["help"])
+            parser.add_argument(flag, type=option.type, choices=option.choices, help=option.help)
 
 
 def _parse_config_file(path: Path) -> dict[str, object]:
@@ -198,7 +168,7 @@ def _parse_config_file(path: Path) -> dict[str, object]:
     for key, (line_no, text) in texts.items():
         option = _BY_NAME[key]
         try:
-            values[key] = option.metadata["type"](text)
+            values[key] = option.type(text)
         except ValueError:
             raise ConfigError(f"{path}: line {line_no}: key {key!r}: bad value {text!r}") from None
         problem = _problem(option, values[key])

@@ -1,9 +1,9 @@
-"""Input files: what kind each is, and the readers every input shares.
+"""Input files: what kind each is, which command reads it, and the readers all share.
 
-A ``.jsonl`` file, or a ``.csv`` with a ``<basename>.manifest.json``
-sidecar, the suffix in any case, is a prediction log; any other file is a
-table (:func:`is_prediction_log`). This is the one place that decides an
-input's kind. The readers here hold the text, CSV and JSON rules that
+:func:`kind` is the one place that decides an input's kind, with one
+``os.stat`` (and one of a ``.csv``'s sidecar); :data:`ACCEPTS` holds the
+kinds each command role reads, and :func:`require_read` refuses others
+with one message. The readers here hold the text, CSV and JSON rules that
 logs, summary tables, aggregated tables, config files and cohort specs
 share (:func:`read_text`, :func:`read_csv_table`, :func:`read_json`),
 among them the one nesting limit of every JSON input, ``MAX_DEPTH``.
@@ -18,8 +18,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import reprlib
+import stat
 from collections.abc import Sequence
 from itertools import accumulate
 from pathlib import Path
@@ -48,15 +50,51 @@ def suffix_format(path: Path) -> str:
     return path.suffix.lstrip(".").lower()
 
 
-def is_prediction_log(path: Path) -> bool:
-    """A ``.jsonl`` file, or a ``.csv`` with its sidecar, is a log; any other file a table."""
+# The kinds of input, named as a refusal names them. A suffix is matched in any
+# case; a ``.csv`` is a log where its sidecar exists, and any other file is a
+# CSV table.
+JSONL_LOG, CSV_LOG, MANIFEST, JSON, MARKDOWN, SVG, CSV_TABLE = (
+    "a JSONL log", "a CSV log", "a manifest sidecar", "a JSON file", "a Markdown table",
+    "an SVG plot", "a CSV table",
+)
+LOGS = (JSONL_LOG, CSV_LOG)
+_SUFFIX_KINDS = {"jsonl": JSONL_LOG, "json": JSON, "md": MARKDOWN, "svg": SVG}
+# The kinds each command role reads. A sidecar among the inputs is read with
+# its log, so the input lists skip it.
+_CANDIDATES = (*LOGS, CSV_TABLE)
+ACCEPTS = {"evaluate": LOGS, "select-erm": _CANDIDATES, "select-fwh": _CANDIDATES,
+           "select-fwh --baseline": _CANDIDATES, "compare": (CSV_TABLE, JSON)}
+
+
+def kind(path: Path) -> str | None:
+    """The kind of the file at ``path``; None where none is there (missing, or a dangling
+    link), a ParseError for a directory. A sidecar is told by its name alone."""
+    if path.name.endswith(_MANIFEST_SUFFIX):
+        return MANIFEST
+    try:
+        mode = os.stat(path).st_mode
+    except (OSError, ValueError):  # also a name no file can have (a NUL in it)
+        return None
+    if stat.S_ISDIR(mode):
+        raise ParseError("is a directory, expected a file", path=str(path))
     format = suffix_format(path)
-    return format == "jsonl" or (format == "csv" and manifest_path(path).exists())
+    if format == "csv" and os.path.exists(manifest_path(path)):
+        return CSV_LOG
+    return _SUFFIX_KINDS.get(format, CSV_TABLE)
 
 
-def is_manifest(path: Path) -> bool:
-    """Whether a file is a manifest sidecar, which is read along with its log."""
-    return path.name.endswith(_MANIFEST_SUFFIX)
+def require_read(path: Path, kind: str, role: str) -> None:
+    """The one error for an input of a kind that ``role`` does not read."""
+    if kind not in ACCEPTS[role]:
+        raise ParseError(f"{role} does not read {kind}", path=str(path))
+
+
+def log_kind(path: Path) -> str:
+    """The log kind a path's suffix names, whatever is there; else a ParseError."""
+    format = suffix_format(path)
+    if format not in ("jsonl", "csv"):
+        raise ParseError(f"unsupported record format {format!r}", path=str(path))
+    return JSONL_LOG if format == "jsonl" else CSV_LOG
 
 
 def utf8_fault(path: Path) -> ParseError | None:

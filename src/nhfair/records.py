@@ -69,10 +69,12 @@ from .errors import (
     UnknownLabel,
 )
 from .inputs import (
+    JSONL_LOG,
     MAX_DEPTH,
     NAME_ARRAY,
     _too_deep,
     json_value,
+    log_kind,
     manifest_path,
     read_csv_table,
     read_json,
@@ -218,8 +220,6 @@ SIDECAR_KEYS = (  # in the order written
 
 def _load_manifest(record_path: Path) -> RunManifest:
     mpath = manifest_path(record_path)
-    if not mpath.exists():
-        raise ParseError(f"manifest sidecar not found: {mpath}", path=str(record_path))
     raw = read_json(mpath, MalformedLine, "manifest is ")
     try:  # the presence of each required key, then each key's JSON type, in table order
         doc = {k.name: raw[k.name] if k.default is None else raw.get(k.name, k.default)
@@ -825,24 +825,35 @@ def parse_run(path: str | Path) -> EvaluationRun:
     ``y_hat``, ``group`` and an optional ``scores`` map (label -> [0, 1]).
     CSV layout: header ``sample_id,y,y_hat,group[,score:<label>...]``;
     a blank score cell means that label is absent from the record's map.
-    The file's suffix, in any case, names its layout.
+    The file's suffix, in any case, names its layout (``inputs.log_kind``).
 
     Records come back sorted by ``sample_id`` ascending so every
-    downstream aggregation is order-deterministic. A file that is not
-    UTF-8 text is reported at the line of its first undecodable byte,
-    ahead of any other fault, also one that stopped reading short of
-    that byte; of several other faults in a file, the one on the first
-    line is reported.
+    downstream aggregation is order-deterministic. A missing log, then a
+    missing sidecar, then a faulty one is reported first. A file that is
+    not UTF-8 text is reported at the line of its first undecodable byte,
+    ahead of any other fault, also one that stopped reading short of that
+    byte; of several other faults in a file, the one on the first line is
+    reported.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", path=str(path))
-    parse = _parse_jsonl if _record_format(path) == "jsonl" else _parse_csv
-    manifest = _load_manifest(path)
+    return read_log(path, log_kind(path))
+
+
+def read_log(path: Path, kind: str) -> EvaluationRun:
+    """:func:`parse_run` of a log whose kind ``inputs.kind`` told; only an error makes it
+    look at the file system, to report the first fault in parse_run's order."""
+    manifest = None
     try:
-        return parse(path, manifest)
-    except (ParseError, UnicodeDecodeError) as exc:
-        raise (utf8_fault(path) or exc) from None
+        manifest = _load_manifest(path)
+        return (_parse_jsonl if kind == JSONL_LOG else _parse_csv)(path, manifest)
+    except (ParseError, UnicodeDecodeError, FileNotFoundError) as exc:
+        if not path.exists():
+            raise ParseError("file not found", path=str(path)) from None
+        if manifest is not None:
+            raise (utf8_fault(path) or exc) from None
+        if not (mpath := manifest_path(path)).exists():
+            raise ParseError(f"manifest sidecar not found: {mpath}", path=str(path)) from None
+        raise
 
 
 def _score_cells(

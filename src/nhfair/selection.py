@@ -173,8 +173,6 @@ def parse_summaries(path: str | Path) -> list[RunResult]:
     without a row is a ParseError, as a log without a record is.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError("file not found", path=str(path))
     header, rows, lines, fault = read_csv_table(path, MalformedRow)
     if header is None:
         raise MalformedRow("empty file, expected a header", path=str(path), line=1)

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 from .config import METRIC_NAMES
 from .errors import ParseError
-from .inputs import read_csv_table, read_json, require_distinct_columns, require_json_type
+from .inputs import JSON, kind, read_csv_table, read_json
+from .inputs import require_distinct_columns, require_json_type
 
 _PM = "±"  # plus-minus sign
 
@@ -128,15 +129,16 @@ def rows_to_json(rows: list[ReportRow]) -> str:
 
 
 def read_rows(path: Path, metric: str) -> list[ReportRow]:
-    """The rows of a table that :func:`rows_to_csv` or :func:`rows_to_json` wrote, for ``metric``.
+    """The rows of a table that :func:`rows_to_csv` or :func:`rows_to_json` wrote, for
+    ``metric``: the :func:`read_table` of the file's ``inputs.kind``."""
+    return read_table(path, kind(path), metric)
 
-    A ``.json`` file, the suffix in any case, is read as the array
-    ``rows_to_json`` writes, any other file as CSV. Only the ``metric``
-    cells are parsed; a bad input is a ParseError naming the path.
-    """
-    if path.suffix.lower() == ".json":
-        return _rows_from_json(path, metric)
-    return _rows_from_csv(path, metric)
+
+def read_table(path: Path, kind: str | None, metric: str) -> list[ReportRow]:
+    """The rows of a table of a ``kind`` already told, for ``metric``: a JSON file is read as
+    the array ``rows_to_json`` writes, any other as CSV. Only the ``metric`` cells are
+    parsed; a bad input is a ParseError naming the path."""
+    return (_rows_from_json if kind == JSON else _rows_from_csv)(path, metric)
 
 
 def _rows_from_csv(path: Path, metric: str) -> list[ReportRow]:

@@ -1453,8 +1453,17 @@ _LOG = {"run.jsonl": _LOG_LINES, "run.manifest.json": _LOG_MANIFEST}
     "files, argv, message",
     [
         ({**_LOG, "summ.csv": "run_id,method,a,b,overall\nr1,m,0.8,0.7,0.75\n"},
-         ["evaluate", "run.jsonl", "summ.csv"],
-         "evaluate expects prediction logs, got summary file(s): summ.csv"),
+         ["evaluate", "run.jsonl", "summ.csv"], "summ.csv: evaluate does not read a CSV table"),
+        ({"t.json": "[]"}, ["evaluate", "t.json"], "t.json: evaluate does not read a JSON file"),
+        ({"t.json": "[]"}, ["select-erm", "t.json"],
+         "t.json: select-erm does not read a JSON file"),
+        ({"t.md": "| Method |\n|---|\n"}, ["select-erm", "t.md"],
+         "t.md: select-erm does not read a Markdown table"),
+        ({"erm.json": "{}", "summ.csv": "run_id,method,a,b,overall\nr1,m,0.8,0.7,0.75\n"},
+         ["select-fwh", "--baseline", "erm.json", "summ.csv"],
+         "erm.json: select-fwh --baseline does not read a JSON file"),
+        (_LOG, ["compare", "--metric", "gap", "run.jsonl"],
+         "run.jsonl: compare does not read a JSONL log"),
         (_LOG, ["select-erm", "*.json"], "no candidates matched: *.json"),
         ({"auc1.jsonl": _log_lines(("s1", "pos", "pos", "A"), ("s2", "neg", "pos", "B"),
                                    scores={"neg": 0.3, "pos": 0.7}),
@@ -1473,8 +1482,9 @@ _LOG = {"run.jsonl": _LOG_LINES, "run.manifest.json": _LOG_MANIFEST}
            [*command, "bad.csv"], "bad.csv: line 2: utility cell 'abc' is not a number")
           for command in (["select-erm"], ["select-fwh", "--baseline", "r1"])),
     ],
-    ids=["summary among logs", "only sidecars matched", "auc groups of one class",
-         "empty summary", "one group column", "field past the csv limit",
+    ids=["summary among logs", "evaluate json", "select-erm json", "select-erm markdown",
+         "select-erm json baseline", "compare log", "only sidecars matched",
+         "auc groups of one class", "empty summary", "one group column", "field past the csv limit",
          *(f"sidecar {name}" for name in _BAD_SIDECARS),
          "summary cell abc select-erm", "summary cell abc select-fwh"],
 )
@@ -1486,6 +1496,112 @@ def test_input_fault_exits_2_with_its_whole_message(tmp_path, capsys, monkeypatc
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# Every kind of file nhfair writes, each with the kind it is read as.
+_WRITTEN = {
+    "erm-d1.jsonl": "a JSONL log", "erm-d1.manifest.json": "a manifest sidecar",
+    "dro-d1.csv": "a CSV log", "dro-d1.manifest.json": "a manifest sidecar",
+    "table.csv": "a CSV table", "table.json": "a JSON file", "table.md": "a Markdown table",
+    "select-erm.json": "a JSON file", "select-fwh.json": "a JSON file",
+    "cd.json": "a JSON file", "cd.svg": "an SVG plot",
+}
+# Each command role, as an argv with the file's place in it.
+_ROLES = {
+    "evaluate": ["evaluate", "--jobs", "1", "{}"],
+    "select-erm": ["select-erm", "--jobs", "1", "{}"],
+    "select-fwh": ["select-fwh", "--jobs", "1", "--baseline", "base.csv", "{}"],
+    "select-fwh --baseline": ["select-fwh", "--jobs", "1", "--baseline", "{}",
+                              "erm-d2.jsonl", "dro-d2.csv"],
+    "compare": ["compare", "--metric", "gap", "{}"],
+}
+_SUMMARY_HEADER = "line 1: header must contain run_id, method and overall columns"
+_SIDECARS = ("erm-d1.manifest.json", "dro-d1.manifest.json")
+# The (role, file) pairs that are not refused: exit 0, or the error read from a
+# file of a kind the role reads but of other content. A sidecar among the
+# inputs is left out, since it is read with its log.
+_NOT_REFUSED = {
+    **{(role, log): 0 for role in _ROLES if role != "compare"
+       for log in ("erm-d1.jsonl", "dro-d1.csv")},
+    **{(role, "table.csv"): f"table.csv: {_SUMMARY_HEADER}"
+       for role in ("select-erm", "select-fwh", "select-fwh --baseline")},
+    ("compare", "table.csv"): 0,
+    ("compare", "table.json"): 0,
+    **{("compare", name): f"{name}: expected a JSON array of table rows"
+       for name in ("select-erm.json", "select-fwh.json", "cd.json")},
+    **{("evaluate", name): f"no runs matched: {name}" for name in _SIDECARS},
+    **{("select-erm", name): f"no candidates matched: {name}" for name in _SIDECARS},
+    **{("select-fwh", name): "no candidates left after resolving the baseline"
+       for name in _SIDECARS},
+    **{("compare", name): "compare expects exactly one aggregated table, got 0 input(s)"
+       for name in _SIDECARS},
+}
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    """A directory of every kind of file nhfair writes, and the inputs they came from."""
+    directory = tmp_path_factory.mktemp("written")
+    for method, suffix in (("erm", "jsonl"), ("dro", "csv")):
+        for dataset in ("d1", "d2"):
+            write_run(generate(spec_for(1), method=method, dataset=dataset),
+                      directory / f"{method}-{dataset}.{suffix}")
+    (directory / "base.csv").write_text("run_id,method,A,B,overall\nbase,erm,0.8,0.7,0.75\n",
+                                        encoding="utf-8")
+    logs = [str(directory / name) for name in ("erm-d1.jsonl", "dro-d1.csv", "erm-d2.jsonl",
+                                               "dro-d2.csv")]
+    for argv in (
+        *(["evaluate", "--format", f, "--out", str(directory / f"table.{f}"), *logs]
+          for f in ("csv", "json", "md")),
+        ["select-erm", "--out", str(directory / "select-erm.json"), *logs[:2]],
+        ["select-fwh", "--baseline", str(directory / "base.csv"),
+         "--out", str(directory / "select-fwh.json"), *logs[:2]],
+        ["compare", "--metric", "gap", "--out", str(directory / "cd.json"),
+         str(directory / "table.csv")],
+    ):
+        assert main(argv) == 0
+    assert {p.name for p in directory.iterdir()} >= set(_WRITTEN)
+    return directory
+
+
+@pytest.mark.parametrize("name", _WRITTEN)
+@pytest.mark.parametrize("role", _ROLES)
+def test_every_file_nhfair_writes_is_read_or_refused_by_every_command_role(
+    written_files, capsys, monkeypatch, role, name
+):
+    """Each pair is read (exit 0) or exits 2 with one whole line: the refusal of a kind
+    that the role does not read, or the error of a file of a kind it reads."""
+    monkeypatch.chdir(written_files)
+    code = main([name if arg == "{}" else arg for arg in _ROLES[role]])
+    err = capsys.readouterr().err
+    expected = _NOT_REFUSED.get((role, name), f"{name}: {role} does not read {_WRITTEN[name]}")
+    if expected == 0:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"error: {expected}\n")
+    if name.endswith((".json", ".md", ".svg")):  # never a message about CSV columns
+        assert "header" not in err and "column" not in err
+
+
+def test_a_log_and_its_sidecar_are_stat_ed_once_a_csv_log_and_its_sidecar_twice(
+    tmp_path, monkeypatch, capsys
+):
+    """inputs.kind stats a log once, and a CSV log's sidecar once; no reader stats again."""
+    for method, name in (("erm", "erm.jsonl"), ("dro", "dro.csv")):
+        write_run(generate(spec_for(1), method=method, dataset="d"), tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    counts: Counter[str] = Counter()
+    real_stat = os.stat
+
+    def counted(path, *args, **kwargs):
+        counts[os.fspath(path)] += 1
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counted)
+    assert main(["evaluate", "--jobs", "1", "erm.jsonl", "dro.csv"]) == 0, capsys.readouterr()
+    monkeypatch.setattr(os, "stat", real_stat)
+    assert 0 < counts["erm.jsonl"] + counts["erm.manifest.json"] <= 1
+    assert 0 < counts["dro.csv"] + counts["dro.manifest.json"] <= 2
 
 
 def test_a_log_name_that_is_no_glob_of_itself_is_read_as_a_literal_path(tmp_path, capsys,
@@ -1975,8 +2091,8 @@ class TestFlags:
             if isinstance(option.default, bool):
                 args = [flag]
             else:
-                args = [flag, (option.metadata["choices"] or ("1",))[0]]
-            commands = option.metadata["commands"] or tuple(sub.choices)
+                args = [flag, (option.choices or ("1",))[0]]
+            commands = option.commands or tuple(sub.choices)
             for command in sub.choices:
                 if command in commands:
                     namespace = parser.parse_args([command, *args])

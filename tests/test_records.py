@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_run
-from nhfair import inputs, records
+from nhfair import inputs, records, tables
 from nhfair.cli import main
 from nhfair.errors import (
     DuplicateSampleId,
@@ -1088,6 +1088,44 @@ def test_a_file_of_another_suffix_is_no_record_format(tmp_path):
     with pytest.raises(ParseError, match="unsupported record format 'txt'"):
         write_run(run, tmp_path / "x.TXT")
     assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]  # no log and no sidecar
+
+
+@pytest.mark.parametrize("name", ["run.jsonl", "run.csv"])
+@pytest.mark.parametrize("case, message", [
+    ("log gone", "{log}: file not found"),
+    ("log and sidecar gone", "{log}: file not found"),
+    ("log gone, sidecar faulty", "{log}: file not found"),
+    ("sidecar gone", "{log}: manifest sidecar not found: {sidecar}"),
+    ("sidecar a directory", "{sidecar}: is a directory, expected a file"),
+])
+def test_a_missing_log_then_a_missing_sidecar_is_reported_first(tmp_path, name, case, message):
+    """parse_run and read_log stat nothing ahead of reading, and report in the order of a
+    check before it: the log, then its sidecar, then the sidecar's own fault."""
+    log = write_fixture(tmp_path, ["not a record"], name=name)
+    sidecar = inputs.manifest_path(log)
+    if "log" in case:
+        log.unlink()
+    if "sidecar gone" in case or "and sidecar" in case:
+        sidecar.unlink()
+    elif "faulty" in case:
+        sidecar.write_text("{", encoding="utf-8")
+    elif "directory" in case:
+        sidecar.unlink()
+        sidecar.mkdir()
+    expected = message.format(log=log, sidecar=sidecar)
+    for read in (parse_run, lambda path: records.read_log(path, inputs.log_kind(path))):
+        with pytest.raises(ParseError) as err:
+            read(log)
+        assert str(err.value) == expected
+
+
+def test_a_missing_table_is_file_not_found(tmp_path):
+    for name in ("summ.csv", "t.json", "t.csv"):
+        path = tmp_path / name
+        reader = parse_summaries if name == "summ.csv" else lambda p: tables.read_rows(p, "gap")
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: file not found"
 
 
 def test_a_run_whose_records_were_read_is_freed_without_the_cyclic_gc():
