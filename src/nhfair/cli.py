@@ -22,11 +22,16 @@ written, and ``svgplot`` by the first plot drawn. Every layer
 function is still called through a module attribute (``parse_run``,
 ``parse_summaries``, the table writers and the plot through this
 module's), so a profiler or tracer can wrap it there.
+
+The process entry point is :func:`run`: the ``nhfair`` script and
+``python -m nhfair.cli`` call it, and it ends the process without
+interpreter teardown once ``main`` is done. :func:`main` never exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import glob
@@ -35,7 +40,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .config import EngineConfig, add_flags, build_config
 from .errors import (
@@ -134,23 +139,26 @@ def _output(path: str | None) -> Path | None:
     return target
 
 
-def _replaceable(target: Path) -> bool:
-    """Whether ``target`` is a plain file path that a renamed temporary may replace.
+def _replaceable(target: Path) -> int | None:
+    """The mode of ``target`` (0 where it is missing) if it is a plain file path that a
+    renamed temporary may replace, else None.
 
     That is a missing path, or a writable regular file that is not a
-    symbolic link, in a directory that can be written. Anything else
-    (``/dev/null``, ``/dev/stdout`` and other links, a FIFO, a file in a
-    read-only directory) is opened and written in place.
+    symbolic link, in a directory that can be written; its ``lstat`` mode
+    is then what ``stat`` gives. Anything else (``/dev/null``,
+    ``/dev/stdout`` and other links, a FIFO, a file in a read-only
+    directory) is opened and written in place.
     """
     try:
         mode = os.lstat(target).st_mode
     except FileNotFoundError:
-        return True
-    return (
+        return 0
+    replaceable = (
         stat.S_ISREG(mode)
         and os.access(target, os.W_OK)
         and os.access(target.parent, os.W_OK)
     )
+    return mode if replaceable else None
 
 
 def _emit(*outputs: tuple[Path | None, str]) -> None:
@@ -165,12 +173,12 @@ def _emit(*outputs: tuple[Path | None, str]) -> None:
         for i, (target, text) in enumerate(outputs):
             if target is None:
                 sys.stdout.write(text)
-            elif _replaceable(target):
+            elif (mode := _replaceable(target)) is not None:
                 temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
                 staged.append((temporary, target))
                 temporary.write_text(text, encoding="utf-8")
-                if target.exists():  # the replaced file keeps its permission bits
-                    temporary.chmod(stat.S_IMODE(target.stat().st_mode))
+                if mode:  # the replaced file keeps its permission bits
+                    temporary.chmod(stat.S_IMODE(mode))
             else:
                 target.write_text(text, encoding="utf-8")
         for temporary, target in staged:
@@ -195,7 +203,8 @@ def _single_threaded() -> bool:
     """Whether this process runs exactly one OS thread; False where that cannot be told.
 
     Only such a process forks: a lock that another thread held at the fork
-    stays held in the child for ever.
+    stays held in the child for ever. Only such a process ends without
+    teardown (:func:`run`): another thread's work would be cut off.
     """
     try:
         return len(os.listdir("/proc/self/task")) == 1
@@ -550,5 +559,41 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
+def _observed() -> bool:
+    """Whether a profiler, tracer or (Python 3.12+) ``sys.monitoring`` tool watches."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)  # the tool ids 0-5
+    )
+
+
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and end the process with its exit code.
+
+    The ``atexit`` handlers run and stdout and stderr are flushed, as at a
+    normal exit; then the process ends with ``os._exit``, skipping the
+    teardown of every module and the final collection, which only cost
+    time once every output is written. Where a profiler or tracer
+    watches, another thread runs (or that cannot be told), or a flush
+    fails, it exits through ``sys.exit`` instead, as before.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: a usage error or --help
+        code = exc.code
+    if not isinstance(code, int) or _observed() or not _single_threaded():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:  # say, a closed pipe: Python reports it as it exits
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

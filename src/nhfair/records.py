@@ -69,6 +69,7 @@ from .errors import (
     UnknownLabel,
 )
 from .inputs import (
+    CSV_LOG,
     JSONL_LOG,
     MAX_DEPTH,
     NAME_ARRAY,
@@ -79,7 +80,6 @@ from .inputs import (
     read_csv_table,
     read_json,
     require_json_type,
-    suffix_format,
     utf8_fault,
 )
 
@@ -811,13 +811,6 @@ def _parse_csv(path: Path, manifest: RunManifest) -> EvaluationRun:
     return _finish_run(manifest, str(path), lines, columns[: len(_FIELDS)], scores, checks, fault)
 
 
-def _record_format(path: Path) -> str:
-    format = suffix_format(path)
-    if format not in ("jsonl", "csv"):
-        raise ParseError(f"unsupported record format {format!r}", path=str(path))
-    return format
-
-
 def parse_run(path: str | Path) -> EvaluationRun:
     """Parse a record file plus its manifest sidecar into a validated run.
 
@@ -846,10 +839,12 @@ def read_log(path: Path, kind: str) -> EvaluationRun:
     try:
         manifest = _load_manifest(path)
         return (_parse_jsonl if kind == JSONL_LOG else _parse_csv)(path, manifest)
-    except (ParseError, UnicodeDecodeError, FileNotFoundError) as exc:
+    except (ParseError, UnicodeDecodeError, FileNotFoundError, IsADirectoryError) as exc:
         if not path.exists():
             raise ParseError("file not found", path=str(path)) from None
         if manifest is not None:
+            if path.is_dir():
+                raise ParseError("is a directory, expected a file", path=str(path)) from None
             raise (utf8_fault(path) or exc) from None
         if not (mpath := manifest_path(path)).exists():
             raise ParseError(f"manifest sidecar not found: {mpath}", path=str(path)) from None
@@ -938,12 +933,12 @@ def write_run(run: EvaluationRun, path: str | Path) -> None:
     naming it before any file is written.
     """
     path = Path(path)
-    format = _record_format(path)
-    if format == "csv":
+    log = log_kind(path)
+    if log == CSV_LOG:
         require_csv_text(run, path)  # before any file is written
     mdoc = {key.name: attrgetter(key.source)(run.manifest) for key in SIDECAR_KEYS}
     manifest_path(path).write_text(json.dumps(mdoc, indent=2) + "\n", encoding="utf-8")
-    if format == "jsonl":
+    if log == JSONL_LOG:
         with path.open("w", encoding="utf-8") as handle:
             handle.writelines(_jsonl_lines(run))
         return

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
 import errno
@@ -10,6 +11,7 @@ import importlib
 import io
 import json
 import os
+import pstats
 import stat
 import subprocess
 import sys
@@ -567,6 +569,189 @@ def test_out_dev_stdout_writes_to_the_stdout_given(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [*_PATH_INPUTS, "run.manifest.json", "log.txt"]
     )
+
+
+# The exit that ``python -m nhfair.cli`` made before ``cli.run``: ``main``'s code
+# through ``sys.exit``, then the interpreter's own teardown.
+_SYS_EXIT = "import sys; from nhfair.cli import main; sys.exit(main())"
+
+
+def _both_ways(argv: list[str], cwd: Path, stdout: int = subprocess.PIPE) -> list[tuple]:
+    """Exit code, stdout, stderr and the files written (name: bytes) of ``argv`` run by
+    ``python -m nhfair.cli`` and by ``sys.exit(main())``, each in a fresh interpreter
+    with its stdout buffered."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    inputs = {p.name for p in cwd.iterdir()}
+    results = []
+    for start in (["-m", "nhfair.cli"], ["-c", _SYS_EXIT]):
+        child = subprocess.run([sys.executable, *start, *argv], cwd=cwd, env=env,
+                               stdout=stdout, stderr=subprocess.PIPE, check=False)
+        written = {p.name: p.read_bytes() for p in cwd.iterdir() if p.name not in inputs}
+        for name in written:
+            (cwd / name).unlink()
+        results.append((child.returncode, child.stdout, child.stderr, written))
+    return results
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compare", "--metric", "gap", "agg.csv"], 0),
+        (["compare", "--metric", "gap", "--out", "cd.json", "agg.csv"], 0),
+        (["evaluate", "run.jsonl"], 0),
+        (["evaluate", "--jobs", "2", "run.jsonl", "log.csv"], 0),
+        (["evaluate", "missing.jsonl"], 2),
+        (["evaluate", "--no-such-flag", "run.jsonl"], 2),
+        (["compare", "--help"], 0),
+        ([], 2),
+    ],
+    ids=["compare", "compare-out", "evaluate", "evaluate-forked", "bad-input", "usage-error",
+         "help", "no-command"],
+)
+def test_a_command_run_as_a_module_ends_as_sys_exit_of_main_did(tmp_path, argv, code):
+    """Output to a pipe, a usage error and --help give the same code, bytes and files
+    whether the process ends through cli.run or through sys.exit and teardown."""
+    _path_inputs(tmp_path)
+    write_run(generate(spec_for(1), method="n", dataset="d"), tmp_path / "log.csv")
+    new, old = _both_ways(argv, tmp_path)
+    assert new == old
+    assert new[0] == code
+    assert (new[1] != b"") == (code == 0 and "--out" not in argv)
+    assert sorted(new[3]) == (["cd.json", "cd.svg"] if "--out" in argv else [])
+
+
+def test_a_closed_stdout_ends_as_sys_exit_of_main_did(tmp_path):
+    """With stdout a pipe whose reader is gone: output the buffer holds fails as Python
+    exits (code 120 and its "Exception ignored" line), output of more than the buffer's
+    8 KiB fails inside the command (internal error, code 3)."""
+    _path_inputs(tmp_path)
+    rows = [f"r{i},m{i % 7},0.{50 + i % 40},0.{60 + i % 30},0.{55 + i % 35}" for i in range(120)]
+    (tmp_path / "many.csv").write_text(
+        "run_id,method,a,b,overall\n" + "\n".join(rows) + "\n", encoding="utf-8"
+    )
+    cases = [
+        (["compare", "--metric", "gap", "agg.csv"], 120,
+         b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+         b"encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+        (["select-erm", "many.csv"], 3,
+         b"internal error: BrokenPipeError: [Errno 32] Broken pipe\n"),
+    ]
+    for argv, code, err in cases:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            new, old = _both_ways(argv, tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert new == old == (code, None, err, {})
+
+
+def test_an_atexit_handler_runs_before_the_output_is_flushed(tmp_path):
+    """cli.run runs the handlers a program registered before it ran the module as
+    __main__, and flushes what they write."""
+    _path_inputs(tmp_path)
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        "sys.argv = ['nhfair', 'select-erm', 'summ.csv']\n"
+        "runpy.run_module('nhfair.cli', run_name='__main__')\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                           capture_output=True, text=True, check=False)
+    assert (child.returncode, child.stderr) == (0, "")
+    payload, handler = child.stdout.rsplit("}\n", 1)
+    assert json.loads(payload + "}")["selected"]
+    assert handler == "handler ran\n"
+
+
+def test_a_profiled_command_writes_its_profile(tmp_path):
+    """Under cProfile cli.run exits through sys.exit, so the profiler writes its file."""
+    _path_inputs(tmp_path)
+    argv = [sys.executable, "-m", "cProfile", "-o", "p.prof", "-m", "nhfair.cli",
+            "select-erm", "run.jsonl"]
+    child = subprocess.run(argv, cwd=tmp_path, env=_child_env(), capture_output=True,
+                           text=True, check=False)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert json.loads(child.stdout)["selected"]
+    functions = pstats.Stats(str(tmp_path / "p.prof")).stats
+    assert any(name == "main" and file.endswith("cli.py") for file, _, name in functions)
+
+
+class _Exited(Exception):
+    """Raised in place of ``os._exit``, with its code."""
+
+
+class _ClosedPipe(io.StringIO):
+    def flush(self) -> None:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("case", ["plain", "usage-error", "profiled", "threaded", "flush-fails"])
+def test_run_ends_with_os_exit_only_where_nothing_else_must_run(tmp_path, monkeypatch, case):
+    """cli.run ends with os._exit after the atexit handlers and the flushes; a
+    profiler, another thread or a failed flush makes it exit through sys.exit. (This
+    process runs numpy's BLAS threads, so whether it runs one thread is set here.)"""
+    _path_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["nhfair", "select-erm", "summ.csv"]
+    if case == "usage-error":
+        argv = ["nhfair", "select-erm", "--no-such-flag"]
+    monkeypatch.setattr(sys, "argv", argv)
+    handlers: list[str] = []
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: handlers.append("ran"))
+
+    def exited(code: int) -> None:
+        raise _Exited(code)
+
+    monkeypatch.setattr(cli.os, "_exit", exited)
+    monkeypatch.setattr(cli, "_single_threaded", lambda: case != "threaded")
+    if case == "flush-fails":
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    if case == "profiled":
+        sys.setprofile(lambda frame, event, arg: None)
+    try:
+        with pytest.raises((_Exited, SystemExit)) as ended:
+            cli.run()
+    finally:
+        sys.setprofile(None)
+    code = 2 if case == "usage-error" else 0
+    if case in ("plain", "usage-error"):
+        assert (type(ended.value), ended.value.args, handlers) == (_Exited, (code,), ["ran"])
+    else:  # sys.exit: the interpreter runs the handlers as it exits
+        assert (type(ended.value), ended.value.code) == (SystemExit, code)
+        assert handlers == (["ran"] if case == "flush-fails" else [])
+
+
+def test_a_command_registers_no_atexit_handler(tmp_path):
+    """No module a command loads, nhfair's or a dependency's, registers an atexit
+    handler: cli.run has none of its own to run."""
+    _path_inputs(tmp_path)
+    code = (
+        "import atexit, sys\n"
+        "from nhfair.cli import main\n"
+        "before = atexit._ncallbacks()\n"
+        "for argv in (['evaluate', 'run.jsonl'], ['select-erm', 'run.jsonl'],\n"
+        "             ['compare', '--metric', 'gap', '--out', 'cd.json', 'agg.csv']):\n"
+        "    assert main(argv) == 0\n"
+        "print(before, atexit._ncallbacks())\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                           stdout=subprocess.PIPE, text=True, check=False)
+    assert child.returncode == 0
+    before, after = map(int, child.stdout.split()[-2:])
+    assert before == after
+    before = atexit._ncallbacks()
+    assert main(["compare", "--metric", "gap", str(tmp_path / "agg.csv")]) == 0
+    assert atexit._ncallbacks() == before
+
+
+def test_the_nhfair_script_runs_cli_run():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    [target] = [line.split("=", 1)[1].strip().strip('"')
+                for line in scripts.splitlines() if line.startswith("nhfair ")]
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
 
 
 # Runs ``cli.main`` on the argv given as JSON (none: only imports the CLI) in
@@ -1586,9 +1771,13 @@ def test_every_file_nhfair_writes_is_read_or_refused_by_every_command_role(
 def test_a_log_and_its_sidecar_are_stat_ed_once_a_csv_log_and_its_sidecar_twice(
     tmp_path, monkeypatch, capsys
 ):
-    """inputs.kind stats a log once, and a CSV log's sidecar once; no reader stats again."""
+    """inputs.kind stats a log once, and a CSV log's sidecar once; no reader stats again.
+    An existing --out file is stat-ed once, by the output check: the writer takes its
+    permission bits from the lstat that tells whether it may be replaced."""
     for method, name in (("erm", "erm.jsonl"), ("dro", "dro.csv")):
         write_run(generate(spec_for(1), method=method, dataset="d"), tmp_path / name)
+    (tmp_path / "t.csv").write_text("old", encoding="utf-8")
+    (tmp_path / "t.csv").chmod(0o640)
     monkeypatch.chdir(tmp_path)
     counts: Counter[str] = Counter()
     real_stat = os.stat
@@ -1598,10 +1787,14 @@ def test_a_log_and_its_sidecar_are_stat_ed_once_a_csv_log_and_its_sidecar_twice(
         return real_stat(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "stat", counted)
-    assert main(["evaluate", "--jobs", "1", "erm.jsonl", "dro.csv"]) == 0, capsys.readouterr()
+    argv = ["evaluate", "--jobs", "1", "--out", "t.csv", "erm.jsonl", "dro.csv"]
+    assert main(argv) == 0, capsys.readouterr()
     monkeypatch.setattr(os, "stat", real_stat)
     assert 0 < counts["erm.jsonl"] + counts["erm.manifest.json"] <= 1
     assert 0 < counts["dro.csv"] + counts["dro.manifest.json"] <= 2
+    assert counts["t.csv"] == 1
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8").startswith("method,dataset,")
+    assert stat.S_IMODE((tmp_path / "t.csv").stat().st_mode) == 0o640
 
 
 def test_a_log_name_that_is_no_glob_of_itself_is_read_as_a_literal_path(tmp_path, capsys,

@@ -1097,6 +1097,7 @@ def test_a_file_of_another_suffix_is_no_record_format(tmp_path):
     ("log gone, sidecar faulty", "{log}: file not found"),
     ("sidecar gone", "{log}: manifest sidecar not found: {sidecar}"),
     ("sidecar a directory", "{sidecar}: is a directory, expected a file"),
+    ("log a directory", "{log}: is a directory, expected a file"),
 ])
 def test_a_missing_log_then_a_missing_sidecar_is_reported_first(tmp_path, name, case, message):
     """parse_run and read_log stat nothing ahead of reading, and report in the order of a
@@ -1105,11 +1106,13 @@ def test_a_missing_log_then_a_missing_sidecar_is_reported_first(tmp_path, name, 
     sidecar = inputs.manifest_path(log)
     if "log" in case:
         log.unlink()
+    if case == "log a directory":  # beside a valid sidecar
+        log.mkdir()
     if "sidecar gone" in case or "and sidecar" in case:
         sidecar.unlink()
     elif "faulty" in case:
         sidecar.write_text("{", encoding="utf-8")
-    elif "directory" in case:
+    elif case == "sidecar a directory":
         sidecar.unlink()
         sidecar.mkdir()
     expected = message.format(log=log, sidecar=sidecar)

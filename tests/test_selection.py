@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import point
-from nhfair.errors import AdvantageTieWarning, EmptyCandidateSet, GroupSpaceMismatch
+from nhfair.errors import (
+    AdvantageTieWarning,
+    EmptyCandidateSet,
+    GroupSpaceMismatch,
+    SelectionError,
+)
 from nhfair.selection import (
     ZONE_ORDER,
     Zone,
@@ -327,3 +332,25 @@ def test_zone_partition_tiles_the_plane():
                 (True, False): Zone.UNWANTED,
             }[(adv_ok, dis_ok)]
             assert zone is expected
+
+
+def test_an_empty_candidate_set_is_refused_by_both_selections():
+    baseline = point("base", {"g1": 0.6, "g2": 0.55})
+    with pytest.raises(EmptyCandidateSet, match="^dto selection needs at least one candidate$"):
+        dto_select([])
+    with pytest.raises(EmptyCandidateSet, match="^selection needs at least one candidate$"):
+        fwh_select([], baseline)
+
+
+def test_a_negative_tolerance_is_refused():
+    baseline = point("base", {"g1": 0.6, "g2": 0.55})
+    with pytest.raises(ValueError, match="^tolerance must be >= 0$"):
+        classify_zone(cloud()[0], baseline, tolerance=-0.1)
+
+
+def test_fwh_select_refuses_a_repeated_run_id_naming_it():
+    baseline = point("base", {"g1": 0.6, "g2": 0.55})
+    candidates = [*cloud(), point("c2", {"g1": 0.7, "g2": 0.7})]
+    with pytest.raises(SelectionError) as err:
+        fwh_select(candidates, baseline)
+    assert str(err.value) == "duplicate candidate run_id(s): c2"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,38 @@ def test_spec_numbers_may_be_json_integers(tmp_path):
     spec = CohortSpec.load(path)
     assert spec.score_noise == 1.0 and spec.class_prior["A"] == {"neg": 0.0, "pos": 1.0}
     assert type(spec.score_noise) is float and type(spec.class_prior["A"]["pos"]) is float
+
+
+_ONE_LABEL_ROWS = {g: {"neg": {"neg": 1.0}} for g in ("A", "B")}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"class_prior": {"A": {"neg": 1.0}, "B": {"neg": 1.0}}, "confusion_spec": _ONE_LABEL_ROWS},
+     "need at least 2 labels"),
+    ({"class_prior": {"A": {"neg": 0.5, "pos": 0.5}, "B": {"pos": 0.5, "neg": 0.5}}},
+     "group B: class prior must cover labels ('neg', 'pos')"),
+    ({"class_prior": {"A": {"neg": 0.5, "pos": 0.5}}},
+     "group B: class prior must cover labels ('neg', 'pos')"),
+    ({"class_prior": {"A": {"neg": 1.5, "pos": -0.5}, "B": {"neg": 0.5, "pos": 0.5}}},
+     "group A: negative prior"),
+    ({"confusion_spec": {"A": binary_spec().confusion_spec["A"],
+                         "B": {"neg": {"neg": 1.0, "pos": 0.0}}}},
+     "group B: confusion rows must cover labels ('neg', 'pos')"),
+    ({"confusion_spec": {"A": {"neg": {"neg": 1.0, "pos": 0.0}, "pos": {"pos": 1.0}},
+                         "B": binary_spec().confusion_spec["B"]}},
+     "group A, label pos: confusion row must cover ('neg', 'pos')"),
+    ({"confusion_spec": {"A": {"neg": {"neg": 1.0, "pos": 0.0},
+                               "pos": {"neg": -0.25, "pos": 1.25}},
+                         "B": binary_spec().confusion_spec["B"]}},
+     "group A, label pos: negative probability"),
+])
+def test_each_invalid_spec_has_its_own_message(fields, message):
+    spec = dataclasses.replace(binary_spec(), **fields)
+    with pytest.raises(InvalidSpec) as err:
+        spec.validate()
+    assert str(err.value) == message
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        generate(spec)
 
 
 class TestInvalidSpec:
