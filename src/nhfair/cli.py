@@ -161,6 +161,31 @@ def _replaceable(target: Path) -> int | None:
     return mode if replaceable else None
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text`` to stdout; raise EngineError where stdout is gone.
+
+    stdout is gone where file descriptor 1 was closed at start, or where it
+    is a pipe whose reader has gone: the environment's fault, not an
+    internal one. Descriptor 1 is then pointed at the null device, so the
+    flush as the process exits writes what stdout still holds there and
+    fails no more.
+    """
+    if sys.stdout is None:
+        reason = "closed"
+    else:
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
+        except BrokenPipeError:
+            reason = "broken pipe, its reader has gone"
+    null = os.open(os.devnull, os.O_WRONLY)
+    if null != 1:  # else descriptor 1 was closed, and the null device took it
+        os.dup2(null, 1)
+        os.close(null)
+    raise EngineError(f"stdout: {reason}")
+
+
 def _emit(*outputs: tuple[Path | None, str]) -> None:
     """Write each text to its file, or to stdout where the file is None.
 
@@ -172,7 +197,7 @@ def _emit(*outputs: tuple[Path | None, str]) -> None:
     try:
         for i, (target, text) in enumerate(outputs):
             if target is None:
-                sys.stdout.write(text)
+                _write_stdout(text)
             elif (mode := _replaceable(target)) is not None:
                 temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
                 staged.append((temporary, target))
@@ -590,7 +615,7 @@ def run() -> NoReturn:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except OSError:  # say, a closed pipe: Python reports it as it exits
+    except OSError:  # say, stderr's pipe gone or stdout's disk full: Python reports it
         sys.exit(code)
     os._exit(code)
 

@@ -9,7 +9,8 @@ and the text, CSV and JSON rules every reader shares, the nesting limit
 ``MAX_DEPTH`` included, are those of ``inputs``; summary tables are read
 by ``selection.parse_summaries``. ``metrics`` and ``synth`` build on the
 run model. The module needs the standard library alone (and orjson where
-a JSONL log is read), so no command that reads a log loads numpy.
+a JSONL log is read or a run with scores written), so no command that
+reads a log loads numpy.
 
 An ``EvaluationRun`` holds its records as columns sorted by
 ``sample_id``, so downstream aggregation never depends on input file
@@ -31,8 +32,10 @@ are listed only for a run that has a fault. A run is sorted once, when
 run from rows. :func:`write_run` writes the records column by column,
 streamed to the file: each column is formatted once (strings quoted by
 json's own encoder, each label and group name once per run; scores by
-``float.__repr__``), and the bytes are those of one ``json.dumps`` per
-record.
+one ``orjson.dumps`` per slice of a column, whose text is that of
+``float.__repr__`` but where repr writes an exponent, and repr writes
+those cells; see :func:`_batch_cells`), and the bytes are those of one
+``json.dumps`` per record.
 
 The manifest model and the records are named tuples, immutable and equal
 to the plain tuple of their fields; ``LabelSpace``, ``GroupSpace`` and
@@ -54,7 +57,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, is_not, itemgetter, le
 from pathlib import Path
 from typing import NamedTuple
@@ -851,22 +854,56 @@ def read_log(path: Path, kind: str) -> EvaluationRun:
         raise
 
 
+# Scores formatted by one orjson.dumps: a slice of a column is held as text
+# at a time, so writing stays streamed. From 256 to 4,096 the speed is the
+# same; a smaller slice holds less.
+_SCORE_BATCH = 512
+
+
 def _score_cells(
     column: array, prefix: str, non_finite: Callable[[float], str]
 ) -> Iterator[str]:
     """Lazily, ``prefix + repr(score)`` per record; NaN (absent) gives ``""``.
 
     A present score that is not finite is written ``prefix + non_finite(score)``.
+    orjson writes the column, one ``dumps`` per slice of ``_SCORE_BATCH``
+    scores split into cells; see :func:`_batch_cells`.
     """
-    cells = map(prefix.__add__, map(float.__repr__, column))
-    if math.isfinite(sum(column)):  # neither NaN nor an infinity: no special cell
-        return cells
-    special = {
-        row: prefix + non_finite(value) if value == value else ""
-        for row, value in enumerate(column)
-        if not math.isfinite(value)
-    }
-    return map(special.get, count(), cells)
+    import orjson  # loaded only where a run with scores is written
+
+    return chain.from_iterable(
+        _batch_cells(column[start : start + _SCORE_BATCH], prefix, non_finite, orjson.dumps)
+        for start in range(0, len(column), _SCORE_BATCH)
+    )
+
+
+def _batch_cells(
+    batch: array, prefix: str, non_finite: Callable[[float], str], dumps: Callable
+) -> list[str]:
+    """The cells of :func:`_score_cells` for one slice of a column.
+
+    orjson's float writer picks the shortest digits that read back as the
+    value, as ``float.__repr__`` does, and writes them as repr does but
+    where repr writes an exponent: a finite score other than 0 of magnitude
+    below 1e-4 or from 1e16 up. Such a score, and any whose orjson text
+    holds an ``e``, is written by repr; orjson's ``null`` for NaN and the
+    infinities is replaced as above.
+    """
+    text = dumps(batch.tolist()).decode()
+    cells = text[1:-1].split(",")
+    rows = [row for row, value in enumerate(batch) if value and not 1e-4 <= abs(value) < 1e16]
+    if "e" in text:
+        rows += [row for row, cell in enumerate(cells) if "e" in cell]
+    cells = [*map(prefix.__add__, cells)]
+    for row in rows:
+        value = batch[row]
+        if value != value:
+            cells[row] = ""
+        elif math.isinf(value):
+            cells[row] = prefix + non_finite(value)
+        else:
+            cells[row] = prefix + repr(value)
+    return cells
 
 
 def _jsonl_lines(run: EvaluationRun) -> Iterator[str]:
@@ -928,9 +965,11 @@ def write_run(run: EvaluationRun, path: str | Path) -> None:
     formatted column by column and streamed to the file, never held whole
     in memory; the bytes are those of one ``json.dumps`` per JSONL record,
     or of a CSV row with ``repr`` of each score and a blank cell for an
-    absent one. A JSONL log escapes a lone surrogate in a sample id; a CSV
-    log cannot hold one, and a run with such an id raises ValueError
-    naming it before any file is written.
+    absent one. orjson writes the scores, and is loaded only for a run with
+    scores; repr writes a score where its text has an exponent. A JSONL log
+    escapes a lone surrogate in a sample id; a CSV log cannot hold one, and
+    a run with such an id raises ValueError naming it before any file is
+    written.
     """
     path = Path(path)
     log = log_kind(path)

@@ -576,15 +576,16 @@ def test_out_dev_stdout_writes_to_the_stdout_given(tmp_path):
 _SYS_EXIT = "import sys; from nhfair.cli import main; sys.exit(main())"
 
 
-def _both_ways(argv: list[str], cwd: Path, stdout: int = subprocess.PIPE) -> list[tuple]:
+def _both_ways(argv: list[str], cwd: Path, stdout: int = subprocess.PIPE,
+               prefix: tuple[str, ...] = ()) -> list[tuple]:
     """Exit code, stdout, stderr and the files written (name: bytes) of ``argv`` run by
     ``python -m nhfair.cli`` and by ``sys.exit(main())``, each in a fresh interpreter
-    with its stdout buffered."""
+    with its stdout buffered, started through ``prefix``."""
     env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
     inputs = {p.name for p in cwd.iterdir()}
     results = []
     for start in (["-m", "nhfair.cli"], ["-c", _SYS_EXIT]):
-        child = subprocess.run([sys.executable, *start, *argv], cwd=cwd, env=env,
+        child = subprocess.run([*prefix, sys.executable, *start, *argv], cwd=cwd, env=env,
                                stdout=stdout, stderr=subprocess.PIPE, check=False)
         written = {p.name: p.read_bytes() for p in cwd.iterdir() if p.name not in inputs}
         for name in written:
@@ -620,30 +621,38 @@ def test_a_command_run_as_a_module_ends_as_sys_exit_of_main_did(tmp_path, argv, 
     assert sorted(new[3]) == (["cd.json", "cd.svg"] if "--out" in argv else [])
 
 
+# A command started with file descriptor 1 closed, as the shell's ``>&-`` starts it.
+_CLOSED_STDOUT = ("sh", "-c", 'exec "$@" >&-', "sh")
+
+
 def test_a_closed_stdout_ends_as_sys_exit_of_main_did(tmp_path):
-    """With stdout a pipe whose reader is gone: output the buffer holds fails as Python
-    exits (code 120 and its "Exception ignored" line), output of more than the buffer's
-    8 KiB fails inside the command (internal error, code 3)."""
+    """With stdout a pipe whose reader is gone, whether the output fits its 8 KiB buffer
+    or not, and with file descriptor 1 closed, a command that prints exits 2 with one
+    error line naming stdout and writes no file, not even its plot; with --out it
+    writes its files and exits 0."""
     _path_inputs(tmp_path)
     rows = [f"r{i},m{i % 7},0.{50 + i % 40},0.{60 + i % 30},0.{55 + i % 35}" for i in range(120)]
     (tmp_path / "many.csv").write_text(
         "run_id,method,a,b,overall\n" + "\n".join(rows) + "\n", encoding="utf-8"
     )
-    cases = [
-        (["compare", "--metric", "gap", "agg.csv"], 120,
-         b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
-         b"encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
-        (["select-erm", "many.csv"], 3,
-         b"internal error: BrokenPipeError: [Errno 32] Broken pipe\n"),
-    ]
-    for argv, code, err in cases:
+    gone = b"error: stdout: broken pipe, its reader has gone\n"
+    closed = b"error: stdout: closed\n"
+    for argv in (["compare", "--metric", "gap", "--svg", "cd.svg", "agg.csv"],
+                 ["select-erm", "many.csv"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             new, old = _both_ways(argv, tmp_path, stdout=write_end)
         finally:
             os.close(write_end)
-        assert new == old == (code, None, err, {})
+        assert new == old == (2, None, gone, {})
+        new, old = _both_ways(argv, tmp_path, stdout=subprocess.DEVNULL, prefix=_CLOSED_STDOUT)
+        assert new == old == (2, None, closed, {})
+    argv = ["compare", "--metric", "gap", "--out", "cd.json", "agg.csv"]
+    new, old = _both_ways(argv, tmp_path, stdout=subprocess.DEVNULL, prefix=_CLOSED_STDOUT)
+    assert new == old
+    assert new[:3] == (0, None, b"")
+    assert sorted(new[3]) == ["cd.json", "cd.svg"]
 
 
 def test_an_atexit_handler_runs_before_the_output_is_flushed(tmp_path):
@@ -705,8 +714,8 @@ def test_run_ends_with_os_exit_only_where_nothing_else_must_run(tmp_path, monkey
 
     monkeypatch.setattr(cli.os, "_exit", exited)
     monkeypatch.setattr(cli, "_single_threaded", lambda: case != "threaded")
-    if case == "flush-fails":
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    if case == "flush-fails":  # stderr: a command reports a failed stdout itself
+        monkeypatch.setattr(sys, "stderr", _ClosedPipe())
     if case == "profiled":
         sys.setprofile(lambda frame, event, arg: None)
     try:

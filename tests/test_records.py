@@ -8,10 +8,13 @@ import gc
 import io
 import json
 import math
+import os
 import reprlib
+import subprocess
 import sys
 import tempfile
 import weakref
+from array import array
 from collections.abc import Sequence
 from itertools import accumulate
 from pathlib import Path
@@ -1305,13 +1308,98 @@ def _with_infinite_score() -> EvaluationRun:
     return EvaluationRun(run.manifest, run.sample_ids, run.group, run.y, run.y_hat, scores)
 
 
+def _with_scores_around_1e_4() -> EvaluationRun:
+    """A run built from columns whose scores straddle 1e-4, below which repr writes an
+    exponent and orjson does not: the first label's column has every score, the
+    second's one alone."""
+    run = _odd_run()
+    scores = np.array(run.scores)  # (label, record)
+    scores[0] = [math.nextafter(1e-4, 0), 1e-4, 2.5e-5]
+    scores[1, 1] = 5e-324
+    return EvaluationRun(run.manifest, run.sample_ids, run.group, run.y, run.y_hat, scores)
+
+
 @pytest.mark.parametrize(
     "make",
-    [_odd_run, lambda: _odd_run(scores=False), _with_infinite_score],
-    ids=["odd names, partial scores", "no scores", "infinite score"],
+    [_odd_run, lambda: _odd_run(scores=False), _with_infinite_score, _with_scores_around_1e_4],
+    ids=["odd names, partial scores", "no scores", "infinite score", "scores around 1e-4"],
 )
 def test_written_bytes_of_runs_record_runs_does_not_draw(make):
     assert_written_as_reference(make())
+
+
+def _cells(values: Sequence[float], non_finite=repr) -> list[str]:
+    return [*records._score_cells(array("d", values), "s=", non_finite)]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_score_cells_are_repr_of_every_finite_double(values):
+    assert _cells(values) == _cells(values, json.dumps) == [f"s={v!r}" for v in values]
+
+
+# Each side of every bound at which repr or orjson changes notation.
+NOTATION_BOUNDS = [
+    0.0, -0.0, 5e-324, math.nextafter(1e-4, 0), 1e-4, 0.1, 1 / 3,
+    math.nextafter(1e16, 0), 1e16, 1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("value", NOTATION_BOUNDS + [-v for v in NOTATION_BOUNDS[2:]], ids=repr)
+def test_score_cell_at_a_notation_bound_is_repr(value):
+    """Alone, and among scores orjson writes as repr does, before and after an absent one."""
+    assert _cells([value]) == [f"s={value!r}"]
+    column = [0.5, value, math.nan, value, 0.25]
+    assert _cells(column) == ["s=0.5", f"s={value!r}", "", f"s={value!r}", "s=0.25"]
+
+
+def test_score_cells_of_a_column_longer_than_a_batch():
+    """Cells that repr alone writes, absent and infinite scores land in their own rows
+    wherever they fall among ``_SCORE_BATCH``-score slices."""
+    batch = records._SCORE_BATCH
+    n = 2 * batch + 3
+    values = [(i % 97) / 97 for i in range(n)]
+    for row, value in [(0, 1e-5), (batch - 1, math.inf), (batch, 1e20), (n - 2, -math.inf),
+                       (n - 1, math.nan)]:
+        values[row] = value
+    want = ["" if v != v else f"s={json.dumps(v) if math.isinf(v) else repr(v)}" for v in values]
+    assert _cells(values, json.dumps) == want
+    assert _cells([]) == []
+
+
+# Writes one run in each format with the columns given as JSON (scores or None) and
+# prints whether orjson was loaded.
+_WRITE_CHILD = """
+import json, sys
+from array import array
+from nhfair.records import (EvaluationRun, GroupSpace, LabelSpace, RunManifest,
+                            write_run)
+manifest = RunManifest(method="m", dataset="d", seed=0, split="test",
+                       utility_kind="accuracy", label_space=LabelSpace(labels=("a", "b")),
+                       group_space=GroupSpace(groups=("g", "h")))
+scores = json.loads(sys.argv[1])
+codes = array("b", [0, 1])
+run = EvaluationRun(manifest, ("s1", "s2"), codes, codes, codes,
+                    scores and tuple(array("d", column) for column in scores))
+write_run(run, "run.jsonl")
+write_run(run, "run.csv")
+print(json.dumps("orjson" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("scores, loaded", [(None, False), ([[0.25, 0.5], [0.75, 0.5]], True)],
+                         ids=["unscored", "scored"])
+def test_only_writing_scores_loads_orjson(tmp_path, scores, loaded):
+    src = str(Path(records.__file__).parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    child = subprocess.run(
+        [sys.executable, "-c", _WRITE_CHILD, json.dumps(scores)], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) is loaded
+    assert parse_run(tmp_path / "run.jsonl") == parse_run(tmp_path / "run.csv")
 
 
 class TestParseSummaries:
