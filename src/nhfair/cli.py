@@ -162,13 +162,14 @@ def _replaceable(target: Path) -> int | None:
 
 
 def _write_stdout(text: str) -> None:
-    """Write and flush ``text`` to stdout; raise EngineError where stdout is gone.
+    """Write and flush ``text`` to stdout; raise EngineError where stdout is gone or full.
 
     stdout is gone where file descriptor 1 was closed at start, or where it
-    is a pipe whose reader has gone: the environment's fault, not an
-    internal one. Descriptor 1 is then pointed at the null device, so the
-    flush as the process exits writes what stdout still holds there and
-    fails no more.
+    is a pipe whose reader has gone; it is full where a write or flush fails
+    otherwise (say, a full disk): the environment's fault, not an internal
+    one. Descriptor 1 is then pointed at the null device, so the flush as
+    the process exits writes what stdout still holds there and fails no
+    more.
     """
     if sys.stdout is None:
         reason = "closed"
@@ -179,6 +180,8 @@ def _write_stdout(text: str) -> None:
             return
         except BrokenPipeError:
             reason = "broken pipe, its reader has gone"
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
     null = os.open(os.devnull, os.O_WRONLY)
     if null != 1:  # else descriptor 1 was closed, and the null device took it
         os.dup2(null, 1)
@@ -191,21 +194,26 @@ def _emit(*outputs: tuple[Path | None, str]) -> None:
 
     A plain file (see :func:`_replaceable`) is written beside its target
     under a temporary name and moved into place only once every output is
-    written, so a failed command leaves no partial file there.
+    written, so a failed command leaves no partial file there. A file that
+    cannot be written (say, on a full disk) is an EngineError naming it.
     """
     staged: list[tuple[Path, Path]] = []
     try:
         for i, (target, text) in enumerate(outputs):
             if target is None:
                 _write_stdout(text)
-            elif (mode := _replaceable(target)) is not None:
-                temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
-                staged.append((temporary, target))
-                temporary.write_text(text, encoding="utf-8")
-                if mode:  # the replaced file keeps its permission bits
-                    temporary.chmod(stat.S_IMODE(mode))
-            else:
-                target.write_text(text, encoding="utf-8")
+                continue
+            try:
+                if (mode := _replaceable(target)) is not None:
+                    temporary = target.with_name(f".{target.name}.{os.getpid()}-{i}.tmp")
+                    staged.append((temporary, target))
+                    temporary.write_text(text, encoding="utf-8")
+                    if mode:  # the replaced file keeps its permission bits
+                        temporary.chmod(stat.S_IMODE(mode))
+                else:
+                    target.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise EngineError(f"{target}: {exc.strerror or exc}") from None
         for temporary, target in staged:
             os.replace(temporary, target)
     finally:

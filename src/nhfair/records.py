@@ -20,13 +20,17 @@ label tuples, each an ``array.array`` of the smallest signed type that
 holds them; and one ``array('d')`` of scores per label, in which NaN
 marks an absent score, or None for a run without scores. No Python
 object is held per record but its sample id. :func:`parse_run` decodes
-each file into these columns (a JSONL file by orjson, its lines first
-checked against ``MAX_DEPTH``; see :func:`_parse_jsonl`) and validates
-them column by column, in input order: label and group cells are looked
-up as decoded, repeated ids are found with a set, the scores of each
-label are checked by one sum, min and max, and the rows each fault flags
-are listed only for a run that has a fault. A run is sorted once, when
-``EvaluationRun`` is built. For callers that want rows,
+each file into these columns and validates them column by column, in
+input order: label and group cells are looked up as decoded, repeated ids
+are found with a set, the scores of each label are checked by one sum,
+min and max, and the rows each fault flags are listed only for a run that
+has a fault. A JSONL file is read by orjson, its lines first checked
+against ``MAX_DEPTH``: a valid log a slice of ``_SLICE`` lines at a time,
+straight into the columns (:func:`_read_slices`); a log with any fault,
+or one that slices do not take (a cell that is not a string, a line only
+json reads), again from the start, a line at a time, by the line reader,
+which finds and reports the fault (see :func:`_parse_jsonl`). A run is
+sorted once, when ``EvaluationRun`` is built. For callers that want rows,
 ``EvaluationRun.records`` is a read-only view of the same records as
 ``PredictionRecord`` values, and ``EvaluationRun.from_records`` builds a
 run from rows. :func:`write_run` writes the records column by column,
@@ -101,6 +105,9 @@ _NO_SCORES: dict[str, object] = {}
 # The score of a label a JSONL record does not map: a NaN that no decoder
 # returns, so absent cells are counted and skipped by identity.
 _ABSENT = float("nan")
+# Lines of a JSONL log read and decoded at a time (see _read_slices); from 128
+# to 512 the speed is the same, and a slice's dicts are freed with it.
+_SLICE = 256
 _BUFFER_TYPES = "?bBhHiIlLqQfd"  # buffer formats of bools and numbers
 
 
@@ -270,7 +277,7 @@ def _float_or_nan(value: object) -> float:
         return math.nan
 
 
-def _in_unit_range(values: array) -> bool:
+def _in_unit_range(values: Sequence[float]) -> bool:
     """Whether every value is a number in [0, 1]: a NaN makes the sum NaN, an infinity
     leaves the min or max out of range."""
     total = sum(values)
@@ -477,38 +484,54 @@ def _flagged(fault: Fault, n: int) -> Check:
     return [row for row in range(n) if fault(row)], fault
 
 
+def _clean_scores(maps: list[dict], labels: tuple[str, ...]) -> tuple[array, ...] | None:
+    """Score columns of label -> score maps, NaN where a map lacks the label; None
+    unless every score is a number in [0, 1] that ``array('d')`` takes and every key is
+    a label (or where a map is not a dict).
+
+    Each label's scores are checked together: absent cells are counted by
+    identity (no decoder returns ``_ABSENT``), and the present ones are
+    checked by one sum, min and max; one count of the maps' keys finds a key
+    outside the label space.
+    """
+    columns = []
+    present = 0
+    for label in labels:
+        try:
+            cells = [*map(dict.get, maps, repeat(label), repeat(_ABSENT))]
+            column = array("d", cells)
+        except (TypeError, OverflowError):  # a string, null, array or object, or a huge integer
+            return None
+        absent = cells.count(_ABSENT)
+        present += len(cells) - absent
+        if not _in_unit_range([*filter(partial(is_not, _ABSENT), cells)] if absent else cells):
+            return None
+        columns.append(column)
+    return tuple(columns) if sum(map(len, maps)) == present else None
+
+
 def _mapped_scores(
     maps: list[dict | None], labels: tuple[str, ...]
 ) -> tuple[tuple[array, ...] | None, list[Check]]:
     """Score columns of per-record label -> score maps, and their check.
 
     A record's map is checked label by label (a value ``float()`` rejects,
-    then one outside [0, 1]), then for a key outside the label space. Each
-    label's scores are checked together first; records are checked one by
-    one only where that finds a fault, or a value ``float()`` alone reads.
+    then one outside [0, 1]), then for a key outside the label space. The
+    maps are checked together first (:func:`_clean_scores`); records are
+    checked one by one only where that finds a fault, or a value ``float()``
+    alone reads.
     """
     n = len(maps)
     if maps.count(None) == n:
         return None, []
     maps = [m or _NO_SCORES for m in maps]
-    columns = []
-    present = 0
-    clean = True
-    for label in labels:
-        cells = [*map(dict.get, maps, repeat(label), repeat(_ABSENT))]
-        absent = cells.count(_ABSENT)  # by identity: no decoder returns _ABSENT
-        present += n - absent
-        try:
-            column = array("d", cells)
-        except (TypeError, OverflowError):  # a string, null, array or object, or a huge integer
-            columns.append(array("d", map(_float_or_nan, cells)))
-            clean = False
-            continue
-        given = array("d", filter(partial(is_not, _ABSENT), cells)) if absent else column
-        clean = clean and _in_unit_range(given)
-        columns.append(column)
-    if clean and sum(map(len, maps)) == present:  # no key outside the label space
-        return tuple(columns), []
+    columns = _clean_scores(maps, labels)
+    if columns is not None:
+        return columns, []
+    columns = tuple(
+        array("d", map(_float_or_nan, map(dict.get, maps, repeat(label), repeat(_ABSENT))))
+        for label in labels
+    )
 
     def fault(row: int) -> tuple[type[ParseError], str] | None:
         record = maps[row]
@@ -523,7 +546,7 @@ def _mapped_scores(
         key = next((k for k in record if k not in labels), None)
         return None if key is None else (UnknownLabel, f"score key {key!r} not in label space")
 
-    return tuple(columns), [_flagged(fault, n)]
+    return columns, [_flagged(fault, n)]
 
 
 def _codes(cells: Sequence, space: tuple[str, ...]) -> array:
@@ -723,10 +746,77 @@ def _record_fault(value: object) -> str:
     return "scores must be an object"
 
 
+def _read_slices(
+    path: Path, manifest: RunManifest, loads: Callable[[str], object]
+) -> EvaluationRun | None:
+    """The run of a JSONL log read ``_SLICE`` lines at a time, or None where the log is
+    not one that this reader takes.
+
+    It takes a log whose every non-blank line ``loads`` reads as one object
+    with the four fields, whose cells are strings naming a label or group
+    of the manifest, whose scores are numbers in [0, 1] keyed by labels,
+    whose ids are distinct, whose groups all hold a record, and whose auc
+    records each hold the positive score; of such a log, the line reader
+    (:func:`_decode_jsonl`, then :func:`_finish_run`) builds the same run.
+    Each slice is decoded by one ``map`` of ``loads`` (again without its
+    blank lines, where that fails), and its fields go into the columns by
+    ``map``, ``itemgetter`` and ``array`` calls, with no loop per record;
+    no record's dict outlives its slice. A byte that is not UTF-8 raises
+    UnicodeDecodeError, which :func:`read_log` reports as it does the line
+    reader's.
+    """
+    labels = manifest.label_space.labels
+    label_code = {name: i for i, name in enumerate(labels)}.__getitem__
+    group_code = {name: i for i, name in enumerate(manifest.group_space.groups)}.__getitem__
+    get_id, get_y, get_y_hat, get_group = map(itemgetter, _FIELDS)
+    ids: list[str] = []
+    y, y_hat = array(code_type(len(labels))), array(code_type(len(labels)))
+    group = array(code_type(manifest.group_space.size))
+    scores = [array("d") for _ in labels]
+    scored = False  # whether some record maps a score; the run has scores only then
+    with path.open("r", encoding="utf-8") as handle:
+        while lines := [*islice(handle, _SLICE)]:
+            # a line that loads reads nests at most half its length deep
+            if max(map(len, lines)) > 2 * MAX_DEPTH and any(map(_too_deep, lines)):
+                return None
+            try:
+                try:
+                    values = [*map(loads, lines)]
+                except ValueError:  # a blank line, or a line the line reader reports
+                    values = [*map(loads, filter(str.strip, lines))]
+                sample_ids = [*map(get_id, values)]
+                "".join(sample_ids)  # a TypeError unless every id is a string
+                ids += sample_ids
+                y.extend(map(label_code, map(get_y, values)))
+                y_hat.extend(map(label_code, map(get_y_hat, values)))
+                group.extend(map(group_code, map(get_group, values)))
+                maps = [*map(dict.get, values, repeat("scores"), repeat(_NO_SCORES))]
+            except (ValueError, KeyError, TypeError):
+                return None
+            if None in maps:  # "scores": null
+                maps = [_NO_SCORES if m is None else m for m in maps]
+            columns = _clean_scores(maps, labels)
+            if columns is None:
+                return None
+            for column, part in zip(scores, columns):
+                column += part
+            scored = scored or any(maps)
+    if not ids or len(set(ids)) < len(ids) or len(set(group)) < manifest.group_space.size:
+        return None
+    if manifest.utility_kind == "auc":
+        total = sum(scores[labels.index(manifest.label_space.positive_label)])
+        if total != total:  # NaN: a record lacks the positive score
+            return None
+    return EvaluationRun(manifest, ids, group, y, y_hat, tuple(scores) if scored else None)
+
+
 def _parse_jsonl(path: Path, manifest: RunManifest) -> EvaluationRun:
     """The run of a JSONL log, its lines read by ``orjson.loads``.
 
-    json reads every line that orjson rejects (a blank line, ``NaN``,
+    :func:`_read_slices` reads a valid log a slice at a time. Where it
+    refuses the log, the line reader reads it again from the start, a line
+    at a time, so that each error keeps its class, message and line: json
+    reads every line that orjson rejects (a blank line, ``NaN``,
     ``Infinity``, ``1e400``, a lone-surrogate escape, faulty JSON). Of
     lines that nest no deeper than ``MAX_DEPTH``, orjson reads every other
     one as json does, but for an integer outside 64 bits: a file in which
@@ -735,6 +825,9 @@ def _parse_jsonl(path: Path, manifest: RunManifest) -> EvaluationRun:
     """
     import orjson  # loaded only where a JSONL log is read
 
+    run = _read_slices(path, manifest, orjson.loads)
+    if run is not None:
+        return run
     lines, columns, maps, pending = _decode_jsonl(path, orjson.loads)
     if _wide_cells(columns):
         lines, columns, maps, pending = _decode_jsonl(path, _json_line)

@@ -655,6 +655,49 @@ def test_a_closed_stdout_ends_as_sys_exit_of_main_did(tmp_path):
     assert sorted(new[3]) == ["cd.json", "cd.svg"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_output_exits_2_with_one_line_naming_it(tmp_path):
+    """A write to stdout or to --out that fails for want of space exits 2 with one
+    error line naming the output, whether the output fits stdout's buffer or not,
+    and writes no file."""
+    _path_inputs(tmp_path)
+    full = os.strerror(errno.ENOSPC)
+    cases = [
+        (["compare", "--metric", "gap", "--svg", "cd.svg", "agg.csv"], "stdout"),
+        (["evaluate", "run.jsonl"], "stdout"),
+        (["evaluate", "--format", "json", "run.jsonl", "run.jsonl"], "stdout"),
+        (["compare", "--metric", "gap", "--svg", "cd.svg", "--out", "/dev/full", "agg.csv"],
+         "/dev/full"),
+        (["evaluate", "--out", "/dev/full", "run.jsonl"], "/dev/full"),
+    ]
+    with open("/dev/full", "wb") as device:
+        for argv, output in cases:
+            stdout = device if output == "stdout" else subprocess.PIPE
+            new, old = _both_ways(argv, tmp_path, stdout=stdout)
+            printed = None if output == "stdout" else b""
+            assert new == old == (2, printed, f"error: {output}: {full}\n".encode(), {}), argv
+
+
+def test_a_file_output_that_fails_to_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """An --out file that cannot be written exits 2 naming it, and the outputs staged
+    before it are removed, not moved into place."""
+    _path_inputs(tmp_path)
+    write_text = Path.write_text
+
+    def short_of_space(path, text, *args, **kwargs):
+        if ".cd.svg." in path.name:
+            write_text(path, text[:10], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", short_of_space)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["compare", "--metric", "gap", "--out", "cd.json", "agg.csv"]) == 2
+    assert capsys.readouterr() == ("", f"error: cd.svg: {os.strerror(errno.ENOSPC)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_an_atexit_handler_runs_before_the_output_is_flushed(tmp_path):
     """cli.run runs the handlers a program registered before it ran the module as
     __main__, and flushes what they write."""

@@ -1048,6 +1048,133 @@ def test_jsonl_read_by_orjson_parses_as_read_by_json_alone(case):
     assert got == expected
 
 
+# A JSONL log is read by slices of records._SLICE lines (256); the line reader
+# reads it again wherever they refuse it. The properties below compare the
+# two on logs of lines on either side of the slice length.
+SLICE = records._SLICE
+LINE_COUNTS = [1, 2, 7, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1]
+
+
+def clean_line(labels: list[str], index: int, keys: set[str], null: bool) -> str:
+    """The ``index``-th record line of a valid log: string cells, the scores of ``keys``
+    (none: no ``scores``, or ``"scores": null``)."""
+    record: dict[str, object] = {
+        "sample_id": f"s{index}", "y": labels[index % 2], "y_hat": labels[index // 2 % 2],
+        "group": "AB"[index % 2],
+    }
+    if keys or null:
+        record["scores"] = {k: index % 11 / 10 for k in labels if k in keys} if keys else None
+    return json.dumps(record)
+
+
+def record_faults(labels: list[str], index: int) -> list[str]:
+    """Lines of the ``index``-th record with a fault the line reader finds once every
+    line is decoded: an unknown label or group, no scores or no positive score (an auc
+    run's fault), and scores under an unknown key or out of range."""
+    cells = {"sample_id": f"s{index}", "y": labels[0], "y_hat": labels[0], "group": "A"}
+    return [json.dumps({**cells, **change}) for change in [
+        {"y": "maybe"}, {"y_hat": "maybe"}, {"group": "Z"}, {}, {"scores": {labels[0]: 0.5}},
+        {"scores": {"maybe": 0.5}}, {"scores": {labels[-1]: 1.5}}, {"scores": {}},
+    ]]
+
+
+@st.composite
+def sliced_jsonl_texts(draw) -> tuple[dict, str]:
+    """A manifest and a JSONL text of valid records, many lines long, of which a few
+    lines are replaced by other records (faulty ones, some of the time), blank lines,
+    text faults or copies of another line (a repeated id), with line ends of one kind."""
+    manifest = draw(st.sampled_from(EQUIVALENCE_MANIFESTS))
+    labels, kind = manifest["labels"], manifest["utility_kind"]
+    count = draw(st.sampled_from(LINE_COUNTS))
+    shapes = draw(st.lists(st.sets(st.sampled_from(labels[:2])), min_size=1, max_size=3))
+    if kind == "auc":  # the positive score in each
+        shapes = [keys | {labels[-1]} for keys in shapes]
+    null = draw(st.booleans())
+    lines = [clean_line(labels, i, shapes[i % len(shapes)], null) for i in range(count)]
+    faulty = draw(st.booleans())
+    edges = [i for i in (SLICE - 1, SLICE, 2 * SLICE - 1, 2 * SLICE, count - 1) if i < count]
+    for _ in range(draw(st.integers(0, 4))):
+        index = draw(st.one_of(st.integers(0, count - 1), st.sampled_from(edges)))
+        record = jsonl_record_lines(labels, kind, faulty, index)
+        blank = st.sampled_from(["", " ", "\t", "\x0c"])
+        fault = st.one_of(
+            st.sampled_from(["{bad", "[1, 2]", '"s"', "NaN", "[" * 150, *DEEP.values()]),
+            st.sampled_from(lines),
+            st.sampled_from(record_faults(labels, index)),
+        )
+        lines[index] = draw(st.one_of(record, record, blank, fault) if faulty else
+                            st.one_of(record, blank))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return manifest, end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def write_log(directory: Path, manifest: dict, text: str) -> Path:
+    path = directory / "run.jsonl"
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    (directory / "run.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return path
+
+
+def _line_reader_outcome(path: Path) -> object:
+    """:func:`_parse_outcome` of the line reader alone: the slice reader refuses every log."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "_read_slices", lambda *args: None)
+        return _parse_outcome(path)
+
+
+@given(sliced_jsonl_texts())
+@settings(max_examples=300, deadline=None)
+def test_jsonl_read_by_slices_parses_as_read_by_lines(case):
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_log(Path(directory), *case)
+        assert _parse_outcome(path) == _line_reader_outcome(path)
+
+
+def _read_slices(path: Path) -> EvaluationRun | None:
+    return records._read_slices(path, _load_manifest(path), orjson.loads)
+
+
+@pytest.mark.parametrize("count", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
+@pytest.mark.parametrize("manifest", [MANIFEST, AUC_MANIFEST], ids=["accuracy", "auc"])
+def test_a_log_around_the_slice_length_is_read_by_slices_as_by_lines(tmp_path, count, manifest):
+    labels = manifest["labels"]
+    lines = [clean_line(labels, i, {"pos"} if i % 3 else {"neg", "pos"}, False)
+             for i in range(count)]
+    path = write_log(tmp_path, manifest, "\n".join(lines) + "\n")
+    run = _read_slices(path)
+    assert run is not None and len(run.sample_ids) == count
+    assert (run, list(run.sample_ids)) == _line_reader_outcome(path)
+
+
+# Lines that stand in for a valid record at a slice edge: (case, line, taken by slices)
+EDGE_LINES = [
+    ("blank line", "", True),
+    ("scores null", record_line("x", "neg", "neg", "A", None)[:-1] + ', "scores": null}', True),
+    ("invalid JSON", "{bad", False),
+    ("NaN score", raw_record("x", scores='{"pos": NaN}'), False),
+    ("score above 1", raw_record("x", scores='{"pos": 1.5}'), False),
+    ("unknown score key", raw_record("x", scores='{"maybe": 0.5}'), False),
+    ("string score", raw_record("x", scores='{"pos": "0.5"}'), False),
+    ("numeric id", '{"sample_id": 7, "y": "neg", "y_hat": "neg", "group": "A"}', False),
+    ("unknown group", record_line("x", "neg", "neg", "Z"), False),
+    ("repeated id", record_line("s0", "neg", "neg", "A"), False),
+    ("missing field", '{"sample_id": "x", "y": "neg", "group": "A"}', False),
+]
+
+
+@pytest.mark.parametrize("index", [SLICE - 1, SLICE], ids=["last-of-slice-1", "first-of-slice-2"])
+@pytest.mark.parametrize("case, line, taken", EDGE_LINES, ids=[case[0] for case in EDGE_LINES])
+def test_a_line_at_a_slice_edge_reads_as_by_lines(tmp_path, index, case, line, taken):
+    lines = [clean_line(MANIFEST["labels"], i, {"pos"}, False) for i in range(SLICE + 2)]
+    lines[index] = line
+    path = write_log(tmp_path, MANIFEST, "\n".join(lines) + "\n")
+    assert (_read_slices(path) is not None) is taken
+    outcome = _parse_outcome(path)
+    assert outcome == _line_reader_outcome(path)
+    assert isinstance(outcome[0], EvaluationRun) or outcome[1] == index + 1
+
+
 def test_a_label_beyond_64_bits_is_read_as_json_reads_it(tmp_path):
     """orjson alone reads 18446744073709551616 as 1.8446744073709552e+19."""
     manifest = dict(MANIFEST, labels=["neg", WIDE])
@@ -1061,24 +1188,28 @@ def test_a_label_beyond_64_bits_is_read_as_json_reads_it(tmp_path):
     assert [rec.true_label for rec in parse_run(path).records] == [WIDE, "neg"]
 
 
-@pytest.mark.parametrize("lines, decodes", [
-    ([OK1[:-1] + ', "path": "a"}', OK2[:-1] + ', "path": [1]}'], 1),  # an extra key in each
+@pytest.mark.parametrize("lines, line_passes", [
+    ([OK1[:-1] + ', "path": "a"}', OK2[:-1] + ', "path": [1]}'], 0),  # an extra key in each
     ([OK1, OK2, record_line("s3", "pos", "pos", "Z")], 1),  # a faulty last record
     ([record_line("s1", 2**64, "neg", "A"), OK2], 2),  # a cell beyond 64 bits: json alone
 ])
 def test_a_log_is_decoded_again_only_for_a_cell_beyond_64_bits(
-    tmp_path, monkeypatch, lines, decodes
+    tmp_path, monkeypatch, lines, line_passes
 ):
+    """A log is read once by slices; only a log they refuse is read again by lines, with
+    orjson, and only a cell beyond 64 bits makes json read it a third time."""
     path = write_fixture(tmp_path, lines, dict(MANIFEST, labels=["neg", "pos", WIDE]))
     calls = []
-    decode = records._decode_jsonl
+    read_slices, decode = records._read_slices, records._decode_jsonl
+    monkeypatch.setattr(
+        records, "_read_slices", lambda *args: calls.append("slices") or read_slices(*args)
+    )
     monkeypatch.setattr(
         records, "_decode_jsonl", lambda *args: calls.append(args[1]) or decode(*args)
     )
     with contextlib.suppress(UnknownGroup):
         parse_run(path)
-    assert calls[0] is orjson.loads
-    assert calls[1:] == [records._json_line] * (decodes - 1)
+    assert calls == ["slices", orjson.loads, records._json_line][: 1 + line_passes]
 
 
 def test_a_file_of_another_suffix_is_no_record_format(tmp_path):
