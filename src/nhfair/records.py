@@ -24,22 +24,21 @@ each file into these columns and validates them column by column, in
 input order: label and group cells are looked up as decoded, repeated ids
 are found with a set, the scores of each label are checked by one sum,
 min and max, and the rows each fault flags are listed only for a run that
-has a fault. A JSONL file is read by orjson, its lines first checked
-against ``MAX_DEPTH``: a valid log a slice of ``_SLICE`` lines at a time,
-straight into the columns (:func:`_read_slices`); a log with any fault,
-or one that slices do not take (a cell that is not a string, a line only
-json reads), again from the start, a line at a time, by the line reader,
-which finds and reports the fault (see :func:`_parse_jsonl`). A run is
-sorted once, when ``EvaluationRun`` is built. For callers that want rows,
-``EvaluationRun.records`` is a read-only view of the same records as
-``PredictionRecord`` values, and ``EvaluationRun.from_records`` builds a
-run from rows. :func:`write_run` writes the records column by column,
-streamed to the file: each column is formatted once (strings quoted by
-json's own encoder, each label and group name once per run; scores by
-one ``orjson.dumps`` per slice of a column, whose text is that of
-``float.__repr__`` but where repr writes an exponent, and repr writes
-those cells; see :func:`_batch_cells`), and the bytes are those of one
-``json.dumps`` per record.
+has a fault. A JSONL file is read in one pass, ``_SLICE`` lines at a
+time, its lines first checked against ``MAX_DEPTH``: one orjson decode
+of a slice, whose fields go straight into the columns, or, for a slice
+that this decode refuses, a line at a time, which finds the faulty
+line; json reads what orjson may read otherwise (see
+:func:`_parse_jsonl`). A run is sorted once, when ``EvaluationRun`` is
+built. For callers that want rows, ``EvaluationRun.records`` is a
+read-only view of the same records as ``PredictionRecord`` values, and
+``EvaluationRun.from_records`` builds a run from rows. :func:`write_run`
+writes the records column by column, streamed to the file: each column
+is formatted once (strings quoted by json's own encoder, each label and
+group name once per run; scores by one ``orjson.dumps`` per slice of a
+column, whose text is that of ``float.__repr__`` but where repr writes an
+exponent, and repr writes those cells; see :func:`_batch_cells`), and the
+bytes are those of one ``json.dumps`` per record.
 
 The manifest model and the records are named tuples, immutable and equal
 to the plain tuple of their fields; ``LabelSpace``, ``GroupSpace`` and
@@ -61,7 +60,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import attrgetter, is_not, itemgetter, le
 from pathlib import Path
 from typing import NamedTuple
@@ -97,6 +96,7 @@ UTILITY_KINDS = ("accuracy", "auc")
 # also the leading CSV columns.
 _FIELDS = ("sample_id", "y", "y_hat", "group")
 _get_fields = itemgetter(*_FIELDS)
+_FIELD_GETTERS = [*map(itemgetter, _FIELDS)]
 _quote = json.encoder.encode_basestring_ascii  # json.dumps' own string encoder
 _PLAIN_CELLS = {str, int, float, bool, type(None)}  # JSON scalars
 _SCORES_KEY = ', "scores": {'
@@ -105,7 +105,7 @@ _NO_SCORES: dict[str, object] = {}
 # The score of a label a JSONL record does not map: a NaN that no decoder
 # returns, so absent cells are counted and skipped by identity.
 _ABSENT = float("nan")
-# Lines of a JSONL log read and decoded at a time (see _read_slices); from 128
+# Lines of a JSONL log read and decoded at a time (see _parse_jsonl); from 128
 # to 512 the speed is the same, and a slice's dicts are freed with it.
 _SLICE = 256
 _BUFFER_TYPES = "?bBhHiIlLqQfd"  # buffer formats of bools and numbers
@@ -382,14 +382,14 @@ class EvaluationRun:
         An error names the offending record's 1-based position as its line.
         """
         rows = list(records)
-        columns = [
-            [r.sample_id for r in rows],
-            [r.true_label for r in rows],
-            [r.predicted_label for r in rows],
-            [r.group for r in rows],
-        ]
+        lines = range(1, len(rows) + 1)
         scores, checks = _mapped_scores([r.scores for r in rows], manifest.label_space.labels)
-        return _finish_run(manifest, None, range(1, len(rows) + 1), columns, scores, checks)
+        _raise_first(checks, None, lines)
+        cells = ([r.true_label for r in rows], [r.predicted_label for r in rows],
+                 [r.group for r in rows])
+        codes, unknown = zip(*map(_codes, cells, _code_spaces(manifest)))
+        return _finish_run(manifest, None, lines, [str(r.sample_id) for r in rows], codes,
+                           unknown, scores)
 
 
 def _score_maps(
@@ -467,8 +467,11 @@ Fault = Callable[[int], "tuple[type[ParseError], str] | None"]
 Check = tuple[Sequence[int], Fault]
 
 
-def _raise_first(checks: list[Check], path: str | None, lines: Sequence[int]) -> None:
-    """Raise the fault of the earliest flagged record; on one record the earlier check wins."""
+def _raise_first(
+    checks: list[Check], path: str | None, lines: Sequence[int], pending: ParseError | None = None
+) -> None:
+    """Raise the fault of the earliest flagged record; on one record the earlier check wins.
+    Where no record is flagged, raise ``pending``: the fault of a line after the records."""
     first: tuple[int, Fault] | None = None
     for rows, fault in checks:
         if rows and (first is None or rows[0] < first[0]):
@@ -477,6 +480,8 @@ def _raise_first(checks: list[Check], path: str | None, lines: Sequence[int]) ->
         row, fault = first
         cls, message = fault(row)
         raise cls(message, path=path, line=lines[row])
+    if pending is not None:
+        raise pending
 
 
 def _flagged(fault: Fault, n: int) -> Check:
@@ -487,7 +492,7 @@ def _flagged(fault: Fault, n: int) -> Check:
 def _clean_scores(maps: list[dict], labels: tuple[str, ...]) -> tuple[array, ...] | None:
     """Score columns of label -> score maps, NaN where a map lacks the label; None
     unless every score is a number in [0, 1] that ``array('d')`` takes and every key is
-    a label (or where a map is not a dict).
+    a label (or where a map is not a dict, None included).
 
     Each label's scores are checked together: absent cells are counted by
     identity (no decoder returns ``_ABSENT``), and the present ones are
@@ -510,24 +515,25 @@ def _clean_scores(maps: list[dict], labels: tuple[str, ...]) -> tuple[array, ...
     return tuple(columns) if sum(map(len, maps)) == present else None
 
 
-def _mapped_scores(
-    maps: list[dict | None], labels: tuple[str, ...]
-) -> tuple[tuple[array, ...] | None, list[Check]]:
-    """Score columns of per-record label -> score maps, and their check.
+def _mapped_scores(maps: list, labels: tuple[str, ...]) -> tuple[tuple[array, ...], list[Check]]:
+    """Score columns of per-record label -> score maps (None: no scores), and their checks.
 
-    A record's map is checked label by label (a value ``float()`` rejects,
-    then one outside [0, 1]), then for a key outside the label space. The
-    maps are checked together first (:func:`_clean_scores`); records are
-    checked one by one only where that finds a fault, or a value ``float()``
-    alone reads.
+    A record whose map is neither a dict nor None is flagged first (its
+    scores must be an object). A record's map is checked label by label (a
+    value ``float()`` rejects, then one outside [0, 1]), then for a key
+    outside the label space. The maps are checked together first
+    (:func:`_clean_scores`); records are checked one by one only where that
+    finds a fault, or a value ``float()`` alone reads.
     """
-    n = len(maps)
-    if maps.count(None) == n:
-        return None, []
-    maps = [m or _NO_SCORES for m in maps]
     columns = _clean_scores(maps, labels)
     if columns is not None:
         return columns, []
+    odd = [row for row, m in enumerate(maps) if not (m is None or isinstance(m, dict))]
+    maps = [m if isinstance(m, dict) else _NO_SCORES for m in maps]
+    checks: list[Check] = [(odd, lambda row: (MalformedLine, "scores must be an object"))]
+    columns = _clean_scores(maps, labels)
+    if columns is not None:
+        return columns, checks
     columns = tuple(
         array("d", map(_float_or_nan, map(dict.get, maps, repeat(label), repeat(_ABSENT))))
         for label in labels
@@ -546,57 +552,62 @@ def _mapped_scores(
         key = next((k for k in record if k not in labels), None)
         return None if key is None else (UnknownLabel, f"score key {key!r} not in label space")
 
-    return columns, [_flagged(fault, n)]
+    return columns, [*checks, _flagged(fault, len(maps))]
 
 
-def _codes(cells: Sequence, space: tuple[str, ...]) -> array:
-    """Index of each cell in ``space``, or -1 where it is not a member.
+def _code_spaces(manifest: RunManifest) -> list[tuple[dict[str, int], str]]:
+    """The index of each name and the code typecode of the y, y_hat and group columns."""
+    labels = manifest.label_space.labels
+    return [({name: i for i, name in enumerate(space)}, code_type(len(space)))
+            for space in (labels, labels, manifest.group_space.groups)]
+
+
+def _member_codes(cells: Iterable, space: tuple[dict[str, int], str]) -> array:
+    """Each cell's code in ``space`` (:func:`_code_spaces`); a KeyError where a cell is
+    not a member's name as it is, a TypeError where it is unhashable (a JSON array)."""
+    index, typecode = space
+    codes = map(index.__getitem__, cells)
+    return array(typecode, bytes(codes) if typecode == "b" else codes)  # bytes: a C loop
+
+
+def _codes(cells: Sequence, space: tuple[dict[str, int], str]) -> tuple[array, dict[int, object]]:
+    """Each cell's code in ``space``, or -1 where it names no member, and the cells
+    coded -1 by row.
 
     A cell names the member equal to its ``str()``, so a JSON number or
     bool names a label or group by its text. Cells are looked up as they
     are first; only a column in which one misses is mapped through ``str``.
     """
-    index = {name: i for i, name in enumerate(space)}
-    typecode = code_type(len(space))
     try:
-        return array(typecode, map(index.__getitem__, cells))
-    except (KeyError, TypeError):  # not a member as it is, or unhashable (a JSON array)
-        return array(typecode, map(index.get, map(str, cells), repeat(-1)))
+        return _member_codes(cells, space), {}
+    except (KeyError, TypeError):
+        index, typecode = space
+        codes = array(typecode, map(index.get, map(str, cells), repeat(-1)))
+        return codes, {row: cells[row] for row, code in enumerate(codes) if code < 0}
 
 
 def _finish_run(
     manifest: RunManifest,
     path: str | None,
     lines: Sequence[int],
-    columns: Sequence[Sequence],
+    ids: Sequence[str],
+    codes: Sequence[array],
+    unknown: Sequence[dict[int, object]],
     scores: tuple[array, ...] | None,
-    checks: list[Check],
-    pending: ParseError | None = None,
 ) -> EvaluationRun:
     """Validate decoded records and build the run.
 
-    ``columns`` are the sample_id, y, y_hat and group of the records
-    decoded, in input order, ``scores`` their score columns (NaN: absent)
-    and ``checks`` their decode faults; ``pending`` is the fault of the
-    input line after the last of them, if decoding stopped there. As when
-    records are checked one at a time, in input order, the first decode
-    fault wins, then the pending one; then, again in input order, duplicate
-    ids, unknown labels and groups and missing auc scores (see
-    :func:`_raise_record_fault`); then groups without records. A sample id
-    is compared by its ``str()``.
+    The records decoded, in input order and past their decode checks, are
+    given as their sample ids' text, their y, y_hat and group ``codes`` with
+    the ``unknown`` cells of each (see :func:`_codes`) and their ``scores``
+    (NaN: absent). As when records are checked one at a time, in input
+    order: duplicate ids, unknown labels and groups and missing auc scores
+    (see :func:`_raise_record_fault`); then groups without records.
     """
-    _raise_first(checks, path, lines)
-    if pending is not None:
-        raise pending
     if not lines:
         raise ParseError("run contains no records", path=path)
-    ids = [*map(str, columns[0])]
     labels = manifest.label_space.labels
-    group_names = manifest.group_space.groups
-    y = _codes(columns[1], labels)
-    y_hat = _codes(columns[2], labels)
-    group = _codes(columns[3], group_names)
-    bad = -1 in y or -1 in y_hat or -1 in group or len(set(ids)) < len(ids)
+    bad = any(unknown) or len(set(ids)) < len(ids)
     if manifest.utility_kind == "auc" and not bad:
         # the decode checks passed, so a present score is in [0, 1] and the
         # sum is NaN only where a record lacks the positive score
@@ -604,45 +615,35 @@ def _finish_run(
         total = math.nan if scores is None else sum(scores[positive])
         bad = total != total
     if bad:
-        _raise_record_fault(manifest, path, lines, ids, columns, (y, y_hat, group), scores)
+        _raise_record_fault(manifest, path, lines, ids, unknown, scores)
 
-    missing = [g for i, g in enumerate(group_names) if i not in group]
+    y, y_hat, group = codes
+    missing = [g for i, g in enumerate(manifest.group_space.groups) if i not in group]
     if missing:
         raise EmptyGroup(f"no records for group(s): {', '.join(missing)}", path=path)
     return EvaluationRun(manifest, ids, group, y, y_hat, scores)
-
-
-def _negative(codes: array) -> list[int]:
-    """The rows whose cell named no member (code -1)."""
-    return [row for row, code in enumerate(codes) if code < 0]
 
 
 def _raise_record_fault(
     manifest: RunManifest,
     path: str | None,
     lines: Sequence[int],
-    ids: list[str],
-    columns: Sequence[Sequence],
-    codes: tuple[array, array, array],
+    ids: Sequence[str],
+    unknown: Sequence[dict[int, object]],
     scores: tuple[array, ...] | None,
 ) -> None:
     """Raise the first record fault: on one record, a repeated id, then an
     unknown label, prediction or group, then a missing auc score."""
     first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    ys, y_hats, groups = columns[1:]
-    y, y_hat, group = codes
+    ys, y_hats, groups = unknown
     record_checks: list[Check] = [
         ([row for row, i in enumerate(ids) if first_row[i] != row], lambda row: (
             DuplicateSampleId,
             f"sample_id {ids[row]!r} already seen on line {lines[first_row[ids[row]]]}",
         )),
-        (_negative(y), lambda row: (UnknownLabel, f"label {str(ys[row])!r} not in manifest")),
-        (_negative(y_hat), lambda row: (
-            UnknownLabel, f"label {str(y_hats[row])!r} not in manifest"
-        )),
-        (_negative(group), lambda row: (
-            UnknownGroup, f"group {str(groups[row])!r} not in manifest"
-        )),
+        ([*ys], lambda row: (UnknownLabel, f"label {str(ys[row])!r} not in manifest")),
+        ([*y_hats], lambda row: (UnknownLabel, f"label {str(y_hats[row])!r} not in manifest")),
+        ([*groups], lambda row: (UnknownGroup, f"group {str(groups[row])!r} not in manifest")),
     ]
     if manifest.utility_kind == "auc":
         labels = manifest.label_space.labels
@@ -671,7 +672,7 @@ def _json_line(raw: str) -> object:
     return json_value(raw) if raw.strip() else _BLANK
 
 
-def _wide_cells(columns: tuple[list, ...]) -> bool:
+def _wide_cells(columns: Sequence[list]) -> bool:
     """Whether orjson may read a cell otherwise than json does.
 
     orjson reads an integer outside 64 bits as a float, of magnitude 2**63
@@ -686,153 +687,128 @@ def _wide_cells(columns: tuple[list, ...]) -> bool:
     return False
 
 
-def _decode_jsonl(
-    path: Path, loads: Callable[[str], object]
-) -> tuple[list[int], tuple[list, ...], list[dict | None], ParseError | None]:
-    """Fields of the records on the non-blank lines before the first faulty one.
+def _fields(values: list[dict]) -> list[list]:
+    """The sample_id, y, y_hat, group and scores cells of records (no ``scores``: an
+    empty map); a KeyError or TypeError where a value is not a record."""
+    return [*([*map(get, values)] for get in _FIELD_GETTERS),
+            [*map(dict.get, values, repeat("scores"), repeat(_NO_SCORES))]]
 
-    Returns their line numbers, their sample_id, y, y_hat and group
-    columns, their score maps, and the fault of the line that stopped
-    decoding (or None): nested deeper than ``MAX_DEPTH``, not one JSON
-    value, not an object, a missing field or a ``scores`` that is not an
-    object. Lines are numbered as iterating the text file yields them.
-    Each line is read by ``loads``, which must reject what is not JSON,
-    and by :func:`_json_line` where ``loads`` raises. A line that ``loads``
-    reads is valid JSON, which nests at most half its length deep, so a
-    line is checked for depth before ``loads`` reads it only where it is
-    longer than ``2 * MAX_DEPTH`` characters.
+
+def _decode_lines(
+    raw: list[str], first: int, path: str, loads: Callable[[str], object]
+) -> tuple[list[int], list[list], ParseError | None]:
+    """The line numbers and :func:`_fields` of the records on the non-blank lines of a
+    slice, from line ``first``, before its first faulty one, and that line's fault.
+
+    The fault is one of a line nested deeper than ``MAX_DEPTH``, not one JSON
+    value, not an object or missing a field. Each line is read by ``loads``,
+    which must reject what is not JSON, and by :func:`_json_line` where
+    ``loads`` raises. A line that ``loads`` reads is valid JSON, which nests at
+    most half its length deep, so a line is checked for depth before
+    ``loads`` reads it only where it is longer than ``2 * MAX_DEPTH``.
     """
-    lines: list[int] = []
-    columns: tuple[list, ...] = ([], [], [], [])
-    add_id, add_y, add_y_hat, add_group = (column.append for column in columns)
-    maps: list[dict | None] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
+    numbers: list[int] = []
+    values: list[dict] = []
+    fault = None
+    for line_no, text in enumerate(raw, start=first):
+        try:
+            if len(text) > 2 * MAX_DEPTH and _too_deep(text):
+                raise ValueError  # named by _json_line
+            value = loads(text)
+        except ValueError:  # json decides
             try:
-                if len(raw) > 2 * MAX_DEPTH and _too_deep(raw):
-                    raise ValueError  # named by _json_line
-                value = loads(raw)
-            except ValueError:  # json decides
-                try:
-                    value = _json_line(raw)
-                except ValueError as exc:  # or an integer of too many digits
-                    error = MalformedLine(f"invalid JSON: {exc}", path=str(path), line=line_no)
-                    return lines, columns, maps, error
-            if value is _BLANK:
-                continue
-            try:
-                sample_id, y, y_hat, group = _get_fields(value)
-                scores = value.get("scores")
-                if scores is not None and not isinstance(scores, dict):
-                    raise TypeError
-            except (KeyError, TypeError):
-                error = MalformedLine(_record_fault(value), path=str(path), line=line_no)
-                return lines, columns, maps, error
-            lines.append(line_no)
-            add_id(sample_id)
-            add_y(y)
-            add_y_hat(y_hat)
-            add_group(group)
-            maps.append(scores)
-    return lines, columns, maps, None
+                value = _json_line(text)
+            except ValueError as exc:  # or an integer of too many digits
+                fault = MalformedLine(f"invalid JSON: {exc}", path=path, line=line_no)
+                break
+        if value is _BLANK:
+            continue
+        try:
+            _get_fields(value)
+        except (KeyError, TypeError):
+            fault = MalformedLine(_record_fault(value), path=path, line=line_no)
+            break
+        numbers.append(line_no)
+        values.append(value)
+    return numbers, _fields(values), fault
 
 
 def _record_fault(value: object) -> str:
     if not isinstance(value, dict):
         return "record is not a JSON object"
-    for name in _FIELDS:
-        if name not in value:
-            return f"missing field {name!r}"
-    return "scores must be an object"
+    return f"missing field {next(name for name in _FIELDS if name not in value)!r}"
 
 
-def _read_slices(
-    path: Path, manifest: RunManifest, loads: Callable[[str], object]
-) -> EvaluationRun | None:
-    """The run of a JSONL log read ``_SLICE`` lines at a time, or None where the log is
-    not one that this reader takes.
-
-    It takes a log whose every non-blank line ``loads`` reads as one object
-    with the four fields, whose cells are strings naming a label or group
-    of the manifest, whose scores are numbers in [0, 1] keyed by labels,
-    whose ids are distinct, whose groups all hold a record, and whose auc
-    records each hold the positive score; of such a log, the line reader
-    (:func:`_decode_jsonl`, then :func:`_finish_run`) builds the same run.
-    Each slice is decoded by one ``map`` of ``loads`` (again without its
-    blank lines, where that fails), and its fields go into the columns by
-    ``map``, ``itemgetter`` and ``array`` calls, with no loop per record;
-    no record's dict outlives its slice. A byte that is not UTF-8 raises
-    UnicodeDecodeError, which :func:`read_log` reports as it does the line
-    reader's.
-    """
-    labels = manifest.label_space.labels
-    label_code = {name: i for i, name in enumerate(labels)}.__getitem__
-    group_code = {name: i for i, name in enumerate(manifest.group_space.groups)}.__getitem__
-    get_id, get_y, get_y_hat, get_group = map(itemgetter, _FIELDS)
-    ids: list[str] = []
-    y, y_hat = array(code_type(len(labels))), array(code_type(len(labels)))
-    group = array(code_type(manifest.group_space.size))
-    scores = [array("d") for _ in labels]
-    scored = False  # whether some record maps a score; the run has scores only then
-    with path.open("r", encoding="utf-8") as handle:
-        while lines := [*islice(handle, _SLICE)]:
-            # a line that loads reads nests at most half its length deep
-            if max(map(len, lines)) > 2 * MAX_DEPTH and any(map(_too_deep, lines)):
-                return None
-            try:
-                try:
-                    values = [*map(loads, lines)]
-                except ValueError:  # a blank line, or a line the line reader reports
-                    values = [*map(loads, filter(str.strip, lines))]
-                sample_ids = [*map(get_id, values)]
-                "".join(sample_ids)  # a TypeError unless every id is a string
-                ids += sample_ids
-                y.extend(map(label_code, map(get_y, values)))
-                y_hat.extend(map(label_code, map(get_y_hat, values)))
-                group.extend(map(group_code, map(get_group, values)))
-                maps = [*map(dict.get, values, repeat("scores"), repeat(_NO_SCORES))]
-            except (ValueError, KeyError, TypeError):
-                return None
-            if None in maps:  # "scores": null
-                maps = [_NO_SCORES if m is None else m for m in maps]
-            columns = _clean_scores(maps, labels)
-            if columns is None:
-                return None
-            for column, part in zip(scores, columns):
-                column += part
-            scored = scored or any(maps)
-    if not ids or len(set(ids)) < len(ids) or len(set(group)) < manifest.group_space.size:
-        return None
-    if manifest.utility_kind == "auc":
-        total = sum(scores[labels.index(manifest.label_space.positive_label)])
-        if total != total:  # NaN: a record lacks the positive score
-            return None
-    return EvaluationRun(manifest, ids, group, y, y_hat, tuple(scores) if scored else None)
+def _decode_slice(
+    raw: list[str], first: int, path: str, loads: Callable[[str], object]
+) -> tuple[Sequence[int], list[list], ParseError | None]:
+    """:func:`_decode_lines` of a slice, by one ``map`` of ``loads`` where that takes
+    every line as a record (no blank line, no fault), else a line at a time."""
+    try:
+        # a line that loads reads nests at most half its length deep
+        if max(map(len, raw)) > 2 * MAX_DEPTH and any(map(_too_deep, raw)):
+            raise ValueError
+        return range(first, first + len(raw)), _fields([*map(loads, raw)]), None
+    except (ValueError, KeyError, TypeError):
+        return _decode_lines(raw, first, path, loads)
 
 
 def _parse_jsonl(path: Path, manifest: RunManifest) -> EvaluationRun:
-    """The run of a JSONL log, its lines read by ``orjson.loads``.
+    """The run of a JSONL log, read in one pass of ``_SLICE`` lines at a time.
 
-    :func:`_read_slices` reads a valid log a slice at a time. Where it
-    refuses the log, the line reader reads it again from the start, a line
-    at a time, so that each error keeps its class, message and line: json
-    reads every line that orjson rejects (a blank line, ``NaN``,
-    ``Infinity``, ``1e400``, a lone-surrogate escape, faulty JSON). Of
-    lines that nest no deeper than ``MAX_DEPTH``, orjson reads every other
-    one as json does, but for an integer outside 64 bits: a file in which
-    a decoded cell may hold one (see :func:`_wide_cells`) is decoded again
-    by json alone, so that each run, error message and line is json's.
+    Each slice is decoded by ``orjson.loads`` (:func:`_decode_slice`), and
+    its fields go into the columns by ``map``, ``itemgetter`` and ``array``
+    calls, with no loop per record; no record's dict outlives its slice. A
+    slice that one ``map`` does not take is decoded a line at a time, and
+    json reads every line that orjson rejects (a blank line, ``NaN``,
+    ``Infinity``, ``1e400``, a lone-surrogate escape, faulty JSON). Of lines
+    that nest no deeper than ``MAX_DEPTH``, orjson reads every other one as
+    json does, but for an integer outside 64 bits: a slice in which a
+    decoded cell may hold one (see :func:`_wide_cells`) is decoded again by
+    json alone, so that each run, error message and line is json's. A
+    slice's decode faults are raised once it is decoded, the score faults
+    first (:func:`_mapped_scores`), so a slice past the first faulty line is
+    never read; the checks across slices are those of :func:`_finish_run`.
     """
     import orjson  # loaded only where a JSONL log is read
 
-    run = _read_slices(path, manifest, orjson.loads)
-    if run is not None:
-        return run
-    lines, columns, maps, pending = _decode_jsonl(path, orjson.loads)
-    if _wide_cells(columns):
-        lines, columns, maps, pending = _decode_jsonl(path, _json_line)
-    scores, checks = _mapped_scores(maps, manifest.label_space.labels)
-    return _finish_run(manifest, str(path), lines, columns, scores, checks, pending)
+    name = str(path)
+    labels = manifest.label_space.labels
+    spaces = _code_spaces(manifest)
+    lines: list[int] = []
+    ids: list[str] = []
+    codes = [array(typecode) for _, typecode in spaces]
+    unknown: list[dict[int, object]] = [{}, {}, {}]
+    scores = [array("d") for _ in labels]
+    scored = False  # whether some record maps a score; the run has scores only then
+    with path.open("r", encoding="utf-8") as handle:
+        for first in count(1, _SLICE):
+            if not (raw := [*islice(handle, _SLICE)]):
+                break
+            numbers, cells, pending = _decode_slice(raw, first, name, orjson.loads)
+            try:
+                "".join(cells[0])  # a TypeError unless every id is a string
+                coded = [(_member_codes(column, space), {})
+                         for column, space in zip(cells[1:4], spaces)]
+            except (KeyError, TypeError):  # a cell that is no member's name as it is
+                if _wide_cells(cells[:4]):
+                    numbers, cells, pending = _decode_lines(raw, first, name, _json_line)
+                cells[0] = [*map(str, cells[0])]
+                coded = [*map(_codes, cells[1:4], spaces)]
+            part, checks = _mapped_scores(cells[4], labels)
+            _raise_first(checks, name, numbers, pending)
+            for column, found, (column_part, missed) in zip(codes, unknown, coded):
+                column += column_part
+                if missed:
+                    found.update((len(ids) + row, cell) for row, cell in missed.items())
+            for column, column_part in zip(scores, part):
+                column += column_part
+            ids += cells[0]
+            lines += numbers
+            scored = scored or any(cells[4])
+    return _finish_run(
+        manifest, name, lines, ids, codes, unknown, tuple(scores) if scored else None
+    )
 
 
 def _last_filled(cells: tuple[str, ...]) -> str:
@@ -900,11 +876,13 @@ def _parse_csv(path: Path, manifest: RunManifest) -> EvaluationRun:
         if not col.startswith("score:"):
             raise MalformedLine(f"unexpected column {col!r}", path=str(path), line=1)
         column_labels.append(col[len("score:") :])
-    columns = list(zip(*rows))
+    columns = list(zip(*rows)) or [()] * len(header)
     scores, checks = _cell_scores(
         columns[len(_FIELDS) :], column_labels, manifest.label_space.labels
     )
-    return _finish_run(manifest, str(path), lines, columns[: len(_FIELDS)], scores, checks, fault)
+    _raise_first(checks, str(path), lines, fault)
+    codes, unknown = zip(*map(_codes, columns[1 : len(_FIELDS)], _code_spaces(manifest)))
+    return _finish_run(manifest, str(path), lines, columns[0], codes, unknown, scores)
 
 
 def parse_run(path: str | Path) -> EvaluationRun:

@@ -756,10 +756,18 @@ def _outcome(finish, args) -> object:
         return type(exc), exc.path, exc.line, str(exc)
 
 
+def finish_cells(manifest, path, lines, columns, scores, checks) -> EvaluationRun:
+    """``_finish_run`` of decoded cells, coded and checked as a CSV log's are."""
+    _raise_first(checks, path, lines)
+    codes, unknown = zip(*map(records._codes, columns[1:], records._code_spaces(manifest)))
+    ids = [*map(str, columns[0])]
+    return _finish_run(manifest, path, lines, ids, codes, unknown, scores)
+
+
 @given(decoded_records())
 @settings(max_examples=400, deadline=None)
 def test_finish_run_raises_or_builds_as_the_reference(args):
-    got, expected = _outcome(_finish_run, args), _outcome(reference_finish_run, args)
+    got, expected = _outcome(finish_cells, args), _outcome(reference_finish_run, args)
     assert got == expected
     if isinstance(expected, EvaluationRun):
         assert got.sample_ids == expected.sample_ids
@@ -768,6 +776,31 @@ def test_finish_run_raises_or_builds_as_the_reference(args):
         assert (got.scores is None) == (expected.scores is None)
         for got_column, expected_column in zip(got.scores or (), expected.scores or ()):
             assert got_column.typecode == expected_column.typecode == "d"
+
+
+@pytest.mark.parametrize("scores", [[0.1], "x", 5, 0, []], ids=repr)
+def test_a_record_whose_scores_are_not_an_object_is_malformed_in_rows_as_in_a_log(
+    tmp_path, scores
+):
+    """from_records names the record's position as its line; a fault of an earlier
+    record is reported first, and one of a later record is not."""
+    manifest = _load_manifest(write_fixture(tmp_path, [OK1], name="m.jsonl"))
+    rows = [
+        PredictionRecord("s1", "pos", "pos", "A", {"pos": 0.5}),
+        PredictionRecord("s2", "neg", "neg", "B", scores),
+        PredictionRecord("s3", "neg", "neg", "Z", {"pos": 1.5}),
+    ]
+    log = write_fixture(tmp_path, [
+        record_line(r.sample_id, r.true_label, r.predicted_label, r.group, r.scores) for r in rows
+    ])
+    for build, where in [(lambda: EvaluationRun.from_records(manifest, rows), ""),
+                         (lambda: parse_run(log), f"{log}: ")]:
+        with pytest.raises(MalformedLine) as err:
+            build()
+        assert (str(err.value), err.value.line) == (f"{where}line 2: scores must be an object", 2)
+    rows[0] = rows[0]._replace(scores={"pos": 2.0})
+    with pytest.raises(MalformedLine, match="^line 1: score for 'pos' out of"):
+        EvaluationRun.from_records(manifest, rows)
 
 
 @contextlib.contextmanager
@@ -1048,9 +1081,76 @@ def test_jsonl_read_by_orjson_parses_as_read_by_json_alone(case):
     assert got == expected
 
 
-# A JSONL log is read by slices of records._SLICE lines (256); the line reader
-# reads it again wherever they refuse it. The properties below compare the
-# two on logs of lines on either side of the slice length.
+# A JSONL log is read in one pass, by slices of records._SLICE lines (256).
+# The reference below is the line reader it replaced: each line decoded by
+# orjson, by json where orjson rejects it, and the whole file again by json
+# alone where a cell may hold an integer beyond 64 bits. The properties
+# below compare the two on logs of lines on either side of the slice length.
+def reference_wide_cells(columns: tuple[list, ...]) -> bool:
+    """Whether orjson may read a cell otherwise than json does: an array or object
+    cell, or a float of magnitude 2**63 or more (an integer outside 64 bits)."""
+    for cells in columns:
+        kinds = set(map(type, cells))
+        if not kinds <= {str, int, float, bool, type(None)}:
+            return True
+        if float in kinds and any(abs(c) >= 2.0**63 for c in cells if type(c) is float):
+            return True
+    return False
+
+
+def reference_decode_jsonl(path: Path, loads) -> tuple:
+    """The line numbers, sample_id, y, y_hat and group columns and score maps of the
+    records on the non-blank lines before the first faulty one, and that line's fault.
+
+    Lines are numbered as iterating the text file yields them; a line is
+    checked against MAX_DEPTH, then read by ``loads``, then by json where
+    ``loads`` rejects it.
+    """
+    lines: list[int] = []
+    columns: tuple[list, ...] = ([], [], [], [])
+    maps: list[dict | None] = []
+    with path.open("r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                if inputs._too_deep(raw):
+                    raise ValueError
+                value = loads(raw)
+            except ValueError:
+                if not raw.strip():
+                    continue
+                try:
+                    value = inputs.json_value(raw)
+                except ValueError as exc:
+                    fault = MalformedLine(f"invalid JSON: {exc}", path=str(path), line=line_no)
+                    return lines, columns, maps, fault
+            fields = ("sample_id", "y", "y_hat", "group")
+            if not isinstance(value, dict):
+                message = "record is not a JSON object"
+            elif any(name not in value for name in fields):
+                message = f"missing field {next(n for n in fields if n not in value)!r}"
+            elif value.get("scores") is not None and not isinstance(value["scores"], dict):
+                message = "scores must be an object"
+            else:
+                lines.append(line_no)
+                for column, name in zip(columns, fields):
+                    column.append(value[name])
+                maps.append(value.get("scores"))
+                continue
+            return lines, columns, maps, MalformedLine(message, path=str(path), line=line_no)
+    return lines, columns, maps, None
+
+
+def reference_parse_jsonl(path: Path) -> EvaluationRun:
+    """The run of a JSONL log as the line reader read it: by orjson and json, and the
+    whole file again by json alone where a cell may be wider than 64 bits."""
+    lines, columns, maps, pending = reference_decode_jsonl(path, orjson.loads)
+    if reference_wide_cells(columns):
+        lines, columns, maps, pending = reference_decode_jsonl(path, inputs.json_value)
+    manifest = _load_manifest(path)
+    scores, checks = records._mapped_scores(maps, manifest.label_space.labels)
+    return reference_finish_run(manifest, str(path), lines, columns, scores, checks, pending)
+
+
 SLICE = records._SLICE
 LINE_COUNTS = [1, 2, 7, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1]
 
@@ -1117,10 +1217,12 @@ def write_log(directory: Path, manifest: dict, text: str) -> Path:
 
 
 def _line_reader_outcome(path: Path) -> object:
-    """:func:`_parse_outcome` of the line reader alone: the slice reader refuses every log."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(records, "_read_slices", lambda *args: None)
-        return _parse_outcome(path)
+    """:func:`_parse_outcome` of the reference line reader."""
+    try:
+        run = reference_parse_jsonl(path)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+    return run, list(run.sample_ids)
 
 
 @given(sliced_jsonl_texts())
@@ -1131,10 +1233,6 @@ def test_jsonl_read_by_slices_parses_as_read_by_lines(case):
         assert _parse_outcome(path) == _line_reader_outcome(path)
 
 
-def _read_slices(path: Path) -> EvaluationRun | None:
-    return records._read_slices(path, _load_manifest(path), orjson.loads)
-
-
 @pytest.mark.parametrize("count", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
 @pytest.mark.parametrize("manifest", [MANIFEST, AUC_MANIFEST], ids=["accuracy", "auc"])
 def test_a_log_around_the_slice_length_is_read_by_slices_as_by_lines(tmp_path, count, manifest):
@@ -1142,34 +1240,33 @@ def test_a_log_around_the_slice_length_is_read_by_slices_as_by_lines(tmp_path, c
     lines = [clean_line(labels, i, {"pos"} if i % 3 else {"neg", "pos"}, False)
              for i in range(count)]
     path = write_log(tmp_path, manifest, "\n".join(lines) + "\n")
-    run = _read_slices(path)
-    assert run is not None and len(run.sample_ids) == count
+    run = parse_run(path)
+    assert len(run.sample_ids) == count
     assert (run, list(run.sample_ids)) == _line_reader_outcome(path)
 
 
-# Lines that stand in for a valid record at a slice edge: (case, line, taken by slices)
+# Lines that stand in for a valid record at a slice edge
 EDGE_LINES = [
-    ("blank line", "", True),
-    ("scores null", record_line("x", "neg", "neg", "A", None)[:-1] + ', "scores": null}', True),
-    ("invalid JSON", "{bad", False),
-    ("NaN score", raw_record("x", scores='{"pos": NaN}'), False),
-    ("score above 1", raw_record("x", scores='{"pos": 1.5}'), False),
-    ("unknown score key", raw_record("x", scores='{"maybe": 0.5}'), False),
-    ("string score", raw_record("x", scores='{"pos": "0.5"}'), False),
-    ("numeric id", '{"sample_id": 7, "y": "neg", "y_hat": "neg", "group": "A"}', False),
-    ("unknown group", record_line("x", "neg", "neg", "Z"), False),
-    ("repeated id", record_line("s0", "neg", "neg", "A"), False),
-    ("missing field", '{"sample_id": "x", "y": "neg", "group": "A"}', False),
+    ("blank line", ""),
+    ("scores null", record_line("x", "neg", "neg", "A", None)[:-1] + ', "scores": null}'),
+    ("invalid JSON", "{bad"),
+    ("NaN score", raw_record("x", scores='{"pos": NaN}')),
+    ("score above 1", raw_record("x", scores='{"pos": 1.5}')),
+    ("unknown score key", raw_record("x", scores='{"maybe": 0.5}')),
+    ("string score", raw_record("x", scores='{"pos": "0.5"}')),
+    ("numeric id", '{"sample_id": 7, "y": "neg", "y_hat": "neg", "group": "A"}'),
+    ("unknown group", record_line("x", "neg", "neg", "Z")),
+    ("repeated id", record_line("s0", "neg", "neg", "A")),
+    ("missing field", '{"sample_id": "x", "y": "neg", "group": "A"}'),
 ]
 
 
 @pytest.mark.parametrize("index", [SLICE - 1, SLICE], ids=["last-of-slice-1", "first-of-slice-2"])
-@pytest.mark.parametrize("case, line, taken", EDGE_LINES, ids=[case[0] for case in EDGE_LINES])
-def test_a_line_at_a_slice_edge_reads_as_by_lines(tmp_path, index, case, line, taken):
+@pytest.mark.parametrize("case, line", EDGE_LINES, ids=[case[0] for case in EDGE_LINES])
+def test_a_line_at_a_slice_edge_reads_as_by_lines(tmp_path, index, case, line):
     lines = [clean_line(MANIFEST["labels"], i, {"pos"}, False) for i in range(SLICE + 2)]
     lines[index] = line
     path = write_log(tmp_path, MANIFEST, "\n".join(lines) + "\n")
-    assert (_read_slices(path) is not None) is taken
     outcome = _parse_outcome(path)
     assert outcome == _line_reader_outcome(path)
     assert isinstance(outcome[0], EvaluationRun) or outcome[1] == index + 1
@@ -1181,35 +1278,57 @@ def test_a_label_beyond_64_bits_is_read_as_json_reads_it(tmp_path):
     path = write_fixture(tmp_path, [
         record_line("s1", 2**64, 2**64, "A"), record_line("s2", "neg", "neg", "B"),
     ], manifest)
-    lines, cells, maps, pending = records._decode_jsonl(path, orjson.loads)
+    lines, cells, maps, pending = reference_decode_jsonl(path, orjson.loads)
     scores, checks = records._mapped_scores(maps, tuple(manifest["labels"]))
     with pytest.raises(UnknownLabel, match="label '1.8446744073709552e\\+19' not in manifest"):
-        _finish_run(_load_manifest(path), str(path), lines, cells, scores, checks, pending)
+        reference_finish_run(_load_manifest(path), str(path), lines, cells, scores, checks, pending)
     assert [rec.true_label for rec in parse_run(path).records] == [WIDE, "neg"]
+    assert _parse_outcome(path) == _line_reader_outcome(path)
 
 
-@pytest.mark.parametrize("lines, line_passes", [
-    ([OK1[:-1] + ', "path": "a"}', OK2[:-1] + ', "path": [1]}'], 0),  # an extra key in each
-    ([OK1, OK2, record_line("s3", "pos", "pos", "Z")], 1),  # a faulty last record
-    ([record_line("s1", 2**64, "neg", "A"), OK2], 2),  # a cell beyond 64 bits: json alone
-])
-def test_a_log_is_decoded_again_only_for_a_cell_beyond_64_bits(
-    tmp_path, monkeypatch, lines, line_passes
+def three_slices(**changes: str) -> list[str]:
+    """Lines of a valid log of three slices, the last short; ``changes`` replaces the
+    line at each index ``i<n>`` (a keyword per line)."""
+    lines = [clean_line(["neg", "pos"], i, {"pos"}, False) for i in range(2 * SLICE + 5)]
+    for key, line in changes.items():
+        lines[int(key[1:])] = line
+    return lines
+
+
+NUMERIC = '{"sample_id": %d, "y": true, "y_hat": 1, "group": "A", "scores": {"pos": 1}}'
+
+
+@pytest.mark.parametrize("lines, line_slices, json_slices", [
+    (three_slices(i5=clean_line(["neg", "pos"], 5, {"pos"}, False)[:-1] + ', "path": [1]}'),
+     [], []),
+    (three_slices(**{f"i{i}": NUMERIC % (10_000 + i) for i in range(0, 2 * SLICE + 5, 3)}),
+     [], []),
+    (three_slices(i516="{bad"), [2 * SLICE + 1], []),
+    (three_slices(i516=record_line("s516", "pos", "pos", "Z")), [], []),
+    (three_slices(i300=record_line("s300", 2**64, "neg", "A")), [], [SLICE + 1]),
+], ids=["clean, an extra key", "numeric and bool cells in every slice", "last line faulty",
+        "unknown group on the last line", "a cell beyond 64 bits in slice 2"])
+def test_a_log_is_read_in_one_pass_and_a_slice_again_only_where_refused(
+    tmp_path, monkeypatch, lines, line_slices, json_slices
 ):
-    """A log is read once by slices; only a log they refuse is read again by lines, with
-    orjson, and only a cell beyond 64 bits makes json read it a third time."""
-    path = write_fixture(tmp_path, lines, dict(MANIFEST, labels=["neg", "pos", WIDE]))
-    calls = []
-    read_slices, decode = records._read_slices, records._decode_jsonl
+    """A log is opened once; a slice is decoded line by line only where one map of
+    orjson refuses it, and by json only where it holds a cell beyond 64 bits."""
+    path = write_fixture(tmp_path, lines, dict(MANIFEST, labels=["neg", "pos", "True", "1", WIDE]))
+    manifest = _load_manifest(path)
+    opened, decoded = [], []
+    path_open, decode_lines = Path.open, records._decode_lines
     monkeypatch.setattr(
-        records, "_read_slices", lambda *args: calls.append("slices") or read_slices(*args)
+        Path, "open", lambda self, *args, **kw: opened.append(self) or path_open(self, *args, **kw)
     )
-    monkeypatch.setattr(
-        records, "_decode_jsonl", lambda *args: calls.append(args[1]) or decode(*args)
-    )
-    with contextlib.suppress(UnknownGroup):
-        parse_run(path)
-    assert calls == ["slices", orjson.loads, records._json_line][: 1 + line_passes]
+    monkeypatch.setattr(records, "_decode_lines", lambda raw, first, name, loads: (
+        decoded.append((first, loads)) or decode_lines(raw, first, name, loads)
+    ))
+    with contextlib.suppress(MalformedLine, UnknownGroup):
+        records._parse_jsonl(path, manifest)
+    assert opened == [path]
+    assert decoded == [*((first, orjson.loads) for first in line_slices),
+                       *((first, records._json_line) for first in json_slices)]
+    assert _parse_outcome(path) == _line_reader_outcome(path)
 
 
 def test_a_file_of_another_suffix_is_no_record_format(tmp_path):
@@ -1647,6 +1766,22 @@ def _manifest(**changes: object) -> RunManifest:
               "utility_kind": "accuracy", "label_space": LabelSpace(("neg", "pos")),
               "group_space": GroupSpace(("A", "B"))}
     return RunManifest(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("n_groups", [128, 129, 300])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_run_of_many_groups_is_read_into_the_smallest_code_type_that_holds_them(
+    tmp_path, fmt, n_groups
+):
+    """Codes of up to 128 members are one byte; beyond that, two."""
+    groups = tuple(f"g{i}" for i in range(n_groups))
+    run = EvaluationRun.from_records(_manifest(group_space=GroupSpace(groups)), [
+        PredictionRecord(f"s{i:03}", "neg", "pos", group) for i, group in enumerate(groups)
+    ])
+    assert run.group.typecode == ("b" if n_groups <= 128 else "h")
+    assert list(run.group) == list(range(n_groups))
+    write_run(run, tmp_path / f"run.{fmt}")
+    assert parse_run(tmp_path / f"run.{fmt}") == run
 
 
 def test_run_columns_are_standard_library_arrays_from_any_sequences():
