@@ -22,9 +22,10 @@ marks an absent score, or None for a run without scores. No Python
 object is held per record but its sample id. :func:`parse_run` decodes
 each file into these columns and validates them column by column, in
 input order: label and group cells are looked up as decoded, repeated ids
-are found with a set, the scores of each label are checked by one sum,
-min and max, and the rows each fault flags are listed only for a run that
-has a fault. A JSONL file is read in one pass, ``_SLICE`` lines at a
+are found with a set, and the scores of each label are checked by one
+sum, min and max. Only where a check fails are the records read one by
+one, in input order, up to the first faulty one, whose fault is
+reported. A JSONL file is read in one pass, ``_SLICE`` lines at a
 time, its lines first checked against ``MAX_DEPTH``: one orjson decode
 of a slice, whose fields go straight into the columns, or, for a slice
 that this decode refuses, a line at a time, which finds the faulty
@@ -383,8 +384,8 @@ class EvaluationRun:
         """
         rows = list(records)
         lines = range(1, len(rows) + 1)
-        scores, checks = _mapped_scores([r.scores for r in rows], manifest.label_space.labels)
-        _raise_first(checks, None, lines)
+        scores, fault = _mapped_scores([r.scores for r in rows], manifest.label_space.labels)
+        _raise_first(fault, None, lines)
         cells = ([r.true_label for r in rows], [r.predicted_label for r in rows],
                  [r.group for r in rows])
         codes, unknown = zip(*map(_codes, cells, _code_spaces(manifest)))
@@ -460,33 +461,23 @@ class RecordView(Sequence):
         return f"RecordView({self._all()!r})"
 
 
-# A fault is the error class and message of a record, or None for a record
-# without that fault; a check is the records, in input order, that a fault
-# flags and the fault itself.
+# A fault maps a record's row to its error class and message, or to None for
+# a record without a fault; of several faults of one record it gives the first.
 Fault = Callable[[int], "tuple[type[ParseError], str] | None"]
-Check = tuple[Sequence[int], Fault]
 
 
 def _raise_first(
-    checks: list[Check], path: str | None, lines: Sequence[int], pending: ParseError | None = None
+    fault: Fault | None, path: str | None, lines: Sequence[int], pending: ParseError | None = None
 ) -> None:
-    """Raise the fault of the earliest flagged record; on one record the earlier check wins.
-    Where no record is flagged, raise ``pending``: the fault of a line after the records."""
-    first: tuple[int, Fault] | None = None
-    for rows, fault in checks:
-        if rows and (first is None or rows[0] < first[0]):
-            first = (rows[0], fault)
-    if first is not None:
-        row, fault = first
-        cls, message = fault(row)
-        raise cls(message, path=path, line=lines[row])
+    """Raise the fault of the first faulty record, reading the records in input order up
+    to it. Where none is faulty, raise ``pending``: the fault of a line after the records."""
+    if fault is not None:
+        for row, found in enumerate(map(fault, range(len(lines)))):
+            if found is not None:
+                cls, message = found
+                raise cls(message, path=path, line=lines[row])
     if pending is not None:
         raise pending
-
-
-def _flagged(fault: Fault, n: int) -> Check:
-    """The check of ``fault`` over records ``0 .. n-1``."""
-    return [row for row in range(n) if fault(row)], fault
 
 
 def _clean_scores(maps: list[dict], labels: tuple[str, ...]) -> tuple[array, ...] | None:
@@ -515,32 +506,33 @@ def _clean_scores(maps: list[dict], labels: tuple[str, ...]) -> tuple[array, ...
     return tuple(columns) if sum(map(len, maps)) == present else None
 
 
-def _mapped_scores(maps: list, labels: tuple[str, ...]) -> tuple[tuple[array, ...], list[Check]]:
-    """Score columns of per-record label -> score maps (None: no scores), and their checks.
+def _mapped_scores(maps: list, labels: tuple[str, ...]) -> tuple[tuple[array, ...], Fault | None]:
+    """Score columns of per-record label -> score maps (None: no scores), and their fault.
 
-    A record whose map is neither a dict nor None is flagged first (its
-    scores must be an object). A record's map is checked label by label (a
-    value ``float()`` rejects, then one outside [0, 1]), then for a key
-    outside the label space. The maps are checked together first
-    (:func:`_clean_scores`); records are checked one by one only where that
-    finds a fault, or a value ``float()`` alone reads.
+    A record's map is checked to be a dict or None (its scores must be an
+    object), then label by label (a value ``float()`` rejects, then one
+    outside [0, 1]), then for a key outside the label space. The maps are
+    checked together first (:func:`_clean_scores`), and again with every map
+    that is not a dict emptied, so that ``null`` maps keep this path; the
+    fault is None where a pass is clean and every map is a dict or None.
     """
     columns = _clean_scores(maps, labels)
     if columns is not None:
-        return columns, []
-    odd = [row for row, m in enumerate(maps) if not (m is None or isinstance(m, dict))]
-    maps = [m if isinstance(m, dict) else _NO_SCORES for m in maps]
-    checks: list[Check] = [(odd, lambda row: (MalformedLine, "scores must be an object"))]
-    columns = _clean_scores(maps, labels)
-    if columns is not None:
-        return columns, checks
-    columns = tuple(
-        array("d", map(_float_or_nan, map(dict.get, maps, repeat(label), repeat(_ABSENT))))
-        for label in labels
-    )
+        return columns, None
+    dicts = [m if isinstance(m, dict) else _NO_SCORES for m in maps]
+    columns = _clean_scores(dicts, labels)
+    if columns is not None and set(map(type, maps)) <= {dict, type(None)}:
+        return columns, None
+    if columns is None:
+        columns = tuple(
+            array("d", map(_float_or_nan, map(dict.get, dicts, repeat(label), repeat(_ABSENT))))
+            for label in labels
+        )
 
     def fault(row: int) -> tuple[type[ParseError], str] | None:
         record = maps[row]
+        if not isinstance(record, dict):
+            return None if record is None else (MalformedLine, "scores must be an object")
         for label in labels:
             if label in record:
                 try:
@@ -552,7 +544,7 @@ def _mapped_scores(maps: list, labels: tuple[str, ...]) -> tuple[tuple[array, ..
         key = next((k for k in record if k not in labels), None)
         return None if key is None else (UnknownLabel, f"score key {key!r} not in label space")
 
-    return columns, [*checks, _flagged(fault, len(maps))]
+    return columns, fault
 
 
 def _code_spaces(manifest: RunManifest) -> list[tuple[dict[str, int], str]]:
@@ -636,31 +628,30 @@ def _raise_record_fault(
     unknown label, prediction or group, then a missing auc score."""
     first_row = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
     ys, y_hats, groups = unknown
-    record_checks: list[Check] = [
-        ([row for row, i in enumerate(ids) if first_row[i] != row], lambda row: (
-            DuplicateSampleId,
-            f"sample_id {ids[row]!r} already seen on line {lines[first_row[ids[row]]]}",
-        )),
-        ([*ys], lambda row: (UnknownLabel, f"label {str(ys[row])!r} not in manifest")),
-        ([*y_hats], lambda row: (UnknownLabel, f"label {str(y_hats[row])!r} not in manifest")),
-        ([*groups], lambda row: (UnknownGroup, f"group {str(groups[row])!r} not in manifest")),
-    ]
-    if manifest.utility_kind == "auc":
-        labels = manifest.label_space.labels
-        positive = manifest.label_space.positive_label
-        c = labels.index(positive)
-        rows = [()] * len(ids) if scores is None else [*zip(*scores)]  # NaN: absent
-        record_checks += [
-            ([row for row, values in enumerate(rows) if not any(v == v for v in values)],
-             lambda row: (MissingScores, f"auc run but record {ids[row]!r} has no scores")),
-            ([row for row, values in enumerate(rows) if not values or values[c] != values[c]],
-             lambda row: (
-                MissingScores,
-                f"auc run but record {ids[row]!r} lacks a score for the "
-                f"positive label {positive!r}",
-            )),
-        ]
-    _raise_first(record_checks, path, lines)
+    auc = manifest.utility_kind == "auc"
+    positive = manifest.label_space.positive_label
+    c = manifest.label_space.labels.index(positive)
+    columns = scores or ()
+
+    def fault(row: int) -> tuple[type[ParseError], str] | None:
+        sample_id = ids[row]
+        seen = first_row[sample_id]
+        if seen != row:
+            return DuplicateSampleId, f"sample_id {sample_id!r} already seen on line {lines[seen]}"
+        if row in ys:
+            return UnknownLabel, f"label {str(ys[row])!r} not in manifest"
+        if row in y_hats:
+            return UnknownLabel, f"label {str(y_hats[row])!r} not in manifest"
+        if row in groups:
+            return UnknownGroup, f"group {str(groups[row])!r} not in manifest"
+        if not auc or (columns and columns[c][row] == columns[c][row]):  # NaN: absent
+            return None
+        if any(column[row] == column[row] for column in columns):
+            return MissingScores, (f"auc run but record {sample_id!r} lacks a score for the "
+                                   f"positive label {positive!r}")
+        return MissingScores, f"auc run but record {sample_id!r} has no scores"
+
+    _raise_first(fault, path, lines)
 
 
 def _json_line(raw: str) -> object:
@@ -795,8 +786,8 @@ def _parse_jsonl(path: Path, manifest: RunManifest) -> EvaluationRun:
                     numbers, cells, pending = _decode_lines(raw, first, name, _json_line)
                 cells[0] = [*map(str, cells[0])]
                 coded = [*map(_codes, cells[1:4], spaces)]
-            part, checks = _mapped_scores(cells[4], labels)
-            _raise_first(checks, name, numbers, pending)
+            part, fault = _mapped_scores(cells[4], labels)
+            _raise_first(fault, name, numbers, pending)
             for column, found, (column_part, missed) in zip(codes, unknown, coded):
                 column += column_part
                 if missed:
@@ -818,8 +809,8 @@ def _last_filled(cells: tuple[str, ...]) -> str:
 
 def _cell_scores(
     columns: list[tuple[str, ...]], column_labels: list[str], labels: tuple[str, ...]
-) -> tuple[tuple[array, ...] | None, list[Check]]:
-    """Score columns of CSV score cells, and their check; a blank cell is absent.
+) -> tuple[tuple[array, ...] | None, Fault | None]:
+    """Score columns of CSV score cells, and their fault; a blank cell is absent.
 
     A row is checked for a cell that is not a number (column order), then
     for a score outside [0, 1] (label order), then for a score under a
@@ -828,7 +819,7 @@ def _cell_scores(
     checked one by one only where that finds a fault or a label repeats.
     """
     if not columns:
-        return None, []
+        return None, None
     n = len(columns[0])
     clean = len(set(column_labels)) == len(column_labels) and not any(
         any(cells) for name, cells in zip(column_labels, columns) if name not in labels
@@ -846,7 +837,7 @@ def _cell_scores(
         clean = clean and _in_unit_range(given)
         scores.append(given if len(given) == n else array("d", map(_float_or_nan, cells)))
     if clean:
-        return tuple(scores), []
+        return tuple(scores), None
 
     def fault(row: int) -> tuple[type[ParseError], str] | None:
         for cells in columns:
@@ -862,11 +853,11 @@ def _cell_scores(
                     if name not in labels and cells[row]), None)
         return None if key is None else (UnknownLabel, f"score key {key!r} not in label space")
 
-    return tuple(scores), [_flagged(fault, n)]
+    return tuple(scores), fault
 
 
 def _parse_csv(path: Path, manifest: RunManifest) -> EvaluationRun:
-    header, rows, lines, fault = read_csv_table(path, MalformedLine)
+    header, rows, lines, pending = read_csv_table(path, MalformedLine)
     if header is None:
         raise ParseError("run contains no records", path=str(path))
     if header[: len(_FIELDS)] != list(_FIELDS):
@@ -877,10 +868,10 @@ def _parse_csv(path: Path, manifest: RunManifest) -> EvaluationRun:
             raise MalformedLine(f"unexpected column {col!r}", path=str(path), line=1)
         column_labels.append(col[len("score:") :])
     columns = list(zip(*rows)) or [()] * len(header)
-    scores, checks = _cell_scores(
+    scores, fault = _cell_scores(
         columns[len(_FIELDS) :], column_labels, manifest.label_space.labels
     )
-    _raise_first(checks, str(path), lines, fault)
+    _raise_first(fault, str(path), lines, pending)
     codes, unknown = zip(*map(_codes, columns[1 : len(_FIELDS)], _code_spaces(manifest)))
     return _finish_run(manifest, str(path), lines, columns[0], codes, unknown, scores)
 
@@ -899,8 +890,11 @@ def parse_run(path: str | Path) -> EvaluationRun:
     missing sidecar, then a faulty one is reported first. A file that is
     not UTF-8 text is reported at the line of its first undecodable byte,
     ahead of any other fault, also one that stopped reading short of that
-    byte; of several other faults in a file, the one on the first line is
-    reported.
+    byte. Of several other faults in a file, a fault of a line's decoding
+    (not JSON, or a CSV row of the wrong length, a missing field, a faulty
+    score) is reported first, that of the first such line; then a record
+    fault (a repeated id, an unknown label or group, a missing auc score),
+    that of the first such record; then a group without records.
     """
     path = Path(path)
     return read_log(path, log_kind(path))

@@ -45,7 +45,6 @@ from nhfair.metrics import metric_report
 from nhfair.oracle import oracle_metrics
 from nhfair.records import (
     SIDECAR_KEYS,
-    Check,
     EvaluationRun,
     _finish_run,
     _load_manifest,
@@ -616,17 +615,19 @@ def reference_finish_run(
     lines: Sequence[int],
     columns: Sequence[Sequence],
     scores: Sequence[Sequence[float]] | None,
-    checks: list[Check],
+    fault: records.Fault | None,
     pending: ParseError | None = None,
 ) -> EvaluationRun:
-    """``records._finish_run`` written with a ``str`` copy of every cell and an argsort.
+    """``records._finish_run`` written with a ``str`` copy of every cell and an argsort,
+    after the decode ``fault`` of the records and the ``pending`` fault of a later line.
 
     Every cell is mapped through ``str`` before its lookup, repeated ids
     are found by comparing neighbours after a stable sort, whose order also
     sorts the columns before the run is built, and each check is a numpy
-    mask, a score being present where it is not NaN.
+    mask, a score being present where it is not NaN. The fault of the
+    earliest row that a mask flags is raised; on one row, the earlier mask's.
     """
-    _raise_first(checks, path, lines)
+    _raise_first(fault, path, lines)
     if pending is not None:
         raise pending
     if not lines:
@@ -670,7 +671,11 @@ def reference_finish_run(
                 f"positive label {positive!r}",
             )),
         ]
-    _raise_first([(np.flatnonzero(mask).tolist(), fault) for mask, fault in masks], path, lines)
+    rows = [(int(np.flatnonzero(mask)[0]), i) for i, (mask, _) in enumerate(masks) if mask.any()]
+    if rows:  # the earliest row; on one row, the earlier mask
+        row, i = min(rows)
+        cls, message = masks[i][1](row)
+        raise cls(message, path=path, line=lines[row])
 
     sizes = np.bincount(group, minlength=len(group_names))
     missing = [g for g, size in zip(group_names, sizes) if size == 0]
@@ -746,7 +751,7 @@ def decoded_records(draw):
         method="m", dataset="d", seed=0, split="test", utility_kind=kind,
         label_space=LabelSpace(labels=labels), group_space=GroupSpace(groups=groups),
     )
-    return manifest, "run.jsonl", lines, cells, scores, []
+    return manifest, "run.jsonl", lines, cells, scores, None
 
 
 def _outcome(finish, args) -> object:
@@ -756,9 +761,9 @@ def _outcome(finish, args) -> object:
         return type(exc), exc.path, exc.line, str(exc)
 
 
-def finish_cells(manifest, path, lines, columns, scores, checks) -> EvaluationRun:
+def finish_cells(manifest, path, lines, columns, scores, fault) -> EvaluationRun:
     """``_finish_run`` of decoded cells, coded and checked as a CSV log's are."""
-    _raise_first(checks, path, lines)
+    _raise_first(fault, path, lines)
     codes, unknown = zip(*map(records._codes, columns[1:], records._code_spaces(manifest)))
     ids = [*map(str, columns[0])]
     return _finish_run(manifest, path, lines, ids, codes, unknown, scores)
@@ -801,6 +806,86 @@ def test_a_record_whose_scores_are_not_an_object_is_malformed_in_rows_as_in_a_lo
     rows[0] = rows[0]._replace(scores={"pos": 2.0})
     with pytest.raises(MalformedLine, match="^line 1: score for 'pos' out of"):
         EvaluationRun.from_records(manifest, rows)
+
+
+def test_raise_first_reads_records_up_to_the_first_faulty_one():
+    """Of faults at rows 3 and 700 of 1,000, row 3's is raised at its line, and no
+    later row is read; ``pending`` is raised only where no row is faulty."""
+    read: list[int] = []
+
+    def fault(row: int):
+        read.append(row)
+        return (UnknownGroup, f"fault of row {row}") if row in (3, 700) else None
+
+    lines = range(11, 1011)
+    pending = MalformedLine("invalid JSON", path="run.jsonl", line=1011)
+    with pytest.raises(UnknownGroup) as err:
+        _raise_first(fault, "run.jsonl", lines, pending)
+    assert (str(err.value), err.value.line) == ("run.jsonl: line 14: fault of row 3", 14)
+    assert read == [0, 1, 2, 3]
+    read.clear()
+    with pytest.raises(MalformedLine) as err:
+        _raise_first(lambda row: fault(row) if row not in (3, 700) else None, "run.jsonl",
+                     lines, pending)
+    assert err.value is pending and read == [row for row in range(1000) if row not in (3, 700)]
+    with pytest.raises(MalformedLine) as err:
+        _raise_first(None, "run.jsonl", lines, pending)
+    assert err.value is pending
+    _raise_first(None, "run.jsonl", lines)
+    _raise_first(lambda row: None, "run.jsonl", lines)
+
+
+@pytest.mark.parametrize("maps", [
+    [None, None, None],
+    [{}, None, {"pos": 0.5}],
+    [{"neg": 0.25, "pos": 0.75}, {"pos": 1}, {"neg": 0}],
+], ids=["null", "empty and null", "dicts"])
+def test_score_maps_of_dicts_and_nulls_need_no_record_scan(maps):
+    """Maps that are dicts or null keep the column path: no fault to scan records with."""
+    columns, fault = records._mapped_scores(maps, ("neg", "pos"))
+    assert fault is None
+    present = [[m[label] for m in maps if m and label in m] for label in ("neg", "pos")]
+    assert [[v for v in column if v == v] for column in columns] == present
+
+
+def test_a_score_map_that_is_no_object_is_reported_at_its_record():
+    """Row 0's map is no object; row 2's score is out of range: row 0's fault is first."""
+    maps = [[0.1], None, {"pos": 2}]
+    _, fault = records._mapped_scores(maps, ("neg", "pos"))
+    assert [fault(row) for row in range(3)] == [
+        (MalformedLine, "scores must be an object"),
+        None,
+        (MalformedLine, "score for 'pos' out of [0, 1]: 2.0"),
+    ]
+    with pytest.raises(MalformedLine, match="^line 1: scores must be an object$"):
+        _raise_first(fault, None, range(1, 4))
+
+
+@pytest.mark.parametrize("fmt, header", [("jsonl", 0), ("csv", 1)])
+def test_a_score_fault_is_reported_before_an_earlier_repeated_id(tmp_path, fmt, header):
+    """A decode fault wins over a record fault of an earlier line: a repeated id on
+    record 4 and a score of 1.5 on record 500 (in the second JSONL slice) report
+    record 500; without that score, record 4 is reported."""
+    rows = [PredictionRecord(f"s{i:03d}", "pos", "neg", "AB"[i % 2], {"pos": 0.5})
+            for i in range(600)]
+    rows[3] = rows[3]._replace(sample_id=rows[0].sample_id)
+    path = tmp_path / f"run.{fmt}"
+    (tmp_path / "run.manifest.json").write_text(json.dumps(MANIFEST), encoding="utf-8")
+    for score, error, line, message in [
+        (1.5, MalformedLine, 500, "score for 'pos' out of [0, 1]: 1.5"),
+        (0.5, DuplicateSampleId, 4, "sample_id 's000' already seen on line 1"),
+    ]:
+        rows[499] = rows[499]._replace(scores={"pos": score})
+        if fmt == "jsonl":
+            text = jsonl(*(record_line(*row) for row in rows))
+        else:
+            text = CSV_HEADER + "".join(f"{r.sample_id},{r.true_label},{r.predicted_label},"
+                                        f"{r.group},,{r.scores['pos']}\n" for r in rows)
+        path.write_text(text, encoding="utf-8")
+        message = message.replace("line 1", f"line {1 + header}")
+        with pytest.raises(error) as err:
+            parse_run(path)
+        assert str(err.value) == f"{path}: line {line + header}: {message}"
 
 
 @contextlib.contextmanager
@@ -1147,8 +1232,8 @@ def reference_parse_jsonl(path: Path) -> EvaluationRun:
     if reference_wide_cells(columns):
         lines, columns, maps, pending = reference_decode_jsonl(path, inputs.json_value)
     manifest = _load_manifest(path)
-    scores, checks = records._mapped_scores(maps, manifest.label_space.labels)
-    return reference_finish_run(manifest, str(path), lines, columns, scores, checks, pending)
+    scores, fault = records._mapped_scores(maps, manifest.label_space.labels)
+    return reference_finish_run(manifest, str(path), lines, columns, scores, fault, pending)
 
 
 SLICE = records._SLICE
@@ -1279,9 +1364,9 @@ def test_a_label_beyond_64_bits_is_read_as_json_reads_it(tmp_path):
         record_line("s1", 2**64, 2**64, "A"), record_line("s2", "neg", "neg", "B"),
     ], manifest)
     lines, cells, maps, pending = reference_decode_jsonl(path, orjson.loads)
-    scores, checks = records._mapped_scores(maps, tuple(manifest["labels"]))
+    scores, fault = records._mapped_scores(maps, tuple(manifest["labels"]))
     with pytest.raises(UnknownLabel, match="label '1.8446744073709552e\\+19' not in manifest"):
-        reference_finish_run(_load_manifest(path), str(path), lines, cells, scores, checks, pending)
+        reference_finish_run(_load_manifest(path), str(path), lines, cells, scores, fault, pending)
     assert [rec.true_label for rec in parse_run(path).records] == [WIDE, "neg"]
     assert _parse_outcome(path) == _line_reader_outcome(path)
 
