@@ -52,7 +52,7 @@ from .errors import (
     SelectionError,
     StatsError,
 )
-from .inputs import LOGS, MANIFEST, kind, require_read
+from .inputs import JSONL_LOG, LOGS, MANIFEST, kind, require_read
 
 if TYPE_CHECKING:
     from .records import EvaluationRun
@@ -336,6 +336,9 @@ def _read_ahead(logs: list[Input], eqodd: str, jobs: int) -> list[RunResult | No
     if n < 2 or not hasattr(os, "fork"):
         return results
     from . import metrics  # noqa: F401  the log and metric code, loaded once before any fork
+
+    if JSONL_LOG in (log[1] for log in logs):
+        import orjson  # noqa: F401  the JSONL decoder, loaded once before any fork
 
     if not _single_threaded():
         return results

@@ -15,24 +15,28 @@ for table output. Conventions:
 Degenerate cells are never silently NaN: single-class groups get AUC 0.5
 plus a warning, and classes empty in some group are skipped from eqodd
 with a warning. Every function is pure and needs the standard library
-alone. The kernels work on a run's columns: the confusion tensor is one
-count over the flat ``(group * C + true) * C + predicted`` codes, every
-group's AUC an exact integer (twice the Mann-Whitney U, from a sort of
-the group's negative scores and two bisections per positive), and the
-other metrics are reductions of the confusion tensor. Counts are exact
-integers and a rate is one ``int / int`` division; sums follow a fixed
-order (label, then predicted label), so results do not depend on the
-order of the input records.
+alone. The kernels work on a run's columns in one pass each, by C-level
+byte operations where the codes fit a byte: the confusion tensor is one
+count over the flat ``(group * C + true) * C + predicted`` codes, built
+by whole-column integer arithmetic with one byte lane a record (two past
+256 cells); one split of the positive scores by group and class feeds
+every group's AUC, an exact integer (twice the Mann-Whitney U, from a
+sort of the group's negative scores and two bisections per positive),
+and the pooled AUC; the other metrics are reductions of the confusion
+tensor. Counts are exact integers and a rate is one ``int / int``
+division; sums follow a fixed order (label, then predicted label), so
+results do not depend on the order of the input records.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Sequence
-from itertools import compress, repeat
+from collections.abc import Iterable
+from itertools import chain, repeat
 from operator import add, eq, mul, not_
 from typing import NamedTuple
 
@@ -50,13 +54,33 @@ class ConfusionTensor(NamedTuple):
     counts: tuple[tuple[tuple[int, ...], ...], ...]  # (G, C, C)
 
 
+def _lanes(codes: array, width: int) -> int:
+    """A column of byte codes as one integer: one ``width``-byte lane a record,
+    in native byte order, the first record in the lowest lane."""
+    if width == 2:
+        wide = bytearray(2 * len(codes))
+        wide[sys.byteorder == "big" :: 2] = codes  # each code the lane's low byte
+        return int.from_bytes(wide, sys.byteorder)
+    return int.from_bytes(codes.tobytes(), sys.byteorder)
+
+
 def confusion(run: EvaluationRun) -> ConfusionTensor:
     """Tally records into a (group, true, predicted) count tensor."""
     groups = run.manifest.group_space.groups
     labels = run.manifest.label_space.labels
     n_labels = len(labels)
-    tally = Counter(map(add, map(mul, map(add, map(mul, run.group, repeat(n_labels)), run.y),
-                                 repeat(n_labels)), run.y_hat))
+    columns = (run.group, run.y, run.y_hat)
+    n_cells = len(groups) * n_labels * n_labels
+    if all(codes.typecode == "b" for codes in columns) and n_cells <= 1 << 16:
+        # flat codes by three multiply-adds over whole columns, one lane a record:
+        # each lane stays below n_cells, so no lane carries into the next
+        width = 1 if n_cells <= 1 << 8 else 2
+        g, y, p = (_lanes(codes, width) for codes in columns)
+        flat = ((g * n_labels + y) * n_labels + p).to_bytes(width * len(run.y), sys.byteorder)
+        tally = Counter(memoryview(flat).cast("B" if width == 1 else "H"))
+    else:
+        tally = Counter(map(add, map(mul, map(add, map(mul, run.group, repeat(n_labels)), run.y),
+                                     repeat(n_labels)), run.y_hat))
     cells = range(n_labels)
     counts = tuple(
         tuple(tuple(tally[(g * n_labels + y) * n_labels + p] for p in cells) for y in cells)
@@ -81,24 +105,42 @@ def group_accuracy(t: ConfusionTensor) -> GroupUtilityVector:
     return GroupUtilityVector(utility=dict(zip(t.groups, rates)), utility_kind="accuracy")
 
 
-def _positive_scores(run: EvaluationRun) -> tuple[Sequence[float], Sequence[int]]:
-    """Each record's positive-label score (present in auc runs), and 1 for a positive
-    record, 0 for a negative one (an auc run has two labels)."""
+# Per group, its negatives' positive-label scores, sorted, and its positives'
+_Split = tuple[list[list[float]], list[list[float]]]
+
+
+def _auc_split(run: EvaluationRun) -> _Split:
+    """An auc run's positive-label scores split by group and class, in one pass.
+
+    Each record's key is ``group * 2 + is_pos`` (an auc run has two labels).
+    """
     labels = run.manifest.label_space.labels
     positive = labels.index(run.manifest.label_space.positive_label)
-    is_pos = run.y if positive == 1 else array("b", map(not_, run.y))
-    return run.scores[positive], is_pos
+    n = len(run.y)
+    if run.group.typecode == run.y.typecode == "b":  # every key fits a byte lane
+        y = _lanes(run.y, 1)
+        is_pos = y if positive else int.from_bytes(b"\x01" * n, sys.byteorder) - y
+        keys: Iterable[int] = (2 * _lanes(run.group, 1) + is_pos).to_bytes(n, sys.byteorder)
+    else:
+        keys = map(add, map(mul, run.group, repeat(2)), run.y if positive else map(not_, run.y))
+    split: list[list[float]] = [[] for _ in range(2 * run.manifest.group_space.size)]
+    adds = [part.append for part in split]
+    for key, value in zip(keys, run.scores[positive]):
+        adds[key](value)
+    negatives = split[::2]
+    for part in negatives:
+        part.sort()
+    return negatives, split[1::2]
 
 
 def _twice_u(negatives: list[float], positives: list[float]) -> int:
-    """Twice the positives' Mann-Whitney U against the negatives, exactly.
+    """Twice the positives' Mann-Whitney U against the sorted negatives, exactly.
 
     A positive scores 2 for each negative below it and 1 for each it ties:
     the negatives before its left and before its right insertion point into
-    the sorted negatives. Where no positive ties a negative, the two points
-    are one.
+    the negatives. Where no positive ties a negative, the two points are
+    one. The negatives are left as given.
     """
-    negatives.sort()
     lefts = [*map(bisect_left, repeat(negatives), positives)]
     negatives.append(math.inf)  # past every score: each left point indexes a negative
     tied = any(map(eq, map(negatives.__getitem__, lefts), positives))
@@ -108,23 +150,21 @@ def _twice_u(negatives: list[float], positives: list[float]) -> int:
     return sum(lefts) + sum(map(bisect_right, repeat(negatives), positives))
 
 
-def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
+def group_auc(
+    run: EvaluationRun, split: _Split | None = None
+) -> tuple[GroupUtilityVector, list[str]]:
     """Per-group AUC from the positive-label score.
 
     A group missing one of the two classes cannot be ranked; it gets
     utility 0.5 and a warning. If every group is degenerate the metric is
-    undefined and AllGroupsDegenerate is raised.
+    undefined and AllGroupsDegenerate is raised. ``split`` is the run's
+    :func:`_auc_split`, built here where none is given.
     """
     groups = run.manifest.group_space.groups
-    score, is_pos = _positive_scores(run)
-    # per group, its negatives' then its positives' scores
-    split: list[list[float]] = [[] for _ in range(2 * len(groups))]
-    adds = [part.append for part in split]
-    for key, value in zip(map(add, map(mul, run.group, repeat(2)), is_pos), score):
-        adds[key](value)
     utility: dict[str, float] = {}
     warnings: list[str] = []
-    for g, negatives, positives in zip(groups, split[::2], split[1::2]):
+    group_negatives, group_positives = split or _auc_split(run)
+    for g, negatives, positives in zip(groups, group_negatives, group_positives):
         if negatives and positives:
             u = _twice_u(negatives, positives) / 2
             utility[g] = u / (len(positives) * len(negatives))
@@ -136,11 +176,14 @@ def group_auc(run: EvaluationRun) -> tuple[GroupUtilityVector, list[str]]:
     return GroupUtilityVector(utility=utility, utility_kind="auc"), warnings
 
 
-def pooled_auc(run: EvaluationRun) -> float:
-    """AUC over all records together, same tie handling as group_auc."""
-    score, is_pos = _positive_scores(run)
-    positives = [*compress(score, is_pos)]
-    negatives = [*compress(score, map(not_, is_pos))]
+def pooled_auc(run: EvaluationRun, split: _Split | None = None) -> float:
+    """AUC over all records together, same tie handling as group_auc.
+
+    The pooled negatives are the groups' sorted negatives merged by one sort.
+    """
+    group_negatives, group_positives = split or _auc_split(run)
+    negatives = sorted(chain(*group_negatives))
+    positives = [*chain(*group_positives)]
     u = _twice_u(negatives, positives) / 2
     return u / (len(positives) * len(negatives))
 
@@ -204,8 +247,9 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRes
     """Compute the full five-metric bundle for one run, with the run's identity."""
     t = confusion(run)
     if run.manifest.utility_kind == "auc":
-        utilities, warnings = group_auc(run)
-        overall = pooled_auc(run)
+        split = _auc_split(run)  # one split feeds both AUCs
+        utilities, warnings = group_auc(run, split)
+        overall = pooled_auc(run, split)
     else:
         utilities, warnings = group_accuracy(t), []
         overall = sum(map(_correct, t.counts)) / len(run.sample_ids)

@@ -610,7 +610,8 @@ def _finish_run(
         _raise_record_fault(manifest, path, lines, ids, unknown, scores)
 
     y, y_hat, group = codes
-    missing = [g for i, g in enumerate(manifest.group_space.groups) if i not in group]
+    present = group.tobytes() if group.typecode == "b" else set(group)  # a byte search: a C scan
+    missing = [g for i, g in enumerate(manifest.group_space.groups) if i not in present]
     if missing:
         raise EmptyGroup(f"no records for group(s): {', '.join(missing)}", path=path)
     return EvaluationRun(manifest, ids, group, y, y_hat, scores)

@@ -116,6 +116,36 @@ def random_cohort_spec(rng, max_n=200):
     )
 
 
+def random_coded_run(rng, n_groups, n_labels, n, utility_kind="accuracy", true_labels=None,
+                     positive_first=False):
+    """A run of ``n`` random codes over ``n_groups`` groups and ``n_labels`` labels.
+
+    True labels are drawn from ``true_labels`` (codes; every label by default),
+    predictions from every label. The first records give each group each of
+    the true labels, so ``n`` must be at least ``n_groups * len(true_labels)``.
+    The positive label is the first where ``positive_first``, else the last. An auc
+    run has two labels, and its scores lie on a grid of ninths, tied across groups
+    and classes.
+    """
+    groups = tuple(f"g{i:03d}" for i in range(n_groups))
+    labels = tuple(f"l{i:03d}" for i in range(n_labels))
+    true_labels = list(range(n_labels) if true_labels is None else true_labels)
+    spread = [t for t in true_labels for _ in range(n_groups)]
+    y = spread + rng.choice(true_labels, n - len(spread)).tolist()
+    scores = None
+    if utility_kind == "auc":
+        positive = rng.integers(0, 10, n) / 9
+        scores = [positive, 1.0 - positive] if positive_first else [1.0 - positive, positive]
+    manifest = RunManifest(
+        method="m", dataset="d", seed=0, split="test", utility_kind=utility_kind,
+        label_space=LabelSpace(labels=labels, positive_label=labels[0] if positive_first else labels[-1]),
+        group_space=GroupSpace(groups=groups),
+    )
+    return EvaluationRun(manifest, [f"s{i:05d}" for i in range(n)],
+                         [i % n_groups for i in range(n)], y,
+                         rng.integers(0, n_labels, n), scores)
+
+
 def random_candidate_cloud(rng, max_candidates=50, grid=40):
     """Random two-group candidate cloud; grid-quantized to exercise ties."""
     n = int(rng.integers(1, max_candidates + 1))

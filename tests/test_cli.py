@@ -839,17 +839,21 @@ _RANK_CODE = ["nhfair.stats", "nhfair.svgplot", "nhfair.tables"]
          ["orjson", *_LOG_CODE, "nhfair.stats", "nhfair.tables"]),
         (["evaluate", "--out", "table.csv", "log.csv"],
          [*_LOG_CODE, "nhfair.stats", "nhfair.tables"]),
+        (["evaluate", "--jobs", "2", "--out", "table.csv", "log.csv", "log2.csv"],
+         [*_LOG_CODE, "nhfair.stats", "nhfair.tables"]),
     ],
     ids=["import", "compare", "compare-json", "select-erm", "select-fwh", "select-erm-log",
-         "evaluate", "evaluate-csv"],
+         "evaluate", "evaluate-csv", "evaluate-csv-jobs"],
 )
 def test_only_commands_that_read_a_log_load_the_log_code(tmp_path, argv, loaded):
     """Each command loads only the modules it runs: only a log loads the run model and
     the log and metric code, only a JSONL log orjson, only a summary table or a log
     selection, only evaluate and compare the rank statistics and the table code, only
-    a plot the plot code; none loads numpy, dataclasses or inspect."""
+    a plot the plot code; none loads numpy, dataclasses or inspect. Logs read by forked
+    helpers load no more than logs read serially."""
     _path_inputs(tmp_path)
     write_run(generate(spec_for(1), method="m", dataset="d"), tmp_path / "log.csv")
+    write_run(generate(spec_for(2), method="m", dataset="d"), tmp_path / "log2.csv")
     child = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argv)],
         cwd=tmp_path, env=_child_env(), capture_output=True, text=True, check=False,

@@ -700,6 +700,72 @@ def test_kernels_equal_the_numpy_kernels_they_replaced(run, variant):
             got.warnings) == want
 
 
+@pytest.mark.parametrize(
+    "n_groups, n_labels",
+    [(2, 2), (4, 8), (5, 8), (3, 10), (8, 10), (4, 128), (5, 128), (2, 200), (130, 2)],
+)
+def test_confusion_equals_the_numpy_tally_at_every_code_width(n_groups, n_labels):
+    """Flat codes in one-byte lanes up to 256 cells and in two-byte lanes up to 65,536;
+    beyond, and where group or label codes are wider than a byte, the per-record
+    count. The last record falls in the last cell."""
+    rng = np.random.default_rng(n_groups * n_labels)
+    n = 3000
+    group, y, y_hat = ([*rng.integers(0, size, n - 1).tolist(), size - 1]
+                       for size in (n_groups, n_labels, n_labels))
+    manifest = RunManifest(
+        method="m", dataset="d", seed=0, split="test", utility_kind="accuracy",
+        label_space=LabelSpace(labels=tuple(f"l{i}" for i in range(n_labels))),
+        group_space=GroupSpace(groups=tuple(f"g{i}" for i in range(n_groups))),
+    )
+    run = EvaluationRun(manifest, [f"s{i:04d}" for i in range(n)], group, y, y_hat)
+    assert confusion(run).counts == tuple(
+        tuple(map(tuple, block)) for block in reference_confusion(run).tolist()
+    )
+
+
+@given(kernel_runs().filter(lambda run: run.manifest.utility_kind == "auc"))
+@settings(max_examples=200, deadline=None)
+def test_auc_functions_alone_equal_metric_report(run):
+    """group_auc and pooled_auc, each splitting the scores itself, give what
+    metric_report gives from the one split it shares between them."""
+    try:
+        report = metric_report(run)
+    except AllGroupsDegenerate:
+        with pytest.raises(AllGroupsDegenerate):
+            group_auc(run)
+        return
+    except NoEvaluableClass:
+        return
+    utilities, warnings = group_auc(run)
+    assert utilities == report.group_utilities
+    assert tuple(warnings) == report.warnings[: len(warnings)]
+    assert pooled_auc(run) == report.overall
+
+
+def test_auc_functions_alone_on_degenerate_and_tied_groups():
+    # group A holds positives alone; B's scores all tie, across both classes
+    one_class = make_run(
+        [("pos", "pos", "A", 0.9), ("pos", "neg", "A", 0.5), ("pos", "pos", "B", 0.5),
+         ("neg", "neg", "B", 0.5), ("neg", "pos", "B", 0.5)],
+        utility_kind="auc",
+    )
+    report = metric_report(one_class)
+    utilities, warnings = group_auc(one_class)
+    assert utilities.utility == report.group_utilities.utility == {"A": 0.5, "B": 0.5}
+    assert warnings == ["group A: only one class present, auc set to 0.5"]
+    assert warnings[0] in report.warnings
+    # pooled: 0.9 above both negatives, and two 0.5 positives tied with both
+    assert pooled_auc(one_class) == report.overall == (2 + 2 * 2 / 2) / (3 * 2)
+    # no group holds both classes
+    degenerate = make_run(
+        [("pos", "pos", "A", 0.9), ("pos", "neg", "A", 0.2), ("neg", "neg", "B", 0.1)],
+        utility_kind="auc",
+    )
+    for f in (group_auc, metric_report):
+        with pytest.raises(AllGroupsDegenerate):
+            f(degenerate)
+
+
 @st.composite
 def accuracy_runs(draw):
     """Accuracy runs of 2 or 3 groups of 1 to 5,000 records, each group with any count

@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_run, point, random_candidate_cloud, random_cohort_spec
+from conftest import (
+    make_run,
+    point,
+    random_candidate_cloud,
+    random_coded_run,
+    random_cohort_spec,
+)
 from nhfair.config import EQODD_VARIANTS
 from nhfair.errors import AllGroupsDegenerate, NoEvaluableClass
 from nhfair.metrics import metric_report
@@ -89,6 +95,26 @@ def run_selection_sweep(n_clouds, seed):
 
 def test_metric_oracle_equivalence_quick():
     assert run_metric_sweep(150, seed=101) > 200
+
+
+# (groups, labels, records, utility kind, true labels, positive label first): runs
+# beyond the sweep's draw, one for each way metric_report reads a run's codes
+LANE_CASES = {
+    "one-byte-lanes-full": (4, 8, 200, "accuracy", None, False),
+    "two-byte-lanes-3x10": (3, 10, 400, "accuracy", None, False),
+    "two-byte-lanes-8x10": (8, 10, 400, "accuracy", None, False),
+    "wide-label-codes-2x200": (2, 200, 300, "accuracy", [*range(5), *range(195, 200)], False),
+    "wide-group-codes-130": (130, 2, 260, "auc", None, True),
+    "auc-positive-first": (3, 2, 90, "auc", None, True),
+}
+
+
+@pytest.mark.parametrize("case", LANE_CASES.values(), ids=LANE_CASES.keys())
+@pytest.mark.parametrize("variant", EQODD_VARIANTS)
+def test_metric_oracle_equivalence_at_every_code_width(case, variant):
+    run = random_coded_run(np.random.default_rng(7), *case)
+    assert_reports_match(metric_report(run, eqodd_variant=variant),
+                         oracle_metrics(run, eqodd_variant=variant), case[3])
 
 
 def test_selection_oracle_equivalence_quick():

@@ -199,6 +199,20 @@ class TestParseRun:
             parse_run(path)
         assert "B" in str(err.value)
 
+    @pytest.mark.parametrize("n_groups", [128, 130])
+    def test_empty_groups_among_byte_and_wider_group_codes(self, tmp_path, n_groups):
+        # past 128 groups a code takes two bytes, one of them 0 for the first 256:
+        # the first group stays missing, and so does the last
+        groups = [f"g{i:03d}" for i in range(n_groups)]
+        path = write_fixture(
+            tmp_path,
+            [record_line(f"s{i:03d}", "pos", "pos", g) for i, g in enumerate(groups[1:-1])],
+            manifest=dict(MANIFEST, groups=groups),
+        )
+        with pytest.raises(EmptyGroup) as err:
+            parse_run(path)
+        assert str(err.value).endswith(f"no records for group(s): g000, {groups[-1]}")
+
     def test_malformed_json_line(self, tmp_path):
         path = write_fixture(
             tmp_path, [record_line("s1", "pos", "pos", "A"), "{not json"]
