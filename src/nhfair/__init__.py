@@ -17,7 +17,6 @@ _EXPORTS = {
     "ConfusionTensor": "metrics",
     "EvaluationRun": "records",
     "GroupSpace": "records",
-    "GroupUtilityVector": "selection",
     "LabelSpace": "records",
     "PredictionRecord": "records",
     "RankMatrix": "stats",
@@ -25,7 +24,6 @@ _EXPORTS = {
     "RunManifest": "records",
     "RunResult": "selection",
     "SelectionResult": "selection",
-    "UtopiaPoint": "selection",
     "Zone": "selection",
     "ZoneTally": "selection",
     "aggregate": "stats",
@@ -37,7 +35,7 @@ _EXPORTS = {
     "equalized_odds": "metrics",
     "friedman": "stats",
     "fwh_select": "selection",
-    "gap": "metrics",
+    "gap": "selection",
     "generate": "synth",
     "group_accuracy": "metrics",
     "group_auc": "metrics",
@@ -49,7 +47,7 @@ _EXPORTS = {
     "pooled_auc": "metrics",
     "rank_matrix": "stats",
     "utopia": "selection",
-    "worst": "metrics",
+    "worst": "selection",
     "write_run": "records",
     "zone_tally_table": "selection",
 }

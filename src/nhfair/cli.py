@@ -434,13 +434,13 @@ def cmd_select_erm(config: EngineConfig) -> int:
     target = selection.utopia(candidates)
     best, best_distance = selection.dto_select(candidates)
     payload = {
-        "utopia": target.coordinates,
+        "utopia": target,
         "candidates": [
             {
                 "run_id": c.run_id,
                 "method": c.method,
-                "group_utilities": dict(c.group_utilities.utility),
-                "distance": selection.distance_to(c, target.coordinates),
+                "group_utilities": c.group_utilities,
+                "distance": selection.distance_to(c, target),
             }
             for c in candidates
         ],
@@ -488,7 +488,7 @@ def cmd_select_fwh(config: EngineConfig) -> int:
         "baseline": {
             "run_id": baseline.run_id,
             "method": baseline.method,
-            "group_utilities": dict(baseline.group_utilities.utility),
+            "group_utilities": baseline.group_utilities,
             "origin": origin,
         },
         "tolerance": config.tolerance,

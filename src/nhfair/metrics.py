@@ -3,8 +3,8 @@
 All metric values live in [0, 1]; the report layer converts to percent
 for table output. Conventions:
 
-* ``gap``   = max group utility - min group utility (lower is fairer)
-* ``worst`` = min group utility (higher is fairer)
+* ``gap`` and ``worst`` of the group utilities are ``selection.gap``
+  and ``selection.worst``, which a summary-table row shares
 * ``dp``    = 1 - the worst difference between groups (max - min) in
   predicted-class rates, restricted to the positive class for binary
   tasks and taken over all classes for multi-class tasks
@@ -43,7 +43,7 @@ from typing import NamedTuple
 from .config import EQODD_VARIANTS
 from .errors import AllGroupsDegenerate, NoEvaluableClass
 from .records import EvaluationRun
-from .selection import GroupUtilityVector, RunResult
+from .selection import RunResult
 
 
 class ConfusionTensor(NamedTuple):
@@ -99,10 +99,9 @@ def _correct(block: tuple[tuple[int, ...], ...]) -> int:
     return sum(row[y] for y, row in enumerate(block))
 
 
-def group_accuracy(t: ConfusionTensor) -> GroupUtilityVector:
+def group_accuracy(t: ConfusionTensor) -> dict[str, float]:
     """Per-group accuracy: correct count over group size."""
-    rates = [_correct(block) / _size(block) for block in t.counts]
-    return GroupUtilityVector(utility=dict(zip(t.groups, rates)), utility_kind="accuracy")
+    return {g: _correct(block) / _size(block) for g, block in zip(t.groups, t.counts)}
 
 
 # Per group, its negatives' positive-label scores, sorted, and its positives'
@@ -152,7 +151,7 @@ def _twice_u(negatives: list[float], positives: list[float]) -> int:
 
 def group_auc(
     run: EvaluationRun, split: _Split | None = None
-) -> tuple[GroupUtilityVector, list[str]]:
+) -> tuple[dict[str, float], list[str]]:
     """Per-group AUC from the positive-label score.
 
     A group missing one of the two classes cannot be ranked; it gets
@@ -173,7 +172,7 @@ def group_auc(
             warnings.append(f"group {g}: only one class present, auc set to 0.5")
     if len(warnings) == len(groups):
         raise AllGroupsDegenerate("no group contains both classes")
-    return GroupUtilityVector(utility=utility, utility_kind="auc"), warnings
+    return utility, warnings
 
 
 def pooled_auc(run: EvaluationRun, split: _Split | None = None) -> float:
@@ -186,15 +185,6 @@ def pooled_auc(run: EvaluationRun, split: _Split | None = None) -> float:
     positives = [*chain(*group_positives)]
     u = _twice_u(negatives, positives) / 2
     return u / (len(positives) * len(negatives))
-
-
-def gap(v: GroupUtilityVector) -> float:
-    values = v.values_in_order()
-    return max(values) - min(values)
-
-
-def worst(v: GroupUtilityVector) -> float:
-    return min(v.values_in_order())
 
 
 def _spread(rates: list[float]) -> float:
@@ -263,9 +253,8 @@ def metric_report(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRes
     return RunResult(
         **run.manifest.identity(),
         group_utilities=utilities,
+        utility_kind=run.manifest.utility_kind,
         overall=overall,
-        worst=worst(utilities),
-        gap=gap(utilities),
         dp=dp,
         eqodd=eqodd,
         warnings=(*warnings, *eq_warnings, *thin),

@@ -23,7 +23,7 @@ from .errors import (
     SelectionError,
 )
 from .records import EvaluationRun
-from .selection import ZONE_ORDER, GroupUtilityVector, RunResult, SelectionResult, Zone
+from .selection import ZONE_ORDER, RunResult, SelectionResult, Zone
 
 
 def _oracle_group_accuracy(run: EvaluationRun) -> dict[str, float]:
@@ -169,7 +169,6 @@ def oracle_metrics(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRe
                 correct += 1
         overall = correct / len(run.records)
 
-    values = [utilities[g] for g in run.manifest.group_space.groups]
     dp = _oracle_dp(run)
     eqodd, eq_warnings = _oracle_eqodd(run, eqodd_variant)
     warnings.extend(eq_warnings)
@@ -180,10 +179,9 @@ def oracle_metrics(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRe
 
     return RunResult(
         **run.manifest.identity(),
-        group_utilities=GroupUtilityVector(utilities, run.manifest.utility_kind),
+        group_utilities=utilities,
+        utility_kind=run.manifest.utility_kind,
         overall=overall,
-        worst=min(values),
-        gap=max(values) - min(values),
         dp=dp,
         eqodd=eqodd,
         warnings=tuple(warnings),
@@ -191,18 +189,18 @@ def oracle_metrics(run: EvaluationRun, eqodd_variant: str = "diagonal") -> RunRe
 
 
 def _oracle_zone(candidate: RunResult, baseline: RunResult, tolerance: float) -> Zone:
-    groups = list(baseline.group_utilities.groups)
+    groups = list(baseline.group_utilities)
     ok = []
     for g in groups:
-        ok.append(candidate.group_utilities.utility[g] >= baseline.group_utilities.utility[g] - tolerance)
+        ok.append(candidate.group_utilities[g] >= baseline.group_utilities[g] - tolerance)
     if all(ok):
         return Zone.OPTIMAL
     if not any(ok):
         return Zone.DEGRADATION
-    worst_value = min(baseline.group_utilities.utility[g] for g in groups)
+    worst_value = min(baseline.group_utilities[g] for g in groups)
     worst_group = None
     for g in groups:
-        if baseline.group_utilities.utility[g] == worst_value:
+        if baseline.group_utilities[g] == worst_value:
             worst_group = g
             break
     if ok[groups.index(worst_group)]:
@@ -212,8 +210,8 @@ def _oracle_zone(candidate: RunResult, baseline: RunResult, tolerance: float) ->
 
 def _oracle_distance(a: RunResult, coords: dict[str, float]) -> float:
     total = 0.0
-    for g in a.group_utilities.groups:
-        d = coords[g] - a.group_utilities.utility[g]
+    for g in a.group_utilities:
+        d = coords[g] - a.group_utilities[g]
         total += d * d
     return _math.sqrt(total)
 
@@ -233,7 +231,7 @@ def oracle_select(
     for z in zones.values():
         tally[z] += 1
 
-    base_values = list(baseline.group_utilities.utility.values())
+    base_values = list(baseline.group_utilities.values())
     tie_note = len(base_values) == 2 and base_values[0] == base_values[1] and any(
         z in (Zone.SUB_OPTIMAL, Zone.UNWANTED) for z in zones.values()
     )
@@ -253,7 +251,7 @@ def oracle_select(
                 if (c.gap, -c.overall, c.run_id) < (best.gap, -best.overall, best.run_id):
                     best = c
         else:
-            coords = dict(baseline.group_utilities.utility)
+            coords = dict(baseline.group_utilities)
             best = members[0]
             for c in members[1:]:
                 key_c = (_oracle_distance(c, coords), -c.worst, c.run_id)
@@ -277,11 +275,11 @@ def oracle_dto(candidates: list[RunResult]) -> tuple[RunResult, float]:
     if not candidates:
         raise EmptyCandidateSet("dto selection needs at least one candidate")
     coords: dict[str, float] = {}
-    for g in candidates[0].group_utilities.groups:
-        best_value = candidates[0].group_utilities.utility[g]
+    for g in candidates[0].group_utilities:
+        best_value = candidates[0].group_utilities[g]
         for c in candidates[1:]:
-            if c.group_utilities.utility[g] > best_value:
-                best_value = c.group_utilities.utility[g]
+            if c.group_utilities[g] > best_value:
+                best_value = c.group_utilities[g]
         coords[g] = best_value
     best = candidates[0]
     for c in candidates[1:]:

@@ -50,20 +50,6 @@ from .errors import (
 from .inputs import read_csv_table, require_distinct_columns
 
 
-class GroupUtilityVector(NamedTuple):
-    """Per-group utility (accuracy or AUC), each value in [0, 1]."""
-
-    utility: dict[str, float]
-    utility_kind: str
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(self.utility)
-
-    def values_in_order(self) -> list[float]:
-        return [self.utility[g] for g in self.utility]
-
-
 class Zone(str, Enum):
     OPTIMAL = "Optimal"
     SUB_OPTIMAL = "SubOptimal"
@@ -77,22 +63,34 @@ class Zone(str, Enum):
 ZONE_ORDER = (Zone.OPTIMAL, Zone.SUB_OPTIMAL, Zone.DEGRADATION, Zone.UNWANTED)
 
 
+def worst(utilities: dict[str, float]) -> float:
+    """The lowest group utility (higher is fairer)."""
+    return min(utilities.values())
+
+
+def gap(utilities: dict[str, float]) -> float:
+    """The spread of the group utilities, max - min (lower is fairer)."""
+    return max(utilities.values()) - min(utilities.values())
+
+
 class RunResult(NamedTuple):
     """One scored run: a row of the seed-aggregated table and a selection candidate.
 
-    A run read from a log carries its manifest's identity; a summary-table
-    row leaves ``dataset``, ``seed`` and ``split`` empty, and ``dp`` and
-    ``eqodd`` None where the table has no such column. ``worst`` and
-    ``gap`` are the minimum and the spread of ``group_utilities``. The
-    fields with a default come last; callers pass every field by keyword.
+    ``group_utilities`` maps each group, in group order, to its utility
+    (accuracy or AUC, as ``utility_kind`` says), each in [0, 1]; ``worst``
+    and ``gap`` are derived from it by :func:`worst` and :func:`gap`. A run
+    read from a log carries its manifest's identity; a summary-table row
+    is an accuracy result that leaves ``dataset``, ``seed`` and ``split``
+    empty, and ``dp`` and ``eqodd`` None where the table has no such
+    column. The fields with a default come last; callers pass every field
+    by keyword.
     """
 
     run_id: str
     method: str
-    group_utilities: GroupUtilityVector
+    group_utilities: dict[str, float]
+    utility_kind: str
     overall: float
-    worst: float
-    gap: float
     dataset: str = ""
     seed: int | None = None
     split: str = ""
@@ -109,18 +107,24 @@ class RunResult(NamedTuple):
         dp: float | None = None,
         eqodd: float | None = None,
     ) -> RunResult:
-        """An accuracy result whose worst and gap are taken from ``utilities``."""
-        values = list(utilities.values())
+        """An accuracy result of the given group utilities."""
         return RunResult(
             run_id=run_id,
             method=method,
-            group_utilities=GroupUtilityVector(utility=dict(utilities), utility_kind="accuracy"),
+            group_utilities=dict(utilities),
+            utility_kind="accuracy",
             overall=overall,
-            worst=min(values),
-            gap=max(values) - min(values),
             dp=dp,
             eqodd=eqodd,
         )
+
+    @property
+    def worst(self) -> float:
+        return worst(self.group_utilities)
+
+    @property
+    def gap(self) -> float:
+        return gap(self.group_utilities)
 
     def as_dict(self) -> dict[str, object]:
         """The five reported metrics, ``overall`` named ``utility``, and the warnings."""
@@ -216,10 +220,6 @@ def parse_summaries(path: str | Path) -> list[RunResult]:
     return summaries
 
 
-class UtopiaPoint(NamedTuple):
-    coordinates: dict[str, float]
-
-
 class SelectionResult(NamedTuple):
     selected: RunResult | None
     zone: Zone | None
@@ -238,7 +238,7 @@ class SelectionResult(NamedTuple):
             else {
                 "run_id": self.selected.run_id,
                 "method": self.selected.method,
-                "group_utilities": dict(self.selected.group_utilities.utility),
+                "group_utilities": self.selected.group_utilities,
                 "gap": self.selected.gap,
                 "overall": self.selected.overall,
             },
@@ -272,32 +272,24 @@ def require_distinct_run_ids(candidates: list[RunResult]) -> None:
         raise SelectionError(f"duplicate candidate run_id(s): {', '.join(duplicates)}")
 
 
-def _check_same_groups(candidates: list[RunResult]) -> tuple[str, ...]:
-    groups = candidates[0].group_utilities.groups
-    for c in candidates[1:]:
-        if set(c.group_utilities.groups) != set(groups):
-            raise GroupSpaceMismatch(
-                f"candidate {c.run_id!r} has groups {sorted(c.group_utilities.groups)}, "
-                f"expected {sorted(groups)}"
-            )
-    return groups
-
-
-def utopia(candidates: list[RunResult]) -> UtopiaPoint:
-    """Per-group maximum utility over the candidate set."""
+def utopia(candidates: list[RunResult]) -> dict[str, float]:
+    """The utopia point: per group, the maximum utility over the candidate set."""
     if not candidates:
         raise EmptyCandidateSet("cannot build a utopia point from zero candidates")
-    groups = _check_same_groups(candidates)
-    coords = {
-        g: max(c.group_utilities.utility[g] for c in candidates) for g in groups
-    }
-    return UtopiaPoint(coordinates=coords)
+    groups = candidates[0].group_utilities
+    for c in candidates[1:]:
+        if c.group_utilities.keys() != groups.keys():
+            raise GroupSpaceMismatch(
+                f"candidate {c.run_id!r} has groups {sorted(c.group_utilities)}, "
+                f"expected {sorted(groups)}"
+            )
+    return {g: max(c.group_utilities[g] for c in candidates) for g in groups}
 
 
 def distance_to(point: RunResult, coordinates: dict[str, float]) -> float:
     total = 0.0
-    for g in point.group_utilities.groups:
-        d = coordinates[g] - point.group_utilities.utility[g]
+    for g, u in point.group_utilities.items():
+        d = coordinates[g] - u
         total += d * d
     return math.sqrt(total)
 
@@ -310,7 +302,7 @@ def dto_select(candidates: list[RunResult]) -> tuple[RunResult, float]:
     """
     if not candidates:
         raise EmptyCandidateSet("dto selection needs at least one candidate")
-    target = utopia(candidates).coordinates
+    target = utopia(candidates)
     best = min(
         candidates,
         key=lambda c: (distance_to(c, target), -c.worst, c.run_id),
@@ -320,7 +312,7 @@ def dto_select(candidates: list[RunResult]) -> tuple[RunResult, float]:
 
 def _tie_fallback(baseline: RunResult, zones: Iterable[Zone]) -> bool:
     """Whether the worst-group rule decided a mixed zone because two baseline groups tie."""
-    values = list(baseline.group_utilities.utility.values())
+    values = list(baseline.group_utilities.values())
     mixed = any(z in (Zone.SUB_OPTIMAL, Zone.UNWANTED) for z in zones)
     return mixed and len(values) == 2 and values[0] == values[1]
 
@@ -347,20 +339,19 @@ def classify_zone(
 def _zone(candidate: RunResult, baseline: RunResult, tolerance: float) -> Zone:
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    if set(candidate.group_utilities.groups) != set(baseline.group_utilities.groups):
+    base = baseline.group_utilities
+    cand = candidate.group_utilities
+    if cand.keys() != base.keys():
         raise GroupSpaceMismatch(
             f"candidate {candidate.run_id!r} and baseline {baseline.run_id!r} "
             "have different group spaces"
         )
-    base = baseline.group_utilities.utility
-    cand = candidate.group_utilities.utility
-    passes = {g: cand[g] >= base[g] - tolerance for g in baseline.group_utilities.groups}
+    passes = {g: cand[g] >= base[g] - tolerance for g in base}
     if all(passes.values()):
         return Zone.OPTIMAL
     if not any(passes.values()):
         return Zone.DEGRADATION
-    worst = min(baseline.group_utilities.groups, key=base.__getitem__)  # first of a tie
-    if passes[worst]:
+    if passes[min(base, key=base.__getitem__)]:  # the baseline-worst group, first of a tie
         return Zone.SUB_OPTIMAL
     return Zone.UNWANTED
 
@@ -403,10 +394,9 @@ def fwh_select(
         notes.insert(0, f"Optimal empty; selected smallest-gap candidate in the {zone} zone")
     elif by_zone[Zone.DEGRADATION]:
         zone = Zone.DEGRADATION
-        base_coords = baseline.group_utilities.utility
         selected = min(
             by_zone[zone],
-            key=lambda c: (distance_to(c, base_coords), -c.worst, c.run_id),
+            key=lambda c: (distance_to(c, baseline.group_utilities), -c.worst, c.run_id),
         )
         notes.insert(
             0,

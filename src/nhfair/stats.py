@@ -103,8 +103,7 @@ def aggregate(results: list[RunResult]) -> list[ReportRow]:
     mixed: list[RunResult] = []  # a row's first run and the first, in input order, of another kind
     for result in results:
         entries = groups.setdefault((result.method, result.dataset, result.split), [])
-        kind = result.group_utilities.utility_kind
-        if not mixed and entries and entries[0].group_utilities.utility_kind != kind:
+        if not mixed and entries and entries[0].utility_kind != result.utility_kind:
             mixed = [entries[0], result]
         entries.append(result)
 
@@ -130,7 +129,7 @@ def aggregate(results: list[RunResult]) -> list[ReportRow]:
                 method=method,
                 dataset=dataset,
                 split=split,
-                utility_kind=entries[0].group_utilities.utility_kind,
+                utility_kind=entries[0].utility_kind,
                 n_seeds=len(entries),
                 metrics={name: _mean_std([v[name] for v in values]) for name in METRIC_NAMES},
                 warnings=tuple(warnings),

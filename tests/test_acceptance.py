@@ -15,13 +15,7 @@ import pytest
 from conftest import make_run, point, random_candidate_cloud, random_cohort_spec
 from nhfair.cli import main
 from nhfair.errors import AdvantageTieWarning, AllGroupsDegenerate, NoEvaluableClass
-from nhfair.metrics import (
-    gap,
-    group_auc,
-    metric_report,
-    pooled_auc,
-    worst,
-)
+from nhfair.metrics import group_auc, metric_report, pooled_auc
 from nhfair.oracle import oracle_dto, oracle_metrics, oracle_select
 from nhfair.records import write_run
 from nhfair.selection import (
@@ -29,7 +23,9 @@ from nhfair.selection import (
     classify_zone,
     dto_select,
     fwh_select,
+    gap,
     parse_summaries,
+    worst,
     zone_tally_table,
 )
 from nhfair.stats import friedman, nemenyi_cd, rank_matrix
@@ -153,11 +149,11 @@ def test_criterion_1_table_fixture_consistency(tmp_path):
             assert abs(worst(v) * 100 - worst_pts) <= 0.01, (dataset, method)
             checked += 1
         erm = point(
-            "erm", summaries["erm"].group_utilities.utility,
+            "erm", summaries["erm"].group_utilities,
             method="erm", overall=summaries["erm"].overall,
         )
         ra = point(
-            "randaug", summaries["randaug"].group_utilities.utility,
+            "randaug", summaries["randaug"].group_utilities,
             method="randaug", overall=summaries["randaug"].overall,
         )
         randaug_results[dataset] = fwh_select([ra], erm)
@@ -335,7 +331,7 @@ def test_criterion_7_auc_correctness():
         utility_kind="auc",
     )
     utilities, _ = group_auc(tie_run)
-    assert utilities.utility["A"] == 0.875
+    assert utilities["A"] == 0.875
 
     doubled = make_run(
         [
@@ -346,7 +342,7 @@ def test_criterion_7_auc_correctness():
         utility_kind="auc",
     )
     doubled_utilities, _ = group_auc(doubled)
-    assert doubled_utilities.utility == utilities.utility
+    assert doubled_utilities == utilities
     assert pooled_auc(doubled) == pooled_auc(tie_run)
 
     separated = make_run(
@@ -358,7 +354,7 @@ def test_criterion_7_auc_correctness():
         utility_kind="auc",
     )
     separated_utilities, _ = group_auc(separated)
-    assert set(separated_utilities.utility.values()) == {1.0}
+    assert set(separated_utilities.values()) == {1.0}
     announce(7, "auc tie fixture 0.875 exact; duplication invariant; "
                 "separated scores give 1.0")
 

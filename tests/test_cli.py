@@ -806,6 +806,21 @@ def test_the_nhfair_script_runs_cli_run():
     assert getattr(importlib.import_module(module), name) is cli.run
 
 
+def test_readme_lists_every_export_under_the_module_that_defines_it():
+    """README's Library section lists ``nhfair.__all__``, one bullet per module."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = text.split("`nhfair` exports these names (`nhfair.__all__`)", 1)[1]
+    bullets = listing.split("\n\n")[1].replace("\n  ", " ").splitlines()
+    listed = []
+    for bullet in bullets:
+        module, names = bullet.removeprefix("* `nhfair.").split("`: ", 1)
+        listed += [(name.strip("`"), module) for name in names.split(", ")]
+    assert sorted(listed) == sorted(nhfair._EXPORTS.items())
+    assert sorted(name for name, _ in listed) == sorted(nhfair.__all__)
+    for name, module in listed:
+        assert name in vars(importlib.import_module(f"nhfair.{module}"))
+
+
 # Runs ``cli.main`` on the argv given as JSON (none: only imports the CLI) in
 # a fresh interpreter, then prints the exit code and which heavy modules it loaded
 # (dataclasses and inspect are heavy at start-up: no command may load them).
@@ -1505,10 +1520,10 @@ def test_selection_from_logs_equals_selection_from_their_summary_table(run_dir, 
                                                                        capsys):
     logs = sorted(run_dir.glob("*.jsonl"))
     results = [metric_report(parse_run(log)) for log in logs]
-    groups = results[0].group_utilities.groups
+    groups = [*results[0].group_utilities]
     lines = [",".join(["run_id", "method", *groups, "overall", "dp", "eqodd"])]
     for r in results:
-        cells = [*(r.group_utilities.utility[g] for g in groups), r.overall, r.dp, r.eqodd]
+        cells = [*(r.group_utilities[g] for g in groups), r.overall, r.dp, r.eqodd]
         lines.append(",".join([r.run_id, r.method, *map(repr, cells)]))
     table = tmp_path / "summ.csv"
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")

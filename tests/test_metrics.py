@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 from conftest import make_run
 from nhfair.errors import AllGroupsDegenerate, NoEvaluableClass
 from nhfair.metrics import (
-    GroupUtilityVector,
     confusion,
     demographic_parity,
     equalized_odds,
-    gap,
     group_accuracy,
     group_auc,
     metric_report,
     pooled_auc,
-    worst,
 )
 from nhfair.records import EvaluationRun, GroupSpace, LabelSpace, RunManifest
+from nhfair.selection import gap, worst
 
 
 class TestConfusion:
@@ -75,27 +73,27 @@ class TestGroupAccuracy:
             ]
         )
         utilities = group_accuracy(confusion(run))
-        assert utilities.utility["A"] == 0.75
-        assert utilities.utility["B"] == 1.0
+        assert utilities["A"] == 0.75
+        assert utilities["B"] == 1.0
 
     def test_perfect_predictions(self):
         run = make_run([("pos", "pos", "A"), ("neg", "neg", "B")])
         utilities = group_accuracy(confusion(run))
-        assert set(utilities.utility.values()) == {1.0}
+        assert set(utilities.values()) == {1.0}
 
 
 class TestGapWorst:
     def test_reported_pair(self):
-        v = GroupUtilityVector(utility={"adv": 0.9052, "disadv": 0.8376}, utility_kind="accuracy")
+        v = {"adv": 0.9052, "disadv": 0.8376}
         assert gap(v) * 100 == pytest.approx(6.76, abs=1e-9)
         assert worst(v) == 0.8376
 
     def test_equal_groups_zero_gap(self):
-        v = GroupUtilityVector(utility={"A": 0.8, "B": 0.8, "C": 0.8}, utility_kind="accuracy")
+        v = {"A": 0.8, "B": 0.8, "C": 0.8}
         assert gap(v) == 0.0
 
     def test_three_group_spread(self):
-        v = GroupUtilityVector(utility={"A": 0.7, "B": 0.9, "C": 0.8}, utility_kind="accuracy")
+        v = {"A": 0.7, "B": 0.9, "C": 0.8}
         assert gap(v) == pytest.approx(0.2, abs=1e-12)
         assert worst(v) == 0.7
 
@@ -116,8 +114,8 @@ class TestGroupAuc:
             utility_kind="auc",
         )
         utilities, warnings = group_auc(run)
-        assert utilities.utility["A"] == 0.875
-        assert utilities.utility["B"] == 1.0
+        assert utilities["A"] == 0.875
+        assert utilities["B"] == 1.0
         assert warnings == []
 
     def test_perfect_separation(self):
@@ -131,7 +129,7 @@ class TestGroupAuc:
             utility_kind="auc",
         )
         utilities, _ = group_auc(run)
-        assert set(utilities.utility.values()) == {1.0}
+        assert set(utilities.values()) == {1.0}
 
     def test_single_class_group_degenerate(self):
         run = make_run(
@@ -144,7 +142,7 @@ class TestGroupAuc:
             utility_kind="auc",
         )
         utilities, warnings = group_auc(run)
-        assert utilities.utility["A"] == 0.5
+        assert utilities["A"] == 0.5
         assert any("only one class" in w for w in warnings)
 
     def test_all_groups_degenerate(self):
@@ -168,7 +166,7 @@ class TestGroupAuc:
         run2 = make_run(base + base, utility_kind="auc")
         u1, _ = group_auc(run1)
         u2, _ = group_auc(run2)
-        assert u1.utility == u2.utility
+        assert u1 == u2
         assert pooled_auc(run1) == pooled_auc(run2)
 
 
@@ -398,8 +396,8 @@ def test_group_relabeling_equivariance(run):
         after = metric_report(renamed)
     except NoEvaluableClass:
         return
-    u_before = group_accuracy(confusion(run)).utility
-    u_after = group_accuracy(confusion(renamed)).utility
+    u_before = group_accuracy(confusion(run))
+    u_after = group_accuracy(confusion(renamed))
     assert all(u_after[mapping[g]] == u_before[g] for g in groups)
     assert (before.gap, before.worst, before.dp, before.eqodd) == (
         after.gap,
@@ -418,7 +416,7 @@ def test_bounds_and_gap_zero_iff_equal(run):
         return
     for value in (report.overall, report.worst, report.gap, report.dp, report.eqodd):
         assert 0.0 <= value <= 1.0
-    utilities = group_accuracy(confusion(run)).utility
+    utilities = group_accuracy(confusion(run))
     assert (report.gap == 0.0) == (len(set(utilities.values())) == 1)
 
 
@@ -482,7 +480,7 @@ def test_auc_duplication_invariance(run):
         u2, _ = group_auc(doubled)
     except AllGroupsDegenerate:
         return
-    assert u1.utility == u2.utility
+    assert u1 == u2
 
 
 # --- AUC against the per-group kernel it replaced ----------------------------
@@ -553,7 +551,7 @@ def test_auc_equals_the_per_group_mid_rank_kernel(run):
     if want is AllGroupsDegenerate:
         assert got is AllGroupsDegenerate
     else:
-        assert (got[0].utility, got[1]) == want
+        assert (got[0], got[1]) == want
     score, is_pos = np.array(run.scores[1]), np.array(run.y) == 1
     assert _outcome(pooled_auc, run) == _outcome(_reference_auc, score[is_pos], score[~is_pos])
 
@@ -696,7 +694,7 @@ def test_kernels_equal_the_numpy_kernels_they_replaced(run, variant):
     except (AllGroupsDegenerate, NoEvaluableClass) as exc:
         assert type(exc) is want
         return
-    assert (dict(got.group_utilities.utility), got.overall, got.dp, got.eqodd,
+    assert (got.group_utilities, got.overall, got.dp, got.eqodd,
             got.warnings) == want
 
 
@@ -751,7 +749,7 @@ def test_auc_functions_alone_on_degenerate_and_tied_groups():
     )
     report = metric_report(one_class)
     utilities, warnings = group_auc(one_class)
-    assert utilities.utility == report.group_utilities.utility == {"A": 0.5, "B": 0.5}
+    assert utilities == report.group_utilities == {"A": 0.5, "B": 0.5}
     assert warnings == ["group A: only one class present, auc set to 0.5"]
     assert warnings[0] in report.warnings
     # pooled: 0.9 above both negatives, and two 0.5 positives tied with both
@@ -795,5 +793,5 @@ def test_pooled_accuracy_lies_within_the_group_accuracies_exactly(run):
     # pooled accuracy sum(c_g) / sum(n_g) is a mediant of the group rates c_g / n_g;
     # each is one correctly rounded division and rounding is monotone, so no slack
     report = metric_report(run)
-    values = report.group_utilities.values_in_order()
+    values = report.group_utilities.values()
     assert min(values) <= report.overall <= max(values)

@@ -1760,7 +1760,7 @@ class TestParseSummaries:
         )
         rows = parse_summaries(path)
         assert len(rows) == 1
-        assert rows[0].group_utilities.utility == pytest.approx({"adv": 0.9052, "disadv": 0.8376})
+        assert rows[0].group_utilities == pytest.approx({"adv": 0.9052, "disadv": 0.8376})
         assert rows[0].overall == pytest.approx(0.8657)
 
     def test_percent_header_marker(self, tmp_path):
@@ -1770,7 +1770,7 @@ class TestParseSummaries:
             encoding="utf-8",
         )
         rows = parse_summaries(path)
-        assert rows[0].group_utilities.utility["adv"] == pytest.approx(0.9052)
+        assert rows[0].group_utilities["adv"] == pytest.approx(0.9052)
 
     def test_fraction_values(self, tmp_path):
         path = tmp_path / "summ.csv"

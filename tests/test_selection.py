@@ -39,15 +39,15 @@ def cloud():
 class TestUtopia:
     def test_per_coordinate_max(self):
         target = utopia(cloud())
-        assert target.coordinates == {"g1": 0.95, "g2": 0.85}
+        assert target == {"g1": 0.95, "g2": 0.85}
 
     def test_single_candidate(self):
         c = point("only", {"g1": 0.6, "g2": 0.7})
-        assert utopia([c]).coordinates == {"g1": 0.6, "g2": 0.7}
+        assert utopia([c]) == {"g1": 0.6, "g2": 0.7}
 
     def test_identical_candidates(self):
         cs = [point(f"c{i}", {"g1": 0.5, "g2": 0.5}) for i in range(3)]
-        assert utopia(cs).coordinates == {"g1": 0.5, "g2": 0.5}
+        assert utopia(cs) == {"g1": 0.5, "g2": 0.5}
 
     def test_empty_set(self):
         with pytest.raises(EmptyCandidateSet):
@@ -276,13 +276,13 @@ def test_dominated_candidate_never_changes_dto(cs):
     dominated = point(
         "zzz-dominated",
         {
-            "g1": max(anchor.group_utilities.utility["g1"] - 0.25, 0.0),
-            "g2": max(anchor.group_utilities.utility["g2"] - 0.25, 0.0),
+            "g1": max(anchor.group_utilities["g1"] - 0.25, 0.0),
+            "g2": max(anchor.group_utilities["g2"] - 0.25, 0.0),
         },
     )
     if (
-        dominated.group_utilities.utility["g1"] >= anchor.group_utilities.utility["g1"]
-        or dominated.group_utilities.utility["g2"] >= anchor.group_utilities.utility["g2"]
+        dominated.group_utilities["g1"] >= anchor.group_utilities["g1"]
+        or dominated.group_utilities["g2"] >= anchor.group_utilities["g2"]
     ):
         return  # not strictly dominated (anchor already at 0)
     best_after, _ = dto_select(cs + [dominated])
@@ -296,7 +296,7 @@ def test_dto_invariant_under_power_of_two_scaling(cs, scale):
     scaled = [
         point(
             c.run_id,
-            {g: u * scale for g, u in c.group_utilities.utility.items()},
+            {g: u * scale for g, u in c.group_utilities.items()},
             overall=c.overall * scale,
         )
         for c in cs

@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from nhfair.errors import (
     DegenerateMatrix,
     DuplicateSeed,
+    InvalidSpec,
     MissingCell,
     ParseError,
     UnsupportedAlpha,
     UnsupportedK,
 )
 from nhfair.oracle import oracle_friedman
-from nhfair.selection import GroupUtilityVector, RunResult
+from nhfair.records import EvaluationRun, GroupSpace, LabelSpace, RunManifest
+from nhfair.selection import RunResult
 from nhfair.stats import (
     _Q_TABLE,
     RankMatrix,
@@ -31,6 +33,7 @@ from nhfair.stats import (
     rank_matrix,
 )
 from nhfair.svgplot import render_cd_plot
+from nhfair.synth import CohortSpec
 from nhfair.tables import ReportRow
 
 
@@ -44,10 +47,9 @@ def result(
         dataset=dataset,
         seed=seed,
         split=split,
-        group_utilities=GroupUtilityVector({"A": overall, "B": overall}, utility_kind),
+        group_utilities={"A": overall, "B": overall},
+        utility_kind=utility_kind,
         overall=overall,
-        worst=overall,
-        gap=0.0,
         dp=1.0,
         eqodd=1.0,
         warnings=warnings,
@@ -399,12 +401,47 @@ def test_results_and_rows_survive_a_pickle_round_trip():
     utilities and a table row come back equal and of their own types."""
     result = RunResult(
         run_id="m:d:seed1:test", method="m", dataset="d", seed=1, split="test",
-        group_utilities=GroupUtilityVector(utility={"A": 0.75, "B": 0.5}, utility_kind="auc"),
-        overall=0.625, worst=0.5, gap=0.25, dp=0.9, eqodd=0.8, warnings=("thin support",),
+        group_utilities={"A": 0.75, "B": 0.5}, utility_kind="auc",
+        overall=0.625, dp=0.9, eqodd=0.8, warnings=("thin support",),
     )
     row = aggregate([result])[0]
     copies = [pickle.loads(pickle.dumps(v, pickle.HIGHEST_PROTOCOL)) for v in (result, row)]
     assert copies == [result, row]
     assert [*map(type, (*copies, copies[0].group_utilities))] == [
-        RunResult, ReportRow, GroupUtilityVector
+        RunResult, ReportRow, dict
     ]
+
+
+def _spec_with_a_row_summing_to_1_2():
+    rows = {"a": {"a": 0.7, "b": 0.5}, "b": {"a": 0.5, "b": 0.5}}
+    return CohortSpec(seed=0, n_per_group={"A": 1, "B": 1},
+                      class_prior={g: {"a": 0.5, "b": 0.5} for g in "AB"},
+                      confusion_spec={"A": rows, "B": rows})
+
+
+def _run_with_one_score_column():
+    manifest = RunManifest(method="m", dataset="d", seed=0, split="test", utility_kind="auc",
+                           label_space=LabelSpace(labels=("a", "b")),
+                           group_space=GroupSpace(groups=("A", "B")))
+    return EvaluationRun(manifest, ["s1", "s2"], [0, 1], [0, 1], [0, 1], scores=[[0.5, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _spec_with_a_row_summing_to_1_2().validate(), InvalidSpec,
+         "group A, label a: row does not sum to 1"),
+        (_run_with_one_score_column, ValueError,
+         "scores has 1 columns, expected one per label (2)"),
+        (lambda: rank_matrix([], "f1"), ValueError, "unknown metric 'f1'"),
+        (lambda: nemenyi_cd(3, 0), DegenerateMatrix, "need at least one block, got 0"),
+        (lambda: render_cd_plot("utility", {"m": 1.0}, 0.5), ValueError,
+         "need at least 2 methods to draw a CD plot"),
+    ],
+    ids=["row-sum", "score-columns", "unknown-metric", "no-block", "one-method"],
+)
+def test_library_guards_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
