@@ -398,6 +398,17 @@ def _load_candidates(inputs: list[Input], jobs: int) -> list[RunResult]:
     return candidates
 
 
+def _warn_pooled_datasets(candidates: list[RunResult]) -> None:
+    """One stderr line where the candidates name more than one dataset (a summary row
+    names none): they are selected as one pool, where the paper selects per dataset."""
+    datasets = sorted({c.dataset for c in candidates} - {""})
+    if len(datasets) > 1:
+        sys.stderr.write(
+            f"warning: candidates span {len(datasets)} datasets ({', '.join(datasets)}) and "
+            "are selected as one pool; the paper tunes and zones per dataset\n"
+        )
+
+
 def cmd_evaluate(config: EngineConfig) -> int:
     from . import stats
 
@@ -431,6 +442,7 @@ def cmd_select_erm(config: EngineConfig) -> int:
     candidates = _load_candidates(_expand_inputs(config.inputs, "select-erm"), config.jobs)
     if not candidates:
         raise EmptyCandidateSet(f"no candidates matched: {' '.join(config.inputs)}")
+    _warn_pooled_datasets(candidates)
     target = selection.utopia(candidates)
     best, best_distance = selection.dto_select(candidates)
     payload = {
@@ -483,6 +495,7 @@ def cmd_select_fwh(config: EngineConfig) -> int:
     baseline, candidates, origin = _resolve_baseline(config, candidates)
     if not candidates:
         raise EmptyCandidateSet("no candidates left after resolving the baseline")
+    _warn_pooled_datasets(candidates)
     result = selection.fwh_select(candidates, baseline, tolerance=config.tolerance)
     payload = {
         "baseline": {

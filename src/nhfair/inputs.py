@@ -41,8 +41,8 @@ _STEPS = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def manifest_path(path: Path) -> Path:
-    """The manifest sidecar of the log at ``path``."""
-    return path.parent / (path.stem + _MANIFEST_SUFFIX)
+    """The manifest sidecar of the log at ``path``: its stem, then ``.manifest.json``."""
+    return path.with_suffix(_MANIFEST_SUFFIX)
 
 
 def suffix_format(path: Path) -> str:
@@ -121,9 +121,9 @@ def read_text(path: Path) -> str:
     A file that is not UTF-8, that is missing (say, a dangling link that
     a pattern matched) or that is a directory is a ParseError.
     """
-    try:
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            return handle.read()
+    try:  # one unbuffered read of the bytes: the text is that of newline=""
+        with open(path, "rb", buffering=0) as handle:
+            return handle.read().decode("utf-8")
     except FileNotFoundError:
         raise ParseError("file not found", path=str(path)) from None
     except IsADirectoryError:

@@ -81,10 +81,11 @@ def confusion(run: EvaluationRun) -> ConfusionTensor:
     else:
         tally = Counter(map(add, map(mul, map(add, map(mul, run.group, repeat(n_labels)), run.y),
                                      repeat(n_labels)), run.y_hat))
-    cells = range(n_labels)
+    # every cell read by one map, in flat order, then sliced into rows and blocks
+    cells = [*map(tally.__getitem__, range(n_cells))]
+    rows = [tuple(cells[i : i + n_labels]) for i in range(0, n_cells, n_labels)]
     counts = tuple(
-        tuple(tuple(tally[(g * n_labels + y) * n_labels + p] for p in cells) for y in cells)
-        for g in range(len(groups))
+        tuple(rows[i : i + n_labels]) for i in range(0, len(rows), n_labels)
     )
     return ConfusionTensor(groups=groups, labels=labels, counts=counts)
 
@@ -200,7 +201,11 @@ def demographic_parity(t: ConfusionTensor, positive_label: str) -> float:
     the maximum over classes as well.
     """
     # per group, the share of its records predicted as each class
-    rates = [[sum(column) / _size(block) for column in zip(*block)] for block in t.counts]
+    rates = []
+    for block in t.counts:
+        predicted = [*map(sum, zip(*block))]  # the block's records predicted as each class
+        size = sum(predicted)
+        rates.append([count / size for count in predicted])
     classes = [t.labels.index(positive_label)] if len(t.labels) == 2 else range(len(t.labels))
     return 1.0 - max(_spread([row[c] for row in rates]) for c in classes)
 

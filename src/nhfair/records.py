@@ -60,9 +60,9 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, count, islice, repeat
-from operator import attrgetter, is_not, itemgetter, le
+from operator import attrgetter, eq, is_not, itemgetter, le
 from pathlib import Path
 from typing import NamedTuple
 
@@ -233,15 +233,17 @@ def _load_manifest(record_path: Path) -> RunManifest:
     mpath = manifest_path(record_path)
     raw = read_json(mpath, MalformedLine, "manifest is ")
     try:  # the presence of each required key, then each key's JSON type, in table order
-        doc = {k.name: raw[k.name] if k.default is None else raw.get(k.name, k.default)
-               for k in SIDECAR_KEYS}
-        for key in SIDECAR_KEYS:
-            require_json_type(key.name, doc[key.name], key.kind)
-        labels = LabelSpace(tuple(map(str, doc.pop("labels"))), doc.pop("positive_label"))
-        groups = GroupSpace(tuple(map(str, doc.pop("groups"))))
-        manifest = RunManifest(**doc, label_space=labels, group_space=groups)
+        values = [raw[k.name] if k.default is None else raw.get(k.name, k.default)
+                  for k in SIDECAR_KEYS]
+        for key, value in zip(SIDECAR_KEYS, values):
+            require_json_type(key.name, value, key.kind)
+        method, dataset, seed, split, utility_kind, labels, groups, positive_label = values
+        label_space = LabelSpace(tuple(map(str, labels)), positive_label)
+        group_space = GroupSpace(tuple(map(str, groups)))
+        manifest = RunManifest(method, dataset, seed, split, utility_kind, label_space,
+                               group_space)
         # a "\ud800" escape decodes to a lone surrogate, which no output can encode
-        for name in (manifest.method, manifest.dataset, *labels.labels, *groups.groups):
+        for name in (method, dataset, *label_space.labels, *group_space.groups):
             name.encode("utf-8")
         return manifest
     except (KeyError, TypeError, ValueError) as exc:
@@ -250,16 +252,21 @@ def _load_manifest(record_path: Path) -> RunManifest:
 
 def code_type(size: int) -> str:
     """Smallest signed array typecode that holds -1 and every code below ``size``."""
+    if size <= 1 << 7:  # a byte: the codes of almost every run
+        return "b"
     return next(t for t in "bhiq" if size <= 1 << (8 * array(t).itemsize - 1))
 
 
 def _column(values: Sequence, typecode: str) -> array:
     """A new ``typecode`` array of ``values``: any sequence, a numpy array included.
 
-    A one-dimensional buffer of numbers or bools (an ``array``, a numpy
-    array) is read through a memoryview, and copied as bytes where its
-    type is ``typecode``.
+    An ``array`` is copied by ``array`` itself, as one ``memcpy`` where its
+    type is ``typecode``. Another one-dimensional buffer of numbers or bools
+    (a numpy array) is read through a memoryview, and copied as bytes where
+    its type is ``typecode``.
     """
+    if type(values) is array:  # one memcpy where the typecodes agree
+        return array(typecode, values)
     try:
         view = memoryview(values)
     except TypeError:
@@ -352,7 +359,7 @@ class EvaluationRun:
                     f"scores has {len(scores)} columns, expected one per label ({n_labels})"
                 )
             columns = tuple(column("scores", values, "d") for values in scores)
-            if any(value == value for values in columns for value in values):
+            if any(any(map(eq, values, values)) for values in columns):  # NaN equals nothing
                 self.scores = columns  # else no score present: a run without scores
 
     def __eq__(self, other: object) -> bool:
@@ -549,9 +556,15 @@ def _mapped_scores(maps: list, labels: tuple[str, ...]) -> tuple[tuple[array, ..
 
 def _code_spaces(manifest: RunManifest) -> list[tuple[dict[str, int], str]]:
     """The index of each name and the code typecode of the y, y_hat and group columns."""
-    labels = manifest.label_space.labels
-    return [({name: i for i, name in enumerate(space)}, code_type(len(space)))
-            for space in (labels, labels, manifest.group_space.groups)]
+    labels = _code_space(manifest.label_space.labels)
+    return [labels, labels, _code_space(manifest.group_space.groups)]
+
+
+@lru_cache(maxsize=256)
+def _code_space(names: tuple[str, ...]) -> tuple[dict[str, int], str]:
+    """The index of each of ``names`` and their code typecode, built once per distinct
+    tuple (its names in their order) in a process; the index is shared, never modified."""
+    return {name: i for i, name in enumerate(names)}, code_type(len(names))
 
 
 def _member_codes(cells: Iterable, space: tuple[dict[str, int], str]) -> array:

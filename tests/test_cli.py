@@ -1016,7 +1016,10 @@ def test_commands_call_each_layer_through_the_benchmark_trace_seams(
 # A command may name a sabotage: "helper dies" makes every forked helper exit
 # at its first log, "killed at claim" SIGKILLs every helper right after it
 # takes its first log index from the claim pipe, "interrupt" raises
-# KeyboardInterrupt at the parent's first log. Prints, per command: exit code,
+# KeyboardInterrupt right after the parent's first read of the claim pipe.
+# The parent makes that read however many logs the helpers have claimed
+# already, where it may read no log itself: a parent held back after its
+# forks finds every index claimed. Prints, per command: exit code,
 # stdout, stderr, the --out file's text (None if it was not written), forks,
 # and whether a child was left unreaped.
 _FORK_CHILD = """
@@ -1032,14 +1035,14 @@ def counting_fork():
 def sabotaged(path, eqodd="diagonal"):
     if sabotage == "helper dies" and os.getpid() != parent:
         os._exit(1)
-    if sabotage == "interrupt" and os.getpid() == parent:
-        raise KeyboardInterrupt
     return evaluate_file(path, eqodd)
 
 def sabotaged_read(fd, n):
     data = read(fd, n)
     if sabotage == "killed at claim" and os.getpid() != parent and n == cli._TOKEN:
         os.kill(os.getpid(), signal.SIGKILL)
+    if sabotage == "interrupt" and os.getpid() == parent and n == cli._TOKEN:
+        raise KeyboardInterrupt
     return data
 
 os.fork, cli._evaluate_file, os.read = counting_fork, sabotaged, sabotaged_read
@@ -1537,6 +1540,40 @@ def test_selection_from_logs_equals_selection_from_their_summary_table(run_dir, 
             assert main([*command, *inputs]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["select-erm", "select-fwh"])
+def test_candidates_of_several_datasets_are_pooled_with_one_warning(tmp_path, capsys, command):
+    # a summary row names no dataset, so summary tables never warn
+    for method, dataset in (("erm", "isic"), ("dro", "celeba"), ("erm", "celeba"),
+                            ("mix", "isic"), ("mix", "celeba")):
+        write_run(generate(spec_for(1), method=method, dataset=dataset),
+                  tmp_path / f"{method}-{dataset}.jsonl")
+    (tmp_path / "summ.csv").write_text(
+        "run_id,method,A,B,overall\nr1,erm,0.8,0.7,0.75\nr2,dro,0.78,0.76,0.77\n"
+        "r3,mix,0.7,0.7,0.7\n", encoding="utf-8"
+    )
+    warning = ("warning: candidates span 2 datasets (celeba, isic) and are selected as one "
+               "pool; the paper tunes and zones per dataset")
+    cases = {  # inputs, baseline run_id, whether they warn
+        "two datasets": (["erm-isic", "dro-celeba", "erm-celeba", "mix-isic"],
+                         "erm:celeba:seed1:test", True),
+        "one dataset": (["dro-celeba", "erm-celeba", "mix-celeba"], "erm:celeba:seed1:test",
+                        False),
+        "one dataset and a summary table": (["erm-celeba", "mix-celeba", "summ"], "r1", False),
+        "a summary table": (["summ"], "r1", False),
+    }
+    for case, (names, baseline, warns) in cases.items():
+        inputs = [str(tmp_path / f"{n}.{'csv' if n == 'summ' else 'jsonl'}") for n in names]
+        flags = [] if command == "select-erm" else ["--baseline", baseline]
+        assert main([command, *flags, *inputs]) == 0, case
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ([warning] if warns else []), case
+        assert json.loads(captured.out)["selected"], case
+        if warns:  # the warning goes to stderr, never into the JSON output
+            assert main([command, *flags, "--out", str(tmp_path / "out.json"), *inputs]) == 0
+            assert (tmp_path / "out.json").read_text(encoding="utf-8") == captured.out
+            assert capsys.readouterr().err.splitlines() == [warning]
 
 
 @pytest.mark.parametrize("kind", ["logs", "summary table", "two tables"])

@@ -1883,6 +1883,54 @@ def test_a_run_of_many_groups_is_read_into_the_smallest_code_type_that_holds_the
     assert parse_run(tmp_path / f"run.{fmt}") == run
 
 
+def test_logs_of_the_same_labels_in_another_order_or_with_other_groups_keep_their_codes(
+    tmp_path,
+):
+    """A label or group index is built once per distinct tuple of names in a process.
+    Logs read one after another whose manifests name the same labels in another order
+    (the same sorted tuple), or the same labels with other groups or the same groups in
+    another order, each get the codes of their own manifest and the metric values of
+    their own records."""
+    rows = [  # every (group, true class) cell holds two records
+        (f"s{i:02d}", y, y_hat, group)
+        for i, (y, y_hat, group) in enumerate(
+            [("c0", "c0", "A"), ("c0", "c1", "A"), ("c1", "c1", "A"), ("c1", "c2", "A"),
+             ("c2", "c2", "A"), ("c2", "c2", "A"), ("c0", "c0", "B"), ("c0", "c0", "B"),
+             ("c1", "c0", "B"), ("c1", "c1", "B"), ("c2", "c1", "B"), ("c2", "c2", "B")]
+        )
+    ]
+    variants = [  # labels, groups, the group each record's group is renamed to
+        (("c0", "c1", "c2"), ("A", "B"), {"A": "A", "B": "B"}),
+        (("c2", "c0", "c1"), ("A", "B"), {"A": "A", "B": "B"}),
+        (("c1", "c2", "c0"), ("A", "B"), {"A": "A", "B": "B"}),
+        (("c0", "c1", "c2"), ("B", "A"), {"A": "A", "B": "B"}),
+        (("c0", "c1", "c2"), ("X", "Y"), {"A": "X", "B": "Y"}),
+        (("c2", "c1", "c0"), ("Y", "X"), {"A": "X", "B": "Y"}),
+    ]
+    base = None
+    for fmt in ("jsonl", "csv"):
+        for i, (labels, groups, rename) in enumerate(variants):
+            # written as text, so that no code space of nhfair's writes the log
+            lines = [record_line(s, y, y_hat, rename[g]) for s, y, y_hat, g in rows]
+            if fmt == "csv":
+                lines = ["sample_id,y,y_hat,group",
+                         *(f"{s},{y},{y_hat},{rename[g]}" for s, y, y_hat, g in rows)]
+            manifest = {**MANIFEST, "labels": [*labels], "groups": [*groups]}
+            read = parse_run(write_fixture(tmp_path, lines, manifest, name=f"v{i}.{fmt}"))
+            assert list(read.y) == [labels.index(y) for _, y, _, _ in rows], (fmt, i)
+            assert list(read.y_hat) == [labels.index(p) for _, _, p, _ in rows], (fmt, i)
+            assert list(read.group) == [groups.index(rename[g]) for *_, g in rows], (fmt, i)
+            result, oracle = metric_report(read), oracle_metrics(read)
+            assert result._replace(eqodd=None) == oracle._replace(eqodd=None), (fmt, i)
+            assert result.eqodd == pytest.approx(oracle.eqodd, rel=1e-12), (fmt, i)
+            base = base or result
+            assert result.group_utilities == {
+                rename[g]: u for g, u in base.group_utilities.items()
+            }, (fmt, i)
+            assert (result.overall, result.dp) == (base.overall, base.dp), (fmt, i)
+            assert result.eqodd == pytest.approx(base.eqodd, rel=1e-12), (fmt, i)
+
+
 def test_run_columns_are_standard_library_arrays_from_any_sequences():
     """numpy arrays of any dtype and plain lists build the same run: a tuple of ids,
     codes of the smallest signed type and one float array per label."""
