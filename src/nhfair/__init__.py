@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 # export name -> the module that defines it
 _EXPORTS = {
-    "CandidatePoint": "selection",
     "CohortSpec": "synth",
     "ConfusionTensor": "metrics",
     "EvaluationRun": "records",
@@ -27,7 +26,6 @@ _EXPORTS = {
     "Zone": "selection",
     "ZoneTally": "selection",
     "aggregate": "stats",
-    "classify_zone": "selection",
     "cliques": "stats",
     "confusion": "metrics",
     "demographic_parity": "metrics",

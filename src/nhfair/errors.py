@@ -113,10 +113,3 @@ class UnsupportedAlpha(StatsError):
 class ConfigError(EngineError):
     pass
 
-
-class AdvantageTieWarning(UserWarning):
-    """Baseline groups are tied, so no group is strictly advantaged.
-
-    Zone classification falls back to the worst-group rule; the warning
-    keeps the fallback from passing silently.
-    """

@@ -13,11 +13,9 @@ duplication is the point.
 from __future__ import annotations
 
 import math as _math
-import warnings as _warnings
 
 from .errors import (
     AllGroupsDegenerate,
-    AdvantageTieWarning,
     EmptyCandidateSet,
     NoEvaluableClass,
     SelectionError,
@@ -230,13 +228,6 @@ def oracle_select(
     tally = {z: 0 for z in ZONE_ORDER}
     for z in zones.values():
         tally[z] += 1
-
-    base_values = list(baseline.group_utilities.values())
-    tie_note = len(base_values) == 2 and base_values[0] == base_values[1] and any(
-        z in (Zone.SUB_OPTIMAL, Zone.UNWANTED) for z in zones.values()
-    )
-    if tie_note:
-        _warnings.warn("baseline tied", AdvantageTieWarning, stacklevel=2)
 
     selected = None
     zone = None

@@ -56,6 +56,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
@@ -233,8 +234,12 @@ def _load_manifest(record_path: Path) -> RunManifest:
     mpath = manifest_path(record_path)
     raw = read_json(mpath, MalformedLine, "manifest is ")
     try:  # the presence of each required key, then each key's JSON type, in table order
-        values = [raw[k.name] if k.default is None else raw.get(k.name, k.default)
-                  for k in SIDECAR_KEYS]
+        if type(raw) is not dict:
+            raise ValueError(f"must be a JSON object, got {reprlib.repr(raw)}")
+        for key in SIDECAR_KEYS:
+            if key.default is None and key.name not in raw:
+                raise ValueError(f"missing key {key.name!r}")
+        values = [raw.get(k.name, k.default) for k in SIDECAR_KEYS]
         for key, value in zip(SIDECAR_KEYS, values):
             require_json_type(key.name, value, key.kind)
         method, dataset, seed, split, utility_kind, labels, groups, positive_label = values
@@ -246,7 +251,7 @@ def _load_manifest(record_path: Path) -> RunManifest:
         for name in (method, dataset, *label_space.labels, *group_space.groups):
             name.encode("utf-8")
         return manifest
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedLine(f"bad manifest: {exc}", path=str(mpath)) from exc
 
 

@@ -32,14 +32,11 @@ code.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
-from collections.abc import Iterable
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
-    AdvantageTieWarning,
     EmptyCandidateSet,
     GroupSpaceMismatch,
     MalformedRow,
@@ -138,7 +135,7 @@ class RunResult(NamedTuple):
         }
 
 
-CandidatePoint = RunResult  # kept for callers that build candidates by this name
+CandidatePoint = RunResult  # the name bench/reference.py builds its candidates by
 
 # Reserved summary-CSV column names; every other column is a group.
 _SUMMARY_RESERVED = ("run_id", "method", "overall", "dp", "eqodd")
@@ -310,33 +307,8 @@ def dto_select(candidates: list[RunResult]) -> tuple[RunResult, float]:
     return best, distance_to(best, target)
 
 
-def _tie_fallback(baseline: RunResult, zones: Iterable[Zone]) -> bool:
-    """Whether the worst-group rule decided a mixed zone because two baseline groups tie."""
-    values = list(baseline.group_utilities.values())
-    mixed = any(z in (Zone.SUB_OPTIMAL, Zone.UNWANTED) for z in zones)
-    return mixed and len(values) == 2 and values[0] == values[1]
-
-
-def classify_zone(
-    candidate: RunResult, baseline: RunResult, tolerance: float = 0.0
-) -> Zone:
-    """Assign exactly one zone to a candidate relative to the baseline.
-
-    A zone decided by the tie fallback also raises an AdvantageTieWarning.
-    """
-    zone = _zone(candidate, baseline, tolerance)
-    if _tie_fallback(baseline, [zone]):
-        _warnings.warn(
-            f"baseline {baseline.run_id!r} has tied group utilities; "
-            "no group is advantaged, classifying mixed candidates by the "
-            "worst-group rule",
-            AdvantageTieWarning,
-            stacklevel=2,
-        )
-    return zone
-
-
 def _zone(candidate: RunResult, baseline: RunResult, tolerance: float) -> Zone:
+    """The one zone of a candidate relative to the baseline."""
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     base = baseline.group_utilities
@@ -372,7 +344,9 @@ def fwh_select(
 
     notes: list[str] = []
     zones = {c.run_id: _zone(c, baseline, tolerance) for c in candidates}
-    if _tie_fallback(baseline, zones.values()):
+    base_values = list(baseline.group_utilities.values())
+    mixed = any(z in (Zone.SUB_OPTIMAL, Zone.UNWANTED) for z in zones.values())
+    if mixed and len(base_values) == 2 and base_values[0] == base_values[1]:
         notes.append(
             "baseline group utilities are tied; mixed candidates classified by the worst-group rule"
         )

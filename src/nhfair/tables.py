@@ -5,7 +5,7 @@ Percent cells are formatted at two decimals with the interpreter's
 round-half-to-even float formatting; "mean +/- std" cells use the same
 precision on both sides and re-parse losslessly at that precision.
 Rows are written in the order given; ``stats.aggregate`` returns them in
-table order. :func:`read_rows` is the writers' inverse for one metric,
+table order. :func:`read_table` is the writers' inverse for one metric,
 as ``compare`` reads a table.
 """
 
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .config import METRIC_NAMES
 from .errors import ParseError
-from .inputs import JSON, kind, read_csv_table, read_json
+from .inputs import JSON, read_csv_table, read_json
 from .inputs import require_distinct_columns, require_json_type
 
 _PM = "±"  # plus-minus sign
@@ -64,7 +64,7 @@ class ReportRow(NamedTuple):
     utility_kind: str
     n_seeds: int
     # name -> (mean, std). Rows from ``stats.aggregate`` hold all five metrics
-    # as fractions; rows from ``read_rows`` hold the one metric read, in the
+    # as fractions; rows from ``read_table`` hold the one metric read, in the
     # units of their table, and no utility kind or warnings.
     metrics: dict[str, tuple[float, float]]
     warnings: tuple[str, ...] = ()
@@ -126,12 +126,6 @@ def rows_to_json(rows: list[ReportRow]) -> str:
             }
         )
     return json.dumps(payload, indent=2) + "\n"
-
-
-def read_rows(path: Path, metric: str) -> list[ReportRow]:
-    """The rows of a table that :func:`rows_to_csv` or :func:`rows_to_json` wrote, for
-    ``metric``: the :func:`read_table` of the file's ``inputs.kind``."""
-    return read_table(path, kind(path), metric)
 
 
 def read_table(path: Path, kind: str | None, metric: str) -> list[ReportRow]:

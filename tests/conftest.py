@@ -11,7 +11,7 @@ from nhfair.records import (
     PredictionRecord,
     RunManifest,
 )
-from nhfair.selection import CandidatePoint
+from nhfair.selection import RunResult
 
 
 def make_run(
@@ -67,7 +67,7 @@ def make_run(
 def point(run_id, utilities, method="m", overall=None):
     if overall is None:
         overall = sum(utilities.values()) / len(utilities)
-    return CandidatePoint.from_utilities(
+    return RunResult.from_utilities(
         run_id=run_id, method=method, utilities=dict(utilities), overall=overall
     )
 

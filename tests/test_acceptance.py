@@ -7,20 +7,18 @@ lines. Every tolerance and runtime bound is pinned here, not configurable.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_run, point, random_candidate_cloud, random_cohort_spec
 from nhfair.cli import main
-from nhfair.errors import AdvantageTieWarning, AllGroupsDegenerate, NoEvaluableClass
+from nhfair.errors import AllGroupsDegenerate, NoEvaluableClass
 from nhfair.metrics import group_auc, metric_report, pooled_auc
 from nhfair.oracle import oracle_dto, oracle_metrics, oracle_select
 from nhfair.records import write_run
 from nhfair.selection import (
     Zone,
-    classify_zone,
     dto_select,
     fwh_select,
     gap,
@@ -157,7 +155,7 @@ def test_criterion_1_table_fixture_consistency(tmp_path):
             method="randaug", overall=summaries["randaug"].overall,
         )
         randaug_results[dataset] = fwh_select([ra], erm)
-        assert classify_zone(ra, erm) is Zone.OPTIMAL, dataset
+        assert randaug_results[dataset].zone is Zone.OPTIMAL, dataset
     assert zone_tally_table(randaug_results).text == "7|0|0|0"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s"
@@ -196,25 +194,23 @@ def test_criterion_2_metric_oracle_equivalence():
 def test_criterion_3_selection_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(20_240_002)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdvantageTieWarning)
-        for _ in range(1000):
-            candidates = random_candidate_cloud(rng, max_candidates=50)
-            baseline = point(
-                "baseline",
-                {"g1": int(rng.integers(0, 41)) / 40, "g2": int(rng.integers(0, 41)) / 40},
-            )
-            tolerance = float(rng.choice([0.0, 0.025]))
-            engine = fwh_select(candidates, baseline, tolerance)
-            reference = oracle_select(candidates, baseline, tolerance)
-            assert engine.candidate_zones == reference.candidate_zones
-            assert (engine.selected is None) == (reference.selected is None)
-            if engine.selected is not None:
-                assert engine.selected.run_id == reference.selected.run_id
-            dto_engine, dto_distance = dto_select(candidates)
-            dto_reference, reference_distance = oracle_dto(candidates)
-            assert dto_engine.run_id == dto_reference.run_id
-            assert dto_distance == reference_distance
+    for _ in range(1000):
+        candidates = random_candidate_cloud(rng, max_candidates=50)
+        baseline = point(
+            "baseline",
+            {"g1": int(rng.integers(0, 41)) / 40, "g2": int(rng.integers(0, 41)) / 40},
+        )
+        tolerance = float(rng.choice([0.0, 0.025]))
+        engine = fwh_select(candidates, baseline, tolerance)
+        reference = oracle_select(candidates, baseline, tolerance)
+        assert engine.candidate_zones == reference.candidate_zones
+        assert (engine.selected is None) == (reference.selected is None)
+        if engine.selected is not None:
+            assert engine.selected.run_id == reference.selected.run_id
+        dto_engine, dto_distance = dto_select(candidates)
+        dto_reference, reference_distance = oracle_dto(candidates)
+        assert dto_engine.run_id == dto_reference.run_id
+        assert dto_distance == reference_distance
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion 3 took {elapsed:.2f}s"
     announce(3, f"1000 candidate clouds: zones and selections identical ({elapsed:.1f}s)")
@@ -224,22 +220,27 @@ def test_criterion_4_zone_partition_exhaustive():
     start = time.perf_counter()
     baseline = point("base", {"adv": 0.8, "dis": 0.6})
     for tolerance in (0.0, 0.01):
+        grid = {
+            f"c{i:03d}-{j:03d}": (0.7 + i * 0.001, 0.5 + j * 0.001)
+            for i in range(201)
+            for j in range(201)
+        }
+        candidates = [point(run_id, {"adv": adv, "dis": dis})
+                      for run_id, (adv, dis) in grid.items()]
+        zones = fwh_select(candidates, baseline, tolerance).candidate_zones
         counts = {z: 0 for z in Zone}
-        for i in range(201):
-            for j in range(201):
-                adv = 0.7 + i * 0.001
-                dis = 0.5 + j * 0.001
-                zone = classify_zone(point("c", {"adv": adv, "dis": dis}), baseline, tolerance)
-                counts[zone] += 1
-                adv_ok = adv >= 0.8 - tolerance
-                dis_ok = dis >= 0.6 - tolerance
-                expected = {
-                    (True, True): Zone.OPTIMAL,
-                    (False, True): Zone.SUB_OPTIMAL,
-                    (False, False): Zone.DEGRADATION,
-                    (True, False): Zone.UNWANTED,
-                }[(adv_ok, dis_ok)]
-                assert zone is expected, (adv, dis, tolerance)
+        for run_id, (adv, dis) in grid.items():
+            zone = zones[run_id]
+            counts[zone] += 1
+            adv_ok = adv >= 0.8 - tolerance
+            dis_ok = dis >= 0.6 - tolerance
+            expected = {
+                (True, True): Zone.OPTIMAL,
+                (False, True): Zone.SUB_OPTIMAL,
+                (False, False): Zone.DEGRADATION,
+                (True, False): Zone.UNWANTED,
+            }[(adv_ok, dis_ok)]
+            assert zone is expected, (adv, dis, tolerance)
         assert sum(counts.values()) == 201 * 201
         assert all(count > 0 for count in counts.values())
     elapsed = time.perf_counter() - start

@@ -821,6 +821,13 @@ def test_readme_lists_every_export_under_the_module_that_defines_it():
         assert name in vars(importlib.import_module(f"nhfair.{module}"))
 
 
+def test_every_export_resolves_to_the_object_its_module_defines():
+    for name in nhfair.__all__:
+        module = importlib.import_module(f"nhfair.{nhfair._EXPORTS[name]}")
+        assert nhfair.__getattr__(name) is getattr(module, name), name
+    assert set(nhfair.__all__) <= set(dir(nhfair))
+
+
 # Runs ``cli.main`` on the argv given as JSON (none: only imports the CLI) in
 # a fresh interpreter, then prints the exit code and which heavy modules it loaded
 # (dataclasses and inspect are heavy at start-up: no command may load them).

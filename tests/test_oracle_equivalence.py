@@ -61,36 +61,30 @@ def run_metric_sweep(n_cohorts, seed, max_n=200):
 
 
 def run_selection_sweep(n_clouds, seed):
-    import warnings
-
-    from nhfair.errors import AdvantageTieWarning
-
     rng = np.random.default_rng(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdvantageTieWarning)
-        for _ in range(n_clouds):
-            candidates = random_candidate_cloud(rng)
-            baseline = point(
-                "baseline",
-                {
-                    "g1": int(rng.integers(0, 41)) / 40,
-                    "g2": int(rng.integers(0, 41)) / 40,
-                },
-            )
-            tolerance = float(rng.choice([0.0, 0.025]))
-            engine = fwh_select(candidates, baseline, tolerance)
-            oracle = oracle_select(candidates, baseline, tolerance)
-            assert engine.candidate_zones == oracle.candidate_zones
-            assert engine.tally == oracle.tally
-            assert (engine.selected is None) == (oracle.selected is None)
-            if engine.selected is not None:
-                assert engine.selected.run_id == oracle.selected.run_id
-                assert engine.zone == oracle.zone
+    for _ in range(n_clouds):
+        candidates = random_candidate_cloud(rng)
+        baseline = point(
+            "baseline",
+            {
+                "g1": int(rng.integers(0, 41)) / 40,
+                "g2": int(rng.integers(0, 41)) / 40,
+            },
+        )
+        tolerance = float(rng.choice([0.0, 0.025]))
+        engine = fwh_select(candidates, baseline, tolerance)
+        oracle = oracle_select(candidates, baseline, tolerance)
+        assert engine.candidate_zones == oracle.candidate_zones
+        assert engine.tally == oracle.tally
+        assert (engine.selected is None) == (oracle.selected is None)
+        if engine.selected is not None:
+            assert engine.selected.run_id == oracle.selected.run_id
+            assert engine.zone == oracle.zone
 
-            dto_engine, dist_engine = dto_select(candidates)
-            dto_oracle, dist_oracle = oracle_dto(candidates)
-            assert dto_engine.run_id == dto_oracle.run_id
-            assert dist_engine == dist_oracle
+        dto_engine, dist_engine = dto_select(candidates)
+        dto_oracle, dist_oracle = oracle_dto(candidates)
+        assert dto_engine.run_id == dto_oracle.run_id
+        assert dist_engine == dist_oracle
 
 
 def test_metric_oracle_equivalence_quick():

@@ -403,7 +403,31 @@ def test_manifest_faults_are_reported_presence_first(tmp_path):
                          manifest=dict(manifest, seed=1.5))
     with pytest.raises(MalformedLine) as caught:
         parse_run(path)
-    assert str(caught.value) == f"{tmp_path / 'run.manifest.json'}: bad manifest: 'labels'"
+    assert str(caught.value) == (
+        f"{tmp_path / 'run.manifest.json'}: bad manifest: missing key 'labels'"
+    )
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    (["method"], "must be a JSON object, got ['method']"),
+    ("x", "must be a JSON object, got 'x'"),
+    (3, "must be a JSON object, got 3"),
+    (None, "must be a JSON object, got None"),
+    ({key: value for key, value in MANIFEST.items() if key != "dataset"},
+     "missing key 'dataset'"),
+], ids=["array", "string", "number", "null", "no dataset"])
+def test_a_sidecar_not_an_object_or_missing_a_key_is_named_in_plain_words(tmp_path, sidecar,
+                                                                          message):
+    path = write_fixture(tmp_path, [record_line("s1", "pos", "pos", "A")])
+    path.with_suffix(".manifest.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["evaluate", str(path)])
+    text = stderr.getvalue()
+    assert (code, text) == (
+        2, f"error: {path.with_suffix('.manifest.json')}: bad manifest: {message}\n")
+    for python_text in ("indices must be", "not subscriptable", "NoneType"):
+        assert python_text not in text
 
 
 class TestRoundTrip:
@@ -1477,7 +1501,8 @@ def test_a_missing_log_then_a_missing_sidecar_is_reported_first(tmp_path, name, 
 def test_a_missing_table_is_file_not_found(tmp_path):
     for name in ("summ.csv", "t.json", "t.csv"):
         path = tmp_path / name
-        reader = parse_summaries if name == "summ.csv" else lambda p: tables.read_rows(p, "gap")
+        reader = (parse_summaries if name == "summ.csv"
+                  else lambda p: tables.read_table(p, inputs.kind(p), "gap"))
         with pytest.raises(ParseError) as err:
             reader(path)
         assert str(err.value) == f"{path}: file not found"
@@ -1951,3 +1976,17 @@ def test_run_columns_are_standard_library_arrays_from_any_sequences():
         assert [type(c).__name__ + c.typecode for c in built.scores] == ["arrayd", "arrayd"]
     with pytest.raises(ValueError, match="column y has 3 values, expected"):
         EvaluationRun(run.manifest, ids, codes[0], [0, 1, 0], codes[2])
+
+
+@pytest.mark.parametrize("column", ["two-dimensional int8", "numpy str"])
+def test_a_code_column_that_is_no_one_dimensional_buffer_of_numbers_is_refused(column):
+    """A (n, 2) int8 array has n rows and the byte format of a code column, so only its
+    shape keeps its 2n bytes from being read as n codes; a str array is no buffer of
+    numbers. Both are read item by item, and the items are no integers."""
+    run = make_run([("neg", "neg", "A"), ("pos", "pos", "B"), ("pos", "neg", "A")])
+    n = len(run.sample_ids)
+    bad = (np.zeros((n, 2), dtype=np.int8) if column == "two-dimensional int8"
+           else np.array([str(code) for code in run.group]))
+    assert len(bad) == n
+    with pytest.raises(TypeError):
+        EvaluationRun(run.manifest, list(run.sample_ids), bad, run.y, run.y_hat)

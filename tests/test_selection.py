@@ -11,21 +11,25 @@ from hypothesis import strategies as st
 
 from conftest import point
 from nhfair.errors import (
-    AdvantageTieWarning,
     EmptyCandidateSet,
     GroupSpaceMismatch,
     SelectionError,
 )
+from nhfair.oracle import oracle_select
 from nhfair.selection import (
     ZONE_ORDER,
     Zone,
     ZoneTally,
-    classify_zone,
     dto_select,
     fwh_select,
     utopia,
     zone_tally_table,
 )
+
+
+def zone_of(candidate, baseline, tolerance=0.0):
+    """The zone ``fwh_select`` gives one candidate against the baseline."""
+    return fwh_select([candidate], baseline, tolerance).candidate_zones[candidate.run_id]
 
 
 def cloud():
@@ -90,37 +94,37 @@ class TestDtoSelect:
         assert best.run_id == "b"
 
 
-class TestClassifyZone:
+class TestZoneOf:
     def test_published_pair_is_optimal(self, celeba_pair):
         erm, randaug = celeba_pair
-        assert classify_zone(randaug, erm) is Zone.OPTIMAL
+        assert zone_of(randaug, erm) is Zone.OPTIMAL
 
     def test_boundary_is_optimal(self):
         base = point("base", {"g1": 0.8, "g2": 0.7})
-        assert classify_zone(point("c", {"g1": 0.8, "g2": 0.7}), base) is Zone.OPTIMAL
+        assert zone_of(point("c", {"g1": 0.8, "g2": 0.7}), base) is Zone.OPTIMAL
 
     def test_quadrants(self):
         base = point("base", {"adv": 0.9, "dis": 0.7})
-        assert classify_zone(point("c", {"adv": 0.91, "dis": 0.69}), base) is Zone.UNWANTED
-        assert classify_zone(point("c", {"adv": 0.89, "dis": 0.71}), base) is Zone.SUB_OPTIMAL
-        assert classify_zone(point("c", {"adv": 0.89, "dis": 0.69}), base) is Zone.DEGRADATION
-        assert classify_zone(point("c", {"adv": 0.91, "dis": 0.71}), base) is Zone.OPTIMAL
+        assert zone_of(point("c", {"adv": 0.91, "dis": 0.69}), base) is Zone.UNWANTED
+        assert zone_of(point("c", {"adv": 0.89, "dis": 0.71}), base) is Zone.SUB_OPTIMAL
+        assert zone_of(point("c", {"adv": 0.89, "dis": 0.69}), base) is Zone.DEGRADATION
+        assert zone_of(point("c", {"adv": 0.91, "dis": 0.71}), base) is Zone.OPTIMAL
 
     def test_tolerance_band_attaches_to_pass_side(self):
         base = point("base", {"adv": 0.9, "dis": 0.7})
         cand = point("c", {"adv": 0.895, "dis": 0.71})
-        assert classify_zone(cand, base, tolerance=0.0) is Zone.SUB_OPTIMAL
-        assert classify_zone(cand, base, tolerance=0.01) is Zone.OPTIMAL
+        assert zone_of(cand, base, tolerance=0.0) is Zone.SUB_OPTIMAL
+        assert zone_of(cand, base, tolerance=0.01) is Zone.OPTIMAL
 
-    def test_advantage_tie_warns_and_uses_worst_group_rule(self):
+    def test_advantage_tie_notes_the_worst_group_rule(self):
         base = point("base", {"g1": 0.8, "g2": 0.8})
-        cand = point("c", {"g1": 0.85, "g2": 0.75})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            zone = classify_zone(cand, base)
-        assert any(issubclass(w.category, AdvantageTieWarning) for w in caught)
+        result = fwh_select([point("c", {"g1": 0.85, "g2": 0.75})], base)
+        assert result.rationale.endswith(
+            "; baseline group utilities are tied; mixed candidates classified by the "
+            "worst-group rule"
+        )
         # first group in order is the worst-group fallback; it improved
-        assert zone is Zone.SUB_OPTIMAL
+        assert result.candidate_zones["c"] is Zone.SUB_OPTIMAL
 
     def test_three_groups(self):
         base = point("base", {"g1": 0.9, "g2": 0.8, "g3": 0.7})
@@ -128,14 +132,14 @@ class TestClassifyZone:
         alldown = point("c", {"g1": 0.89, "g2": 0.79, "g3": 0.69})
         worst_up = point("c", {"g1": 0.89, "g2": 0.79, "g3": 0.75})
         worst_down = point("c", {"g1": 0.95, "g2": 0.85, "g3": 0.65})
-        assert classify_zone(allup, base) is Zone.OPTIMAL
-        assert classify_zone(alldown, base) is Zone.DEGRADATION
-        assert classify_zone(worst_up, base) is Zone.SUB_OPTIMAL
-        assert classify_zone(worst_down, base) is Zone.UNWANTED
+        assert zone_of(allup, base) is Zone.OPTIMAL
+        assert zone_of(alldown, base) is Zone.DEGRADATION
+        assert zone_of(worst_up, base) is Zone.SUB_OPTIMAL
+        assert zone_of(worst_down, base) is Zone.UNWANTED
 
     def test_mismatch(self):
         with pytest.raises(GroupSpaceMismatch):
-            classify_zone(point("c", {"g1": 0.5, "gX": 0.5}), point("b", {"g1": 0.5, "g2": 0.5}))
+            zone_of(point("c", {"g1": 0.5, "gX": 0.5}), point("b", {"g1": 0.5, "g2": 0.5}))
 
 
 class TestFwhSelect:
@@ -310,28 +314,33 @@ def test_dto_invariant_under_power_of_two_scaling(cs, scale):
 def test_selected_candidate_matches_claimed_zone(cs, tolerance):
     baseline = point("base", {"g1": 0.6, "g2": 0.55})
     result = fwh_select(cs, baseline, tolerance=tolerance)
+    expected = oracle_select(cs, baseline, tolerance)
+    assert result.candidate_zones == expected.candidate_zones
     if result.selected is not None:
-        assert classify_zone(result.selected, baseline, tolerance) is result.zone
+        assert expected.candidate_zones[result.selected.run_id] is result.zone
     assert sum(result.tally.values()) == len(cs)
 
 
 def test_zone_partition_tiles_the_plane():
     baseline = point("base", {"adv": 0.8, "dis": 0.6})
     tolerance = 0.01
-    for i in range(41):
-        for j in range(41):
-            adv = 0.7 + i * 0.005
-            dis = 0.5 + j * 0.005
-            zone = classify_zone(point("c", {"adv": adv, "dis": dis}), baseline, tolerance)
-            adv_ok = adv >= 0.8 - tolerance
-            dis_ok = dis >= 0.6 - tolerance
-            expected = {
-                (True, True): Zone.OPTIMAL,
-                (False, True): Zone.SUB_OPTIMAL,
-                (False, False): Zone.DEGRADATION,
-                (True, False): Zone.UNWANTED,
-            }[(adv_ok, dis_ok)]
-            assert zone is expected
+    grid = {
+        f"c{i:02d}-{j:02d}": (0.7 + i * 0.005, 0.5 + j * 0.005)
+        for i in range(41)
+        for j in range(41)
+    }
+    candidates = [point(run_id, {"adv": adv, "dis": dis}) for run_id, (adv, dis) in grid.items()]
+    zones = fwh_select(candidates, baseline, tolerance).candidate_zones
+    for run_id, (adv, dis) in grid.items():
+        adv_ok = adv >= 0.8 - tolerance
+        dis_ok = dis >= 0.6 - tolerance
+        expected = {
+            (True, True): Zone.OPTIMAL,
+            (False, True): Zone.SUB_OPTIMAL,
+            (False, False): Zone.DEGRADATION,
+            (True, False): Zone.UNWANTED,
+        }[(adv_ok, dis_ok)]
+        assert zones[run_id] is expected
 
 
 def test_an_empty_candidate_set_is_refused_by_both_selections():
@@ -345,7 +354,7 @@ def test_an_empty_candidate_set_is_refused_by_both_selections():
 def test_a_negative_tolerance_is_refused():
     baseline = point("base", {"g1": 0.6, "g2": 0.55})
     with pytest.raises(ValueError, match="^tolerance must be >= 0$"):
-        classify_zone(cloud()[0], baseline, tolerance=-0.1)
+        fwh_select(cloud()[:1], baseline, tolerance=-0.1)
 
 
 def test_fwh_select_refuses_a_repeated_run_id_naming_it():

@@ -1,4 +1,4 @@
-"""Aggregated tables read back: read_rows inverts rows_to_csv and rows_to_json."""
+"""Aggregated tables read back: read_table inverts rows_to_csv and rows_to_json."""
 
 from __future__ import annotations
 
@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhfair import inputs
 from nhfair.tables import (
     METRIC_NAMES,
     ReportRow,
     fmt_value,
-    read_rows,
+    read_table,
     rows_to_csv,
     rows_to_json,
     rows_to_markdown,
@@ -52,7 +53,7 @@ def _read_back(text: str, name: str, metric: str) -> list[ReportRow]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8")
-        return read_rows(path, metric)
+        return read_table(path, inputs.kind(path), metric)
 
 
 @given(rows=_ROWS, units=st.sampled_from(["percent", "fraction"]),
@@ -84,7 +85,7 @@ def test_json_reads_back_each_row_exactly(rows, metric, suffix):
 def test_a_table_without_split_or_n_seeds_reads_as_one_seed_and_no_split(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("method,dataset,gap\nerm,d1,0.25 ± 0.5\n", encoding="utf-8")
-    assert read_rows(path, "gap") == [
+    assert read_table(path, inputs.kind(path), "gap") == [
         ReportRow(method="erm", dataset="d1", split="", utility_kind="", n_seeds=1,
                   metrics={"gap": (0.25, 0.5)})
     ]
